@@ -8,6 +8,7 @@ use std::hint::black_box;
 
 use sabre_core::{LightSabres, LightSabresConfig, SabreId, StreamBuffer};
 use sabre_mem::{Addr, BlockAddr, Llc, NodeMemory, BLOCK_BYTES};
+use sabre_rack::workloads::{UpdatePlan, WriterLayout};
 use sabre_rack::{spec, Cluster, ClusterConfig, ReadMechanism, ScenarioBuilder};
 use sabre_sim::{CalendarQueue, EventQueue, LatencyHistogram, Time};
 use sabre_sw::layout::PerClLayout;
@@ -70,6 +71,33 @@ fn bench_engine(c: &mut Criterion) {
         }
         b.iter(|| engine.on_invalidation(black_box(BlockAddr::from_index(17))))
     });
+    // The common case under local writers: a store snoops an engine with
+    // no SABRe in flight.
+    g.bench_function("invalidation_snoop_idle", |b| {
+        let mut engine = LightSabres::new(LightSabresConfig::default());
+        b.iter(|| engine.on_invalidation(black_box(BlockAddr::from_index(17))))
+    });
+    g.finish();
+}
+
+fn bench_writers(c: &mut Criterion) {
+    let mut g = c.benchmark_group("writers");
+    // The once-per-update cost of a writer's store plan: a 1 KB update
+    // split into 17 clean stores, or re-encoded as 19 stamped per-CL lines.
+    let mut plan = UpdatePlan::new();
+    for (name, layout) in [
+        ("writer_plan_rebuild_1k_clean", WriterLayout::Clean),
+        ("writer_plan_rebuild_1k_percl", WriterLayout::PerCl),
+    ] {
+        let mut seq = 0u64;
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                seq += 1;
+                plan.rebuild(layout, Addr::new(4096), 7, seq, 1024, 2 * seq);
+                black_box(&plan);
+            })
+        });
+    }
     g.finish();
 }
 
@@ -277,6 +305,7 @@ criterion_group!(
     benches,
     bench_stream_buffer,
     bench_engine,
+    bench_writers,
     bench_software_kernels,
     bench_sim_primitives,
     bench_window_scheduler

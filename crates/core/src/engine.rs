@@ -536,6 +536,20 @@ impl LightSabres {
     /// always driven by a reply), so this returns no actions; it only flips
     /// abort/revalidate state.
     pub fn on_invalidation(&mut self, block: BlockAddr) {
+        // Every entry not yet `Releasing` is in `by_id`, and the scan skips
+        // `Releasing` ones, so an empty map means there is nothing to probe
+        // (the common case under local writers: most stores snoop an idle
+        // engine).
+        if self.by_id.is_empty() {
+            debug_assert!(
+                self.entries
+                    .iter()
+                    .flatten()
+                    .all(|e| e.state == SabreState::Releasing),
+                "a live SABRe is missing from by_id"
+            );
+            return;
+        }
         for idx in 0..self.entries.len() {
             let Some(entry) = self.entries[idx].as_mut() else {
                 continue;
@@ -1060,6 +1074,62 @@ mod tests {
         let rel = eng.next_issue().unwrap();
         assert_eq!(rel.kind, IssueKind::LockRelease);
         assert_eq!(eng.stats().completed_failed, 1);
+    }
+
+    /// Debug snapshot of every ATT slot (entries carry no `PartialEq`).
+    fn att_snapshot(eng: &LightSabres) -> Vec<String> {
+        (0..eng.config().stream_buffers)
+            .map(|i| format!("{:?}", eng.entry(SlotId(i as u8))))
+            .collect()
+    }
+
+    #[test]
+    fn invalidation_snoops_an_idle_engine_without_effect() {
+        let mut eng = LightSabres::new(LightSabresConfig::default());
+        for b in [0, 1, 17, 4096] {
+            eng.on_invalidation(BlockAddr::from_index(b));
+        }
+        assert_eq!(eng.stats(), EngineStats::default());
+        assert_eq!(eng.active_count(), 0);
+        // Same once a SABRe has come and gone: its freed slot is not probed.
+        let slot = register_full(&mut eng, 1, 128);
+        eng.next_issue().unwrap();
+        eng.next_issue().unwrap();
+        eng.on_block_reply(slot, 0, &block_with_version(2));
+        eng.on_block_reply(slot, 1, &[0u8; BLOCK_BYTES]);
+        let stats = eng.stats();
+        let before = att_snapshot(&eng);
+        eng.on_invalidation(BlockAddr::from_index(0));
+        eng.on_invalidation(BlockAddr::from_index(1));
+        assert_eq!(eng.stats(), stats);
+        assert_eq!(att_snapshot(&eng), before);
+    }
+
+    #[test]
+    fn invalidation_leaves_releasing_entries_alone() {
+        let cfg = LightSabresConfig {
+            cc_mode: CcMode::Locking,
+            ..LightSabresConfig::default()
+        };
+        let mut eng = LightSabres::new(cfg);
+        let slot = register_full(&mut eng, 1, 128);
+        eng.next_issue().unwrap(); // acquire
+        eng.next_issue().unwrap(); // block 0
+        eng.next_issue().unwrap(); // block 1
+        eng.on_lock_reply(slot, true);
+        eng.on_block_reply(slot, 0, &block_with_version(2));
+        eng.on_block_reply(slot, 1, &[0u8; BLOCK_BYTES]);
+        assert_eq!(eng.entry(slot).unwrap().state, SabreState::Releasing);
+        let stats = eng.stats();
+        let before = att_snapshot(&eng);
+        // Both the head (lock word) and a data block of the finished read.
+        eng.on_invalidation(BlockAddr::from_index(0));
+        eng.on_invalidation(BlockAddr::from_index(1));
+        assert_eq!(eng.stats(), stats);
+        assert_eq!(att_snapshot(&eng), before);
+        // The owed release still issues and frees the slot.
+        assert_eq!(eng.next_issue().unwrap().kind, IssueKind::LockRelease);
+        assert!(eng.entry(slot).is_none());
     }
 
     #[test]

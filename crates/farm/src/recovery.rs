@@ -56,7 +56,7 @@
 //! consumes them.
 
 use sabre_mem::{Addr, BLOCK_BYTES};
-use sabre_rack::workloads::{update_chunks, WriterLayout};
+use sabre_rack::workloads::{UpdatePlan, WriterLayout};
 use sabre_rack::{CoreApi, Workload};
 use sabre_sim::Time;
 use sabre_sonuma::{CqEntry, OpKind};
@@ -236,6 +236,9 @@ pub struct RecoveringWriter {
     /// Completed updates — also the latest own log seq (1-based).
     applied: u64,
     locked_version: u64,
+    /// The stores of the update in progress, built when it starts (so a
+    /// plan never outlives an outage).
+    plan: UpdatePlan,
     state: ReplicaState,
     phase: RwPhase,
     /// `Some(target)`: replaying pulled updates up to log seq `target`.
@@ -291,6 +294,7 @@ impl RecoveringWriter {
             respect_reader_locks: false,
             applied: 0,
             locked_version: 0,
+            plan: UpdatePlan::new(),
             state: ReplicaState::Live,
             phase: RwPhase::Idle,
             replay_until: None,
@@ -326,19 +330,6 @@ impl RecoveringWriter {
 
     fn obj(&self) -> (u64, Addr) {
         self.objects[(self.applied % self.objects.len() as u64) as usize]
-    }
-
-    /// The single-block stores of the current update, in protocol order.
-    fn chunks(&self) -> Vec<(Addr, Vec<u8>)> {
-        let (obj_id, base) = self.obj();
-        update_chunks(
-            self.layout,
-            base,
-            obj_id,
-            self.applied,
-            self.payload as usize,
-            self.locked_version,
-        )
     }
 
     /// The outage window covering `now` on this writer's own node, if any.
@@ -395,7 +386,7 @@ impl RecoveringWriter {
                 "pulled record disagrees with schedule"
             );
         }
-        let (_, base) = self.obj();
+        let (obj_id, base) = self.obj();
         if self.respect_reader_locks {
             let rlock = api.read_local(base + 8u64, 8);
             let readers = u64::from_le_bytes(rlock.try_into().expect("8 bytes"));
@@ -413,6 +404,14 @@ impl RecoveringWriter {
         if self.layout.takes_lock() {
             api.store_local_u64(va, v.locked().raw());
         }
+        self.plan.rebuild(
+            self.layout,
+            base,
+            obj_id,
+            self.applied,
+            self.payload as usize,
+            self.locked_version,
+        );
         self.phase = RwPhase::Writing { chunk: 0 };
         api.sleep(api.config().writer_store_interval);
     }
@@ -543,14 +542,11 @@ impl Workload for RecoveringWriter {
             RwPhase::Idle => self.begin(api),
             RwPhase::Frozen => self.resume_from_outage(api),
             RwPhase::Writing { chunk } => {
-                let chunks = self.chunks();
-                if chunk < chunks.len() {
-                    let (addr, data) = &chunks[chunk];
-                    api.store_local(*addr, data);
-                    self.phase = RwPhase::Writing { chunk: chunk + 1 };
+                self.phase = if self.plan.apply(api, chunk) {
+                    RwPhase::Writing { chunk: chunk + 1 }
                 } else {
-                    self.phase = RwPhase::Publishing;
-                }
+                    RwPhase::Publishing
+                };
                 api.sleep(api.config().writer_store_interval);
             }
             RwPhase::Publishing => {

@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use sabre_rack::workloads::{update_chunks, WriterLayout};
+use sabre_rack::workloads::{UpdatePlan, WriterLayout};
 use sabre_rack::{CoreApi, Workload};
 use sabre_sim::Time;
 use sabre_sw::VersionWord;
@@ -42,6 +42,8 @@ pub struct RpcWriteServer {
     phase: ServerPhase,
     seq: u64,
     locked_version: u64,
+    /// The stores of the write in progress, built when it starts.
+    plan: UpdatePlan,
     applied: u64,
 }
 
@@ -55,6 +57,7 @@ impl RpcWriteServer {
             phase: ServerPhase::Idle,
             seq: 1,
             locked_version: 0,
+            plan: UpdatePlan::new(),
             applied: 0,
         }
     }
@@ -79,7 +82,8 @@ impl RpcWriteServer {
             return;
         };
         let layout = self.layout();
-        let va = layout.version_addr(self.kv.store().object_addr(req.obj));
+        let base = self.kv.store().object_addr(req.obj);
+        let va = layout.version_addr(base);
         let v = VersionWord::new(u64::from_le_bytes(
             api.read_local(va, 8).try_into().expect("8 bytes"),
         ));
@@ -87,6 +91,14 @@ impl RpcWriteServer {
         if layout.takes_lock() {
             api.store_local_u64(va, v.locked().raw());
         }
+        self.plan.rebuild(
+            layout,
+            base,
+            req.obj,
+            self.seq,
+            self.kv.store().payload() as usize,
+            self.locked_version,
+        );
         self.phase = ServerPhase::Writing { chunk: 0 };
         api.sleep(api.config().writer_store_interval);
     }
@@ -116,28 +128,18 @@ impl Workload for RpcWriteServer {
 
     fn on_wake(&mut self, api: &mut CoreApi<'_>) {
         let req = *self.queue.front().expect("woke with work pending");
-        let base = self.kv.store().object_addr(req.obj);
         match self.phase {
             ServerPhase::Idle => unreachable!("idle server does not sleep"),
             ServerPhase::Writing { chunk } => {
-                let chunks = update_chunks(
-                    self.layout(),
-                    base,
-                    req.obj,
-                    self.seq,
-                    self.kv.store().payload() as usize,
-                    self.locked_version,
-                );
-                if chunk < chunks.len() {
-                    let (addr, data) = &chunks[chunk];
-                    api.store_local(*addr, data);
-                    self.phase = ServerPhase::Writing { chunk: chunk + 1 };
+                self.phase = if self.plan.apply(api, chunk) {
+                    ServerPhase::Writing { chunk: chunk + 1 }
                 } else {
-                    self.phase = ServerPhase::Publishing;
-                }
+                    ServerPhase::Publishing
+                };
                 api.sleep(api.config().writer_store_interval);
             }
             ServerPhase::Publishing => {
+                let base = self.kv.store().object_addr(req.obj);
                 let layout = self.layout();
                 api.store_local_u64(
                     layout.version_addr(base),

@@ -5,6 +5,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::ops::Range;
 
 use sabre_mem::{Addr, BLOCK_BYTES};
 use sabre_sim::{SimRng, Time, Zipf};
@@ -23,15 +24,20 @@ use crate::workload::{ReadMechanism, Workload};
 /// property tests use [`verify_payload`] to prove a read was not torn.
 pub fn pattern_payload(obj_id: u64, seq: u64, payload_len: usize) -> Vec<u8> {
     let mut out = vec![0u8; payload_len];
+    fill_pattern(&mut out, obj_id, seq);
+    out
+}
+
+/// Writes [`pattern_payload`]`(obj_id, seq, out.len())` into `out`.
+fn fill_pattern(out: &mut [u8], obj_id: u64, seq: u64) {
     let fill = (obj_id.wrapping_mul(31).wrapping_add(seq) & 0xFF) as u8;
     out.fill(fill);
-    if payload_len >= 8 {
+    if out.len() >= 8 {
         out[..8].copy_from_slice(&obj_id.to_le_bytes());
     }
-    if payload_len >= 16 {
+    if out.len() >= 16 {
         out[8..16].copy_from_slice(&seq.to_le_bytes());
     }
-    out
 }
 
 /// Verifies a payload produced by [`pattern_payload`]: returns the sequence
@@ -53,86 +59,124 @@ pub fn verify_payload(obj_id: u64, data: &[u8]) -> Option<u64> {
     data[16..].iter().all(|&b| b == fill).then_some(seq)
 }
 
-/// The sequence of single-block stores one object update performs under
-/// `layout`, in protocol order (the version word stores around them are the
-/// caller's job). Shared by local [`Writer`]s and the FaRM RPC write server.
+/// The sequence of single-block stores one object update performs under a
+/// [`WriterLayout`], in protocol order (the version word stores around them
+/// are the caller's job). Shared by local [`Writer`]s and the FaRM writers.
+///
+/// A writer rebuilds its plan once, when an update starts, and then walks
+/// it one [`store`](UpdatePlan::store) per store interval: each step is a
+/// lookup into one reused buffer, with no allocation or copying.
 ///
 /// For the per-CL layout the head line comes *last*: it carries the header
 /// version every stamp is compared against, so writing it last publishes
 /// the update atomically with respect to the stamp check.
-pub fn update_chunks(
-    layout: WriterLayout,
-    base: Addr,
-    obj_id: u64,
-    seq: u64,
-    payload_len: usize,
-    locked_version: u64,
-) -> Vec<(Addr, Vec<u8>)> {
-    let payload = pattern_payload(obj_id, seq, payload_len);
-    match layout {
-        WriterLayout::Clean => {
-            let start = base + CleanLayout::HEADER_BYTES as u64;
-            let mut out = Vec::new();
-            let mut off = 0usize;
-            while off < payload.len() {
-                let addr = start + off as u64;
-                let room = BLOCK_BYTES - addr.block_offset();
-                let end = (off + room).min(payload.len());
-                out.push((addr, payload[off..end].to_vec()));
-                off = end;
+#[derive(Debug, Clone, Default)]
+pub struct UpdatePlan {
+    /// The payload pattern, followed by any bytes the layout stores on top
+    /// of it (per-CL lines, the CRC, the slot's seq word).
+    bytes: Vec<u8>,
+    /// Each store's target and its bytes within `bytes`.
+    stores: Vec<(Addr, Range<usize>)>,
+}
+
+impl UpdatePlan {
+    /// An empty plan; [`rebuild`](UpdatePlan::rebuild) fills it.
+    pub fn new() -> Self {
+        UpdatePlan::default()
+    }
+
+    /// Replaces the plan with the stores of update `seq` of object `obj_id`
+    /// at `base`, given the version word read at lock time.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a per-CL update with `payload_len == 0`.
+    pub fn rebuild(
+        &mut self,
+        layout: WriterLayout,
+        base: Addr,
+        obj_id: u64,
+        seq: u64,
+        payload_len: usize,
+        locked_version: u64,
+    ) {
+        self.bytes.clear();
+        self.bytes.resize(payload_len, 0);
+        fill_pattern(&mut self.bytes, obj_id, seq);
+        self.stores.clear();
+        match layout {
+            WriterLayout::Clean => {
+                self.push_split(base + CleanLayout::HEADER_BYTES as u64, payload_len);
             }
-            out
+            WriterLayout::PerCl => {
+                let next_version = VersionWord::new(locked_version + 2);
+                for line in (0..PerClLayout::lines_needed(payload_len)).rev() {
+                    let encoded =
+                        PerClLayout::encode_line(next_version, &self.bytes[..payload_len], line);
+                    self.push_bytes(base + (line * BLOCK_BYTES) as u64, &encoded);
+                }
+            }
+            WriterLayout::Checksum => {
+                self.push_split(base + ChecksumLayout::HEADER_BYTES as u64, payload_len);
+                // The CRC of the finished payload lands last, just before
+                // the version word (at +8) publishes the update.
+                let crc = crc64_ecma(&self.bytes[..payload_len]);
+                self.push_bytes(base, &crc.to_le_bytes());
+            }
+            WriterLayout::WfRegister => {
+                // Write the *next* slot in rotation; readers keep
+                // snapshotting the published one undisturbed. The slot's
+                // own seq word goes last so a capture of a half-written
+                // slot is recognizably stale, and the publish word (stored
+                // by the caller) flips readers over atomically.
+                let (pub_seq, slot) = WfRegisterLayout::unpack(locked_version);
+                let next_slot = (slot + 1) % WfRegisterLayout::SLOTS;
+                let slot_base = WfRegisterLayout::slot_addr(base, next_slot, payload_len);
+                self.push_split(
+                    slot_base + WfRegisterLayout::SLOT_HEADER_BYTES as u64,
+                    payload_len,
+                );
+                self.push_bytes(slot_base, &(pub_seq + 1).to_le_bytes());
+            }
         }
-        WriterLayout::PerCl => {
-            let lines = PerClLayout::lines_needed(payload.len());
-            let next_version = VersionWord::new(locked_version + 2);
-            let mut out = Vec::new();
-            for line in (0..lines).rev() {
-                let addr = base + (line * BLOCK_BYTES) as u64;
-                out.push((
-                    addr,
-                    PerClLayout::encode_line(next_version, &payload, line).to_vec(),
-                ));
-            }
-            out
+    }
+
+    /// Splits the `len`-byte payload (the head of `bytes`) on absolute
+    /// cache-block boundaries into stores starting at `start`.
+    fn push_split(&mut self, start: Addr, len: usize) {
+        let mut off = 0;
+        while off < len {
+            let addr = start + off as u64;
+            let end = (off + BLOCK_BYTES - addr.block_offset()).min(len);
+            self.stores.push((addr, off..end));
+            off = end;
         }
-        WriterLayout::Checksum => {
-            let start = base + ChecksumLayout::HEADER_BYTES as u64;
-            let mut out = Vec::new();
-            let mut off = 0usize;
-            while off < payload.len() {
-                let addr = start + off as u64;
-                let room = BLOCK_BYTES - addr.block_offset();
-                let end = (off + room).min(payload.len());
-                out.push((addr, payload[off..end].to_vec()));
-                off = end;
+    }
+
+    /// Appends one store of `data` at `addr`.
+    fn push_bytes(&mut self, addr: Addr, data: &[u8]) {
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(data);
+        self.stores.push((addr, start..self.bytes.len()));
+    }
+
+    /// Store `i` of the plan, or `None` once the plan is done.
+    pub fn store(&self, i: usize) -> Option<(Addr, &[u8])> {
+        self.stores
+            .get(i)
+            .map(|(addr, range)| (*addr, &self.bytes[range.clone()]))
+    }
+
+    /// One `Writing { chunk }` step of a writer: performs store `chunk` and
+    /// returns `true`, or returns `false` once every store is done and the
+    /// update is ready to publish.
+    pub fn apply(&self, api: &mut CoreApi<'_>, chunk: usize) -> bool {
+        match self.store(chunk) {
+            Some((addr, data)) => {
+                api.store_local(addr, data);
+                true
             }
-            // The CRC of the finished payload lands last, just before the
-            // version word (at +8) publishes the update.
-            out.push((base, crc64_ecma(&payload).to_le_bytes().to_vec()));
-            out
-        }
-        WriterLayout::WfRegister => {
-            // Write the *next* slot in rotation; readers keep snapshotting
-            // the published one undisturbed. The slot's own seq word goes
-            // last so a capture of a half-written slot is recognizably
-            // stale, and the publish word (stored by the caller) flips
-            // readers over atomically.
-            let (pub_seq, slot) = WfRegisterLayout::unpack(locked_version);
-            let next_slot = (slot + 1) % WfRegisterLayout::SLOTS;
-            let slot_base = WfRegisterLayout::slot_addr(base, next_slot, payload.len());
-            let start = slot_base + WfRegisterLayout::SLOT_HEADER_BYTES as u64;
-            let mut out = Vec::new();
-            let mut off = 0usize;
-            while off < payload.len() {
-                let addr = start + off as u64;
-                let room = BLOCK_BYTES - addr.block_offset();
-                let end = (off + room).min(payload.len());
-                out.push((addr, payload[off..end].to_vec()));
-                off = end;
-            }
-            out.push((slot_base, (pub_seq + 1).to_le_bytes().to_vec()));
-            out
+            None => false,
         }
     }
 }
@@ -594,6 +638,8 @@ pub struct Writer {
     phase: WriterPhase,
     /// The (even) version read at lock time; the update publishes at +2.
     locked_version: u64,
+    /// The stores of the update in progress, built when it starts.
+    plan: UpdatePlan,
     updates: u64,
 }
 
@@ -617,6 +663,7 @@ impl Writer {
             cur: 0,
             phase: WriterPhase::Idle,
             locked_version: 0,
+            plan: UpdatePlan::new(),
             updates: 0,
         }
     }
@@ -641,21 +688,6 @@ impl Writer {
         self.objects[self.cur].0
     }
 
-    /// The payload chunks of the current update, split on absolute cache
-    /// block boundaries so each is a single store.
-    fn chunks(&self) -> Vec<(Addr, Vec<u8>)> {
-        update_chunks(
-            self.layout,
-            self.base(),
-            self.obj_id(),
-            self.seq,
-            self.payload as usize,
-            self.locked_version,
-        )
-    }
-}
-
-impl Writer {
     fn begin_update(&mut self, api: &mut CoreApi<'_>) {
         if self.respect_reader_locks {
             let rlock = api.read_local(self.base() + 8, 8);
@@ -674,6 +706,14 @@ impl Writer {
         if self.layout.takes_lock() {
             api.store_local_u64(va, v.locked().raw());
         }
+        self.plan.rebuild(
+            self.layout,
+            self.base(),
+            self.obj_id(),
+            self.seq,
+            self.payload as usize,
+            self.locked_version,
+        );
         self.phase = WriterPhase::Writing { chunk: 0 };
         api.sleep(api.config().writer_store_interval);
     }
@@ -689,16 +729,12 @@ impl Workload for Writer {
             WriterPhase::Idle => self.begin_update(api),
             WriterPhase::SpinningOnReaders => self.begin_update(api),
             WriterPhase::Writing { chunk } => {
-                let chunks = self.chunks();
-                if chunk < chunks.len() {
-                    let (addr, data) = &chunks[chunk];
-                    api.store_local(*addr, data);
-                    self.phase = WriterPhase::Writing { chunk: chunk + 1 };
-                    api.sleep(api.config().writer_store_interval);
+                self.phase = if self.plan.apply(api, chunk) {
+                    WriterPhase::Writing { chunk: chunk + 1 }
                 } else {
-                    self.phase = WriterPhase::Publishing;
-                    api.sleep(Time::ZERO.max(api.config().writer_store_interval));
-                }
+                    WriterPhase::Publishing
+                };
+                api.sleep(api.config().writer_store_interval);
             }
             WriterPhase::Publishing => {
                 // Publish: even version + 2, or the next slot's publish

@@ -883,6 +883,9 @@ impl R2p2 {
     /// and to every live object capture.
     pub fn on_invalidation(&mut self, block: BlockAddr) {
         self.engine.on_invalidation(block);
+        if self.captures.is_empty() {
+            return;
+        }
         for ctx in self.captures.values_mut() {
             ctx.capture.on_invalidation(block);
         }

@@ -20,6 +20,7 @@ use proptest::prelude::*;
 use sabres::core::{Action, BlockIssue, IssueKind, LightSabres, SabreId};
 use sabres::mem::BLOCK_BYTES;
 use sabres::prelude::*;
+use sabres::rack::workloads::UpdatePlan;
 
 /// One writer's position inside an update.
 struct WriterModel {
@@ -28,6 +29,8 @@ struct WriterModel {
     seq: u64,
     /// None: idle; Some(i): version is odd, next store is chunk i.
     step: Option<usize>,
+    /// The stores of the update in progress, built when it locks.
+    plan: UpdatePlan,
 }
 
 impl WriterModel {
@@ -37,6 +40,7 @@ impl WriterModel {
             payload,
             seq: 1,
             step: None,
+            plan: UpdatePlan::new(),
         }
     }
 
@@ -46,31 +50,31 @@ impl WriterModel {
             None => {
                 let v = VersionWord::new(mem.read_u64(self.base));
                 v.locked().store(mem, self.base);
-                self.step = Some(0);
-                self.base.block()
-            }
-            Some(i) => {
-                let chunks = sabres::rack::workloads::update_chunks(
+                self.plan.rebuild(
                     WriterLayout::Clean,
                     self.base,
                     0,
                     self.seq,
                     self.payload,
-                    mem.read_u64(self.base) - 1,
+                    v.raw(),
                 );
-                if i < chunks.len() {
-                    let (addr, data) = &chunks[i];
-                    mem.write(*addr, data);
+                self.step = Some(0);
+                self.base.block()
+            }
+            Some(i) => match self.plan.store(i) {
+                Some((addr, data)) => {
+                    mem.write(addr, data);
                     self.step = Some(i + 1);
                     addr.block()
-                } else {
+                }
+                None => {
                     let v = mem.read_u64(self.base);
                     mem.write_u64(self.base, v + 1);
                     self.step = None;
                     self.seq += 1;
                     self.base.block()
                 }
-            }
+            },
         }
     }
 }
