@@ -21,10 +21,11 @@
 //! rejoining the serving set (see [`crate::recovery`]).
 //!
 //! Readers do not pick one site: [`ReplicatedStore::view_for`] hands the
-//! rack's `FailoverReader` (via
-//! `sabre_rack::WorkloadSpec::replicas`) the whole replica list sorted
-//! nearest-first, so the common case is a leaf-local read and the crash
-//! case is a timeout plus a retry one preference rank down.
+//! rack's replicated reader (via
+//! [`WorkloadSpec::replicas`](sabre_rack::WorkloadSpec::replicas)) the
+//! whole replica list sorted nearest-first, so the common case is a
+//! leaf-local read and the crash case is a timeout plus a retry one
+//! preference rank down.
 
 use sabre_fabric::RackTopology;
 use sabre_mem::Addr;

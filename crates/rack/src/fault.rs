@@ -32,7 +32,7 @@
 //! simply becomes unobservable until the outage ends. Readers detect dead
 //! replicas by timeout on the one-sided path (no completion ever arrives)
 //! and fail over — see
-//! [`FailoverReader`](crate::workloads::FailoverReader).
+//! [`WorkloadSpec::replicas`](crate::WorkloadSpec::replicas).
 
 use sabre_fabric::RackTopology;
 use sabre_sim::{SimRng, Time};

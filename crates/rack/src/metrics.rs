@@ -54,7 +54,7 @@ pub struct CoreMetrics {
     pub peak_backlog: u64,
     /// Operations re-issued at another replica after a failover timeout
     /// fired (replicated readers only; see
-    /// [`FailoverReader`](crate::workloads::FailoverReader)).
+    /// [`WorkloadSpec::replicas`](crate::WorkloadSpec::replicas)).
     pub failovers: u64,
     /// Times the reader migrated its preferred replica binding — to a
     /// fallback after the bound replica died, back to a nearer replica

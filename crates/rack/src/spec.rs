@@ -1,13 +1,8 @@
 //! Declarative reader-workload specification: one builder for every
 //! reader shape the experiments use.
 //!
-//! Historically each reader flavor had its own constructor sprawl —
-//! `SyncReader::endless(..).with_consume().with_backoff(..).with_wire(..)`,
-//! `AsyncReader::new` with a long positional argument list,
-//! `SourceLockingReader::{endless, iterations}` — and production-traffic
-//! knobs (arrival processes, key popularity, read/write mixes) had no home
-//! at all. [`WorkloadSpec`] replaces all of that with one declarative
-//! builder:
+//! Every reader shape — mechanism, arrival process, key popularity,
+//! read/write mix, replica set — is declared with one builder:
 //!
 //! ```
 //! use sabre_rack::{spec, Arrivals, Popularity, ReadMechanism, ScenarioBuilder};
@@ -33,13 +28,13 @@
 //! assert!(m.p99_ns().unwrap() >= m.p50_ns().unwrap());
 //! ```
 //!
-//! [`WorkloadSpec::build`] dispatches to the cheapest workload that
-//! implements the requested shape: the classic closed-loop uniform
-//! specs build the *same* [`SyncReader`] / [`AsyncReader`] /
-//! [`SourceLockingReader`] programs the deprecated constructors built
-//! (bit-identical replay, pinned by the scenario-equivalence tests), while
-//! open-loop arrivals, skewed popularity or mixed read/write traffic build
-//! the generalized [`TrafficReader`].
+//! [`WorkloadSpec::build`] compiles a spec into one of three programs:
+//! [`window`](WorkloadSpec::window) builds a windowed reader (operations
+//! in flight), [`source_locking`](WorkloadSpec::source_locking) a
+//! source-locking reader (CAS, read, asynchronous unlock), and every
+//! other shape — closed or open loop, one store or a replica set — one
+//! synchronous reader. A field the chosen program would ignore is
+//! rejected with a panic rather than dropped.
 //!
 //! Scenario placement consumes specs through
 //! [`ScenarioBuilder::reader_spec`](crate::ScenarioBuilder::reader_spec),
@@ -51,9 +46,11 @@ use sabre_mem::Addr;
 use sabre_sim::Time;
 
 use crate::workload::{ReadMechanism, Workload};
-use crate::workloads::{
-    AsyncReader, FailoverReader, SourceLockingReader, SyncReader, TrafficReader,
-};
+use crate::workloads::{node_id, AsyncReader, Reader, SourceLockingReader};
+
+/// How long a replicated read waits before failing over, unless the spec
+/// says otherwise.
+const DEFAULT_FAILOVER_TIMEOUT: Time = Time::from_us(10);
 
 /// The arrival process driving a reader: when operations *want* to start.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,24 +114,24 @@ pub fn spec() -> WorkloadSpec {
 /// read-only shape.
 #[derive(Debug, Clone)]
 pub struct WorkloadSpec {
-    store: Option<usize>,
-    payload: Option<u32>,
-    mech: ReadMechanism,
-    objects: Option<Vec<Addr>>,
-    arrivals: Arrivals,
-    popularity: Popularity,
-    read_fraction: f64,
-    consume: bool,
-    backoff: Time,
-    wire: Option<u32>,
-    local_buf: Option<Addr>,
-    iterations: Option<u64>,
-    window: Option<usize>,
-    source_locking: bool,
-    replicas: Option<Vec<(usize, Vec<Addr>)>>,
-    failover_timeout: Time,
-    migrate: bool,
-    replace_hops: Option<f64>,
+    pub(crate) store: Option<usize>,
+    pub(crate) payload: Option<u32>,
+    pub(crate) mech: ReadMechanism,
+    pub(crate) objects: Option<Vec<Addr>>,
+    pub(crate) arrivals: Arrivals,
+    pub(crate) popularity: Popularity,
+    pub(crate) read_fraction: f64,
+    pub(crate) consume: bool,
+    pub(crate) backoff: Time,
+    pub(crate) wire: Option<u32>,
+    pub(crate) local_buf: Option<Addr>,
+    pub(crate) iterations: Option<u64>,
+    pub(crate) window: Option<usize>,
+    pub(crate) source_locking: bool,
+    pub(crate) replicas: Option<Vec<(usize, Vec<Addr>)>>,
+    pub(crate) failover_timeout: Time,
+    pub(crate) migrate: bool,
+    pub(crate) replace_hops: Option<f64>,
 }
 
 impl Default for WorkloadSpec {
@@ -163,7 +160,7 @@ impl WorkloadSpec {
             window: None,
             source_locking: false,
             replicas: None,
-            failover_timeout: Time::from_us(10),
+            failover_timeout: DEFAULT_FAILOVER_TIMEOUT,
             migrate: true,
             replace_hops: None,
         }
@@ -261,7 +258,9 @@ impl WorkloadSpec {
     /// Keep `window` asynchronous operations in flight at all times
     /// (Fig. 7b peak-throughput semantics) instead of the synchronous
     /// loop. Only [`ReadMechanism::Raw`] / [`ReadMechanism::Sabre`] with
-    /// the default closed-loop uniform read-only shape support this.
+    /// the default closed-loop uniform read-only shape support this, and
+    /// [`build`](WorkloadSpec::build) rejects `consume`, `backoff`,
+    /// `iterations`, `wire` and `local_buf` alongside it.
     pub fn window(mut self, window: usize) -> Self {
         self.window = Some(window);
         self
@@ -269,36 +268,40 @@ impl WorkloadSpec {
 
     /// DrTM-style source locking (Table 1, top-left): remote CAS lock,
     /// data read, asynchronous unlock. Only the closed-loop uniform
-    /// read-only shape supports this.
+    /// read-only shape supports this; the program always reads plainly
+    /// and backs off a fixed 200 ns after a contended CAS, so
+    /// [`build`](WorkloadSpec::build) rejects `mechanism`, `backoff`,
+    /// `consume`, `wire` and `window` alongside it.
     pub fn source_locking(mut self) -> Self {
         self.source_locking = true;
         self
     }
 
-    /// Read a *replicated* object through a failover reader instead of a
-    /// single store node. Each entry is `(store node, object addresses)`
+    /// Read a *replicated* object, failing over between replicas, instead
+    /// of a single store node. Each entry is `(store node, object addresses)`
     /// in preference order (nearest first — the farm layer's
     /// `ReplicatedStore::view_for` computes exactly this); index `i` of
     /// every address vector names the same logical object.
-    /// Replaces [`WorkloadSpec::store`], which becomes optional. Only the
-    /// closed-loop uniform read-only shape supports replicas.
+    /// Replaces [`WorkloadSpec::store`], which becomes optional, and
+    /// [`WorkloadSpec::objects`], which is rejected. Only the closed-loop
+    /// uniform read-only shape supports replicas.
     pub fn replicas(mut self, replicas: Vec<(usize, Vec<Addr>)>) -> Self {
         self.replicas = Some(replicas);
         self
     }
 
     /// How long a replicated read waits before abandoning the attempt and
-    /// failing over to the next replica (default 10 µs). Only meaningful
-    /// with [`WorkloadSpec::replicas`].
+    /// failing over to the next replica (default 10 µs). Rejected without
+    /// [`WorkloadSpec::replicas`].
     pub fn failover_timeout(mut self, timeout: Time) -> Self {
         self.failover_timeout = timeout;
         self
     }
 
-    /// Whether the failover reader *migrates* its replica binding
+    /// Whether a replicated reader *migrates* its replica binding
     /// (default `true` — adaptive). `false` selects the static
     /// round-robin policy: every operation starts at the next replica in
-    /// rotation with no memory of failures. Only meaningful with
+    /// rotation with no memory of failures. `false` is rejected without
     /// [`WorkloadSpec::replicas`].
     pub fn migrate(mut self, migrate: bool) -> Self {
         self.migrate = migrate;
@@ -308,18 +311,89 @@ impl WorkloadSpec {
     /// Arms load-triggered re-placement: when the mean routed hop count
     /// of the reader's recent completed operations reaches `threshold`,
     /// the adaptive reader immediately probes the most-preferred
-    /// suspected replica instead of waiting for the periodic probe. Only
-    /// meaningful with [`WorkloadSpec::replicas`] and
-    /// [`WorkloadSpec::migrate`]`(true)`.
+    /// suspected replica instead of waiting for the periodic probe.
+    /// Rejected without [`WorkloadSpec::replicas`] or under
+    /// [`WorkloadSpec::migrate`]`(false)`.
     pub fn replace_on_hops(mut self, threshold: f64) -> Self {
         self.replace_hops = Some(threshold);
         self
     }
 
-    fn is_plain_closed_loop(&self) -> bool {
+    /// The paper's closed-loop uniform read-only shape.
+    pub(crate) fn is_plain_closed_loop(&self) -> bool {
         self.arrivals == Arrivals::Closed
             && self.popularity == Popularity::Uniform
             && self.read_fraction == 1.0
+    }
+
+    pub(crate) fn payload_bytes(&self) -> u32 {
+        self.payload
+            .expect("WorkloadSpec needs an object size: call .payload(bytes)")
+    }
+
+    /// The single store node and its objects: the explicit
+    /// [`WorkloadSpec::objects`], else the scenario's region `targets`.
+    pub(crate) fn single_store(&self, targets: &[Addr]) -> (u8, Vec<Addr>) {
+        let objects = self.objects.as_deref().unwrap_or(targets).to_vec();
+        assert!(
+            !objects.is_empty(),
+            "WorkloadSpec needs objects: declare a region or call .objects(..)"
+        );
+        let store = self
+            .store
+            .expect("WorkloadSpec needs a target node: call .store(node)");
+        (node_id(store), objects)
+    }
+
+    /// Panics on a field the chosen program would silently ignore.
+    fn reject_ignored_fields(&self) {
+        let replicated = self.replicas.is_some();
+        let window = self.window.is_some();
+        let locking = self.source_locking;
+        let program = if replicated {
+            "replicated readers"
+        } else if locking {
+            "source locking"
+        } else if window {
+            "windowed readers"
+        } else {
+            "single-store readers"
+        };
+        assert!(
+            !(replicated || locking || window) || self.is_plain_closed_loop(),
+            "{program} support only the closed-loop uniform read-only shape"
+        );
+        let ignored = [
+            (replicated && window, ".window(..)"),
+            (replicated && locking, ".source_locking()"),
+            (replicated && self.objects.is_some(), ".objects(..)"),
+            (locking && window, ".window(..)"),
+            (locking && self.consume, ".consume()"),
+            (locking && self.wire.is_some(), ".wire(..)"),
+            (locking && self.backoff != Time::ZERO, ".backoff(..)"),
+            (locking && self.mech != ReadMechanism::Raw, ".mechanism(..)"),
+            (window && self.consume, ".consume()"),
+            (window && self.backoff != Time::ZERO, ".backoff(..)"),
+            (window && self.iterations.is_some(), ".iterations(..)"),
+            (window && self.wire.is_some(), ".wire(..)"),
+            (window && self.local_buf.is_some(), ".local_buf(..)"),
+            (
+                !replicated && self.failover_timeout != DEFAULT_FAILOVER_TIMEOUT,
+                ".failover_timeout(..)",
+            ),
+            (!replicated && !self.migrate, ".migrate(false)"),
+            (
+                !replicated && self.replace_hops.is_some(),
+                ".replace_on_hops(..)",
+            ),
+            (
+                !self.migrate && self.replace_hops.is_some(),
+                ".replace_on_hops(..) under .migrate(false)",
+            ),
+        ];
+        if let Some((_, field)) = ignored.iter().find(|(hit, _)| *hit) {
+            panic!("{program} ignore {field}");
+        }
     }
 
     /// Materializes the spec into a workload program. `targets` is the
@@ -329,118 +403,20 @@ impl WorkloadSpec {
     /// # Panics
     ///
     /// Panics if a mandatory field is missing, the object set is empty,
-    /// or the requested combination is unsupported (window/source-locking
-    /// with open-loop arrivals, skewed popularity or write mixes).
+    /// the requested combination is unsupported (window, source locking
+    /// or replicas with open-loop arrivals, skewed popularity or write
+    /// mixes), or a field was set that the chosen program would ignore
+    /// (say, `.wire(..)` on a windowed reader or `.migrate(false)`
+    /// without replicas).
     pub fn build(&self, targets: &[Addr]) -> Box<dyn Workload> {
-        let objects = match &self.objects {
-            Some(objs) => objs.clone(),
-            None => targets.to_vec(),
-        };
-        let payload = self
-            .payload
-            .expect("WorkloadSpec needs an object size: call .payload(bytes)");
-
-        if let Some(replicas) = &self.replicas {
-            assert!(
-                self.is_plain_closed_loop(),
-                "replicated readers support only the closed-loop uniform read-only shape"
-            );
-            assert!(
-                self.window.is_none() && !self.source_locking,
-                "replicated readers ignore window/source-locking"
-            );
-            let replicas = replicas
-                .iter()
-                .map(|(node, addrs)| {
-                    assert!(*node <= u8::MAX as usize, "replica node out of range");
-                    (*node as u8, addrs.clone())
-                })
-                .collect();
-            return Box::new(FailoverReader::assemble(
-                replicas,
-                payload,
-                self.mech,
-                self.local_buf,
-                self.iterations,
-                self.consume,
-                self.backoff,
-                self.wire,
-                self.failover_timeout,
-                self.migrate,
-                self.replace_hops,
-            ));
-        }
-
-        assert!(
-            !objects.is_empty(),
-            "WorkloadSpec needs objects: declare a region or call .objects(..)"
-        );
-        let store = self
-            .store
-            .expect("WorkloadSpec needs a target node: call .store(node)");
-        assert!(store <= u8::MAX as usize, "store node out of range");
-        let dst = store as u8;
-
+        self.reject_ignored_fields();
         if self.source_locking {
-            assert!(
-                self.is_plain_closed_loop(),
-                "source locking supports only the closed-loop uniform read-only shape"
-            );
-            assert!(
-                self.window.is_none() && !self.consume && self.wire.is_none(),
-                "source locking ignores window/consume/wire"
-            );
-            return Box::new(SourceLockingReader::assemble(
-                dst,
-                objects,
-                payload,
-                self.local_buf,
-                self.iterations,
-            ));
+            Box::new(SourceLockingReader::new(self, targets))
+        } else if let Some(window) = self.window {
+            Box::new(AsyncReader::new(self, targets, window))
+        } else {
+            Box::new(Reader::new(self, targets))
         }
-        if let Some(window) = self.window {
-            assert!(
-                self.is_plain_closed_loop(),
-                "windowed readers support only the closed-loop uniform read-only shape"
-            );
-            assert!(
-                !self.consume && self.backoff == Time::ZERO && self.iterations.is_none(),
-                "windowed readers ignore consume/backoff/iterations"
-            );
-            return Box::new(AsyncReader::assemble(
-                dst, objects, payload, self.mech, window,
-            ));
-        }
-        if self.is_plain_closed_loop() {
-            // The classic shape: the exact program the deprecated
-            // constructors built, so spec-declared scenarios replay
-            // bit-identically to legacy ones.
-            return Box::new(SyncReader::assemble(
-                dst,
-                objects,
-                payload,
-                self.mech,
-                self.local_buf,
-                self.iterations,
-                self.consume,
-                self.backoff,
-                self.wire,
-            ));
-        }
-        Box::new(TrafficReader::from_spec(
-            dst,
-            objects,
-            payload,
-            self.mech,
-            self.arrivals,
-            self.popularity,
-            self.read_fraction,
-            self.local_buf,
-            self.iterations,
-            self.consume,
-            self.backoff,
-            self.wire,
-        ))
     }
 }
 
@@ -460,149 +436,6 @@ mod tests {
     fn fingerprint(r: &RunReport) -> (u64, u64, Option<f64>, Option<u64>) {
         let m = r.core(0, 0);
         (m.ops, m.retries, m.latency.mean(), m.p99_ns())
-    }
-
-    #[test]
-    fn spec_closed_loop_replays_legacy_sync_reader_bit_for_bit() {
-        let legacy = ScenarioBuilder::with_config(small())
-            .raw_region_sized(1, 256, 64)
-            .reader(0, 0, |targets| {
-                #[allow(deprecated)]
-                let r = crate::workloads::SyncReader::endless(
-                    1,
-                    targets.to_vec(),
-                    256,
-                    ReadMechanism::Sabre,
-                );
-                Box::new(r)
-            })
-            .run_for(Time::from_us(40));
-        let specced = ScenarioBuilder::with_config(small())
-            .raw_region_sized(1, 256, 64)
-            .reader_spec(
-                0,
-                0,
-                spec().store(1).payload(256).mechanism(ReadMechanism::Sabre),
-            )
-            .run_for(Time::from_us(40));
-        assert!(specced.core(0, 0).ops > 0);
-        assert_eq!(fingerprint(&legacy), fingerprint(&specced));
-    }
-
-    #[test]
-    fn spec_replays_legacy_sync_reader_builder_chain_bit_for_bit() {
-        // The full deprecated builder chain — iterations + explicit buffer
-        // + consume + backoff + wire override — against its spec spelling.
-        let buf = Addr::new(3 << 20);
-        let legacy = ScenarioBuilder::with_config(small())
-            .raw_region_sized(1, 256, 64)
-            .reader(0, 0, move |targets| {
-                #[allow(deprecated)]
-                let r = crate::workloads::SyncReader::iterations(
-                    1,
-                    targets.to_vec(),
-                    256,
-                    ReadMechanism::Sabre,
-                    buf,
-                    200,
-                )
-                .with_consume()
-                .with_backoff(Time::from_ns(100))
-                .with_wire(320);
-                Box::new(r)
-            })
-            .run_for(Time::from_us(40));
-        let specced = ScenarioBuilder::with_config(small())
-            .raw_region_sized(1, 256, 64)
-            .reader_spec(
-                0,
-                0,
-                spec()
-                    .store(1)
-                    .payload(256)
-                    .mechanism(ReadMechanism::Sabre)
-                    .local_buf(buf)
-                    .iterations(200)
-                    .consume()
-                    .backoff(Time::from_ns(100))
-                    .wire(320),
-            )
-            .run_for(Time::from_us(40));
-        assert!(specced.core(0, 0).ops > 0);
-        assert_eq!(fingerprint(&legacy), fingerprint(&specced));
-    }
-
-    #[test]
-    fn spec_window_replays_legacy_async_reader_bit_for_bit() {
-        let legacy = ScenarioBuilder::with_config(small())
-            .raw_region_sized(1, 512, 64)
-            .reader(0, 0, |targets| {
-                #[allow(deprecated)]
-                let r = crate::workloads::AsyncReader::new(
-                    1,
-                    targets.to_vec(),
-                    512,
-                    ReadMechanism::Sabre,
-                    8,
-                );
-                Box::new(r)
-            })
-            .run_for(Time::from_us(40));
-        let specced = ScenarioBuilder::with_config(small())
-            .raw_region_sized(1, 512, 64)
-            .reader_spec(
-                0,
-                0,
-                spec()
-                    .store(1)
-                    .payload(512)
-                    .mechanism(ReadMechanism::Sabre)
-                    .window(8),
-            )
-            .run_for(Time::from_us(40));
-        assert!(specced.core(0, 0).ops > 0);
-        assert_eq!(fingerprint(&legacy), fingerprint(&specced));
-    }
-
-    #[test]
-    fn spec_source_locking_replays_legacy_reader_bit_for_bit() {
-        let legacy = ScenarioBuilder::with_config(small())
-            .raw_region_sized(1, 256, 16)
-            .reader(0, 0, |targets| {
-                #[allow(deprecated)]
-                let r = crate::workloads::SourceLockingReader::endless(1, targets.to_vec(), 256);
-                Box::new(r)
-            })
-            .run_for(Time::from_us(40));
-        let specced = ScenarioBuilder::with_config(small())
-            .raw_region_sized(1, 256, 16)
-            .reader_spec(0, 0, spec().store(1).payload(256).source_locking())
-            .run_for(Time::from_us(40));
-        assert!(specced.core(0, 0).ops > 0);
-        assert_eq!(fingerprint(&legacy), fingerprint(&specced));
-    }
-
-    #[test]
-    fn spec_source_locking_iterations_replays_legacy_reader_bit_for_bit() {
-        let legacy = ScenarioBuilder::with_config(small())
-            .raw_region_sized(1, 256, 16)
-            .reader(0, 0, |targets| {
-                #[allow(deprecated)]
-                let r =
-                    crate::workloads::SourceLockingReader::iterations(1, targets.to_vec(), 256, 25);
-                Box::new(r)
-            })
-            .run_for(Time::from_us(40));
-        let specced = ScenarioBuilder::with_config(small())
-            .raw_region_sized(1, 256, 16)
-            .reader_spec(
-                0,
-                0,
-                spec().store(1).payload(256).source_locking().iterations(25),
-            )
-            .run_for(Time::from_us(40));
-        assert!(specced.core(0, 0).ops > 0);
-        assert_eq!(fingerprint(&legacy), fingerprint(&specced));
     }
 
     #[test]
@@ -746,5 +579,60 @@ mod tests {
             .window(4)
             .arrivals(Arrivals::Poisson { ops_per_us: 1.0 })
             .build(&[Addr::new(0)]);
+    }
+
+    #[test]
+    fn build_rejects_fields_the_program_would_ignore() {
+        let base = || spec().store(1).payload(64);
+        let replicated = || spec().payload(64).replicas(vec![(1, vec![Addr::new(0)])]);
+        let cases = [
+            (
+                base().source_locking().backoff(Time::from_ns(50)),
+                "source locking ignore .backoff(..)",
+            ),
+            (
+                base().source_locking().mechanism(ReadMechanism::Sabre),
+                "source locking ignore .mechanism(..)",
+            ),
+            (
+                base().window(4).wire(128),
+                "windowed readers ignore .wire(..)",
+            ),
+            (
+                base().window(4).local_buf(Addr::new(1 << 20)),
+                "windowed readers ignore .local_buf(..)",
+            ),
+            (
+                base().failover_timeout(Time::from_us(2)),
+                "single-store readers ignore .failover_timeout(..)",
+            ),
+            (
+                base().migrate(false),
+                "single-store readers ignore .migrate(false)",
+            ),
+            (
+                base().replace_on_hops(2.0),
+                "single-store readers ignore .replace_on_hops(..)",
+            ),
+            (
+                replicated().migrate(false).replace_on_hops(2.0),
+                "replicated readers ignore .replace_on_hops(..) under .migrate(false)",
+            ),
+            (
+                replicated().objects(vec![Addr::new(64)]),
+                "replicated readers ignore .objects(..)",
+            ),
+        ];
+        for (spec, expected) in cases {
+            let Err(panic) = std::panic::catch_unwind(|| spec.build(&[Addr::new(0)])) else {
+                panic!("built despite: {expected}");
+            };
+            let message = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert_eq!(message, expected);
+        }
     }
 }

@@ -97,7 +97,7 @@ fn sabre() -> WorkloadSpec {
 #[test]
 fn plain_closed_sabre_under_a_writer() {
     let r = raced(WriterLayout::Clean, sabre(), 40);
-    assert_eq!(fingerprint(r.core(0, 1)), "ops=197 retries=24 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=180.438 p99_ns=183");
+    assert_eq!(fingerprint(r.core(0, 1)), "ops=197 retries=24 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=202.841 p99_ns=373");
 }
 
 #[test]
@@ -108,7 +108,7 @@ fn plain_closed_sabre_with_every_closed_loop_knob() {
         .iterations(60)
         .local_buf(Addr::new(3 << 20));
     let r = raced(WriterLayout::Clean, reader, 40);
-    assert_eq!(fingerprint(r.core(0, 1)), "ops=60 retries=6 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=202.681 p99_ns=279");
+    assert_eq!(fingerprint(r.core(0, 1)), "ops=60 retries=6 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=230.905 p99_ns=494");
 }
 
 #[test]
@@ -118,7 +118,7 @@ fn per_cl_validate_under_a_writer() {
         .payload(PAYLOAD)
         .mechanism(ReadMechanism::PerClValidate { payload: PAYLOAD });
     let r = raced(WriterLayout::PerCl, reader, 40);
-    assert_eq!(fingerprint(r.core(0, 1)), "ops=147 retries=12 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=250.574 p99_ns=255");
+    assert_eq!(fingerprint(r.core(0, 1)), "ops=147 retries=12 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=270.985 p99_ns=500");
 }
 
 #[test]
@@ -128,7 +128,7 @@ fn checksum_validate_under_a_writer() {
         .payload(PAYLOAD)
         .mechanism(ReadMechanism::ChecksumValidate { payload: PAYLOAD });
     let r = raced(WriterLayout::Checksum, reader, 40);
-    assert_eq!(fingerprint(r.core(0, 1)), "ops=22 retries=1 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=1706.040 p99_ns=1706");
+    assert_eq!(fingerprint(r.core(0, 1)), "ops=22 retries=1 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=1783.587 p99_ns=3412");
 }
 
 #[test]
