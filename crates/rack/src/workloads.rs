@@ -266,6 +266,7 @@ impl Pace {
             Arrivals::Closed => unreachable!("closed loops have no arrival timer"),
             Arrivals::Poisson { ops_per_us } | Arrivals::OnOff { ops_per_us, .. } => ops_per_us,
         };
+        let mean_ns = 1000.0 / rate;
         let u = self
             .rng
             .as_mut()
@@ -273,7 +274,7 @@ impl Pace {
             .unit();
         // Inverse-CDF exponential; u in [0, 1) keeps the log argument in
         // (0, 1], so the gap is finite and non-negative.
-        let gap = Time::from_ns_f64(-(1.0 - u).ln() * 1000.0 / rate);
+        let gap = Time::from_ns_f64(-(1.0 - u).ln() * mean_ns);
         match self.arrivals {
             Arrivals::OnOff { on, off, .. } => {
                 // The exponential clock ticks in *active* time; map the
