@@ -646,24 +646,19 @@ impl Reader {
     /// Picks the next object and operation type.
     fn choose(&mut self, api: &mut CoreApi<'_>) {
         let n = self.sites[0].1.len() as u64;
-        let (rng, popularity, zipf, read_fraction) = match &mut self.choice {
-            Choice::Core => {
-                self.cur_obj = api.rng().below(n) as usize;
-                return;
-            }
-            Choice::Forked {
-                rng,
-                popularity,
-                zipf,
-                read_fraction,
-            } => (
-                rng.as_mut().expect("on_start forked the choice stream"),
-                *popularity,
-                zipf,
-                *read_fraction,
-            ),
+        let Choice::Forked {
+            rng,
+            popularity,
+            zipf,
+            read_fraction,
+        } = &mut self.choice
+        else {
+            self.cur_obj = api.rng().below(n) as usize;
+            return;
         };
-        let idx = match popularity {
+        let rng = rng.as_mut().expect("on_start forked the choice stream");
+        let read_fraction = *read_fraction;
+        let idx = match *popularity {
             Popularity::Uniform => rng.below(n),
             // Rank 1 is the hottest; map it to object 0.
             Popularity::Zipf { .. } => {
