@@ -129,6 +129,12 @@ fn bench_software_kernels(c: &mut Criterion) {
     g.finish();
 }
 
+/// Size of the rack event loop's per-node queue entry payload.
+const EVENT_BYTES: usize = 104;
+
+/// Pending events a busy node queue holds in the depth-32 churn rows.
+const QUEUE_DEPTH: u64 = 32;
+
 fn bench_sim_primitives(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_primitives");
     g.bench_function("event_queue_schedule_pop_1k", |b| {
@@ -198,6 +204,48 @@ fn bench_sim_primitives(c: &mut Criterion) {
                     let (t, e) = q.pop().expect("seeded");
                     black_box(e);
                     q.schedule(t + Time::from_ns(i * 13 % 97), i);
+                }
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    // The same churn at the rack's real entry size and depth: the
+    // cluster's node-queue event is 104 B, and a busy node keeps a few
+    // dozen events pending. The u64 rows above hide the per-entry move
+    // cost that decides heap vs. calendar end to end.
+    g.bench_function("event_queue_churn_depth32_event", |b| {
+        b.iter_batched(
+            || {
+                let mut q = EventQueue::new();
+                for i in 0..QUEUE_DEPTH {
+                    q.schedule(Time::from_ns(i * 7), [i as u8; EVENT_BYTES]);
+                }
+                q
+            },
+            |mut q| {
+                for i in 0..4096u64 {
+                    let (t, e) = q.pop().expect("seeded");
+                    black_box(&e);
+                    q.schedule(t + Time::from_ns(i * 13 % 97), [i as u8; EVENT_BYTES]);
+                }
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    g.bench_function("calendar_queue_churn_depth32_event", |b| {
+        b.iter_batched(
+            || {
+                let mut q = CalendarQueue::new(Time::from_ns(35));
+                for i in 0..QUEUE_DEPTH {
+                    q.schedule(Time::from_ns(i * 7), [i as u8; EVENT_BYTES]);
+                }
+                q
+            },
+            |mut q| {
+                for i in 0..4096u64 {
+                    let (t, e) = q.pop().expect("seeded");
+                    black_box(&e);
+                    q.schedule(t + Time::from_ns(i * 13 % 97), [i as u8; EVENT_BYTES]);
                 }
             },
             BatchSize::SmallInput,

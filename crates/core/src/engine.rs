@@ -27,9 +27,8 @@
 //! (§5.1) — failure is reported in the final validation message and the
 //! decision to retry is software's.
 
-use std::collections::HashMap;
-
 use sabre_mem::{Addr, BlockAddr};
+use sabre_sim::FastMap;
 
 use crate::att::{AttEntry, SabreState};
 use crate::config::{CcMode, LightSabresConfig, SpecMode};
@@ -203,7 +202,7 @@ pub struct LightSabres {
     cfg: LightSabresConfig,
     entries: Vec<Option<AttEntry>>,
     buffers: Vec<StreamBuffer>,
-    by_id: HashMap<SabreId, SlotId>,
+    by_id: FastMap<SabreId, SlotId>,
     /// Round-robin cursor of the "select transfer" stage.
     cursor: usize,
     stats: EngineStats,
@@ -225,7 +224,7 @@ impl LightSabres {
             buffers: (0..cfg.stream_buffers)
                 .map(|_| StreamBuffer::new(cfg.depth))
                 .collect(),
-            by_id: HashMap::new(),
+            by_id: FastMap::default(),
             cursor: 0,
             cfg,
             stats: EngineStats::default(),

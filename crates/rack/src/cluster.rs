@@ -42,26 +42,38 @@
 //! barrier where the single coordinator runs the deterministic merge,
 //! and the result stays bit-identical at **every thread count** too —
 //! the torture and equivalence tests pin `threads ∈ {1, 2, shards}`
-//! down. Each node's queue is a [`CalendarQueue`] whose bucket width is
-//! the lookahead, so a window is drained as one pre-sorted batch instead
-//! of per-event binary heap pops.
+//! down.
+//!
+//! Since the grouping is invisible, the serial loop does not keep it: a
+//! run that resolves to one thread advances **all nodes as one
+//! scheduling domain** (one hint heap, one drain, one merge per window)
+//! whatever [`ClusterConfig::shards`] says. Shards exist only to hand
+//! node ranges to worker threads. Each node's queue is a plain
+//! [`EventQueue`] binary heap: end to end it beat the bucketed
+//! `CalendarQueue` on every benchmark workload, and it needs no
+//! pre-allocated buckets per node.
 //!
 //! # O(active) window scheduling
 //!
 //! At datacenter scale most nodes are idle in most windows (readers bind
 //! to a handful of stores), so scanning every node's queue per window —
 //! once to find the next event, once to drain — would make window cost
-//! O(nodes) regardless of activity. Instead each shard keeps a min-heap
-//! of **lazily validated hints** `(time, node)`: one is pushed whenever
-//! an event lands in a node's queue from outside its own drain (the
-//! initial seed, the window merge), and each drained node re-hints its
-//! next pending event. A popped hint whose node's queue head has moved
-//! (the event was already consumed) is discarded or refreshed — so both
-//! the next-event probe and the window drain touch only nodes that
-//! actually have pending events, and hint-processing order cannot leak
-//! into results because nodes are independent within a window (every
-//! handler schedules onto the node it runs on; debug builds verify the
-//! drain left nothing behind).
+//! O(nodes) regardless of activity. Instead each scheduling domain keeps
+//! a min-heap of **lazily validated hints** `(time, node)`. The run's
+//! seed pass hints every non-empty queue's head, each drained node
+//! re-hints its next pending event, and the window merge hints a
+//! destination only when the delivered message becomes its **new queue
+//! head** (the queue was empty, or the message arrives before the old
+//! head) — an equal or earlier head already carries a hint, so every
+//! queue head stays covered by a hint at or before it, with at most one
+//! merge push per node per window. A popped hint whose node's queue head
+//! has moved (the event was already consumed) is discarded or refreshed
+//! — so both the next-event probe and the window drain touch only nodes
+//! that actually have pending events, and hint-processing order cannot
+//! leak into results because nodes are independent within a window
+//! (every handler schedules onto the node it runs on; debug builds
+//! verify the drain left nothing behind). Likewise the merge drains only
+//! the outboxes that sent during the window, not one per node.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -71,7 +83,7 @@ use std::sync::{Barrier, Mutex};
 
 use sabre_fabric::{Fabric, FabricPort, Outbox, ShardRouter};
 use sabre_mem::{Addr, BlockAddr, Llc, MemSystem, NodeMemory, ServiceLevel, BLOCK_BYTES};
-use sabre_sim::{CalendarQueue, FifoServer, SimRng, Time};
+use sabre_sim::{EventQueue, FifoServer, SimRng, Time};
 use sabre_sonuma::r2p2::{R2p2Action, R2p2Stats};
 use sabre_sonuma::{
     Block, CqEntry, MemToken, OpKind, Packet, PacketKind, R2p2, SourcePipeline, WqEntry,
@@ -163,9 +175,8 @@ struct NodeCtx {
     pump_on: Vec<bool>,
     pipelines: Vec<SourcePipeline>,
     rgp_unroll: Vec<FifoServer>,
-    /// This node's own event queue, bucketed by the fabric lookahead so
-    /// each window drains as one sorted batch.
-    queue: CalendarQueue<Event>,
+    /// This node's own event queue.
+    queue: EventQueue<Event>,
     /// Monotonicity watermark of the node's local event time; during
     /// event handling this *is* the current simulated instant.
     now: Time,
@@ -198,7 +209,6 @@ impl Cluster {
             panic!("invalid cluster configuration: {e}");
         }
         let root_rng = SimRng::seed(cfg.seed);
-        let lookahead = cfg.fabric.min_latency();
         let nodes = (0..cfg.nodes)
             .map(|n| NodeCtx {
                 memory: NodeMemory::new(cfg.memory_bytes),
@@ -225,7 +235,7 @@ impl Cluster {
                     .map(|p| SourcePipeline::new(n as u8, p as u8, cfg.rmc_backends as u8))
                     .collect(),
                 rgp_unroll: vec![FifoServer::new(); cfg.rmc_backends],
-                queue: CalendarQueue::new(lookahead),
+                queue: EventQueue::new(),
                 now: Time::ZERO,
                 workloads: (0..cfg.cores_per_node).map(|_| None).collect(),
                 metrics: vec![CoreMetrics::default(); cfg.cores_per_node],
@@ -367,43 +377,49 @@ impl Cluster {
     ///
     /// The loop advances in fabric-lookahead windows (see the
     /// [module docs](self) on sharding and threading): each window, every
-    /// shard drains its nodes' queues up to the window end — concurrently
-    /// when more than one worker thread is resolved — then the cross-node
-    /// packets generated meanwhile are merged into destination queues in
-    /// deterministic order. The result is bit-identical for every
-    /// [`ClusterConfig::shards`] and [`ClusterConfig::threads`] value.
+    /// scheduling domain drains its nodes' queues up to the window end —
+    /// concurrently when more than one worker thread is resolved — then
+    /// the cross-node packets generated meanwhile are merged into
+    /// destination queues in deterministic order. The result is
+    /// bit-identical for every [`ClusterConfig::shards`] and
+    /// [`ClusterConfig::threads`] value.
     pub fn run_until(&mut self, deadline: Time) {
         let lookahead = self.cfg.fabric.min_latency();
         let shards = self.cfg.shards.clamp(1, self.cfg.nodes);
-        let per_shard = self.cfg.nodes.div_ceil(shards).max(1);
         let threads = self.resolve_threads(shards);
+        // A serial run is one scheduling domain over every node, whatever
+        // `shards` says: grouping is invisible in results, and one domain
+        // spares each window a per-shard next-event probe and advance.
+        // Only worker threads need the partition.
+        let domains = if threads <= 1 { 1 } else { shards };
+        let per_shard = self.cfg.nodes.div_ceil(domains).max(1);
         let start_needed = !self.started;
         self.started = true;
 
-        // Split the cluster into per-shard execution contexts: disjoint
+        // Split the cluster into per-domain execution contexts: disjoint
         // slices of nodes, their source-side fabric ports, their outboxes
-        // and their active-node hint heaps, plus the shared read-only
+        // and their window bookkeeping, plus the shared read-only
         // configuration.
         let cfg = &self.cfg;
         let (_, ports) = self.fabric.split();
         let outboxes = self.router.outboxes_mut();
-        let mut heaps: Vec<BinaryHeap<Reverse<(Time, usize)>>> = (0..cfg.nodes.div_ceil(per_shard))
-            .map(|_| BinaryHeap::new())
+        let mut scheds: Vec<Sched> = (0..cfg.nodes.div_ceil(per_shard))
+            .map(|_| Sched::default())
             .collect();
         let mut tasks: Vec<ShardExec<'_>> = self
             .nodes
             .chunks_mut(per_shard)
             .zip(ports.chunks_mut(per_shard))
             .zip(outboxes.chunks_mut(per_shard))
-            .zip(heaps.iter_mut())
+            .zip(scheds.iter_mut())
             .enumerate()
-            .map(|(i, (((nodes, ports), outboxes), active))| ShardExec {
+            .map(|(i, (((nodes, ports), outboxes), sched))| ShardExec {
                 cfg,
                 base: i * per_shard,
                 nodes,
                 ports,
                 outboxes,
-                active,
+                sched,
             })
             .collect();
 
@@ -426,13 +442,13 @@ impl Cluster {
         for t in tasks.iter_mut() {
             for i in 0..t.nodes.len() {
                 if let Some(head) = t.nodes[i].queue.peek_time() {
-                    t.active.push(Reverse((head, i)));
+                    t.sched.active.push(Reverse((head, i)));
                 }
             }
         }
 
-        if threads <= 1 || tasks.len() <= 1 {
-            Self::run_windows_serial(&mut tasks, per_shard, lookahead, deadline);
+        if let [task] = tasks.as_mut_slice() {
+            Self::run_windows_serial(task, lookahead, deadline);
         } else {
             Self::run_windows_parallel(
                 tasks.as_mut_slice(),
@@ -449,25 +465,18 @@ impl Cluster {
         }
     }
 
-    /// The single-threaded window loop (also the `shards == 1` fast path).
-    fn run_windows_serial(
-        tasks: &mut [ShardExec<'_>],
-        per_shard: usize,
-        lookahead: Time,
-        deadline: Time,
-    ) {
+    /// The single-threaded window loop over one domain holding every node.
+    fn run_windows_serial(mut task: &mut ShardExec<'_>, lookahead: Time, deadline: Time) {
         // The earliest pending event anywhere decides each window; quiet
         // stretches are skipped in one step.
-        while let Some(next) = tasks.iter_mut().filter_map(ShardExec::next_event).min() {
+        let nodes = task.nodes.len();
+        while let Some(next) = task.next_event() {
             if next > deadline {
                 break;
             }
             let window_end = deadline.min(next + lookahead);
-            for t in tasks.iter_mut() {
-                t.advance(window_end);
-            }
-            let mut refs: Vec<&mut ShardExec<'_>> = tasks.iter_mut().collect();
-            Self::merge_deliver(&mut refs, per_shard, window_end);
+            task.advance(window_end);
+            Self::merge_deliver(std::slice::from_mut(&mut task), nodes, window_end);
         }
     }
 
@@ -584,9 +593,10 @@ impl Cluster {
         });
     }
 
-    /// The window barrier: drains every shard's outboxes and delivers the
-    /// cross-node messages into destination queues in the deterministic
-    /// merge order `(arrival time, source, per-source send order)`.
+    /// The window barrier: drains the outboxes that sent this window and
+    /// delivers the cross-node messages into destination queues in the
+    /// deterministic merge order `(arrival time, source, per-source send
+    /// order)`.
     ///
     /// This is also where the [`FaultPlan`](crate::fault::FaultPlan) bites:
     /// a packet whose source node, destination node or link is down at the
@@ -597,8 +607,13 @@ impl Cluster {
     fn merge_deliver(tasks: &mut [&mut ShardExec<'_>], per_shard: usize, window_end: Time) {
         let cfg = tasks[0].cfg;
         let faults = !cfg.fault.is_empty();
-        let merged =
-            ShardRouter::merge_sorted(tasks.iter_mut().flat_map(|t| t.outboxes.iter_mut()));
+        let merged = ShardRouter::merge_sorted(tasks.iter_mut().flat_map(|t| t.sent_outboxes()));
+        debug_assert!(
+            tasks
+                .iter()
+                .all(|t| t.outboxes.iter().all(Outbox::is_empty)),
+            "an outbox sent without being listed as a sender"
+        );
         for (at, dst, ev) in merged {
             debug_assert!(
                 at >= window_end,
@@ -618,10 +633,15 @@ impl Cluster {
                     }
                 }
             }
-            task.nodes[local].queue.schedule(at, ev);
-            // Hint the destination shard so the O(active) window loop will
-            // visit this node even if it was idle before the delivery.
-            task.active.push(Reverse((at, local)));
+            let queue = &mut task.nodes[local].queue;
+            // Hint the destination only when the message becomes its queue
+            // head: an earlier or equal head already carries a hint at or
+            // before `at`, so coverage holds with at most one push per
+            // node per window.
+            if queue.peek_time().is_none_or(|head| at < head) {
+                task.sched.active.push(Reverse((at, local)));
+            }
+            queue.schedule(at, ev);
         }
     }
 
@@ -631,11 +651,27 @@ impl Cluster {
     }
 }
 
-/// One shard's execution context: the shared configuration plus mutable
-/// ownership of a contiguous node range, those nodes' fabric ports and
-/// outboxes. All event handling happens here, always against the state of
-/// exactly one node (plus its source-owned port/outbox) — which is what
-/// makes shards independently advanceable from worker threads.
+/// One scheduling domain's window bookkeeping.
+#[derive(Default)]
+struct Sched {
+    /// Lazily validated `(time, local node)` hints for nodes with pending
+    /// events — what makes window scheduling O(active nodes) instead of
+    /// O(nodes) (see the [module docs](self)). A node may carry several
+    /// hints (its own re-hint plus one from the merge when a message
+    /// becomes its new head); stale ones are discarded or refreshed
+    /// against the queue head when popped.
+    active: BinaryHeap<Reverse<(Time, usize)>>,
+    /// Local indices of the nodes whose outbox went from empty to
+    /// non-empty this window — the only outboxes the barrier drains.
+    sent: Vec<usize>,
+}
+
+/// One scheduling domain's execution context: the shared configuration
+/// plus mutable ownership of a contiguous node range, those nodes' fabric
+/// ports and outboxes. All event handling happens here, always against
+/// the state of exactly one node (plus its source-owned port/outbox) —
+/// which is what makes shards independently advanceable from worker
+/// threads.
 struct ShardExec<'a> {
     cfg: &'a ClusterConfig,
     /// Global index of `nodes[0]`.
@@ -643,12 +679,7 @@ struct ShardExec<'a> {
     nodes: &'a mut [NodeCtx],
     ports: &'a mut [FabricPort],
     outboxes: &'a mut [Outbox<Event>],
-    /// Lazily validated `(time, local node)` hints for nodes with pending
-    /// events — what makes window scheduling O(active nodes) instead of
-    /// O(nodes) (see the [module docs](self)). A node may carry several
-    /// hints (the merge pushes one per delivered message); stale ones are
-    /// discarded or refreshed against the queue head when popped.
-    active: &'a mut BinaryHeap<Reverse<(Time, usize)>>,
+    sched: &'a mut Sched,
 }
 
 impl<'a> ShardExec<'a> {
@@ -660,7 +691,7 @@ impl<'a> ShardExec<'a> {
             nodes: self.nodes,
             ports: self.ports,
             outboxes: self.outboxes,
-            active: self.active,
+            sched: self.sched,
         }
     }
 
@@ -672,6 +703,20 @@ impl<'a> ShardExec<'a> {
         &mut self.nodes[node - self.base]
     }
 
+    /// The outboxes that sent this window, each yielded once; clears the
+    /// sender list. Slice iterators skip ahead in O(1), so this costs
+    /// O(senders), not O(nodes).
+    fn sent_outboxes(&mut self) -> impl Iterator<Item = &mut Outbox<Event>> {
+        self.sched.sent.sort_unstable();
+        let mut outboxes = self.outboxes.iter_mut();
+        let mut next = 0;
+        self.sched.sent.drain(..).map(move |i| {
+            let outbox = outboxes.nth(i - next).expect("sender within the domain");
+            next = i + 1;
+            outbox
+        })
+    }
+
     /// Earliest pending event over this shard's nodes.
     ///
     /// Consults only the hint heap — O(stale hints) amortized, not
@@ -680,16 +725,17 @@ impl<'a> ShardExec<'a> {
     /// the shard's earliest event, because every queue head is covered by
     /// a hint at or before it (see the module docs).
     fn next_event(&mut self) -> Option<Time> {
-        while let Some(&Reverse((t, i))) = self.active.peek() {
+        let active = &mut self.sched.active;
+        while let Some(&Reverse((t, i))) = active.peek() {
             match self.nodes[i].queue.peek_time() {
                 Some(actual) if actual == t => return Some(t),
                 Some(actual) => {
                     debug_assert!(actual > t, "queue head moved earlier without a hint");
-                    self.active.pop();
-                    self.active.push(Reverse((actual, i)));
+                    active.pop();
+                    active.push(Reverse((actual, i)));
                 }
                 None => {
-                    self.active.pop();
+                    active.pop();
                 }
             }
         }
@@ -700,15 +746,16 @@ impl<'a> ShardExec<'a> {
     /// Only this shard's state is touched, and only nodes named by a hint
     /// with `time <= window_end` are visited — idle nodes cost nothing.
     fn advance(&mut self, window_end: Time) {
-        while let Some(&Reverse((t, i))) = self.active.peek() {
+        while let Some(&Reverse((t, i))) = self.sched.active.peek() {
             if t > window_end {
                 break;
             }
-            self.active.pop();
+            self.sched.active.pop();
             // A stale hint (the node was already drained under a sibling
             // hint this window, or the hinted event was consumed earlier)
-            // is discarded without a re-push: the drain that left the
-            // node's current head as head pushed a hint for it, so
+            // is discarded without a re-push: whatever made the node's
+            // current head its head (the seed pass, a drain, or the merge
+            // delivering a new head) pushed a hint exactly at it, so
             // coverage holds and duplicates cannot accumulate.
             match self.nodes[i].queue.peek_time() {
                 Some(h) if h <= window_end => {}
@@ -729,7 +776,7 @@ impl<'a> ShardExec<'a> {
             }
             self.nodes[i].now = window_end;
             if let Some(head) = self.nodes[i].queue.peek_time() {
-                self.active.push(Reverse((head, i)));
+                self.sched.active.push(Reverse((head, i)));
             }
         }
         // Safety net for the node-locality invariant the skip relies on:
@@ -771,7 +818,11 @@ impl<'a> ShardExec<'a> {
                     dst,
                     pkt.kind.payload_bytes(),
                 );
-                self.outboxes[src - self.base].push(dst, arrival, Event::PacketArrive(pkt));
+                let outbox = &mut self.outboxes[src - self.base];
+                if outbox.is_empty() {
+                    self.sched.sent.push(src - self.base);
+                }
+                outbox.push(dst, arrival, Event::PacketArrive(pkt));
             }
             Event::PacketArrive(pkt) => self.on_packet_arrive(pkt),
             Event::Pump { node, pipe } => self.on_pump(node, pipe),
@@ -1398,6 +1449,7 @@ mod tests {
     use super::*;
     use crate::spec::spec;
     use crate::workload::ReadMechanism;
+    use crate::workloads::{UpdatePlan, Writer, WriterLayout};
     use sabre_sw::layout::CleanLayout;
 
     fn small_cfg() -> ClusterConfig {
@@ -1566,6 +1618,16 @@ mod tests {
             sharded_fingerprint(4, Some(1)),
             "4 shards must replay the 1-shard run"
         );
+        // A serial run is one scheduling domain whatever `shards` says, so
+        // the grouping itself only exists on worker threads: check it there
+        // against the serial reference too.
+        for shards in [1usize, 2, 4] {
+            assert_eq!(
+                single,
+                sharded_fingerprint(shards, Some(2)),
+                "{shards} shards on 2 threads must replay the serial run"
+            );
+        }
     }
 
     #[test]
@@ -1652,6 +1714,83 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Per-reader `(ops, retries, mean latency)`, the store's final object
+    /// images, packets delivered and packets sent.
+    type ContendedRun = (Vec<(u64, u64, Option<f64>)>, Vec<u8>, u64, u64);
+
+    /// Two readers race a zero-think local writer on node 2 of a 4-node
+    /// rack. The writer keeps a store-interval event pending on node 2 at
+    /// all times, so each window's merge delivers several requests to a
+    /// node with a live queue head — some arriving before that head (the
+    /// merge's new-head hint) and some after it (no hint needed).
+    fn contended_store_fingerprint(shards: usize, threads: Option<usize>) -> ContendedRun {
+        const PAYLOAD: u32 = 256;
+        let layout = WriterLayout::Clean;
+        let objects: Vec<(u64, Addr)> = (0..8).map(|i| (i, Addr::new(i * 4096))).collect();
+        let bases: Vec<Addr> = objects.iter().map(|&(_, base)| base).collect();
+        let mut cfg = ClusterConfig::with_nodes(4);
+        cfg.memory_bytes = 4 * 1024 * 1024;
+        cfg.shards = shards;
+        cfg.threads = threads;
+        let mut cluster = Cluster::new(cfg);
+        let mem = cluster.node_memory_mut(2);
+        let mut plan = UpdatePlan::new();
+        for &(id, base) in &objects {
+            plan.rebuild(layout, base, id, 0, PAYLOAD as usize, 0);
+            let mut i = 0;
+            while let Some((addr, data)) = plan.store(i) {
+                mem.write(addr, data);
+                i += 1;
+            }
+            mem.write_u64(layout.version_addr(base), layout.publish_word(0));
+        }
+        cluster.add_workload(
+            2,
+            0,
+            Box::new(Writer::new(objects, PAYLOAD, layout, Time::ZERO)),
+        );
+        for reader in [0usize, 1] {
+            cluster.add_workload(
+                reader,
+                0,
+                spec()
+                    .store(2)
+                    .payload(PAYLOAD)
+                    .mechanism(ReadMechanism::Sabre)
+                    .wire(CleanLayout::object_bytes(PAYLOAD as usize) as u32)
+                    .build(&bases),
+            );
+        }
+        cluster.run_for(Time::from_us(30));
+        let readers = (0..2)
+            .map(|n| {
+                let m = cluster.metrics(n, 0);
+                (m.ops, m.retries, m.latency.mean())
+            })
+            .collect();
+        let objects = cluster.node_memory(2).read_vec(Addr::new(0), 8 * 4096);
+        (
+            readers,
+            objects,
+            cluster.packets_delivered(),
+            cluster.fabric().packets_total(),
+        )
+    }
+
+    #[test]
+    fn merged_messages_around_a_pending_head_replay_on_every_split() {
+        let serial = contended_store_fingerprint(1, None);
+        for (ops, retries, _) in &serial.0 {
+            assert!(*ops > 0, "readers must make progress");
+            assert!(*retries > 0, "the writer must race the readers");
+        }
+        assert_eq!(
+            serial,
+            contended_store_fingerprint(4, Some(2)),
+            "one shard per node on 2 threads must replay the serial run"
+        );
     }
 
     #[test]

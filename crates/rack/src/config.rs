@@ -291,14 +291,19 @@ pub struct ClusterConfig {
     /// Per-node roles (which nodes host store shards, which read).
     pub topology: Topology,
     /// Event-loop shards the nodes are partitioned into (contiguous
-    /// ranges). Purely an execution knob: results are bit-identical for
-    /// every value — the loop synchronizes shards at fabric-lookahead
-    /// windows with a deterministic cross-shard merge. Values above the
-    /// node count are clamped.
+    /// ranges) for worker threads. It matters only when [`threads`]
+    /// resolves to 2 or more: a serial run advances all nodes as one
+    /// scheduling domain whatever this says. Purely an execution knob:
+    /// results are bit-identical for every value — the loop synchronizes
+    /// shards at fabric-lookahead windows with a deterministic
+    /// cross-shard merge. Values above the node count are clamped.
+    ///
+    /// [`threads`]: ClusterConfig::threads
     pub shards: usize,
     /// OS worker threads driving the shards inside one cluster run,
-    /// clamped to the shard count. `None` (the default) means the
-    /// serial loop: in-cluster threading is opt-in because sweeps
+    /// clamped to the shard count. `None` (the default) or any value
+    /// that resolves to 1 means the serial loop, which ignores
+    /// [`shards`](ClusterConfig::shards): in-cluster threading is opt-in because sweeps
     /// already run one cluster per worker — nesting a per-cluster pool
     /// under a sweep pool oversubscribes the host — and the window
     /// barrier only pays off when one big sharded rack has cores to

@@ -8,6 +8,8 @@
 //!   timestamped events, generic over the event payload.
 //! * [`CalendarQueue`] — the same contract bucketed by time window, so a
 //!   windowed loop drains each lookahead span as one sorted batch.
+//! * [`FastMap`] — a `HashMap` with a fixed-key multiply-rotate hasher for
+//!   the protocol layers' per-packet maps.
 //! * [`server`] — analytic queued servers used to model bandwidth-limited
 //!   resources (memory channels, fabric links, pipelines).
 //! * [`stats`] — counters, mean/max trackers, log-bucketed histograms and
@@ -30,6 +32,7 @@
 //! ```
 
 pub mod calendar;
+pub mod hash;
 pub mod queue;
 pub mod rng;
 pub mod server;
@@ -37,6 +40,7 @@ pub mod stats;
 pub mod time;
 
 pub use calendar::CalendarQueue;
+pub use hash::{FastHasher, FastMap, FastSet};
 pub use queue::EventQueue;
 pub use rng::{SimRng, Zipf};
 pub use server::{BandwidthServer, FifoServer};

@@ -9,9 +9,8 @@
 //! [`Completion`] carrying the SABRe success bit once the transfer's last
 //! packet (the validation, for SABRes) has arrived.
 
-use std::collections::{HashMap, HashSet};
-
 use sabre_mem::{Addr, BlockRange, BLOCK_BYTES};
+use sabre_sim::{FastMap, FastSet};
 
 use crate::queues::{CqEntry, OpKind, WqEntry};
 use crate::wire::{Block, NodeId, Packet, PacketKind, PipeId};
@@ -106,11 +105,11 @@ pub struct SourcePipeline {
     /// Number of R2P2s at each destination node, for per-block balancing.
     dest_pipes: u8,
     next_transfer: u32,
-    transfers: HashMap<u32, TransferState>,
+    transfers: FastMap<u32, TransferState>,
     /// Transfers completed early by a [`PacketKind::ReadRefused`]: late
     /// replies for these ids are expected stragglers (a pipe may have
     /// served some blocks before the guard flipped), not protocol bugs.
-    refused: HashSet<u32>,
+    refused: FastSet<u32>,
     rr_cursor: u8,
 }
 
@@ -128,8 +127,8 @@ impl SourcePipeline {
             pipe,
             dest_pipes,
             next_transfer: 0,
-            transfers: HashMap::new(),
-            refused: HashSet::new(),
+            transfers: FastMap::default(),
+            refused: FastSet::default(),
             rr_cursor: 0,
         }
     }

@@ -8,12 +8,13 @@
 //! one at a time through [`R2p2::next_issue`] at the pipeline's issue
 //! bandwidth and performs them against the node's memory system.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use sabre_core::{
     Action, IssueKind, LightSabres, LightSabresConfig, RegisterError, SabreError, SabreId, SlotId,
 };
 use sabre_mem::{Addr, BlockAddr, BlockRange};
+use sabre_sim::FastMap;
 use sabre_sw::{CaptureKind, CaptureStep, ObjectCapture};
 
 use crate::wire::{Block, NodeId, Packet, PacketKind, PipeId};
@@ -225,15 +226,15 @@ pub struct R2p2 {
     pipe: PipeId,
     engine: LightSabres,
     next_token: u64,
-    pending: HashMap<u64, Pending>,
+    pending: FastMap<u64, Pending>,
     /// Plain-service work awaiting an issue slot (FIFO).
     ready: VecDeque<R2p2Action>,
     /// SABRes waiting for a free ATT entry (in arrival order).
     parked: VecDeque<ParkedSabre>,
     /// Live object captures (WfRegister / Oh-RAM), keyed by capture id.
-    captures: HashMap<u64, CaptureCtx>,
+    captures: FastMap<u64, CaptureCtx>,
     next_capture: u64,
-    routes: HashMap<u8, Route>,
+    routes: FastMap<u8, Route>,
     stats: R2p2Stats,
     /// Discard (rather than panic on) data requests whose registration is
     /// neither live nor parked. Off by default: in a fault-free rack such
@@ -260,12 +261,12 @@ impl R2p2 {
             pipe,
             engine: LightSabres::new(cfg),
             next_token: 0,
-            pending: HashMap::new(),
+            pending: FastMap::default(),
             ready: VecDeque::new(),
             parked: VecDeque::new(),
-            captures: HashMap::new(),
+            captures: FastMap::default(),
             next_capture: 0,
-            routes: HashMap::new(),
+            routes: FastMap::default(),
             stats: R2p2Stats::default(),
             tolerate_stale: false,
             catching_up: 0,
