@@ -11,6 +11,7 @@ use sabre_mem::{Addr, BlockAddr, Llc, NodeMemory, BLOCK_BYTES};
 use sabre_rack::workloads::{UpdatePlan, WriterLayout};
 use sabre_rack::{spec, Cluster, ClusterConfig, ReadMechanism, ScenarioBuilder};
 use sabre_sim::{CalendarQueue, EventQueue, LatencyHistogram, Time};
+use sabre_sonuma::{Block, Packet, PacketKind, R2p2, R2p2Action};
 use sabre_sw::layout::PerClLayout;
 use sabre_sw::{crc64_ecma, crc64_ecma_scalar, VersionWord};
 
@@ -349,6 +350,93 @@ fn bench_window_scheduler(c: &mut Criterion) {
     g.finish();
 }
 
+/// Blocks in one 1 KB object.
+const BLOCKS_1K: u32 = 1024 / BLOCK_BYTES as u32;
+
+/// A request packet from node 0 to the R2P2 of node 1, pipeline 0.
+fn to_r2p2(kind: PacketKind) -> Packet {
+    Packet {
+        src_node: 0,
+        src_pipe: 0,
+        dst_node: 1,
+        dst_pipe: 0,
+        kind,
+    }
+}
+
+/// Drains `r2p2` the way the cluster paces it, minus the timing: pull
+/// every issue, complete each memory read at once with `data`, and count
+/// the reply packets sent.
+fn serve(r2p2: &mut R2p2, data: Block) -> usize {
+    let mut sent = 0;
+    while let Some(action) = r2p2.next_issue() {
+        match action {
+            R2p2Action::MemRead { token, .. } => sent += r2p2.on_mem_reply(token, data).len(),
+            R2p2Action::Send(_) => sent += 1,
+            other => unreachable!("reads issue no {other:?}"),
+        }
+    }
+    sent
+}
+
+/// Feeds one read's request packets, tagged `transfer`, to an R2P2.
+type Request = fn(&mut R2p2, u32);
+
+/// One plain 1 KB read request burst: a `ReadReq` per block.
+fn plain_read_1k(r2p2: &mut R2p2, transfer: u32) {
+    for block_index in 0..BLOCKS_1K {
+        r2p2.on_packet(&to_r2p2(PacketKind::ReadReq {
+            addr: Addr::new(block_index as u64 * BLOCK_BYTES as u64),
+            transfer,
+            block_index,
+        }));
+    }
+}
+
+/// One 1 KB SABRe: the registration, then a data request per block.
+fn sabre_1k(r2p2: &mut R2p2, transfer: u32) {
+    r2p2.on_packet(&to_r2p2(PacketKind::SabreReg {
+        transfer,
+        base: Addr::new(0),
+        size_bytes: 1024,
+        version_offset: 0,
+    }));
+    for block_index in 0..BLOCKS_1K {
+        r2p2.on_packet(&to_r2p2(PacketKind::SabreReadReq {
+            transfer,
+            block_index,
+        }));
+    }
+}
+
+fn bench_r2p2_service(c: &mut Criterion) {
+    let mut g = c.benchmark_group("r2p2_service");
+    // The destination R2P2's sans-IO service of one 1 KB read: request
+    // packets in, `next_issue` out, every memory read completed at once,
+    // until the last reply is sent — the per-read host cost of the layer
+    // between the fabric and the node's memory.
+    let data = Block([0; BLOCK_BYTES]);
+    let cases: [(&str, Request, usize); 2] = [
+        ("plain_read_1k", plain_read_1k, BLOCKS_1K as usize),
+        // Every data block plus the validation.
+        ("sabre_1k", sabre_1k, BLOCKS_1K as usize + 1),
+    ];
+    for (name, request, replies) in cases {
+        let mut r2p2 = R2p2::new(1, 0, LightSabresConfig::default());
+        request(&mut r2p2, 0);
+        assert_eq!(serve(&mut r2p2, data), replies, "{name}");
+        let mut transfer = 0u32;
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                transfer += 1;
+                request(&mut r2p2, transfer);
+                black_box(serve(&mut r2p2, data))
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_stream_buffer,
@@ -356,6 +444,7 @@ criterion_group!(
     bench_writers,
     bench_software_kernels,
     bench_sim_primitives,
-    bench_window_scheduler
+    bench_window_scheduler,
+    bench_r2p2_service
 );
 criterion_main!(benches);

@@ -60,7 +60,6 @@ use sabre_rack::workloads::{UpdatePlan, WriterLayout};
 use sabre_rack::{CoreApi, Workload};
 use sabre_sim::Time;
 use sabre_sonuma::{CqEntry, OpKind};
-use sabre_sw::VersionWord;
 
 /// Availability state of one replica site, as its writer walks it; see
 /// [`RecoveringWriter::state`].
@@ -235,7 +234,6 @@ pub struct RecoveringWriter {
     // Runtime state.
     /// Completed updates — also the latest own log seq (1-based).
     applied: u64,
-    locked_version: u64,
     /// The stores of the update in progress, built when it starts (so a
     /// plan never outlives an outage).
     plan: UpdatePlan,
@@ -293,7 +291,6 @@ impl RecoveringWriter {
             converged_lag,
             respect_reader_locks: false,
             applied: 0,
-            locked_version: 0,
             plan: UpdatePlan::new(),
             state: ReplicaState::Live,
             phase: RwPhase::Idle,
@@ -364,8 +361,9 @@ impl RecoveringWriter {
         }
     }
 
-    /// Locks the current object's version word and enters the chunk loop
-    /// (identical to the legacy writer's `begin_update`).
+    /// Starts the current object's update through the same
+    /// [`UpdatePlan::start`] as the local writer, then enters the chunk
+    /// loop (or spins on a held reader lock).
     fn start_update(&mut self, api: &mut CoreApi<'_>) {
         if let Some(target) = self.replay_until {
             // Replaying: prove the pulled image really recorded this
@@ -386,34 +384,18 @@ impl RecoveringWriter {
                 "pulled record disagrees with schedule"
             );
         }
-        let (obj_id, base) = self.obj();
-        if self.respect_reader_locks {
-            let rlock = api.read_local(base + 8u64, 8);
-            let readers = u64::from_le_bytes(rlock.try_into().expect("8 bytes"));
-            if readers > 0 {
-                self.phase = RwPhase::SpinningOnReaders;
-                api.sleep(Time::from_ns(10));
-                return;
-            }
-        }
-        let va = self.layout.version_addr(base);
-        let v = VersionWord::new(u64::from_le_bytes(
-            api.read_local(va, 8).try_into().expect("8 bytes"),
-        ));
-        self.locked_version = v.raw();
-        if self.layout.takes_lock() {
-            api.store_local_u64(va, v.locked().raw());
-        }
-        self.plan.rebuild(
+        self.phase = if self.plan.start(
+            api,
             self.layout,
-            base,
-            obj_id,
+            self.obj(),
             self.applied,
             self.payload as usize,
-            self.locked_version,
-        );
-        self.phase = RwPhase::Writing { chunk: 0 };
-        api.sleep(api.config().writer_store_interval);
+            self.respect_reader_locks,
+        ) {
+            RwPhase::Writing { chunk: 0 }
+        } else {
+            RwPhase::SpinningOnReaders
+        };
     }
 
     /// An update (own or replayed) finished: continue replaying, re-pull,
@@ -550,11 +532,7 @@ impl Workload for RecoveringWriter {
                 api.sleep(api.config().writer_store_interval);
             }
             RwPhase::Publishing => {
-                let (_, base) = self.obj();
-                api.store_local_u64(
-                    self.layout.version_addr(base),
-                    self.layout.publish_word(self.locked_version),
-                );
+                self.plan.publish(api);
                 self.phase = RwPhase::LogRecord;
                 api.sleep(api.config().writer_store_interval);
             }

@@ -12,7 +12,6 @@ use std::collections::VecDeque;
 use sabre_rack::workloads::{UpdatePlan, WriterLayout};
 use sabre_rack::{CoreApi, Workload};
 use sabre_sim::Time;
-use sabre_sw::VersionWord;
 
 use crate::kv::KvStore;
 use crate::store::StoreLayout;
@@ -41,7 +40,6 @@ pub struct RpcWriteServer {
     queue: VecDeque<PendingWrite>,
     phase: ServerPhase,
     seq: u64,
-    locked_version: u64,
     /// The stores of the write in progress, built when it starts.
     plan: UpdatePlan,
     applied: u64,
@@ -56,7 +54,6 @@ impl RpcWriteServer {
             queue: VecDeque::new(),
             phase: ServerPhase::Idle,
             seq: 1,
-            locked_version: 0,
             plan: UpdatePlan::new(),
             applied: 0,
         }
@@ -81,26 +78,12 @@ impl RpcWriteServer {
             self.phase = ServerPhase::Idle;
             return;
         };
-        let layout = self.layout();
-        let base = self.kv.store().object_addr(req.obj);
-        let va = layout.version_addr(base);
-        let v = VersionWord::new(u64::from_le_bytes(
-            api.read_local(va, 8).try_into().expect("8 bytes"),
-        ));
-        self.locked_version = v.raw();
-        if layout.takes_lock() {
-            api.store_local_u64(va, v.locked().raw());
-        }
-        self.plan.rebuild(
-            layout,
-            base,
-            req.obj,
-            self.seq,
-            self.kv.store().payload() as usize,
-            self.locked_version,
-        );
+        let object = (req.obj, self.kv.store().object_addr(req.obj));
+        let payload_len = self.kv.store().payload() as usize;
+        // The server never waits on reader locks, so the update starts.
+        self.plan
+            .start(api, self.layout(), object, self.seq, payload_len, false);
         self.phase = ServerPhase::Writing { chunk: 0 };
-        api.sleep(api.config().writer_store_interval);
     }
 }
 
@@ -139,12 +122,7 @@ impl Workload for RpcWriteServer {
                 api.sleep(api.config().writer_store_interval);
             }
             ServerPhase::Publishing => {
-                let base = self.kv.store().object_addr(req.obj);
-                let layout = self.layout();
-                api.store_local_u64(
-                    layout.version_addr(base),
-                    layout.publish_word(self.locked_version),
-                );
+                self.plan.publish(api);
                 self.applied += 1;
                 self.seq += 1;
                 self.queue.pop_front();

@@ -17,6 +17,15 @@
 //! serviced, so racing readers and writers interleave at cache-block
 //! granularity exactly as the paper's atomicity argument requires.
 //!
+//! Every destination memory access — block read, one-sided write,
+//! reader-lock acquire and release, writer CAS and unlock — takes one
+//! path: the pump touches the access's [`R2p2Action::block`] in the LLC,
+//! times it on the node's DRAM model and schedules one `MemDone` event
+//! carrying the action; `on_mem_done` then applies its functional effect,
+//! raises its invalidation and hands the outcome to the issuing R2P2. A
+//! reader-lock acquire answers its engine *before* its invalidation fans
+//! out, and a release re-arms no pump.
+//!
 //! # The sharded, thread-parallel event loop
 //!
 //! Every node owns its own event queue; nodes interact *only* through
@@ -85,10 +94,8 @@ use sabre_fabric::{Fabric, FabricPort, Outbox, ShardRouter};
 use sabre_mem::{Addr, BlockAddr, Llc, MemSystem, NodeMemory, ServiceLevel, BLOCK_BYTES};
 use sabre_sim::{EventQueue, FifoServer, SimRng, Time};
 use sabre_sonuma::r2p2::{R2p2Action, R2p2Stats};
-use sabre_sonuma::{
-    Block, CqEntry, MemToken, OpKind, Packet, PacketKind, R2p2, SourcePipeline, WqEntry,
-};
-use sabre_sw::{CpuCostModel, ReaderLockWord};
+use sabre_sonuma::{Block, CqEntry, OpKind, Packet, PacketKind, R2p2, SourcePipeline, WqEntry};
+use sabre_sw::{CpuCostModel, ReaderLockWord, VersionWord};
 
 use crate::config::ClusterConfig;
 use crate::metrics::CoreMetrics;
@@ -102,43 +109,11 @@ enum Event {
     PacketArrive(Packet),
     /// An R2P2's issue pump fires.
     Pump { node: u8, pipe: u8 },
-    /// An R2P2-issued block read completed.
-    ReadDone {
+    /// A memory access an R2P2 issued reached the node's LLC/DRAM.
+    MemDone {
         node: u8,
         pipe: u8,
-        token: MemToken,
-        block: BlockAddr,
-    },
-    /// An R2P2-issued one-sided write completed (apply + ack).
-    WriteDone {
-        node: u8,
-        pipe: u8,
-        token: MemToken,
-        block: BlockAddr,
-        data: Block,
-    },
-    /// A reader-lock acquire RMW completed.
-    LockDone {
-        node: u8,
-        pipe: u8,
-        token: MemToken,
-        version_addr: Addr,
-    },
-    /// A reader-lock release reached memory.
-    ReleaseDone { node: u8, version_addr: Addr },
-    /// A remote write-lock CAS reached memory.
-    CasDone {
-        node: u8,
-        pipe: u8,
-        token: MemToken,
-        version_addr: Addr,
-    },
-    /// A remote unlock reached memory.
-    UnlockDone {
-        node: u8,
-        pipe: u8,
-        token: MemToken,
-        version_addr: Addr,
+        access: R2p2Action,
     },
     /// A sleeping workload wakes.
     Wake { node: u8, core: u8 },
@@ -826,90 +801,7 @@ impl<'a> ShardExec<'a> {
             }
             Event::PacketArrive(pkt) => self.on_packet_arrive(pkt),
             Event::Pump { node, pipe } => self.on_pump(node, pipe),
-            Event::ReadDone {
-                node,
-                pipe,
-                token,
-                block,
-            } => {
-                let n = self.node_mut(node as usize);
-                let data = Block(n.memory.read_block(block));
-                let actions = n.r2p2s[pipe as usize].on_mem_reply(token, data);
-                self.run_r2p2_actions(node, pipe, actions);
-                self.schedule_pump(node, pipe);
-            }
-            Event::WriteDone {
-                node,
-                pipe,
-                token,
-                block,
-                data,
-            } => {
-                self.apply_store(node as usize, block, &data.0);
-                let actions =
-                    self.node_mut(node as usize).r2p2s[pipe as usize].on_mem_write_done(token);
-                self.run_r2p2_actions(node, pipe, actions);
-                self.schedule_pump(node, pipe);
-            }
-            Event::LockDone {
-                node,
-                pipe,
-                token,
-                version_addr,
-            } => {
-                let n = node as usize;
-                let acquired =
-                    ReaderLockWord::try_shared_acquire(&mut self.node_mut(n).memory, version_addr);
-                // Deliver the outcome to the acquiring engine before the
-                // RMW's invalidation fans out: the requester owns the line
-                // it just modified, so its own stream buffer must not treat
-                // the acquisition as a foreign write (other R2P2s' SABRes
-                // on the object still see it — real reader-reader
-                // interference).
-                let actions = self.node_mut(n).r2p2s[pipe as usize].on_lock_reply(token, acquired);
-                if acquired {
-                    self.broadcast_inval(n, version_addr.block());
-                }
-                self.run_r2p2_actions(node, pipe, actions);
-                self.schedule_pump(node, pipe);
-            }
-            Event::ReleaseDone { node, version_addr } => {
-                let n = node as usize;
-                ReaderLockWord::shared_release(&mut self.node_mut(n).memory, version_addr);
-                self.broadcast_inval(n, version_addr.block());
-            }
-            Event::CasDone {
-                node,
-                pipe,
-                token,
-                version_addr,
-            } => {
-                let n = node as usize;
-                let v = sabre_sw::VersionWord::load(&self.node_ref(n).memory, version_addr);
-                let acquired = !v.is_locked();
-                if acquired {
-                    v.locked().store(&mut self.node_mut(n).memory, version_addr);
-                    self.broadcast_inval(n, version_addr.block());
-                }
-                let actions = self.node_mut(n).r2p2s[pipe as usize].on_cas_done(token, acquired);
-                self.run_r2p2_actions(node, pipe, actions);
-                self.schedule_pump(node, pipe);
-            }
-            Event::UnlockDone {
-                node,
-                pipe,
-                token,
-                version_addr,
-            } => {
-                let n = node as usize;
-                let v = sabre_sw::VersionWord::load(&self.node_ref(n).memory, version_addr);
-                v.unlocked()
-                    .store(&mut self.node_mut(n).memory, version_addr);
-                self.broadcast_inval(n, version_addr.block());
-                let actions = self.node_mut(n).r2p2s[pipe as usize].on_unlock_done(token);
-                self.run_r2p2_actions(node, pipe, actions);
-                self.schedule_pump(node, pipe);
-            }
+            Event::MemDone { node, pipe, access } => self.on_mem_done(node, pipe, access),
             Event::Wake { node, core } => {
                 self.dispatch(node as usize, core as usize, |w, api| w.on_wake(api));
             }
@@ -1033,111 +925,90 @@ impl<'a> ShardExec<'a> {
         let now = ctx.now;
         ctx.r2p2_issue[p].admit(now, interval);
         match action {
-            R2p2Action::MemRead { token, block, .. } => {
-                let level = self.llc_touch(n, block);
-                let ctx = self.node_mut(n);
-                let done = ctx.mem_sys.access(now, block, level);
-                self.schedule_at(
-                    n,
-                    done,
-                    Event::ReadDone {
-                        node,
-                        pipe,
-                        token,
-                        block,
-                    },
-                );
-            }
-            R2p2Action::MemWrite { token, block, data } => {
-                let level = self.llc_touch(n, block);
-                let done = self.node_mut(n).mem_sys.access(now, block, level);
-                self.schedule_at(
-                    n,
-                    done,
-                    Event::WriteDone {
-                        node,
-                        pipe,
-                        token,
-                        block,
-                        data,
-                    },
-                );
-            }
-            R2p2Action::LockRmw {
-                token,
-                version_addr,
-            } => {
-                let level = self.llc_touch(n, version_addr.block());
-                let done = self
-                    .node_mut(n)
-                    .mem_sys
-                    .access(now, version_addr.block(), level);
-                self.schedule_at(
-                    n,
-                    done,
-                    Event::LockDone {
-                        node,
-                        pipe,
-                        token,
-                        version_addr,
-                    },
-                );
-            }
-            R2p2Action::WriterCas {
-                token,
-                version_addr,
-            } => {
-                let level = self.llc_touch(n, version_addr.block());
-                let done = self
-                    .node_mut(n)
-                    .mem_sys
-                    .access(now, version_addr.block(), level);
-                self.schedule_at(
-                    n,
-                    done,
-                    Event::CasDone {
-                        node,
-                        pipe,
-                        token,
-                        version_addr,
-                    },
-                );
-            }
-            R2p2Action::WriterUnlock {
-                token,
-                version_addr,
-            } => {
-                let level = self.llc_touch(n, version_addr.block());
-                let done = self
-                    .node_mut(n)
-                    .mem_sys
-                    .access(now, version_addr.block(), level);
-                self.schedule_at(
-                    n,
-                    done,
-                    Event::UnlockDone {
-                        node,
-                        pipe,
-                        token,
-                        version_addr,
-                    },
-                );
-            }
-            R2p2Action::LockRelease { version_addr } => {
-                let level = self.llc_touch(n, version_addr.block());
-                let done = self
-                    .node_mut(n)
-                    .mem_sys
-                    .access(now, version_addr.block(), level);
-                self.schedule_at(n, done, Event::ReleaseDone { node, version_addr });
-            }
             R2p2Action::Send(pkt) => {
                 self.schedule_at(n, now, Event::FabricSend(pkt));
+            }
+            access => {
+                let block = access.block().expect("a memory access touches a block");
+                let level = self.llc_touch(n, block);
+                let done = self.node_mut(n).mem_sys.access(now, block, level);
+                self.schedule_at(n, done, Event::MemDone { node, pipe, access });
             }
         }
         if self.node_mut(n).r2p2s[p].has_issuable() {
             self.schedule_pump(node, pipe);
         }
+    }
+
+    /// Completes a memory access at the instant it is serviced: applies
+    /// its functional effect to the node's memory, raises the coherence
+    /// invalidation a store makes, and hands the outcome to the R2P2 that
+    /// issued it.
+    fn on_mem_done(&mut self, node: u8, pipe: u8, access: R2p2Action) {
+        let n = node as usize;
+        let p = pipe as usize;
+        let actions = match access {
+            R2p2Action::MemRead { token, block, .. } => {
+                let ctx = self.node_mut(n);
+                let data = Block(ctx.memory.read_block(block));
+                ctx.r2p2s[p].on_mem_reply(token, data)
+            }
+            R2p2Action::MemWrite { token, block, data } => {
+                self.apply_store(n, block, &data.0);
+                self.node_mut(n).r2p2s[p].on_mem_write_done(token)
+            }
+            R2p2Action::LockRmw {
+                token,
+                version_addr,
+            } => {
+                let ctx = self.node_mut(n);
+                let acquired = ReaderLockWord::try_shared_acquire(&mut ctx.memory, version_addr);
+                // Deliver the outcome to the acquiring engine before the
+                // RMW's invalidation fans out: the requester owns the line
+                // it just modified, so its own stream buffer must not treat
+                // the acquisition as a foreign write (other R2P2s' SABRes
+                // on the object still see it — real reader-reader
+                // interference).
+                let actions = ctx.r2p2s[p].on_lock_reply(token, acquired);
+                if acquired {
+                    self.broadcast_inval(n, version_addr.block());
+                }
+                actions
+            }
+            R2p2Action::LockRelease { version_addr } => {
+                ReaderLockWord::shared_release(&mut self.node_mut(n).memory, version_addr);
+                self.broadcast_inval(n, version_addr.block());
+                // Fire-and-forget: nothing answers a release, and the pump
+                // is not re-armed (a pump here would add an event and could
+                // reorder same-instant work).
+                return;
+            }
+            R2p2Action::WriterCas {
+                token,
+                version_addr,
+            } => {
+                let v = VersionWord::load(&self.node_ref(n).memory, version_addr);
+                let acquired = !v.is_locked();
+                if acquired {
+                    v.locked().store(&mut self.node_mut(n).memory, version_addr);
+                    self.broadcast_inval(n, version_addr.block());
+                }
+                self.node_mut(n).r2p2s[p].on_cas_done(token, acquired)
+            }
+            R2p2Action::WriterUnlock {
+                token,
+                version_addr,
+            } => {
+                let v = VersionWord::load(&self.node_ref(n).memory, version_addr);
+                v.unlocked()
+                    .store(&mut self.node_mut(n).memory, version_addr);
+                self.broadcast_inval(n, version_addr.block());
+                self.node_mut(n).r2p2s[p].on_unlock_done(token)
+            }
+            R2p2Action::Send(pkt) => unreachable!("a send is not a memory access: {pkt:?}"),
+        };
+        self.run_r2p2_actions(node, pipe, actions);
+        self.schedule_pump(node, pipe);
     }
 
     fn run_r2p2_actions(&mut self, node: u8, pipe: u8, actions: Vec<R2p2Action>) {
@@ -1457,6 +1328,14 @@ mod tests {
             memory_bytes: 4 * 1024 * 1024,
             ..ClusterConfig::default()
         }
+    }
+
+    /// Node queues are binary heaps of `(time, seq, Event)`; the entry
+    /// size is what decided heap vs. calendar end to end, so the one
+    /// memory-completion variant must not grow it past a fabric packet's.
+    #[test]
+    fn event_fits_in_104_bytes() {
+        assert!(std::mem::size_of::<Event>() <= 104);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Per-core measurement plumbing for the experiment harness.
 
-use sabre_sim::{Histogram, LatencyHistogram, MeanTracker, Time};
+use sabre_sim::{LatencyHistogram, MeanTracker, Time};
 
 /// Latency components the paper's breakdowns distinguish (Figs. 1 and 9a).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,10 +38,10 @@ pub struct CoreMetrics {
     pub bytes: u64,
     /// Operations retried after an atomicity failure.
     pub retries: u64,
-    /// End-to-end latency of successful operations (ns) — the legacy
-    /// float histogram the mean-latency tables read. Kept per-core (not
-    /// merged), unlike [`CoreMetrics::latency_hist`].
-    pub latency: Histogram,
+    /// End-to-end latency of successful operations (ns): the float mean
+    /// the mean-latency tables read. Kept per-core (not merged), unlike
+    /// [`CoreMetrics::latency_hist`].
+    pub latency: MeanTracker,
     /// Deterministic integer latency histogram of the same successes —
     /// u64 ns bucket counts with an exact merge, so tail percentiles are
     /// bit-identical at every shard × thread setting. See
@@ -180,10 +180,9 @@ impl CoreMetrics {
     /// Counters add, [`CoreMetrics::latency_hist`] merges exactly
     /// (element-wise bucket addition), `queued_arrivals` adds and
     /// `peak_backlog` takes the max — all associative/commutative, so the
-    /// aggregate is independent of merge grouping. The legacy float
-    /// `latency` histogram and the phase means are kept per-core only
-    /// (their float sums would not merge exactly); aggregate callers use
-    /// `latency_hist` for distributions.
+    /// aggregate is independent of merge grouping. The float `latency`
+    /// mean and the phase means are kept per-core only (their float sums
+    /// would not merge exactly); aggregate callers use `latency_hist`.
     pub fn merge(&mut self, other: &CoreMetrics) {
         self.ops += other.ops;
         self.bytes += other.bytes;

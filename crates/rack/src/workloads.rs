@@ -60,12 +60,14 @@ pub fn verify_payload(obj_id: u64, data: &[u8]) -> Option<u64> {
 }
 
 /// The sequence of single-block stores one object update performs under a
-/// [`WriterLayout`], in protocol order (the version word stores around them
-/// are the caller's job). Shared by local [`Writer`]s and the FaRM writers.
+/// [`WriterLayout`], in protocol order, and the version word stores around
+/// them. Shared by local [`Writer`]s and the FaRM writers.
 ///
-/// A writer rebuilds its plan once, when an update starts, and then walks
-/// it one [`store`](UpdatePlan::store) per store interval: each step is a
-/// lookup into one reused buffer, with no allocation or copying.
+/// A writer [`start`](UpdatePlan::start)s an update (lock, then rebuild the
+/// plan once), walks it one [`apply`](UpdatePlan::apply) per store
+/// interval — each step a lookup into one reused buffer, with no
+/// allocation or copying — and ends it with
+/// [`publish`](UpdatePlan::publish).
 ///
 /// For the per-CL layout the head line comes *last*: it carries the header
 /// version every stamp is compared against, so writing it last publishes
@@ -77,12 +79,60 @@ pub struct UpdatePlan {
     bytes: Vec<u8>,
     /// Each store's target and its bytes within `bytes`.
     stores: Vec<(Addr, Range<usize>)>,
+    /// The version word's address and the word that publishes the update.
+    publish: (Addr, u64),
 }
+
+/// How long a writer waits before re-checking a held reader lock.
+const READER_LOCK_SPIN: Time = Time::from_ns(10);
 
 impl UpdatePlan {
     /// An empty plan; [`rebuild`](UpdatePlan::rebuild) fills it.
     pub fn new() -> Self {
         UpdatePlan::default()
+    }
+
+    /// Starts update `seq` of `object` (its id and base address), the
+    /// steps every writer shares. With `respect_reader_locks` set and the
+    /// object's shared reader lock held (destination locking), it stores
+    /// nothing, sleeps one spin and returns `false`: the caller retries on
+    /// wake. Otherwise it reads the version word, stores it locked (if the
+    /// layout locks), rebuilds the plan and sleeps one store interval
+    /// before store 0, returning `true`.
+    pub fn start(
+        &mut self,
+        api: &mut CoreApi<'_>,
+        layout: WriterLayout,
+        (obj_id, base): (u64, Addr),
+        seq: u64,
+        payload_len: usize,
+        respect_reader_locks: bool,
+    ) -> bool {
+        if respect_reader_locks {
+            let rlock = api.read_local(base + 8, 8);
+            let readers = u64::from_le_bytes(rlock.try_into().expect("8 bytes"));
+            if readers > 0 {
+                api.sleep(READER_LOCK_SPIN);
+                return false;
+            }
+        }
+        let va = layout.version_addr(base);
+        let v = VersionWord::new(u64::from_le_bytes(
+            api.read_local(va, 8).try_into().expect("8 bytes"),
+        ));
+        if layout.takes_lock() {
+            api.store_local_u64(va, v.locked().raw());
+        }
+        self.rebuild(layout, base, obj_id, seq, payload_len, v.raw());
+        api.sleep(api.config().writer_store_interval);
+        true
+    }
+
+    /// Publishes the finished update: stores the even version + 2, or the
+    /// next slot's publish word for the wait-free register.
+    pub fn publish(&self, api: &mut CoreApi<'_>) {
+        let (addr, word) = self.publish;
+        api.store_local_u64(addr, word);
     }
 
     /// Replaces the plan with the stores of update `seq` of object `obj_id`
@@ -104,6 +154,10 @@ impl UpdatePlan {
         self.bytes.resize(payload_len, 0);
         fill_pattern(&mut self.bytes, obj_id, seq);
         self.stores.clear();
+        self.publish = (
+            layout.version_addr(base),
+            layout.publish_word(locked_version),
+        );
         match layout {
             WriterLayout::Clean => {
                 self.push_split(base + CleanLayout::HEADER_BYTES as u64, payload_len);
@@ -1043,8 +1097,6 @@ pub struct Writer {
     seq: u64,
     cur: usize,
     phase: WriterPhase,
-    /// The (even) version read at lock time; the update publishes at +2.
-    locked_version: u64,
     /// The stores of the update in progress, built when it starts.
     plan: UpdatePlan,
     updates: u64,
@@ -1069,7 +1121,6 @@ impl Writer {
             seq: 0,
             cur: 0,
             phase: WriterPhase::Idle,
-            locked_version: 0,
             plan: UpdatePlan::new(),
             updates: 0,
         }
@@ -1087,42 +1138,19 @@ impl Writer {
         self.updates
     }
 
-    fn base(&self) -> Addr {
-        self.objects[self.cur].1
-    }
-
-    fn obj_id(&self) -> u64 {
-        self.objects[self.cur].0
-    }
-
     fn begin_update(&mut self, api: &mut CoreApi<'_>) {
-        if self.respect_reader_locks {
-            let rlock = api.read_local(self.base() + 8, 8);
-            let readers = u64::from_le_bytes(rlock.try_into().expect("8 bytes"));
-            if readers > 0 {
-                self.phase = WriterPhase::SpinningOnReaders;
-                api.sleep(Time::from_ns(10));
-                return;
-            }
-        }
-        let va = self.layout.version_addr(self.base());
-        let v = VersionWord::new(u64::from_le_bytes(
-            api.read_local(va, 8).try_into().expect("8 bytes"),
-        ));
-        self.locked_version = v.raw();
-        if self.layout.takes_lock() {
-            api.store_local_u64(va, v.locked().raw());
-        }
-        self.plan.rebuild(
+        self.phase = if self.plan.start(
+            api,
             self.layout,
-            self.base(),
-            self.obj_id(),
+            self.objects[self.cur],
             self.seq,
             self.payload as usize,
-            self.locked_version,
-        );
-        self.phase = WriterPhase::Writing { chunk: 0 };
-        api.sleep(api.config().writer_store_interval);
+            self.respect_reader_locks,
+        ) {
+            WriterPhase::Writing { chunk: 0 }
+        } else {
+            WriterPhase::SpinningOnReaders
+        };
     }
 }
 
@@ -1144,12 +1172,7 @@ impl Workload for Writer {
                 api.sleep(api.config().writer_store_interval);
             }
             WriterPhase::Publishing => {
-                // Publish: even version + 2, or the next slot's publish
-                // word for the wait-free register.
-                api.store_local_u64(
-                    self.layout.version_addr(self.base()),
-                    self.layout.publish_word(self.locked_version),
-                );
+                self.plan.publish(api);
                 self.updates += 1;
                 self.seq += 1;
                 self.cur = (self.cur + 1) % self.objects.len();

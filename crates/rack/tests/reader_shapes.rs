@@ -7,6 +7,7 @@
 //! leave every fingerprint unchanged; a change that means to move one
 //! re-records it here and says why.
 
+use sabre_core::CcMode;
 use sabre_mem::Addr;
 use sabre_rack::workloads::{UpdatePlan, Writer, WriterLayout};
 use sabre_rack::{
@@ -149,6 +150,26 @@ fn wait_free_register_under_a_writer() {
         .mechanism(ReadMechanism::WfRegister { payload: PAYLOAD });
     let r = raced(WriterLayout::WfRegister, reader, 40);
     assert_eq!(fingerprint(r.core(0, 1)), "ops=202 retries=0 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=197.697 p99_ns=199");
+}
+
+/// Destination locking (Table 1): the engine takes the object's shared
+/// reader lock at the destination and a writer that respects it waits for
+/// the readers to drain. Runs every lock access (acquire, release) and
+/// pins the acquire's completion order: it answers its engine before its
+/// invalidation fans out. Answering after the fan-out moves this
+/// fingerprint.
+#[test]
+fn destination_locking_sabre_under_a_lock_respecting_writer() {
+    let mut cfg = small();
+    cfg.lightsabres.cc_mode = CcMode::Locking;
+    let b = objects(ScenarioBuilder::with_config(cfg), 1, WriterLayout::Clean);
+    let writer =
+        Writer::new(entries(), PAYLOAD, WriterLayout::Clean, Time::ZERO).respecting_reader_locks();
+    let r = b
+        .workload(1, 0, Box::new(writer))
+        .reader_spec(0, 1, sabre())
+        .run_for(Time::from_us(40));
+    assert_eq!(fingerprint(r.core(0, 1)), "ops=197 retries=21 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=202.154 p99_ns=364");
 }
 
 #[test]

@@ -12,8 +12,8 @@
 //!   the protocol layers' per-packet maps.
 //! * [`server`] — analytic queued servers used to model bandwidth-limited
 //!   resources (memory channels, fabric links, pipelines).
-//! * [`stats`] — counters, mean/max trackers, log-bucketed histograms and
-//!   throughput meters used by the experiment harness.
+//! * [`stats`] — mean/min/max trackers, the deterministic integer latency
+//!   histogram and fabric hop counters used by the experiment harness.
 //!
 //! The engine is single-threaded and fully deterministic: identical inputs
 //! (including RNG seeds) produce identical simulated histories, which the
@@ -44,5 +44,5 @@ pub use hash::{FastHasher, FastMap, FastSet};
 pub use queue::EventQueue;
 pub use rng::{SimRng, Zipf};
 pub use server::{BandwidthServer, FifoServer};
-pub use stats::{Counter, Histogram, HopStats, LatencyHistogram, MeanTracker, Throughput};
+pub use stats::{HopStats, LatencyHistogram, MeanTracker};
 pub use time::{Freq, Time};

@@ -1,46 +1,6 @@
 //! Measurement primitives used by the experiment harness.
 
-use std::fmt;
-
 use crate::time::Time;
-
-/// A monotonically increasing event counter.
-///
-/// # Example
-///
-/// ```
-/// use sabre_sim::Counter;
-///
-/// let mut c = Counter::default();
-/// c.incr();
-/// c.add(4);
-/// assert_eq!(c.get(), 5);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Increments by one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increments by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// Running mean / min / max of a stream of samples (Welford-free: the
 /// experiments only need mean and extremes, so a simple sum suffices).
@@ -102,123 +62,12 @@ impl MeanTracker {
     }
 }
 
-/// A log-linear histogram of nanosecond-scale latencies.
-///
-/// Buckets are power-of-two ranges subdivided linearly (4 sub-buckets per
-/// octave), giving ~19% worst-case relative error on quantile estimates —
-/// plenty for latency reporting — with O(1) recording.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: f64,
-    max: f64,
-}
-
-const SUBBUCKETS: usize = 4;
-const OCTAVES: usize = 40; // up to 2^40 ns ≈ 18 minutes; beyond any latency
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: vec![0; OCTAVES * SUBBUCKETS],
-            count: 0,
-            sum: 0.0,
-            max: 0.0,
-        }
-    }
-
-    fn index_of(value: f64) -> usize {
-        if value < 1.0 {
-            return 0;
-        }
-        let v = value.min(f64::MAX);
-        let octave = (v.log2().floor() as usize).min(OCTAVES - 1);
-        let lower = (1u64 << octave) as f64;
-        let frac = ((v - lower) / lower * SUBBUCKETS as f64) as usize;
-        octave * SUBBUCKETS + frac.min(SUBBUCKETS - 1)
-    }
-
-    fn bucket_value(index: usize) -> f64 {
-        let octave = index / SUBBUCKETS;
-        let sub = index % SUBBUCKETS;
-        let lower = (1u64 << octave) as f64;
-        lower + lower * (sub as f64 + 0.5) / SUBBUCKETS as f64
-    }
-
-    /// Records one latency sample (nanoseconds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ns` is negative or NaN.
-    pub fn record(&mut self, ns: f64) {
-        assert!(ns >= 0.0, "negative latency sample: {ns}");
-        self.buckets[Self::index_of(ns)] += 1;
-        self.count += 1;
-        self.sum += ns;
-        self.max = self.max.max(ns);
-    }
-
-    /// Records a [`Time`] sample.
-    pub fn record_time(&mut self, t: Time) {
-        self.record(t.as_ns());
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the recorded samples (exact, not bucketed).
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// Approximate quantile `q` in `[0, 1]` (bucket midpoint estimate).
-    ///
-    /// Returns `None` when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        if self.count == 0 {
-            return None;
-        }
-        if q >= 1.0 {
-            return Some(self.max);
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= rank {
-                return Some(Self::bucket_value(i).min(self.max));
-            }
-        }
-        Some(self.max)
-    }
-
-    /// Exact maximum of the recorded samples.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
 /// A deterministic HDR-style log-linear histogram of integer nanosecond
 /// latencies, built for tail reporting that must stay **bit-identical**
 /// across execution knobs (event-loop shard count, worker-thread count).
 ///
-/// Unlike [`Histogram`] (which keeps float sums and is deliberately
-/// per-core only), every field here is an exact integer, and
+/// Unlike a [`MeanTracker`] (whose float sum is deliberately per-core
+/// only), every field here is an exact integer, and
 /// [`LatencyHistogram::merge`] is plain element-wise `u64` addition —
 /// associative and commutative — so per-core histograms can be reduced in
 /// any grouping (window barriers, node aggregation, whole-rack reports)
@@ -509,76 +358,9 @@ impl HopStats {
     }
 }
 
-/// Accumulates (bytes, completion time) pairs and reports goodput.
-///
-/// The experiments report *application throughput*: clean payload bytes
-/// successfully delivered per unit of simulated time.
-#[derive(Debug, Clone, Default)]
-pub struct Throughput {
-    bytes: u64,
-    ops: u64,
-    first: Option<Time>,
-    last: Time,
-}
-
-impl Throughput {
-    /// Creates an empty meter.
-    pub fn new() -> Self {
-        Throughput::default()
-    }
-
-    /// Records an operation that delivered `bytes` at time `at`.
-    pub fn record(&mut self, at: Time, bytes: u64) {
-        self.bytes += bytes;
-        self.ops += 1;
-        if self.first.is_none() {
-            self.first = Some(at);
-        }
-        self.last = self.last.max(at);
-    }
-
-    /// Total payload bytes delivered.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Total operations recorded.
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// Goodput in decimal GB/s over `[0, horizon]`.
-    ///
-    /// Using the full horizon (rather than first→last sample) avoids
-    /// overestimating throughput for short runs.
-    pub fn gbps(&self, horizon: Time) -> f64 {
-        if horizon == Time::ZERO {
-            return 0.0;
-        }
-        self.bytes as f64 / horizon.as_ns() // B/ns == GB/s
-    }
-
-    /// Operations per second over `[0, horizon]`.
-    pub fn ops_per_sec(&self, horizon: Time) -> f64 {
-        if horizon == Time::ZERO {
-            return 0.0;
-        }
-        self.ops as f64 / horizon.as_secs()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::default();
-        c.incr();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        assert_eq!(c.to_string(), "10");
-    }
 
     #[test]
     fn mean_tracker_basic() {
@@ -592,37 +374,6 @@ mod tests {
         assert_eq!(m.count(), 2);
         m.record_time(Time::from_ns(8));
         assert_eq!(m.max(), Some(8.0));
-    }
-
-    #[test]
-    fn histogram_quantiles_are_close() {
-        let mut h = Histogram::new();
-        for i in 1..=1000 {
-            h.record(i as f64);
-        }
-        let p50 = h.quantile(0.5).unwrap();
-        let p99 = h.quantile(0.99).unwrap();
-        assert!((p50 - 500.0).abs() / 500.0 < 0.25, "p50={p50}");
-        assert!((p99 - 990.0).abs() / 990.0 < 0.25, "p99={p99}");
-        assert_eq!(h.quantile(1.0), Some(1000.0));
-        assert_eq!(h.mean(), Some(500.5));
-    }
-
-    #[test]
-    fn histogram_handles_small_and_zero() {
-        let mut h = Histogram::new();
-        h.record(0.0);
-        h.record(0.5);
-        assert_eq!(h.count(), 2);
-        assert!(h.quantile(0.5).unwrap() <= 1.5);
-    }
-
-    #[test]
-    fn histogram_empty_quantile_none() {
-        let h = Histogram::new();
-        assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.mean(), None);
-        assert_eq!(h.max(), None);
     }
 
     #[test]
@@ -745,19 +496,5 @@ mod tests {
         assert_eq!(all.mean_hops(), 3.0);
         assert_eq!(HopStats::default().mean_hops(), 0.0);
         assert_eq!(HopStats::default().spine_share(), 0.0);
-    }
-
-    #[test]
-    fn throughput_gbps() {
-        let mut t = Throughput::new();
-        // 100 ops of 1 KB each over 1 us => 100 KB / 1 us = 100 GB/s.
-        for i in 0..100 {
-            t.record(Time::from_ns(10 * (i + 1)), 1000);
-        }
-        let g = t.gbps(Time::from_us(1));
-        assert!((g - 100.0).abs() < 1e-9, "{g}");
-        assert_eq!(t.ops(), 100);
-        assert_eq!(t.bytes(), 100_000);
-        assert_eq!(Throughput::new().gbps(Time::ZERO), 0.0);
     }
 }

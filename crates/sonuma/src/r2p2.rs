@@ -97,57 +97,55 @@ pub enum R2p2Action {
     Send(Packet),
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Pending {
-    CasApply {
-        reply_node: NodeId,
-        reply_pipe: PipeId,
-        transfer: u32,
-    },
-    UnlockApply {
-        reply_node: NodeId,
-        reply_pipe: PipeId,
-        transfer: u32,
-    },
-    PlainRead {
-        reply_node: NodeId,
-        reply_pipe: PipeId,
-        transfer: u32,
-        block_index: u32,
-    },
-    WriteApply {
-        reply_node: NodeId,
-        reply_pipe: PipeId,
-        transfer: u32,
-        block_index: u32,
-    },
-    SabreData {
-        slot: SlotId,
-        block_index: u32,
-    },
-    SabreValidate {
-        slot: SlotId,
-    },
-    SabreLock {
-        slot: SlotId,
-    },
-    CaptureRead {
-        capture: u64,
-        block: BlockAddr,
-    },
-    CatchUpRead {
-        reply_node: NodeId,
-        reply_pipe: PipeId,
-        transfer: u32,
-        block_index: u32,
-    },
+impl R2p2Action {
+    /// The cache block a memory access touches: the data block of a read
+    /// or write, the version/lock word's block of a lock, CAS or unlock.
+    /// `None` for a send, which touches no memory.
+    pub fn block(&self) -> Option<BlockAddr> {
+        match *self {
+            R2p2Action::MemRead { block, .. } | R2p2Action::MemWrite { block, .. } => Some(block),
+            R2p2Action::LockRmw { version_addr, .. }
+            | R2p2Action::LockRelease { version_addr }
+            | R2p2Action::WriterCas { version_addr, .. }
+            | R2p2Action::WriterUnlock { version_addr, .. } => Some(version_addr.block()),
+            R2p2Action::Send(_) => None,
+        }
+    }
 }
 
+/// What an issued memory token completes. Work that answers a requester
+/// directly carries the [`Route`] of its reply.
+#[derive(Debug, Clone, Copy)]
+enum Pending {
+    CasApply(Route),
+    UnlockApply(Route),
+    PlainRead { route: Route, block_index: u32 },
+    WriteApply { route: Route, block_index: u32 },
+    CatchUpRead { route: Route, block_index: u32 },
+    SabreData { slot: SlotId, block_index: u32 },
+    SabreValidate { slot: SlotId },
+    SabreLock { slot: SlotId },
+    CaptureRead { capture: u64, block: BlockAddr },
+}
+
+/// Where a reply goes: the requester's node and pipeline, and the
+/// transfer it belongs to.
 #[derive(Debug, Clone, Copy)]
 struct Route {
     node: NodeId,
     pipe: PipeId,
     transfer: u32,
+}
+
+impl Route {
+    /// The route back to the sender of request `pkt`.
+    fn back_to(pkt: &Packet, transfer: u32) -> Route {
+        Route {
+            node: pkt.src_node,
+            pipe: pkt.src_pipe,
+            transfer,
+        }
+    }
 }
 
 /// A live server-side object capture and where its image streams back to.
@@ -348,6 +346,28 @@ impl R2p2 {
         MemToken(t)
     }
 
+    /// Retires `token`, returning the work it was issued for.
+    ///
+    /// # Panics
+    ///
+    /// Panics on unknown tokens (wiring bug).
+    fn take(&mut self, token: MemToken) -> Pending {
+        self.pending
+            .remove(&token.0)
+            .unwrap_or_else(|| panic!("unknown memory token {token:?}"))
+    }
+
+    /// The reply `kind` from this pipeline along `route`.
+    fn reply(&self, route: Route, kind: PacketKind) -> R2p2Action {
+        R2p2Action::Send(Packet {
+            src_node: self.node,
+            src_pipe: self.pipe,
+            dst_node: route.node,
+            dst_pipe: route.pipe,
+            kind,
+        })
+    }
+
     /// Consumes one inbound request packet. Returns `true` if new issuable
     /// work may exist (the pump should be (re)scheduled).
     ///
@@ -368,9 +388,7 @@ impl R2p2 {
         if self.catching_up > 0 {
             if let PacketKind::CatchUpReq { transfer, .. } = pkt.kind {
                 self.stats.catch_up_refused += 1;
-                self.ready.push_back(R2p2Action::Send(
-                    pkt.reply_to(PacketKind::ReadRefused { transfer }),
-                ));
+                self.refuse(pkt, transfer);
                 return true;
             }
             let transfer = match pkt.kind {
@@ -385,9 +403,7 @@ impl R2p2 {
                     self.stats.stale_served += 1;
                 } else {
                     self.stats.reads_refused += 1;
-                    self.ready.push_back(R2p2Action::Send(
-                        pkt.reply_to(PacketKind::ReadRefused { transfer }),
-                    ));
+                    self.refuse(pkt, transfer);
                     return true;
                 }
             }
@@ -400,9 +416,7 @@ impl R2p2 {
             } => {
                 self.stats.plain_reads += 1;
                 let token = self.token(Pending::PlainRead {
-                    reply_node: pkt.src_node,
-                    reply_pipe: pkt.src_pipe,
-                    transfer,
+                    route: Route::back_to(pkt, transfer),
                     block_index,
                 });
                 self.ready.push_back(R2p2Action::MemRead {
@@ -420,9 +434,7 @@ impl R2p2 {
             } => {
                 self.stats.writes += 1;
                 let token = self.token(Pending::WriteApply {
-                    reply_node: pkt.src_node,
-                    reply_pipe: pkt.src_pipe,
-                    transfer,
+                    route: Route::back_to(pkt, transfer),
                     block_index,
                 });
                 self.ready.push_back(R2p2Action::MemWrite {
@@ -433,11 +445,7 @@ impl R2p2 {
                 true
             }
             PacketKind::CasReq { addr, transfer } => {
-                let token = self.token(Pending::CasApply {
-                    reply_node: pkt.src_node,
-                    reply_pipe: pkt.src_pipe,
-                    transfer,
-                });
+                let token = self.token(Pending::CasApply(Route::back_to(pkt, transfer)));
                 self.ready.push_back(R2p2Action::WriterCas {
                     token,
                     version_addr: addr,
@@ -445,11 +453,7 @@ impl R2p2 {
                 true
             }
             PacketKind::UnlockReq { addr, transfer } => {
-                let token = self.token(Pending::UnlockApply {
-                    reply_node: pkt.src_node,
-                    reply_pipe: pkt.src_pipe,
-                    transfer,
-                });
+                let token = self.token(Pending::UnlockApply(Route::back_to(pkt, transfer)));
                 self.ready.push_back(R2p2Action::WriterUnlock {
                     token,
                     version_addr: addr,
@@ -501,9 +505,7 @@ impl R2p2 {
                     .enumerate()
                 {
                     let token = self.token(Pending::CatchUpRead {
-                        reply_node: pkt.src_node,
-                        reply_pipe: pkt.src_pipe,
-                        transfer,
+                        route: Route::back_to(pkt, transfer),
                         block_index: i as u32,
                     });
                     self.ready.push_back(R2p2Action::MemRead {
@@ -544,6 +546,15 @@ impl R2p2 {
         }
     }
 
+    /// Queues the epoch/seq guard's refusal of request `pkt`.
+    fn refuse(&mut self, pkt: &Packet, transfer: u32) {
+        let refusal = self.reply(
+            Route::back_to(pkt, transfer),
+            PacketKind::ReadRefused { transfer },
+        );
+        self.ready.push_back(refusal);
+    }
+
     /// Starts a server-side object capture for a WfRegister / Oh-RAM read
     /// and queues its first memory reads.
     fn start_capture(
@@ -562,11 +573,7 @@ impl R2p2 {
             id,
             CaptureCtx {
                 capture,
-                route: Route {
-                    node: pkt.src_node,
-                    pipe: pkt.src_pipe,
-                    transfer,
-                },
+                route: Route::back_to(pkt, transfer),
             },
         );
         self.queue_capture_step(id, step);
@@ -687,58 +694,35 @@ impl R2p2 {
     ///
     /// # Panics
     ///
-    /// Panics on unknown tokens (wiring bug).
+    /// Panics on unknown or non-read tokens (wiring bug).
     pub fn on_mem_reply(&mut self, token: MemToken, data: Block) -> Vec<R2p2Action> {
-        let pending = self
-            .pending
-            .remove(&token.0)
-            .unwrap_or_else(|| panic!("unknown memory token {token:?}"));
-        match pending {
-            Pending::PlainRead {
-                reply_node,
-                reply_pipe,
-                transfer,
-                block_index,
-            } => vec![R2p2Action::Send(Packet {
-                src_node: self.node,
-                src_pipe: self.pipe,
-                dst_node: reply_node,
-                dst_pipe: reply_pipe,
-                kind: PacketKind::ReadReply {
-                    transfer,
+        match self.take(token) {
+            Pending::PlainRead { route, block_index } => vec![self.reply(
+                route,
+                PacketKind::ReadReply {
+                    transfer: route.transfer,
                     block_index,
                     data,
                 },
-            })],
-            Pending::CatchUpRead {
-                reply_node,
-                reply_pipe,
-                transfer,
-                block_index,
-            } => vec![R2p2Action::Send(Packet {
-                src_node: self.node,
-                src_pipe: self.pipe,
-                dst_node: reply_node,
-                dst_pipe: reply_pipe,
-                kind: PacketKind::CatchUpReply {
-                    transfer,
+            )],
+            Pending::CatchUpRead { route, block_index } => vec![self.reply(
+                route,
+                PacketKind::CatchUpReply {
+                    transfer: route.transfer,
                     block_index,
                     data,
                 },
-            })],
+            )],
             Pending::SabreData { slot, block_index } => {
                 let route = self.routes[&slot.0];
-                let mut out = vec![R2p2Action::Send(Packet {
-                    src_node: self.node,
-                    src_pipe: self.pipe,
-                    dst_node: route.node,
-                    dst_pipe: route.pipe,
-                    kind: PacketKind::SabreReply {
+                let mut out = vec![self.reply(
+                    route,
+                    PacketKind::SabreReply {
                         transfer: route.transfer,
                         block_index,
                         data,
                     },
-                })];
+                )];
                 let actions = self.engine.on_block_reply(slot, block_index, &data.0);
                 self.extend_with_completions(&mut out, actions);
                 out
@@ -765,31 +749,25 @@ impl R2p2 {
                     CaptureStep::Deliver(image) => {
                         let ctx = self.captures.remove(&capture).expect("live capture");
                         self.stats.capture_restarts += ctx.capture.restarts();
+                        let route = ctx.route;
                         image
                             .into_iter()
                             .enumerate()
                             .map(|(i, b)| {
-                                R2p2Action::Send(Packet {
-                                    src_node: self.node,
-                                    src_pipe: self.pipe,
-                                    dst_node: ctx.route.node,
-                                    dst_pipe: ctx.route.pipe,
-                                    kind: PacketKind::ReadReply {
-                                        transfer: ctx.route.transfer,
+                                self.reply(
+                                    route,
+                                    PacketKind::ReadReply {
+                                        transfer: route.transfer,
                                         block_index: i as u32,
                                         data: Block(b),
                                     },
-                                })
+                                )
                             })
                             .collect()
                     }
                 }
             }
-            Pending::WriteApply { .. } => panic!("write token completed as a read"),
-            Pending::SabreLock { .. } => panic!("lock token completed as a read"),
-            Pending::CasApply { .. } | Pending::UnlockApply { .. } => {
-                panic!("CAS/unlock token completed as a read")
-            }
+            other => panic!("read completion for a non-read token: {other:?}"),
         }
     }
 
@@ -797,20 +775,16 @@ impl R2p2 {
     ///
     /// # Panics
     ///
-    /// Panics on unknown tokens.
+    /// Panics on unknown or non-CAS tokens.
     pub fn on_cas_done(&mut self, token: MemToken, acquired: bool) -> Vec<R2p2Action> {
-        match self.pending.remove(&token.0) {
-            Some(Pending::CasApply {
-                reply_node,
-                reply_pipe,
-                transfer,
-            }) => vec![R2p2Action::Send(Packet {
-                src_node: self.node,
-                src_pipe: self.pipe,
-                dst_node: reply_node,
-                dst_pipe: reply_pipe,
-                kind: PacketKind::CasReply { transfer, acquired },
-            })],
+        match self.take(token) {
+            Pending::CasApply(route) => vec![self.reply(
+                route,
+                PacketKind::CasReply {
+                    transfer: route.transfer,
+                    acquired,
+                },
+            )],
             other => panic!("CAS completion for non-CAS token: {other:?}"),
         }
     }
@@ -819,20 +793,15 @@ impl R2p2 {
     ///
     /// # Panics
     ///
-    /// Panics on unknown tokens.
+    /// Panics on unknown or non-unlock tokens.
     pub fn on_unlock_done(&mut self, token: MemToken) -> Vec<R2p2Action> {
-        match self.pending.remove(&token.0) {
-            Some(Pending::UnlockApply {
-                reply_node,
-                reply_pipe,
-                transfer,
-            }) => vec![R2p2Action::Send(Packet {
-                src_node: self.node,
-                src_pipe: self.pipe,
-                dst_node: reply_node,
-                dst_pipe: reply_pipe,
-                kind: PacketKind::UnlockAck { transfer },
-            })],
+        match self.take(token) {
+            Pending::UnlockApply(route) => vec![self.reply(
+                route,
+                PacketKind::UnlockAck {
+                    transfer: route.transfer,
+                },
+            )],
             other => panic!("unlock completion for non-unlock token: {other:?}"),
         }
     }
@@ -841,24 +810,16 @@ impl R2p2 {
     ///
     /// # Panics
     ///
-    /// Panics on unknown tokens.
+    /// Panics on unknown or non-write tokens.
     pub fn on_mem_write_done(&mut self, token: MemToken) -> Vec<R2p2Action> {
-        match self.pending.remove(&token.0) {
-            Some(Pending::WriteApply {
-                reply_node,
-                reply_pipe,
-                transfer,
-                block_index,
-            }) => vec![R2p2Action::Send(Packet {
-                src_node: self.node,
-                src_pipe: self.pipe,
-                dst_node: reply_node,
-                dst_pipe: reply_pipe,
-                kind: PacketKind::WriteAck {
-                    transfer,
+        match self.take(token) {
+            Pending::WriteApply { route, block_index } => vec![self.reply(
+                route,
+                PacketKind::WriteAck {
+                    transfer: route.transfer,
                     block_index,
                 },
-            })],
+            )],
             other => panic!("write completion for non-write token: {other:?}"),
         }
     }
@@ -867,10 +828,10 @@ impl R2p2 {
     ///
     /// # Panics
     ///
-    /// Panics on unknown tokens.
+    /// Panics on unknown or non-lock tokens.
     pub fn on_lock_reply(&mut self, token: MemToken, acquired: bool) -> Vec<R2p2Action> {
-        match self.pending.remove(&token.0) {
-            Some(Pending::SabreLock { slot }) => {
+        match self.take(token) {
+            Pending::SabreLock { slot } => {
                 let mut out = Vec::new();
                 let actions = self.engine.on_lock_reply(slot, acquired);
                 self.extend_with_completions(&mut out, actions);
@@ -899,16 +860,13 @@ impl R2p2 {
                 .routes
                 .remove(&slot.0)
                 .unwrap_or_else(|| panic!("completion for routeless slot of {id}"));
-            out.push(R2p2Action::Send(Packet {
-                src_node: self.node,
-                src_pipe: self.pipe,
-                dst_node: route.node,
-                dst_pipe: route.pipe,
-                kind: PacketKind::SabreValidation {
+            out.push(self.reply(
+                route,
+                PacketKind::SabreValidation {
                     transfer: route.transfer,
                     atomic,
                 },
-            }));
+            ));
             self.try_unpark();
         }
     }
@@ -954,6 +912,61 @@ mod tests {
             }));
         }
         v
+    }
+
+    #[test]
+    fn every_memory_access_names_its_block() {
+        let token = MemToken(0);
+        let data_block = BlockAddr::from_index(3);
+        let version_addr = Addr::new(5 * BLOCK_BYTES as u64 + 8);
+        let word_block = BlockAddr::from_index(5);
+        let cases = [
+            (
+                R2p2Action::MemRead {
+                    token,
+                    block: data_block,
+                    kind: ReadKind::Plain,
+                },
+                Some(data_block),
+            ),
+            (
+                R2p2Action::MemWrite {
+                    token,
+                    block: data_block,
+                    data: Block::ZERO,
+                },
+                Some(data_block),
+            ),
+            (
+                R2p2Action::LockRmw {
+                    token,
+                    version_addr,
+                },
+                Some(word_block),
+            ),
+            (R2p2Action::LockRelease { version_addr }, Some(word_block)),
+            (
+                R2p2Action::WriterCas {
+                    token,
+                    version_addr,
+                },
+                Some(word_block),
+            ),
+            (
+                R2p2Action::WriterUnlock {
+                    token,
+                    version_addr,
+                },
+                Some(word_block),
+            ),
+            (
+                R2p2Action::Send(req(PacketKind::UnlockAck { transfer: 0 })),
+                None,
+            ),
+        ];
+        for (action, block) in cases {
+            assert_eq!(action.block(), block, "{action:?}");
+        }
     }
 
     #[test]
