@@ -9,10 +9,10 @@ use std::hint::black_box;
 use sabre_core::{LightSabres, LightSabresConfig, SabreId, StreamBuffer};
 use sabre_mem::{Addr, BlockAddr, Llc, NodeMemory, BLOCK_BYTES};
 use sabre_rack::workloads::{UpdatePlan, WriterLayout};
-use sabre_rack::{spec, Cluster, ClusterConfig, ReadMechanism, ScenarioBuilder};
+use sabre_rack::{spec, Arrivals, Cluster, ClusterConfig, ReadMechanism, ScenarioBuilder};
 use sabre_sim::{CalendarQueue, EventQueue, LatencyHistogram, Time};
 use sabre_sonuma::{Block, Packet, PacketKind, R2p2, R2p2Action};
-use sabre_sw::layout::PerClLayout;
+use sabre_sw::layout::{CleanLayout, PerClLayout};
 use sabre_sw::{crc64_ecma, crc64_ecma_scalar, VersionWord};
 
 fn bench_stream_buffer(c: &mut Criterion) {
@@ -319,6 +319,35 @@ fn quiet_cluster(cfg: ClusterConfig, targets: [(usize, usize); 2]) -> Cluster {
     cluster
 }
 
+/// The 8-node rack with two Poisson reader cores per reader node, each
+/// mixing plain 1 KB reads and one-sided writes half and half against its
+/// paired store node, warmed past cold start — every block of every
+/// transfer runs through the node queues' same-instant lane and slab, the
+/// reused packet buffers and the window merge.
+fn busy_write_mix_rack() -> Cluster {
+    let cfg = ScenarioBuilder::new().nodes(8).config().clone();
+    let readers = cfg.topology.reader_nodes();
+    let stores = cfg.topology.store_nodes();
+    let slot = CleanLayout::object_bytes(1024) as u32;
+    let objects: Vec<Addr> = (0..128).map(|i| Addr::new(i * slot as u64)).collect();
+    let mut cluster = Cluster::new(cfg);
+    for (&reader, &store) in readers.iter().zip(&stores) {
+        for core in 0..2 {
+            let program = spec()
+                .store(store)
+                .payload(1024)
+                .wire(slot)
+                .objects(objects.clone())
+                .arrivals(Arrivals::Poisson { ops_per_us: 0.8 })
+                .mix(0.5)
+                .build(&objects);
+            cluster.add_workload(reader, core, program);
+        }
+    }
+    cluster.run_for(Time::from_us(20));
+    cluster
+}
+
 fn bench_window_scheduler(c: &mut Criterion) {
     let mut g = c.benchmark_group("window_scheduler");
     // 30 of 32 mesh nodes never have an event: each fabric-lookahead
@@ -346,6 +375,12 @@ fn bench_window_scheduler(c: &mut Criterion) {
     };
     g.bench_function("quiet_datacenter_256n_advance_2us", |b| {
         b.iter(|| black_box(&mut dc).run_for(Time::from_us(2)))
+    });
+    // The opposite regime: every reader node busy, ~1.5k events per 2 us
+    // on the per-block read/write path.
+    let mut busy = busy_write_mix_rack();
+    g.bench_function("busy_rack_8n_write_mix_2us", |b| {
+        b.iter(|| black_box(&mut busy).run_for(Time::from_us(2)))
     });
     g.finish();
 }

@@ -654,25 +654,60 @@ impl<M> ShardRouter<M> {
     /// shards. The order contract is identical: `(arrival time, source
     /// node, per-source push order)`, independent of the iteration order
     /// of `outboxes` (sources tag their messages).
+    ///
+    /// Allocates its result; a loop that merges every window uses
+    /// [`ShardRouter::merge_sorted_into`] with a buffer it keeps.
     pub fn merge_sorted<'a>(
         outboxes: impl IntoIterator<Item = &'a mut Outbox<M>>,
     ) -> Vec<(Time, usize, M)>
     where
         M: 'a,
     {
-        let mut tagged: Vec<(Time, usize, usize, usize, M)> = Vec::new();
+        let mut merged = Vec::new();
+        Self::merge_sorted_into(outboxes, &mut merged);
+        merged.into_iter().map(|m| (m.at, m.dst, m.msg)).collect()
+    }
+
+    /// [`ShardRouter::merge_sorted`] into a caller-owned buffer: clears
+    /// `out`, then fills it with the drained messages in merge order. A
+    /// buffer reused across barriers stops allocating once it has grown
+    /// to the largest merge. The `(at, src, idx)` key is unique, so the
+    /// unstable sort yields exactly the stable order.
+    pub fn merge_sorted_into<'a>(
+        outboxes: impl IntoIterator<Item = &'a mut Outbox<M>>,
+        out: &mut Vec<Merged<M>>,
+    ) where
+        M: 'a,
+    {
+        out.clear();
         for outbox in outboxes {
             let src = outbox.src;
-            for (idx, p) in outbox.pending.drain(..).enumerate() {
-                tagged.push((p.at, src, idx, p.dst, p.msg));
-            }
+            out.extend(outbox.pending.drain(..).enumerate().map(|(idx, p)| Merged {
+                at: p.at,
+                src,
+                idx,
+                dst: p.dst,
+                msg: p.msg,
+            }));
         }
-        tagged.sort_by_key(|t| (t.0, t.1, t.2));
-        tagged
-            .into_iter()
-            .map(|(at, _, _, dst, m)| (at, dst, m))
-            .collect()
+        out.sort_unstable_by_key(|m| (m.at, m.src, m.idx));
     }
+}
+
+/// One message drained by [`ShardRouter::merge_sorted_into`], with its
+/// full merge key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Merged<M> {
+    /// Arrival time at the destination.
+    pub at: Time,
+    /// Source node.
+    pub src: usize,
+    /// Position in the source's push order within this drain.
+    pub idx: usize,
+    /// Destination node.
+    pub dst: usize,
+    /// The message.
+    pub msg: M,
 }
 
 #[cfg(test)]
@@ -1002,6 +1037,28 @@ mod tests {
         assert_eq!(r.in_flight(), 0);
         assert_eq!(r.pushed_total(), 5);
         assert_eq!(r.drained_total(), 5);
+    }
+
+    #[test]
+    fn merge_into_a_reused_buffer_replaces_its_contents() {
+        let t = Time::from_ns(100);
+        let mut r: ShardRouter<&str> = ShardRouter::new(3);
+        let mut out = Vec::new();
+        r.push(2, 0, t, "stale");
+        ShardRouter::merge_sorted_into(r.outboxes_mut().iter_mut(), &mut out);
+        // Scrambled sources and a tie, merged through the lent-out
+        // outboxes in reverse source order.
+        r.push(2, 0, t, "c0");
+        r.push(0, 1, t, "a0");
+        r.push(1, 0, Time::from_ns(50), "b-early");
+        r.push(0, 2, t, "a1");
+        ShardRouter::merge_sorted_into(r.outboxes_mut().iter_mut().rev(), &mut out);
+        let order: Vec<(&str, usize, usize)> = out.iter().map(|m| (m.msg, m.src, m.idx)).collect();
+        assert_eq!(
+            order,
+            vec![("b-early", 1, 0), ("a0", 0, 0), ("a1", 0, 1), ("c0", 2, 0)]
+        );
+        assert_eq!(r.in_flight(), 0);
     }
 
     #[test]

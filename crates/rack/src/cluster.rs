@@ -57,10 +57,31 @@
 //! run that resolves to one thread advances **all nodes as one
 //! scheduling domain** (one hint heap, one drain, one merge per window)
 //! whatever [`ClusterConfig::shards`] says. Shards exist only to hand
-//! node ranges to worker threads. Each node's queue is a plain
-//! [`EventQueue`] binary heap: end to end it beat the bucketed
-//! `CalendarQueue` on every benchmark workload, and it needs no
-//! pre-allocated buckets per node.
+//! node ranges to worker threads.
+//!
+//! # The node queue and the allocation-free hot path
+//!
+//! Each node's queue pops in exactly the `(time, schedule order)` of an
+//! [`EventQueue`] of events, but moves them less. Events waiting for a
+//! later instant sit in a per-node slab with a free list, and the heap is
+//! an `EventQueue<u32>` of slot keys (24-byte entries, not 120-byte
+//! ones). An event scheduled at the instant the queue last popped — a
+//! pump re-arming itself, a reply sent the moment its block is read —
+//! goes to a FIFO *same-instant lane* and never touches the heap. A pop
+//! takes a heap head at that instant first, then the lane, then the rest
+//! of the heap: every heap entry at the last-popped instant `T` was
+//! scheduled before the first pop at `T`, and every lane entry after it,
+//! so the order is exact. A message the merge delivers at `T` finds the
+//! lane empty and nothing at `T` left on the heap, because the drain
+//! popped everything up to the window end.
+//!
+//! Nothing else on the per-event path allocates once a run is warm:
+//! R2P2 completions and the RGP unroll append their packets to a per-node
+//! buffer (the `*_into` forms of [`R2p2`] and [`SourcePipeline`]), a
+//! one-sided write reads its payload straight from the node's memory, and
+//! the window merge fills a buffer kept by its scheduling domain, which
+//! lives in the [`Cluster`] between runs. [`Cluster::events_handled`]
+//! counts the handled events by kind.
 //!
 //! # O(active) window scheduling
 //!
@@ -85,12 +106,12 @@
 //! the outboxes that sent during the window, not one per node.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
-use sabre_fabric::{Fabric, FabricPort, Outbox, ShardRouter};
+use sabre_fabric::{Fabric, FabricPort, Merged, Outbox, ShardRouter};
 use sabre_mem::{Addr, BlockAddr, Llc, MemSystem, NodeMemory, ServiceLevel, BLOCK_BYTES};
 use sabre_sim::{EventQueue, FifoServer, SimRng, Time};
 use sabre_sonuma::r2p2::{R2p2Action, R2p2Stats};
@@ -137,6 +158,167 @@ enum Event {
     },
 }
 
+impl Event {
+    /// The event's kind: its index into a node's handled-event counts,
+    /// in [`EventCounts`] field order.
+    fn kind(&self) -> usize {
+        match self {
+            Event::FabricSend(_) => 0,
+            Event::PacketArrive(_) => 1,
+            Event::Pump { .. } => 2,
+            Event::MemDone { .. } => 3,
+            Event::Wake { .. } => 4,
+            Event::Complete { .. } => 5,
+            Event::RpcDeliver { .. } => 6,
+            Event::RpcReplyDeliver { .. } => 7,
+        }
+    }
+}
+
+/// Events a cluster has handled, by kind, summed over every node (see
+/// [`Cluster::events_handled`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventCounts {
+    /// Packets handed to the fabric at their source.
+    pub fabric_sends: u64,
+    /// Packets arriving at their destination node.
+    pub packet_arrivals: u64,
+    /// Firings of an R2P2's issue pump.
+    pub pumps: u64,
+    /// Destination memory accesses completed (reads, writes, lock, CAS
+    /// and unlock RMWs, lock releases).
+    pub mem_done: u64,
+    /// Workload wake-ups.
+    pub wakes: u64,
+    /// Completions delivered to issuing cores.
+    pub completions: u64,
+    /// RPC requests delivered to their target cores.
+    pub rpc_deliveries: u64,
+    /// RPC replies delivered to their requesting cores.
+    pub rpc_reply_deliveries: u64,
+}
+
+impl EventCounts {
+    fn from_kinds(k: [u64; 8]) -> Self {
+        EventCounts {
+            fabric_sends: k[0],
+            packet_arrivals: k[1],
+            pumps: k[2],
+            mem_done: k[3],
+            wakes: k[4],
+            completions: k[5],
+            rpc_deliveries: k[6],
+            rpc_reply_deliveries: k[7],
+        }
+    }
+
+    /// Events of every kind.
+    pub fn total(&self) -> u64 {
+        self.fabric_sends
+            + self.packet_arrivals
+            + self.pumps
+            + self.mem_done
+            + self.wakes
+            + self.completions
+            + self.rpc_deliveries
+            + self.rpc_reply_deliveries
+    }
+}
+
+/// A node's event queue: the `(time, schedule order)` priority queue of
+/// [`EventQueue`], built so that events rarely move.
+///
+/// * Events waiting on the heap live in a slab with a free list; the
+///   heap orders 4-byte slot keys (24-byte entries instead of
+///   `(time, seq, Event)` ones), so a sift moves keys, not events.
+/// * An event scheduled at exactly the last-popped instant goes to a FIFO
+///   *same-instant lane* and never touches the heap. Where traffic is
+///   per-block reads and writes, a fifth to a third of all schedules are
+///   such zero-delay follow-ups (a pump re-arming at its own instant, a
+///   reply sent the moment its block is read).
+///
+/// Popping prefers a heap head at the last-popped instant over the lane,
+/// then the lane, then the heap. That is exact `(at, seq)` order: lane
+/// entries are at the last-popped instant `T` and were scheduled after
+/// the first pop at `T`, while every heap entry at `T` was scheduled
+/// before it (once `T` has been popped, new work at `T` goes to the
+/// lane). A message the window merge delivers at the last-popped instant
+/// joins the lane too; it finds the lane empty and nothing at `T` left on
+/// the heap, because the drain popped everything up to the window end.
+struct NodeQueue<E> {
+    /// Slot keys of the events at a later instant, by `(at, seq)`.
+    heap: EventQueue<u32>,
+    /// Events waiting on the heap, by slot key; `None` marks a free slot.
+    slab: Vec<Option<E>>,
+    /// Free slot keys.
+    free: Vec<u32>,
+    /// Events scheduled at `last` after it was first popped, in order.
+    lane: VecDeque<E>,
+    /// The last-popped instant.
+    last: Time,
+}
+
+impl<E> NodeQueue<E> {
+    fn new() -> Self {
+        NodeQueue {
+            heap: EventQueue::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            lane: VecDeque::new(),
+            last: Time::ZERO,
+        }
+    }
+
+    /// Schedules `event` at `at`, which must not precede the last pop.
+    fn schedule(&mut self, at: Time, event: E) {
+        debug_assert!(at >= self.last, "event scheduled in the past");
+        if at == self.last {
+            self.lane.push_back(event);
+            return;
+        }
+        let key = match self.free.pop() {
+            Some(key) => {
+                self.slab[key as usize] = Some(event);
+                key
+            }
+            None => {
+                self.slab.push(Some(event));
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
+            }
+        };
+        self.heap.schedule(at, key);
+    }
+
+    /// Time of the earliest pending event.
+    fn peek_time(&self) -> Option<Time> {
+        if self.lane.is_empty() {
+            self.heap.peek_time()
+        } else {
+            Some(self.last)
+        }
+    }
+
+    /// Removes and returns the earliest pending event if it is due at or
+    /// before `end`.
+    fn pop_until(&mut self, end: Time) -> Option<(Time, E)> {
+        let head = self.heap.peek_time();
+        if !self.lane.is_empty() && head != Some(self.last) {
+            if self.last > end {
+                return None;
+            }
+            return self.lane.pop_front().map(|e| (self.last, e));
+        }
+        if head? > end {
+            return None;
+        }
+        let (at, key) = self.heap.pop().expect("peeked");
+        self.last = at;
+        let event = self.slab[key as usize].take().expect("a live slot");
+        self.free.push(key);
+        Some((at, event))
+    }
+}
+
 /// Everything one node owns: simulated hardware, functional memory, the
 /// node's event queue, and the per-core workload/measurement state. A
 /// shard is a contiguous slice of these — the unit one worker thread
@@ -151,7 +333,12 @@ struct NodeCtx {
     pipelines: Vec<SourcePipeline>,
     rgp_unroll: Vec<FifoServer>,
     /// This node's own event queue.
-    queue: EventQueue<Event>,
+    queue: NodeQueue<Event>,
+    /// Reused buffer for the packets an R2P2 completion or an RGP unroll
+    /// emits; always empty between events.
+    sends: Vec<Packet>,
+    /// Events handled, by [`Event::kind`].
+    handled: [u64; 8],
     /// Monotonicity watermark of the node's local event time; during
     /// event handling this *is* the current simulated instant.
     now: Time,
@@ -170,6 +357,9 @@ pub struct Cluster {
     fabric: Fabric,
     router: ShardRouter<Event>,
     nodes: Vec<NodeCtx>,
+    /// Per-domain window bookkeeping, kept across runs so its buffers
+    /// stay grown.
+    scheds: Vec<Sched>,
     started: bool,
 }
 
@@ -210,7 +400,9 @@ impl Cluster {
                     .map(|p| SourcePipeline::new(n as u8, p as u8, cfg.rmc_backends as u8))
                     .collect(),
                 rgp_unroll: vec![FifoServer::new(); cfg.rmc_backends],
-                queue: EventQueue::new(),
+                queue: NodeQueue::new(),
+                sends: Vec::new(),
+                handled: [0; 8],
                 now: Time::ZERO,
                 workloads: (0..cfg.cores_per_node).map(|_| None).collect(),
                 metrics: vec![CoreMetrics::default(); cfg.cores_per_node],
@@ -226,6 +418,7 @@ impl Cluster {
             fabric: Fabric::new(cfg.fabric.clone()),
             router: ShardRouter::new(cfg.nodes),
             nodes,
+            scheds: Vec::new(),
             now: Time::ZERO,
             started: false,
             cfg,
@@ -289,12 +482,14 @@ impl Cluster {
     }
 
     /// Resets every measurement sink — per-core [`CoreMetrics`], per-pipe
-    /// R2P2 counters and LightSABRes engine counters — without disturbing
+    /// R2P2 counters, LightSABRes engine counters and
+    /// [`Cluster::events_handled`] — without disturbing
     /// simulation state (functional memory, LLC contents, in-flight
     /// events). This is the warmup-window primitive: run the warmup phase,
     /// reset, then measure.
     pub fn reset_metrics(&mut self) {
         for node in &mut self.nodes {
+            node.handled = [0; 8];
             for m in &mut node.metrics {
                 m.reset();
             }
@@ -302,6 +497,20 @@ impl Cluster {
                 r2p2.reset_stats();
             }
         }
+    }
+
+    /// Events handled since the cluster was built or its metrics were last
+    /// reset, by kind, summed over every node. Each simulated block
+    /// transfer costs a handful of events, so these counts are what
+    /// per-event host costs multiply by.
+    pub fn events_handled(&self) -> EventCounts {
+        let mut kinds = [0u64; 8];
+        for node in &self.nodes {
+            for (sum, n) in kinds.iter_mut().zip(node.handled) {
+                *sum += n;
+            }
+        }
+        EventCounts::from_kinds(kinds)
     }
 
     /// R2P2 statistics of one destination pipeline.
@@ -378,15 +587,18 @@ impl Cluster {
         let cfg = &self.cfg;
         let (_, ports) = self.fabric.split();
         let outboxes = self.router.outboxes_mut();
-        let mut scheds: Vec<Sched> = (0..cfg.nodes.div_ceil(per_shard))
-            .map(|_| Sched::default())
-            .collect();
+        self.scheds
+            .resize_with(cfg.nodes.div_ceil(per_shard), Sched::default);
+        for sched in &mut self.scheds {
+            // The seed pass below re-hints every pending queue head.
+            sched.active.clear();
+        }
         let mut tasks: Vec<ShardExec<'_>> = self
             .nodes
             .chunks_mut(per_shard)
             .zip(ports.chunks_mut(per_shard))
             .zip(outboxes.chunks_mut(per_shard))
-            .zip(scheds.iter_mut())
+            .zip(self.scheds.iter_mut())
             .enumerate()
             .map(|(i, (((nodes, ports), outboxes), sched))| ShardExec {
                 cfg,
@@ -582,14 +794,18 @@ impl Cluster {
     fn merge_deliver(tasks: &mut [&mut ShardExec<'_>], per_shard: usize, window_end: Time) {
         let cfg = tasks[0].cfg;
         let faults = !cfg.fault.is_empty();
-        let merged = ShardRouter::merge_sorted(tasks.iter_mut().flat_map(|t| t.sent_outboxes()));
+        let mut merged = std::mem::take(&mut tasks[0].sched.merged);
+        ShardRouter::merge_sorted_into(
+            tasks.iter_mut().flat_map(|t| t.sent_outboxes()),
+            &mut merged,
+        );
         debug_assert!(
             tasks
                 .iter()
                 .all(|t| t.outboxes.iter().all(Outbox::is_empty)),
             "an outbox sent without being listed as a sender"
         );
-        for (at, dst, ev) in merged {
+        for Merged { at, dst, msg, .. } in merged.drain(..) {
             debug_assert!(
                 at >= window_end,
                 "fabric message outran the lookahead window"
@@ -598,7 +814,7 @@ impl Cluster {
             let task = &mut *tasks[ti];
             let local = dst - ti * per_shard;
             if faults {
-                if let Event::PacketArrive(pkt) = &ev {
+                if let Event::PacketArrive(pkt) = &msg {
                     if cfg
                         .fault
                         .drops_packet(pkt.src_node as usize, pkt.dst_node as usize, at)
@@ -616,8 +832,9 @@ impl Cluster {
             if queue.peek_time().is_none_or(|head| at < head) {
                 task.sched.active.push(Reverse((at, local)));
             }
-            queue.schedule(at, ev);
+            queue.schedule(at, msg);
         }
+        tasks[0].sched.merged = merged;
     }
 
     /// Runs for `duration` more simulated time.
@@ -639,6 +856,9 @@ struct Sched {
     /// Local indices of the nodes whose outbox went from empty to
     /// non-empty this window — the only outboxes the barrier drains.
     sent: Vec<usize>,
+    /// The barrier's merge buffer, reused every window (the first
+    /// domain's serves the whole merge).
+    merged: Vec<Merged<Event>>,
 }
 
 /// One scheduling domain's execution context: the shared configuration
@@ -740,13 +960,11 @@ impl<'a> ShardExec<'a> {
             // work onto the node they run on, so the inner loop sees every
             // in-window event this node will have, and no other node's
             // queue grows while we are here.
-            while let Some(t) = self.nodes[i].queue.peek_time() {
-                if t > window_end {
-                    break;
-                }
-                let (t, ev) = self.nodes[i].queue.pop().expect("peeked");
-                debug_assert!(t >= self.nodes[i].now, "node time went backwards");
-                self.nodes[i].now = t;
+            while let Some((t, ev)) = self.nodes[i].queue.pop_until(window_end) {
+                let node = &mut self.nodes[i];
+                debug_assert!(t >= node.now, "node time went backwards");
+                node.now = t;
+                node.handled[ev.kind()] += 1;
                 self.handle(ev);
             }
             self.nodes[i].now = window_end;
@@ -947,15 +1165,16 @@ impl<'a> ShardExec<'a> {
     fn on_mem_done(&mut self, node: u8, pipe: u8, access: R2p2Action) {
         let n = node as usize;
         let p = pipe as usize;
-        let actions = match access {
+        match access {
             R2p2Action::MemRead { token, block, .. } => {
                 let ctx = self.node_mut(n);
                 let data = Block(ctx.memory.read_block(block));
-                ctx.r2p2s[p].on_mem_reply(token, data)
+                ctx.r2p2s[p].on_mem_reply_into(token, data, &mut ctx.sends);
             }
             R2p2Action::MemWrite { token, block, data } => {
                 self.apply_store(n, block, &data.0);
-                self.node_mut(n).r2p2s[p].on_mem_write_done(token)
+                let ctx = self.node_mut(n);
+                ctx.r2p2s[p].on_mem_write_done_into(token, &mut ctx.sends);
             }
             R2p2Action::LockRmw {
                 token,
@@ -969,11 +1188,10 @@ impl<'a> ShardExec<'a> {
                 // the acquisition as a foreign write (other R2P2s' SABRes
                 // on the object still see it — real reader-reader
                 // interference).
-                let actions = ctx.r2p2s[p].on_lock_reply(token, acquired);
+                ctx.r2p2s[p].on_lock_reply_into(token, acquired, &mut ctx.sends);
                 if acquired {
                     self.broadcast_inval(n, version_addr.block());
                 }
-                actions
             }
             R2p2Action::LockRelease { version_addr } => {
                 ReaderLockWord::shared_release(&mut self.node_mut(n).memory, version_addr);
@@ -993,7 +1211,8 @@ impl<'a> ShardExec<'a> {
                     v.locked().store(&mut self.node_mut(n).memory, version_addr);
                     self.broadcast_inval(n, version_addr.block());
                 }
-                self.node_mut(n).r2p2s[p].on_cas_done(token, acquired)
+                let ctx = self.node_mut(n);
+                ctx.r2p2s[p].on_cas_done_into(token, acquired, &mut ctx.sends);
             }
             R2p2Action::WriterUnlock {
                 token,
@@ -1003,28 +1222,19 @@ impl<'a> ShardExec<'a> {
                 v.unlocked()
                     .store(&mut self.node_mut(n).memory, version_addr);
                 self.broadcast_inval(n, version_addr.block());
-                self.node_mut(n).r2p2s[p].on_unlock_done(token)
+                let ctx = self.node_mut(n);
+                ctx.r2p2s[p].on_unlock_done_into(token, &mut ctx.sends);
             }
             R2p2Action::Send(pkt) => unreachable!("a send is not a memory access: {pkt:?}"),
-        };
-        self.run_r2p2_actions(node, pipe, actions);
-        self.schedule_pump(node, pipe);
-    }
-
-    fn run_r2p2_actions(&mut self, node: u8, pipe: u8, actions: Vec<R2p2Action>) {
-        for action in actions {
-            match action {
-                R2p2Action::Send(pkt) => {
-                    let now = self.node_ref(node as usize).now;
-                    self.schedule_at(node as usize, now, Event::FabricSend(pkt));
-                }
-                other => {
-                    // Memory work emitted from a completion path would break
-                    // pacing; the R2P2 only emits it from next_issue().
-                    unreachable!("unexpected completion-path action: {other:?} on {node}.{pipe}")
-                }
-            }
         }
+        // A completion only sends; memory work comes from `next_issue`
+        // alone, which keeps it paced.
+        let ctx = self.node_mut(n);
+        let now = ctx.now;
+        for pkt in ctx.sends.drain(..) {
+            ctx.queue.schedule(now, Event::FabricSend(pkt));
+        }
+        self.schedule_pump(node, pipe);
     }
 
     /// Touches `block` in the node's LLC, broadcasting the eviction
@@ -1159,7 +1369,6 @@ impl CoreApi<'_> {
             local_buf,
             size_bytes,
             version_offset,
-            None,
         )
     }
 
@@ -1171,11 +1380,6 @@ impl CoreApi<'_> {
         local_buf: Addr,
         size_bytes: u32,
     ) -> u64 {
-        let data = self
-            .exec
-            .node_ref(self.node)
-            .memory
-            .read_vec(local_buf, size_bytes as usize);
         self.issue_entry(
             OpKind::Write,
             dst_node,
@@ -1183,11 +1387,11 @@ impl CoreApi<'_> {
             local_buf,
             size_bytes,
             0,
-            Some(data),
         )
     }
 
-    #[allow(clippy::too_many_arguments)] // mirrors the WQ entry's fields
+    /// Unrolls a WQ entry onto the fabric; a write carries the bytes at
+    /// `local_buf` as they are now.
     fn issue_entry(
         &mut self,
         op: OpKind,
@@ -1196,7 +1400,6 @@ impl CoreApi<'_> {
         local_buf: Addr,
         size_bytes: u32,
         version_offset: u32,
-        write_data: Option<Vec<u8>>,
     ) -> u64 {
         let core = self.core;
         let pipe = core % self.exec.cfg.rmc_backends;
@@ -1215,9 +1418,11 @@ impl CoreApi<'_> {
             size_bytes,
             version_offset,
         };
-        let pkts = ctx.pipelines[pipe].start_transfer(&wq, write_data.as_deref());
+        let write_data =
+            (op == OpKind::Write).then(|| ctx.memory.slice(local_buf, size_bytes as usize));
+        ctx.pipelines[pipe].start_transfer_into(&wq, write_data, &mut ctx.sends);
         let t0 = ctx.now + frontend;
-        for pkt in pkts {
+        for pkt in ctx.sends.drain(..) {
             let start = ctx.rgp_unroll[pipe].admit(t0, unroll);
             ctx.queue.schedule(start + unroll, Event::FabricSend(pkt));
         }
@@ -1321,6 +1526,7 @@ mod tests {
     use crate::spec::spec;
     use crate::workload::ReadMechanism;
     use crate::workloads::{UpdatePlan, Writer, WriterLayout};
+    use proptest::prelude::*;
     use sabre_sw::layout::CleanLayout;
 
     fn small_cfg() -> ClusterConfig {
@@ -1330,12 +1536,75 @@ mod tests {
         }
     }
 
-    /// Node queues are binary heaps of `(time, seq, Event)`; the entry
-    /// size is what decided heap vs. calendar end to end, so the one
-    /// memory-completion variant must not grow it past a fabric packet's.
+    /// Every schedule and pop moves an `Event` into and out of a node
+    /// queue's slab or lane, so the one memory-completion variant must not
+    /// grow it past a fabric packet's size.
     #[test]
     fn event_fits_in_104_bytes() {
         assert!(std::mem::size_of::<Event>() <= 104);
+    }
+
+    proptest! {
+        /// The node queue pops exactly what a plain `EventQueue` pops, in
+        /// the same `(time, schedule order)`, whatever mix of same-instant
+        /// follow-ups, bursts at one future instant, bounded pops and full
+        /// pops drives it.
+        #[test]
+        fn node_queue_pops_in_event_queue_order(
+            steps in proptest::collection::vec((0u8..10, 0u64..4, 1usize..5), 1..400),
+        ) {
+            let mut queue = NodeQueue::new();
+            let mut model: EventQueue<u64> = EventQueue::new();
+            let mut last = Time::ZERO;
+            let mut next = 0u64;
+            for (op, delta, burst) in steps {
+                let at = last + Time::from_ns(delta);
+                match op {
+                    // A burst at one instant, which is the last-popped
+                    // one when `delta` is 0.
+                    0..=3 => {
+                        for _ in 0..burst {
+                            queue.schedule(at, next);
+                            model.schedule(at, next);
+                            next += 1;
+                        }
+                    }
+                    // A zero-delay follow-up.
+                    4 | 5 => {
+                        queue.schedule(last, next);
+                        model.schedule(last, next);
+                        next += 1;
+                    }
+                    // Pop everything due by `at`, as a window drain does.
+                    6 | 7 => loop {
+                        let expected = match model.peek_time() {
+                            Some(t) if t <= at => model.pop(),
+                            _ => None,
+                        };
+                        let popped = queue.pop_until(at);
+                        prop_assert_eq!(popped, expected);
+                        match popped {
+                            Some((t, _)) => last = t,
+                            None => break,
+                        }
+                    },
+                    // Pop one.
+                    _ => {
+                        let popped = queue.pop_until(Time::MAX);
+                        prop_assert_eq!(popped, model.pop());
+                        if let Some((t, _)) = popped {
+                            last = t;
+                        }
+                    }
+                }
+                prop_assert_eq!(queue.peek_time(), model.peek_time());
+            }
+            while let Some(popped) = queue.pop_until(Time::MAX) {
+                prop_assert_eq!(Some(popped), model.pop());
+                prop_assert_eq!(queue.peek_time(), model.peek_time());
+            }
+            prop_assert!(model.is_empty());
+        }
     }
 
     #[test]

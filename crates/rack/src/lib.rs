@@ -52,7 +52,7 @@ pub mod spec;
 pub mod workload;
 pub mod workloads;
 
-pub use cluster::Cluster;
+pub use cluster::{Cluster, EventCounts};
 pub use config::{ClusterConfig, NodeRole, PlacementFn, PlacementPolicy, Topology};
 pub use fault::{FaultPlan, FaultProfile};
 pub use metrics::{CoreMetrics, Phase};

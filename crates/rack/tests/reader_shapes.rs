@@ -170,6 +170,11 @@ fn destination_locking_sabre_under_a_lock_respecting_writer() {
         .reader_spec(0, 1, sabre())
         .run_for(Time::from_us(40));
     assert_eq!(fingerprint(r.core(0, 1)), "ops=197 retries=21 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=202.154 p99_ns=364");
+    // A lock release invalidates but re-arms no pump: a pump there would
+    // add an event and could reorder same-instant work. The fingerprint
+    // above does not see an extra pump; the event count does.
+    let events = r.cluster().events_handled();
+    assert_eq!((events.pumps, events.mem_done), (2410, 1512));
 }
 
 #[test]

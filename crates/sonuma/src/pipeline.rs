@@ -146,6 +146,24 @@ impl SourcePipeline {
     /// Panics if a write provides no (or too little) data, or if the entry
     /// is malformed (zero size) — WQ validation is the frontend's job.
     pub fn start_transfer(&mut self, wq: &WqEntry, write_data: Option<&[u8]>) -> Vec<Packet> {
+        let mut pkts = Vec::new();
+        self.start_transfer_into(wq, write_data, &mut pkts);
+        pkts
+    }
+
+    /// [`SourcePipeline::start_transfer`] appending the request packets to
+    /// `out` instead of allocating them — the event loop's form, with a
+    /// buffer it reuses for every WQ entry.
+    ///
+    /// # Panics
+    ///
+    /// As [`SourcePipeline::start_transfer`].
+    pub fn start_transfer_into(
+        &mut self,
+        wq: &WqEntry,
+        write_data: Option<&[u8]>,
+        out: &mut Vec<Packet>,
+    ) {
         assert!(wq.size_bytes > 0, "zero-sized transfer");
         let transfer = self.next_transfer;
         self.next_transfer = self.next_transfer.wrapping_add(1);
@@ -164,7 +182,6 @@ impl SourcePipeline {
             },
         );
 
-        let mut pkts = Vec::with_capacity(total_blocks as usize + 1);
         let mk = |dst_pipe: u8, kind: PacketKind| Packet {
             src_node: self.node,
             src_pipe: self.pipe,
@@ -177,7 +194,7 @@ impl SourcePipeline {
                 for i in 0..total_blocks {
                     // Per-block balancing across destination R2P2s.
                     let dst_pipe = (self.rr_cursor + i as u8) % self.dest_pipes;
-                    pkts.push(mk(
+                    out.push(mk(
                         dst_pipe,
                         PacketKind::ReadReq {
                             addr: wq.remote_addr + i as u64 * BLOCK_BYTES as u64,
@@ -201,7 +218,7 @@ impl SourcePipeline {
                     let end = (start + BLOCK_BYTES).min(data.len());
                     block[..end - start].copy_from_slice(&data[start..end]);
                     let dst_pipe = (self.rr_cursor + i as u8) % self.dest_pipes;
-                    pkts.push(mk(
+                    out.push(mk(
                         dst_pipe,
                         PacketKind::WriteReq {
                             addr: wq.remote_addr + i as u64 * BLOCK_BYTES as u64,
@@ -215,7 +232,7 @@ impl SourcePipeline {
             }
             OpKind::LockCas => {
                 let dst_pipe = (transfer % self.dest_pipes as u32) as u8;
-                pkts.push(mk(
+                out.push(mk(
                     dst_pipe,
                     PacketKind::CasReq {
                         addr: wq.remote_addr,
@@ -225,7 +242,7 @@ impl SourcePipeline {
             }
             OpKind::Unlock => {
                 let dst_pipe = (transfer % self.dest_pipes as u32) as u8;
-                pkts.push(mk(
+                out.push(mk(
                     dst_pipe,
                     PacketKind::UnlockReq {
                         addr: wq.remote_addr,
@@ -237,7 +254,7 @@ impl SourcePipeline {
                 // One request; the peer streams the whole log region back
                 // as a burst of CatchUpReplys, one per block.
                 let dst_pipe = (transfer % self.dest_pipes as u32) as u8;
-                pkts.push(mk(
+                out.push(mk(
                     dst_pipe,
                     PacketKind::CatchUpReq {
                         transfer,
@@ -264,12 +281,12 @@ impl SourcePipeline {
                         size_bytes: wq.size_bytes,
                     }
                 };
-                pkts.push(mk(dst_pipe, kind));
+                out.push(mk(dst_pipe, kind));
             }
             OpKind::Sabre => {
                 // A SABRe maps to a single R2P2 (§5.1).
                 let dst_pipe = (transfer % self.dest_pipes as u32) as u8;
-                pkts.push(mk(
+                out.push(mk(
                     dst_pipe,
                     PacketKind::SabreReg {
                         transfer,
@@ -279,7 +296,7 @@ impl SourcePipeline {
                     },
                 ));
                 for i in 0..total_blocks {
-                    pkts.push(mk(
+                    out.push(mk(
                         dst_pipe,
                         PacketKind::SabreReadReq {
                             transfer,
@@ -289,7 +306,6 @@ impl SourcePipeline {
                 }
             }
         }
-        pkts
     }
 
     /// RCP half: consumes one reply packet. Returns the DMA write it

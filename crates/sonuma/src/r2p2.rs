@@ -358,14 +358,14 @@ impl R2p2 {
     }
 
     /// The reply `kind` from this pipeline along `route`.
-    fn reply(&self, route: Route, kind: PacketKind) -> R2p2Action {
-        R2p2Action::Send(Packet {
+    fn reply(&self, route: Route, kind: PacketKind) -> Packet {
+        Packet {
             src_node: self.node,
             src_pipe: self.pipe,
             dst_node: route.node,
             dst_pipe: route.pipe,
             kind,
-        })
+        }
     }
 
     /// Consumes one inbound request packet. Returns `true` if new issuable
@@ -552,7 +552,7 @@ impl R2p2 {
             Route::back_to(pkt, transfer),
             PacketKind::ReadRefused { transfer },
         );
-        self.ready.push_back(refusal);
+        self.ready.push_back(R2p2Action::Send(refusal));
     }
 
     /// Starts a server-side object capture for a WfRegister / Oh-RAM read
@@ -692,46 +692,56 @@ impl R2p2 {
 
     /// Completes a memory read issued earlier.
     ///
+    /// Allocates its result; the event loop calls
+    /// [`R2p2::on_mem_reply_into`] with a buffer it reuses.
+    ///
     /// # Panics
     ///
     /// Panics on unknown or non-read tokens (wiring bug).
     pub fn on_mem_reply(&mut self, token: MemToken, data: Block) -> Vec<R2p2Action> {
+        sends(|out| self.on_mem_reply_into(token, data, out))
+    }
+
+    /// [`R2p2::on_mem_reply`] appending the reply packets it sends to `out`
+    /// instead of returning them (a completion only ever sends).
+    ///
+    /// # Panics
+    ///
+    /// Panics on unknown or non-read tokens (wiring bug).
+    pub fn on_mem_reply_into(&mut self, token: MemToken, data: Block, out: &mut Vec<Packet>) {
         match self.take(token) {
-            Pending::PlainRead { route, block_index } => vec![self.reply(
+            Pending::PlainRead { route, block_index } => out.push(self.reply(
                 route,
                 PacketKind::ReadReply {
                     transfer: route.transfer,
                     block_index,
                     data,
                 },
-            )],
-            Pending::CatchUpRead { route, block_index } => vec![self.reply(
+            )),
+            Pending::CatchUpRead { route, block_index } => out.push(self.reply(
                 route,
                 PacketKind::CatchUpReply {
                     transfer: route.transfer,
                     block_index,
                     data,
                 },
-            )],
+            )),
             Pending::SabreData { slot, block_index } => {
                 let route = self.routes[&slot.0];
-                let mut out = vec![self.reply(
+                out.push(self.reply(
                     route,
                     PacketKind::SabreReply {
                         transfer: route.transfer,
                         block_index,
                         data,
                     },
-                )];
+                ));
                 let actions = self.engine.on_block_reply(slot, block_index, &data.0);
-                self.extend_with_completions(&mut out, actions);
-                out
+                self.extend_with_completions(out, actions);
             }
             Pending::SabreValidate { slot } => {
-                let mut out = Vec::new();
                 let actions = self.engine.on_validate_reply(slot, &data.0);
-                self.extend_with_completions(&mut out, actions);
-                out
+                self.extend_with_completions(out, actions);
             }
             Pending::CaptureRead { capture, block } => {
                 let ctx = self
@@ -744,26 +754,21 @@ impl R2p2 {
                         // rescheduled by the caller after every reply, so
                         // queueing suffices.
                         self.queue_capture_step(capture, CaptureStep::Read(blocks));
-                        vec![]
                     }
                     CaptureStep::Deliver(image) => {
                         let ctx = self.captures.remove(&capture).expect("live capture");
                         self.stats.capture_restarts += ctx.capture.restarts();
                         let route = ctx.route;
-                        image
-                            .into_iter()
-                            .enumerate()
-                            .map(|(i, b)| {
-                                self.reply(
-                                    route,
-                                    PacketKind::ReadReply {
-                                        transfer: route.transfer,
-                                        block_index: i as u32,
-                                        data: Block(b),
-                                    },
-                                )
-                            })
-                            .collect()
+                        out.extend(image.into_iter().enumerate().map(|(i, b)| {
+                            self.reply(
+                                route,
+                                PacketKind::ReadReply {
+                                    transfer: route.transfer,
+                                    block_index: i as u32,
+                                    data: Block(b),
+                                },
+                            )
+                        }));
                     }
                 }
             }
@@ -773,69 +778,115 @@ impl R2p2 {
 
     /// Completes a remote write-lock CAS.
     ///
+    /// Allocates its result; the event loop calls
+    /// [`R2p2::on_cas_done_into`] with a buffer it reuses.
+    ///
     /// # Panics
     ///
     /// Panics on unknown or non-CAS tokens.
     pub fn on_cas_done(&mut self, token: MemToken, acquired: bool) -> Vec<R2p2Action> {
+        sends(|out| self.on_cas_done_into(token, acquired, out))
+    }
+
+    /// [`R2p2::on_cas_done`] appending its reply packet to `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on unknown or non-CAS tokens.
+    pub fn on_cas_done_into(&mut self, token: MemToken, acquired: bool, out: &mut Vec<Packet>) {
         match self.take(token) {
-            Pending::CasApply(route) => vec![self.reply(
+            Pending::CasApply(route) => out.push(self.reply(
                 route,
                 PacketKind::CasReply {
                     transfer: route.transfer,
                     acquired,
                 },
-            )],
+            )),
             other => panic!("CAS completion for non-CAS token: {other:?}"),
         }
     }
 
     /// Completes a remote unlock.
     ///
+    /// Allocates its result; the event loop calls
+    /// [`R2p2::on_unlock_done_into`] with a buffer it reuses.
+    ///
     /// # Panics
     ///
     /// Panics on unknown or non-unlock tokens.
     pub fn on_unlock_done(&mut self, token: MemToken) -> Vec<R2p2Action> {
+        sends(|out| self.on_unlock_done_into(token, out))
+    }
+
+    /// [`R2p2::on_unlock_done`] appending its reply packet to `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on unknown or non-unlock tokens.
+    pub fn on_unlock_done_into(&mut self, token: MemToken, out: &mut Vec<Packet>) {
         match self.take(token) {
-            Pending::UnlockApply(route) => vec![self.reply(
+            Pending::UnlockApply(route) => out.push(self.reply(
                 route,
                 PacketKind::UnlockAck {
                     transfer: route.transfer,
                 },
-            )],
+            )),
             other => panic!("unlock completion for non-unlock token: {other:?}"),
         }
     }
 
     /// Completes a one-sided write.
     ///
+    /// Allocates its result; the event loop calls
+    /// [`R2p2::on_mem_write_done_into`] with a buffer it reuses.
+    ///
     /// # Panics
     ///
     /// Panics on unknown or non-write tokens.
     pub fn on_mem_write_done(&mut self, token: MemToken) -> Vec<R2p2Action> {
+        sends(|out| self.on_mem_write_done_into(token, out))
+    }
+
+    /// [`R2p2::on_mem_write_done`] appending its acknowledgement to `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on unknown or non-write tokens.
+    pub fn on_mem_write_done_into(&mut self, token: MemToken, out: &mut Vec<Packet>) {
         match self.take(token) {
-            Pending::WriteApply { route, block_index } => vec![self.reply(
+            Pending::WriteApply { route, block_index } => out.push(self.reply(
                 route,
                 PacketKind::WriteAck {
                     transfer: route.transfer,
                     block_index,
                 },
-            )],
+            )),
             other => panic!("write completion for non-write token: {other:?}"),
         }
     }
 
     /// Completes a reader-lock acquire RMW.
     ///
+    /// Allocates its result; the event loop calls
+    /// [`R2p2::on_lock_reply_into`] with a buffer it reuses.
+    ///
     /// # Panics
     ///
     /// Panics on unknown or non-lock tokens.
     pub fn on_lock_reply(&mut self, token: MemToken, acquired: bool) -> Vec<R2p2Action> {
+        sends(|out| self.on_lock_reply_into(token, acquired, out))
+    }
+
+    /// [`R2p2::on_lock_reply`] appending the packets it sends to `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on unknown or non-lock tokens.
+    pub fn on_lock_reply_into(&mut self, token: MemToken, acquired: bool, out: &mut Vec<Packet>) {
         match self.take(token) {
             Pending::SabreLock { slot } => {
-                let mut out = Vec::new();
                 let actions = self.engine.on_lock_reply(slot, acquired);
-                self.extend_with_completions(&mut out, actions);
-                out
+                self.extend_with_completions(out, actions);
             }
             other => panic!("lock completion for non-lock token: {other:?}"),
         }
@@ -853,7 +904,7 @@ impl R2p2 {
         }
     }
 
-    fn extend_with_completions(&mut self, out: &mut Vec<R2p2Action>, actions: Vec<Action>) {
+    fn extend_with_completions(&mut self, out: &mut Vec<Packet>, actions: Vec<Action>) {
         for action in actions {
             let Action::Complete { slot, id, atomic } = action;
             let route = self
@@ -870,6 +921,14 @@ impl R2p2 {
             self.try_unpark();
         }
     }
+}
+
+/// Runs a `*_into` completion into a fresh buffer and returns its packets
+/// as the sends the `Vec`-returning wrappers report.
+fn sends(complete: impl FnOnce(&mut Vec<Packet>)) -> Vec<R2p2Action> {
+    let mut out = Vec::new();
+    complete(&mut out);
+    out.into_iter().map(R2p2Action::Send).collect()
 }
 
 /// Convenience: the blocks a registration spans (used by tests).
