@@ -322,8 +322,8 @@ fn quiet_cluster(cfg: ClusterConfig, targets: [(usize, usize); 2]) -> Cluster {
 /// The 8-node rack with two Poisson reader cores per reader node, each
 /// mixing plain 1 KB reads and one-sided writes half and half against its
 /// paired store node, warmed past cold start — every block of every
-/// transfer runs through the node queues' same-instant lane and slab, the
-/// reused packet buffers and the window merge.
+/// transfer runs through the node queues' same-instant lane and sorted
+/// deque, the reused packet buffers and the window barrier's delivery.
 fn busy_write_mix_rack() -> Cluster {
     let cfg = ScenarioBuilder::new().nodes(8).config().clone();
     let readers = cfg.topology.reader_nodes();

@@ -514,25 +514,19 @@ impl Fabric {
     }
 }
 
-/// A message waiting in an [`Outbox`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Pending<M> {
-    at: Time,
-    dst: usize,
-    msg: M,
-}
-
 /// One source node's outbound mailbox in a [`ShardRouter`].
 ///
 /// Like [`FabricPort`], outboxes are the per-source unit a partitioned
 /// event loop hands to its shards: a shard pushes every cross-node message
 /// through the sending node's own outbox, so concurrent shards never share
 /// mailbox state. At the synchronization barrier the loop collects all
-/// outboxes back (see [`ShardRouter::merge_sorted`]).
+/// outboxes back and drains them, merged ([`ShardRouter::merge_sorted`])
+/// or one by one ([`Outbox::swap_pending`]).
 #[derive(Debug)]
 pub struct Outbox<M> {
     src: usize,
-    pending: Vec<Pending<M>>,
+    /// Queued `(arrival, destination, message)`, in push order.
+    pending: Vec<(Time, usize, M)>,
     pushed: u64,
 }
 
@@ -550,7 +544,7 @@ impl<M> Outbox<M> {
     /// self-deliver; local work belongs on the node's own queue).
     pub fn push(&mut self, dst: usize, at: Time, msg: M) {
         assert!(dst != self.src, "no self-delivery: {} -> {dst}", self.src);
-        self.pending.push(Pending { at, dst, msg });
+        self.pending.push((at, dst, msg));
         self.pushed += 1;
     }
 
@@ -562,6 +556,17 @@ impl<M> Outbox<M> {
     /// Whether no messages are queued.
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
+    }
+
+    /// Exchanges the queued messages, `(arrival, destination, message)` in
+    /// push order, with `buf`.
+    ///
+    /// A barrier that delivers each message itself swaps an empty `Vec`
+    /// in, drains it, then swaps the drained `Vec` back: nothing is copied
+    /// and the outbox keeps its grown capacity. Such drains bypass the
+    /// router's drained counter, like [`ShardRouter::merge_sorted`].
+    pub fn swap_pending(&mut self, buf: &mut Vec<(Time, usize, M)>) {
+        std::mem::swap(&mut self.pending, buf);
     }
 }
 
@@ -584,9 +589,10 @@ impl<M> Outbox<M> {
 /// [`ShardRouter::drain_sorted`], this is observable as
 /// [`ShardRouter::pushed_total`] = [`ShardRouter::drained_total`] +
 /// [`ShardRouter::in_flight`]; drains performed directly over lent-out
-/// outboxes ([`ShardRouter::merge_sorted`] — how the cluster's window
-/// barrier runs) bypass the router's drained counter, so there
-/// `pushed_total - in_flight` counts the messages merged so far.
+/// outboxes ([`ShardRouter::merge_sorted`], or [`Outbox::swap_pending`] —
+/// how the cluster's window barrier runs) bypass the router's drained
+/// counter, so there `pushed_total - in_flight` counts the messages
+/// drained so far.
 #[derive(Debug)]
 pub struct ShardRouter<M> {
     outboxes: Vec<Outbox<M>>,
@@ -619,7 +625,8 @@ impl<M> ShardRouter<M> {
 
     /// The per-source outboxes, for lending disjoint ranges to concurrent
     /// shards. Drains performed directly on the slices (via
-    /// [`ShardRouter::merge_sorted`]) bypass the router's drained counter.
+    /// [`ShardRouter::merge_sorted`] or [`Outbox::swap_pending`]) bypass
+    /// the router's drained counter.
     pub fn outboxes_mut(&mut self) -> &mut [Outbox<M>] {
         &mut self.outboxes
     }
@@ -654,60 +661,31 @@ impl<M> ShardRouter<M> {
     /// shards. The order contract is identical: `(arrival time, source
     /// node, per-source push order)`, independent of the iteration order
     /// of `outboxes` (sources tag their messages).
-    ///
-    /// Allocates its result; a loop that merges every window uses
-    /// [`ShardRouter::merge_sorted_into`] with a buffer it keeps.
     pub fn merge_sorted<'a>(
         outboxes: impl IntoIterator<Item = &'a mut Outbox<M>>,
     ) -> Vec<(Time, usize, M)>
     where
         M: 'a,
     {
-        let mut merged = Vec::new();
-        Self::merge_sorted_into(outboxes, &mut merged);
-        merged.into_iter().map(|m| (m.at, m.dst, m.msg)).collect()
-    }
-
-    /// [`ShardRouter::merge_sorted`] into a caller-owned buffer: clears
-    /// `out`, then fills it with the drained messages in merge order. A
-    /// buffer reused across barriers stops allocating once it has grown
-    /// to the largest merge. The `(at, src, idx)` key is unique, so the
-    /// unstable sort yields exactly the stable order.
-    pub fn merge_sorted_into<'a>(
-        outboxes: impl IntoIterator<Item = &'a mut Outbox<M>>,
-        out: &mut Vec<Merged<M>>,
-    ) where
-        M: 'a,
-    {
-        out.clear();
+        let mut tagged: Vec<(Time, usize, usize, usize, M)> = Vec::new();
         for outbox in outboxes {
             let src = outbox.src;
-            out.extend(outbox.pending.drain(..).enumerate().map(|(idx, p)| Merged {
-                at: p.at,
-                src,
-                idx,
-                dst: p.dst,
-                msg: p.msg,
-            }));
+            tagged.extend(
+                outbox
+                    .pending
+                    .drain(..)
+                    .enumerate()
+                    .map(|(idx, (at, dst, msg))| (at, src, idx, dst, msg)),
+            );
         }
-        out.sort_unstable_by_key(|m| (m.at, m.src, m.idx));
+        // The `(at, src, idx)` key is unique, so an unstable sort yields
+        // exactly the stable order.
+        tagged.sort_unstable_by_key(|t| (t.0, t.1, t.2));
+        tagged
+            .into_iter()
+            .map(|(at, _, _, dst, msg)| (at, dst, msg))
+            .collect()
     }
-}
-
-/// One message drained by [`ShardRouter::merge_sorted_into`], with its
-/// full merge key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Merged<M> {
-    /// Arrival time at the destination.
-    pub at: Time,
-    /// Source node.
-    pub src: usize,
-    /// Position in the source's push order within this drain.
-    pub idx: usize,
-    /// Destination node.
-    pub dst: usize,
-    /// The message.
-    pub msg: M,
 }
 
 #[cfg(test)]
@@ -1040,25 +1018,41 @@ mod tests {
     }
 
     #[test]
-    fn merge_into_a_reused_buffer_replaces_its_contents() {
+    fn merge_over_lent_outboxes_ignores_their_order() {
         let t = Time::from_ns(100);
         let mut r: ShardRouter<&str> = ShardRouter::new(3);
-        let mut out = Vec::new();
-        r.push(2, 0, t, "stale");
-        ShardRouter::merge_sorted_into(r.outboxes_mut().iter_mut(), &mut out);
-        // Scrambled sources and a tie, merged through the lent-out
-        // outboxes in reverse source order.
         r.push(2, 0, t, "c0");
         r.push(0, 1, t, "a0");
         r.push(1, 0, Time::from_ns(50), "b-early");
         r.push(0, 2, t, "a1");
-        ShardRouter::merge_sorted_into(r.outboxes_mut().iter_mut().rev(), &mut out);
-        let order: Vec<(&str, usize, usize)> = out.iter().map(|m| (m.msg, m.src, m.idx)).collect();
-        assert_eq!(
-            order,
-            vec![("b-early", 1, 0), ("a0", 0, 0), ("a1", 0, 1), ("c0", 2, 0)]
-        );
+        // Lent-out outboxes merged in reverse source order.
+        let merged = ShardRouter::merge_sorted(r.outboxes_mut().iter_mut().rev());
+        let order: Vec<&str> = merged.into_iter().map(|(_, _, m)| m).collect();
+        assert_eq!(order, vec!["b-early", "a0", "a1", "c0"]);
         assert_eq!(r.in_flight(), 0);
+    }
+
+    #[test]
+    fn swap_pending_hands_out_push_order_and_takes_the_buffer_back() {
+        let mut r: ShardRouter<&str> = ShardRouter::new(2);
+        r.push(0, 1, Time::from_ns(90), "late");
+        r.push(0, 1, Time::from_ns(40), "early");
+        let outbox = &mut r.outboxes_mut()[0];
+        let mut buf = Vec::new();
+        outbox.swap_pending(&mut buf);
+        assert!(outbox.is_empty());
+        assert_eq!(
+            buf,
+            vec![
+                (Time::from_ns(90), 1, "late"),
+                (Time::from_ns(40), 1, "early")
+            ]
+        );
+        buf.clear();
+        outbox.swap_pending(&mut buf);
+        // The outbox has its grown `Vec` back; `buf` is the empty one.
+        assert_eq!(buf.capacity(), 0);
+        assert_eq!(r.pushed_total(), 2);
     }
 
     #[test]

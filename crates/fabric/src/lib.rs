@@ -22,5 +22,5 @@
 pub mod internode;
 pub mod mesh;
 
-pub use internode::{Fabric, FabricConfig, FabricPort, Merged, Outbox, ShardRouter};
+pub use internode::{Fabric, FabricConfig, FabricPort, Outbox, ShardRouter};
 pub use mesh::{MeshConfig, MeshCoord, RackTopology};

@@ -35,11 +35,11 @@
 //! shard (a contiguous partition of the nodes, [`ClusterConfig::shards`])
 //! drains its nodes' queues up to the window end while outbound packets
 //! accumulate in per-source [`sabre_fabric::Outbox`]es, and at the window
-//! barrier all cross-node messages are merged into the destination queues
-//! in an order determined only by `(arrival time, source, send order)`.
-//! Because neither the shard grouping nor the intra-window advance order
-//! can influence any node's observable inputs, the simulation is
-//! **bit-identical for every shard count**.
+//! barrier all cross-node messages are delivered into the destination
+//! queues so that each queue sees them in the order `(arrival time,
+//! source, send order)`. Because neither the shard grouping nor the
+//! intra-window advance order can influence any node's observable inputs,
+//! the simulation is **bit-identical for every shard count**.
 //!
 //! That same property makes thread dispatch safe: within one window the
 //! shards share nothing — each owns its nodes' state, its source-side
@@ -48,40 +48,52 @@
 //! in (the default is the zero-overhead serial loop — sweeps already
 //! parallelize across clusters, and nesting pools oversubscribes).
 //! Workers claim shards from a shared cursor, synchronize at the window
-//! barrier where the single coordinator runs the deterministic merge,
+//! barrier where the single coordinator runs the deterministic delivery,
 //! and the result stays bit-identical at **every thread count** too —
 //! the torture and equivalence tests pin `threads ∈ {1, 2, shards}`
 //! down.
 //!
 //! Since the grouping is invisible, the serial loop does not keep it: a
 //! run that resolves to one thread advances **all nodes as one
-//! scheduling domain** (one hint heap, one drain, one merge per window)
+//! scheduling domain** (one hint heap, one drain, one delivery per window)
 //! whatever [`ClusterConfig::shards`] says. Shards exist only to hand
 //! node ranges to worker threads.
 //!
 //! # The node queue and the allocation-free hot path
 //!
 //! Each node's queue pops in exactly the `(time, schedule order)` of an
-//! [`EventQueue`] of events, but moves them less. Events waiting for a
-//! later instant sit in a per-node slab with a free list, and the heap is
-//! an `EventQueue<u32>` of slot keys (24-byte entries, not 120-byte
-//! ones). An event scheduled at the instant the queue last popped — a
-//! pump re-arming itself, a reply sent the moment its block is read —
-//! goes to a FIFO *same-instant lane* and never touches the heap. A pop
-//! takes a heap head at that instant first, then the lane, then the rest
-//! of the heap: every heap entry at the last-popped instant `T` was
-//! scheduled before the first pop at `T`, and every lane entry after it,
-//! so the order is exact. A message the merge delivers at `T` finds the
-//! lane empty and nothing at `T` left on the heap, because the drain
-//! popped everything up to the window end.
+//! [`EventQueue`](sabre_sim::EventQueue) of events, without a heap. Events
+//! waiting for a later instant sit in one deque sorted by time: a new
+//! event is appended when it is not earlier than the tail (an RGP unroll
+//! schedules its blocks in increasing time), and otherwise inserted after
+//! every event due at or before it, so ties stay FIFO. An event scheduled
+//! at the instant the queue last popped — a pump re-arming itself, a reply
+//! sent the moment its block is read — goes to a FIFO *same-instant lane*
+//! instead. A pop takes a deque head at that instant first, then the
+//! lane, then the rest of the deque: every deque entry at the last-popped
+//! instant `T` was scheduled before the first pop at `T`, and every lane
+//! entry after it, so the order is exact. A message the barrier delivers
+//! at `T` finds the lane empty and nothing at `T` left in the deque,
+//! because the drain popped everything up to the window end.
+//!
+//! # Sort-free barrier delivery
+//!
+//! The merge order `(arrival time, source, send order)` needs no global
+//! sort. Its only observable effect is the order of messages with equal
+//! `(destination, arrival)`, because a queue orders different instants by
+//! itself. The barrier walks the senders in ascending source order and
+//! each outbox in send order, scheduling every message straight into its
+//! destination's queue, so such ties are scheduled in `(source, send
+//! order)` and the queue keeps them FIFO. Each sent outbox's `Vec` is
+//! swapped out and back ([`sabre_fabric::Outbox::swap_pending`]): no
+//! message is copied into a merge buffer.
 //!
 //! Nothing else on the per-event path allocates once a run is warm:
 //! R2P2 completions and the RGP unroll append their packets to a per-node
 //! buffer (the `*_into` forms of [`R2p2`] and [`SourcePipeline`]), a
 //! one-sided write reads its payload straight from the node's memory, and
-//! the window merge fills a buffer kept by its scheduling domain, which
-//! lives in the [`Cluster`] between runs. [`Cluster::events_handled`]
-//! counts the handled events by kind.
+//! queues and outboxes keep their grown capacity between windows and
+//! runs. [`Cluster::events_handled`] counts the handled events by kind.
 //!
 //! # O(active) window scheduling
 //!
@@ -91,19 +103,21 @@
 //! O(nodes) regardless of activity. Instead each scheduling domain keeps
 //! a min-heap of **lazily validated hints** `(time, node)`. The run's
 //! seed pass hints every non-empty queue's head, each drained node
-//! re-hints its next pending event, and the window merge hints a
-//! destination only when the delivered message becomes its **new queue
-//! head** (the queue was empty, or the message arrives before the old
-//! head) — an equal or earlier head already carries a hint, so every
-//! queue head stays covered by a hint at or before it, with at most one
-//! merge push per node per window. A popped hint whose node's queue head
-//! has moved (the event was already consumed) is discarded or refreshed
-//! — so both the next-event probe and the window drain touch only nodes
-//! that actually have pending events, and hint-processing order cannot
-//! leak into results because nodes are independent within a window
-//! (every handler schedules onto the node it runs on; debug builds
-//! verify the drain left nothing behind). Likewise the merge drains only
-//! the outboxes that sent during the window, not one per node.
+//! re-hints its next pending event, and the barrier hints a destination
+//! whenever a delivered message becomes its **new queue head** (the queue
+//! was empty, or the message arrives before the old head). A message that
+//! does not lower the head needs no hint, because the head already
+//! carries one at or before it. So the invariant is coverage: every queue
+//! head has a hint at or before it. A destination is hinted once per
+//! message that lowers its head, which may be several times per window. A
+//! popped hint whose node's queue head has moved (the event was already
+//! consumed) is discarded or refreshed — so both the next-event probe and
+//! the window drain touch only nodes that actually have pending events,
+//! and hint-processing order cannot leak into results because nodes are
+//! independent within a window (every handler schedules onto the node it
+//! runs on; debug builds verify the drain left nothing behind). Likewise
+//! the barrier drains only the outboxes that sent during the window, not
+//! one per node.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -111,9 +125,9 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
-use sabre_fabric::{Fabric, FabricPort, Merged, Outbox, ShardRouter};
+use sabre_fabric::{Fabric, FabricPort, Outbox, ShardRouter};
 use sabre_mem::{Addr, BlockAddr, Llc, MemSystem, NodeMemory, ServiceLevel, BLOCK_BYTES};
-use sabre_sim::{EventQueue, FifoServer, SimRng, Time};
+use sabre_sim::{FifoServer, SimRng, Time};
 use sabre_sonuma::r2p2::{R2p2Action, R2p2Stats};
 use sabre_sonuma::{Block, CqEntry, OpKind, Packet, PacketKind, R2p2, SourcePipeline, WqEntry};
 use sabre_sw::{CpuCostModel, ReaderLockWord, VersionWord};
@@ -225,33 +239,33 @@ impl EventCounts {
     }
 }
 
-/// A node's event queue: the `(time, schedule order)` priority queue of
-/// [`EventQueue`], built so that events rarely move.
+/// A node's event queue: pops in `(time, schedule order)`, like an
+/// [`EventQueue`](sabre_sim::EventQueue), with no heap.
 ///
-/// * Events waiting on the heap live in a slab with a free list; the
-///   heap orders 4-byte slot keys (24-byte entries instead of
-///   `(time, seq, Event)` ones), so a sift moves keys, not events.
+/// * Events at a later instant than the last pop wait in one deque sorted
+///   by time. A new event is appended when it is not earlier than the
+///   tail, which is the common case (an RGP unroll schedules its blocks
+///   in increasing time). Otherwise it is inserted after every event due
+///   at or before it, so events at one instant stay in schedule order.
 /// * An event scheduled at exactly the last-popped instant goes to a FIFO
-///   *same-instant lane* and never touches the heap. Where traffic is
-///   per-block reads and writes, a fifth to a third of all schedules are
-///   such zero-delay follow-ups (a pump re-arming at its own instant, a
-///   reply sent the moment its block is read).
+///   *same-instant lane*. Where traffic is per-block reads and writes, a
+///   fifth to a third of all schedules are such zero-delay follow-ups (a
+///   pump re-arming at its own instant, a reply sent the moment its block
+///   is read), and the lane keeps them off the deque's insert path.
 ///
-/// Popping prefers a heap head at the last-popped instant over the lane,
-/// then the lane, then the heap. That is exact `(at, seq)` order: lane
+/// Popping prefers a deque head at the last-popped instant over the lane,
+/// then the lane, then the deque. That is exact `(at, seq)` order: lane
 /// entries are at the last-popped instant `T` and were scheduled after
-/// the first pop at `T`, while every heap entry at `T` was scheduled
+/// the first pop at `T`, while every deque entry at `T` was scheduled
 /// before it (once `T` has been popped, new work at `T` goes to the
-/// lane). A message the window merge delivers at the last-popped instant
-/// joins the lane too; it finds the lane empty and nothing at `T` left on
-/// the heap, because the drain popped everything up to the window end.
+/// lane). A message the window barrier delivers at the last-popped
+/// instant joins the lane too; it finds the lane empty and nothing at `T`
+/// left in the deque, because the drain popped everything up to the
+/// window end.
 struct NodeQueue<E> {
-    /// Slot keys of the events at a later instant, by `(at, seq)`.
-    heap: EventQueue<u32>,
-    /// Events waiting on the heap, by slot key; `None` marks a free slot.
-    slab: Vec<Option<E>>,
-    /// Free slot keys.
-    free: Vec<u32>,
+    /// Events scheduled before their instant was first popped, sorted by
+    /// time, ties in schedule order.
+    pending: VecDeque<(Time, E)>,
     /// Events scheduled at `last` after it was first popped, in order.
     lane: VecDeque<E>,
     /// The last-popped instant.
@@ -261,9 +275,7 @@ struct NodeQueue<E> {
 impl<E> NodeQueue<E> {
     fn new() -> Self {
         NodeQueue {
-            heap: EventQueue::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
+            pending: VecDeque::new(),
             lane: VecDeque::new(),
             last: Time::ZERO,
         }
@@ -274,25 +286,18 @@ impl<E> NodeQueue<E> {
         debug_assert!(at >= self.last, "event scheduled in the past");
         if at == self.last {
             self.lane.push_back(event);
-            return;
+        } else if self.pending.back().is_none_or(|&(tail, _)| tail <= at) {
+            self.pending.push_back((at, event));
+        } else {
+            let i = self.pending.partition_point(|&(t, _)| t <= at);
+            self.pending.insert(i, (at, event));
         }
-        let key = match self.free.pop() {
-            Some(key) => {
-                self.slab[key as usize] = Some(event);
-                key
-            }
-            None => {
-                self.slab.push(Some(event));
-                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
-            }
-        };
-        self.heap.schedule(at, key);
     }
 
     /// Time of the earliest pending event.
     fn peek_time(&self) -> Option<Time> {
         if self.lane.is_empty() {
-            self.heap.peek_time()
+            self.pending.front().map(|&(t, _)| t)
         } else {
             Some(self.last)
         }
@@ -301,7 +306,7 @@ impl<E> NodeQueue<E> {
     /// Removes and returns the earliest pending event if it is due at or
     /// before `end`.
     fn pop_until(&mut self, end: Time) -> Option<(Time, E)> {
-        let head = self.heap.peek_time();
+        let head = self.pending.front().map(|&(t, _)| t);
         if !self.lane.is_empty() && head != Some(self.last) {
             if self.last > end {
                 return None;
@@ -311,10 +316,8 @@ impl<E> NodeQueue<E> {
         if head? > end {
             return None;
         }
-        let (at, key) = self.heap.pop().expect("peeked");
+        let (at, event) = self.pending.pop_front().expect("peeked");
         self.last = at;
-        let event = self.slab[key as usize].take().expect("a live slot");
-        self.free.push(key);
         Some((at, event))
     }
 }
@@ -539,7 +542,7 @@ impl Cluster {
 
     /// Packets discarded by the [`ClusterConfig::fault`] plan — traffic to,
     /// from, or across a crashed node or cut link — counted at the
-    /// destination node's window merge. Zero without a fault plan.
+    /// window barrier's delivery. Zero without a fault plan.
     pub fn packets_dropped(&self) -> u64 {
         self.nodes.iter().map(|n| n.dropped_packets).sum()
     }
@@ -563,7 +566,7 @@ impl Cluster {
     /// [module docs](self) on sharding and threading): each window, every
     /// scheduling domain drains its nodes' queues up to the window end —
     /// concurrently when more than one worker thread is resolved — then
-    /// the cross-node packets generated meanwhile are merged into
+    /// the cross-node packets generated meanwhile are delivered into
     /// destination queues in deterministic order. The result is
     /// bit-identical for every [`ClusterConfig::shards`] and
     /// [`ClusterConfig::threads`] value.
@@ -663,15 +666,16 @@ impl Cluster {
             }
             let window_end = deadline.min(next + lookahead);
             task.advance(window_end);
-            Self::merge_deliver(std::slice::from_mut(&mut task), nodes, window_end);
+            deliver(std::slice::from_mut(&mut task), nodes, window_end);
         }
     }
 
     /// The thread-parallel window loop: a pool of `threads` workers claims
     /// shards from a shared cursor each window; the coordinator (this
-    /// thread) computes windows and runs the deterministic merge at each
-    /// barrier. Bit-identical to the serial loop by construction — the
-    /// merge order never depends on which worker advanced which shard.
+    /// thread) computes windows and runs the deterministic delivery at
+    /// each barrier. Bit-identical to the serial loop by construction —
+    /// the delivery order never depends on which worker advanced which
+    /// shard.
     fn run_windows_parallel(
         tasks: &mut [ShardExec<'_>],
         per_shard: usize,
@@ -717,7 +721,7 @@ impl Cluster {
                 });
             }
 
-            // Coordinator. Any panic on this side (a merge debug-assert,
+            // Coordinator. Any panic on this side (a delivery debug-assert,
             // a poisoned shard) must also release the parked workers
             // before unwinding, or thread::scope's implicit join would
             // hang on the barrier forever — hence `abort`.
@@ -760,81 +764,24 @@ impl Cluster {
                     abort(p);
                 }
                 // Workers are parked at the window-start barrier, so the
-                // coordinator owns every shard: merge cross-node traffic
+                // coordinator owns every shard: deliver cross-node traffic
                 // and pick the next window.
-                let merged = panic::catch_unwind(AssertUnwindSafe(|| {
+                let delivered = panic::catch_unwind(AssertUnwindSafe(|| {
                     let mut guards: Vec<_> = slots
                         .iter()
                         .map(|s| s.lock().expect("shard poisoned"))
                         .collect();
                     let mut refs: Vec<&mut ShardExec<'_>> =
                         guards.iter_mut().map(|g| &mut ***g).collect();
-                    Self::merge_deliver(&mut refs, per_shard, window_end);
+                    deliver(&mut refs, per_shard, window_end);
                     refs.iter_mut().filter_map(|t| t.next_event()).min()
                 }));
-                next = match merged {
+                next = match delivered {
                     Ok(n) => n,
                     Err(p) => abort(p),
                 };
             }
         });
-    }
-
-    /// The window barrier: drains the outboxes that sent this window and
-    /// delivers the cross-node messages into destination queues in the
-    /// deterministic merge order `(arrival time, source, per-source send
-    /// order)`.
-    ///
-    /// This is also where the [`FaultPlan`](crate::fault::FaultPlan) bites:
-    /// a packet whose source node, destination node or link is down at the
-    /// arrival instant is counted and discarded instead of scheduled. The
-    /// decision is a pure function of the (static) plan and the packet's
-    /// `(src, dst, arrival)` tuple, so injection cannot perturb the
-    /// shard × thread bit-identity the merge order guarantees.
-    fn merge_deliver(tasks: &mut [&mut ShardExec<'_>], per_shard: usize, window_end: Time) {
-        let cfg = tasks[0].cfg;
-        let faults = !cfg.fault.is_empty();
-        let mut merged = std::mem::take(&mut tasks[0].sched.merged);
-        ShardRouter::merge_sorted_into(
-            tasks.iter_mut().flat_map(|t| t.sent_outboxes()),
-            &mut merged,
-        );
-        debug_assert!(
-            tasks
-                .iter()
-                .all(|t| t.outboxes.iter().all(Outbox::is_empty)),
-            "an outbox sent without being listed as a sender"
-        );
-        for Merged { at, dst, msg, .. } in merged.drain(..) {
-            debug_assert!(
-                at >= window_end,
-                "fabric message outran the lookahead window"
-            );
-            let ti = dst / per_shard;
-            let task = &mut *tasks[ti];
-            let local = dst - ti * per_shard;
-            if faults {
-                if let Event::PacketArrive(pkt) = &msg {
-                    if cfg
-                        .fault
-                        .drops_packet(pkt.src_node as usize, pkt.dst_node as usize, at)
-                    {
-                        task.nodes[local].dropped_packets += 1;
-                        continue;
-                    }
-                }
-            }
-            let queue = &mut task.nodes[local].queue;
-            // Hint the destination only when the message becomes its queue
-            // head: an earlier or equal head already carries a hint at or
-            // before `at`, so coverage holds with at most one push per
-            // node per window.
-            if queue.peek_time().is_none_or(|head| at < head) {
-                task.sched.active.push(Reverse((at, local)));
-            }
-            queue.schedule(at, msg);
-        }
-        tasks[0].sched.merged = merged;
     }
 
     /// Runs for `duration` more simulated time.
@@ -849,16 +796,101 @@ struct Sched {
     /// Lazily validated `(time, local node)` hints for nodes with pending
     /// events — what makes window scheduling O(active nodes) instead of
     /// O(nodes) (see the [module docs](self)). A node may carry several
-    /// hints (its own re-hint plus one from the merge when a message
-    /// becomes its new head); stale ones are discarded or refreshed
+    /// hints (its own re-hint plus one from the barrier each time a
+    /// message becomes its new head); stale ones are discarded or refreshed
     /// against the queue head when popped.
     active: BinaryHeap<Reverse<(Time, usize)>>,
     /// Local indices of the nodes whose outbox went from empty to
     /// non-empty this window — the only outboxes the barrier drains.
     sent: Vec<usize>,
-    /// The barrier's merge buffer, reused every window (the first
-    /// domain's serves the whole merge).
-    merged: Vec<Merged<Event>>,
+}
+
+/// A scheduling domain as the window barrier sees it; a trait so that the
+/// delivery order can be tested on plain queues of numbered messages.
+trait Domain<M> {
+    /// The outboxes of the domain's nodes, by local index.
+    fn outboxes(&mut self) -> &mut [Outbox<M>];
+    /// Local indices of the nodes whose outbox went from empty to
+    /// non-empty this window, each listed once.
+    fn senders(&mut self) -> &mut Vec<usize>;
+    /// Takes delivery of `msg`, due at local node `local` at `at`.
+    fn receive(&mut self, local: usize, at: Time, msg: M);
+}
+
+/// The window barrier: drains the outboxes that sent this window and
+/// schedules every cross-node message straight into its destination's
+/// queue.
+///
+/// No sort is needed to honour the deterministic merge order `(arrival
+/// time, source, per-source send order)`. Senders are walked in ascending
+/// source order (domains hold contiguous node ranges, in order) and each
+/// outbox in send order, so the messages one destination receives at one
+/// instant arrive in `(source, send order)`; its queue orders different
+/// instants by itself and keeps ties in schedule order. Each sent
+/// outbox's `Vec` is swapped out and back, so nothing is copied and the
+/// outboxes keep their capacity.
+fn deliver<D: Domain<M>, M>(domains: &mut [&mut D], per_domain: usize, window_end: Time) {
+    let mut msgs = Vec::new();
+    for si in 0..domains.len() {
+        let mut sent = std::mem::take(domains[si].senders());
+        sent.sort_unstable();
+        for &i in &sent {
+            domains[si].outboxes()[i].swap_pending(&mut msgs);
+            for (at, dst, msg) in msgs.drain(..) {
+                debug_assert!(
+                    at >= window_end,
+                    "fabric message outran the lookahead window"
+                );
+                domains[dst / per_domain].receive(dst % per_domain, at, msg);
+            }
+            domains[si].outboxes()[i].swap_pending(&mut msgs);
+        }
+        sent.clear();
+        *domains[si].senders() = sent;
+    }
+    debug_assert!(
+        domains
+            .iter_mut()
+            .all(|d| d.outboxes().iter().all(Outbox::is_empty)),
+        "an outbox sent without being listed as a sender"
+    );
+}
+
+impl Domain<Event> for ShardExec<'_> {
+    fn outboxes(&mut self) -> &mut [Outbox<Event>] {
+        self.outboxes
+    }
+
+    fn senders(&mut self) -> &mut Vec<usize> {
+        &mut self.sched.sent
+    }
+
+    /// This is also where the [`FaultPlan`](crate::fault::FaultPlan)
+    /// bites: a packet whose source node, destination node or link is
+    /// down at the arrival instant is counted and discarded instead of
+    /// scheduled. The decision is a pure function of the (static) plan and
+    /// the packet's `(src, dst, arrival)` tuple, so injection cannot
+    /// perturb the shard × thread bit-identity the delivery order
+    /// guarantees.
+    fn receive(&mut self, local: usize, at: Time, msg: Event) {
+        let node = &mut self.nodes[local];
+        let fault = &self.cfg.fault;
+        if let Event::PacketArrive(pkt) = &msg {
+            if !fault.is_empty()
+                && fault.drops_packet(pkt.src_node as usize, pkt.dst_node as usize, at)
+            {
+                node.dropped_packets += 1;
+                return;
+            }
+        }
+        // Hint the destination only when the message becomes its queue
+        // head: an earlier or equal head already carries a hint at or
+        // before `at`, so every head stays covered.
+        if node.queue.peek_time().is_none_or(|head| at < head) {
+            self.sched.active.push(Reverse((at, local)));
+        }
+        node.queue.schedule(at, msg);
+    }
 }
 
 /// One scheduling domain's execution context: the shared configuration
@@ -898,20 +930,6 @@ impl<'a> ShardExec<'a> {
         &mut self.nodes[node - self.base]
     }
 
-    /// The outboxes that sent this window, each yielded once; clears the
-    /// sender list. Slice iterators skip ahead in O(1), so this costs
-    /// O(senders), not O(nodes).
-    fn sent_outboxes(&mut self) -> impl Iterator<Item = &mut Outbox<Event>> {
-        self.sched.sent.sort_unstable();
-        let mut outboxes = self.outboxes.iter_mut();
-        let mut next = 0;
-        self.sched.sent.drain(..).map(move |i| {
-            let outbox = outboxes.nth(i - next).expect("sender within the domain");
-            next = i + 1;
-            outbox
-        })
-    }
-
     /// Earliest pending event over this shard's nodes.
     ///
     /// Consults only the hint heap — O(stale hints) amortized, not
@@ -949,7 +967,7 @@ impl<'a> ShardExec<'a> {
             // A stale hint (the node was already drained under a sibling
             // hint this window, or the hinted event was consumed earlier)
             // is discarded without a re-push: whatever made the node's
-            // current head its head (the seed pass, a drain, or the merge
+            // current head its head (the seed pass, a drain, or the barrier
             // delivering a new head) pushed a hint exactly at it, so
             // coverage holds and duplicates cannot accumulate.
             match self.nodes[i].queue.peek_time() {
@@ -1527,6 +1545,7 @@ mod tests {
     use crate::workload::ReadMechanism;
     use crate::workloads::{UpdatePlan, Writer, WriterLayout};
     use proptest::prelude::*;
+    use sabre_sim::EventQueue;
     use sabre_sw::layout::CleanLayout;
 
     fn small_cfg() -> ClusterConfig {
@@ -1537,7 +1556,7 @@ mod tests {
     }
 
     /// Every schedule and pop moves an `Event` into and out of a node
-    /// queue's slab or lane, so the one memory-completion variant must not
+    /// queue's deque or lane, so the one memory-completion variant must not
     /// grow it past a fabric packet's size.
     #[test]
     fn event_fits_in_104_bytes() {
@@ -1547,11 +1566,12 @@ mod tests {
     proptest! {
         /// The node queue pops exactly what a plain `EventQueue` pops, in
         /// the same `(time, schedule order)`, whatever mix of same-instant
-        /// follow-ups, bursts at one future instant, bounded pops and full
-        /// pops drives it.
+        /// follow-ups, bursts at one future instant, unrolls that leave a
+        /// long increasing tail, inserts behind that tail and at an
+        /// instant already queued, bounded pops and full pops drives it.
         #[test]
         fn node_queue_pops_in_event_queue_order(
-            steps in proptest::collection::vec((0u8..10, 0u64..4, 1usize..5), 1..400),
+            steps in proptest::collection::vec((0u8..13, 0u64..4, 1usize..5), 1..400),
         ) {
             let mut queue = NodeQueue::new();
             let mut model: EventQueue<u64> = EventQueue::new();
@@ -1574,6 +1594,25 @@ mod tests {
                         queue.schedule(last, next);
                         model.schedule(last, next);
                         next += 1;
+                    }
+                    // An RGP-style unroll: about 20 blocks at increasing
+                    // instants, so the bursts that follow land behind a
+                    // long tail.
+                    8 | 9 => {
+                        for k in 0..18 + burst as u64 {
+                            let at = at + Time::from_ns(1 + 2 * k);
+                            queue.schedule(at, next);
+                            model.schedule(at, next);
+                            next += 1;
+                        }
+                    }
+                    // A tie with an instant already queued mid-deque.
+                    10 => {
+                        if let Some(&(at, _)) = queue.pending.get(queue.pending.len() / 2) {
+                            queue.schedule(at, next);
+                            model.schedule(at, next);
+                            next += 1;
+                        }
                     }
                     // Pop everything due by `at`, as a window drain does.
                     6 | 7 => loop {
@@ -1604,6 +1643,94 @@ mod tests {
                 prop_assert_eq!(queue.peek_time(), model.peek_time());
             }
             prop_assert!(model.is_empty());
+        }
+    }
+
+    /// One scheduling domain of the delivery test: outboxes lent from a
+    /// router, their sender list, and one queue per node.
+    struct Mailbag<'a> {
+        outboxes: &'a mut [Outbox<u64>],
+        sent: Vec<usize>,
+        queues: Vec<NodeQueue<u64>>,
+    }
+
+    impl Domain<u64> for Mailbag<'_> {
+        fn outboxes(&mut self) -> &mut [Outbox<u64>] {
+            self.outboxes
+        }
+
+        fn senders(&mut self) -> &mut Vec<usize> {
+            &mut self.sent
+        }
+
+        fn receive(&mut self, local: usize, at: Time, msg: u64) {
+            self.queues[local].schedule(at, msg);
+        }
+    }
+
+    proptest! {
+        /// Sort-free delivery hands every destination exactly the sequence
+        /// the sorted merge gives it: random sources send to random
+        /// destinations at three instants, so `(destination, arrival)`
+        /// ties are common, one of those instants is each destination's
+        /// last-popped one, and the nodes are split into one or more
+        /// domains with senders listed in first-send order.
+        #[test]
+        fn delivery_pops_in_merge_order(
+            nodes in 2usize..7,
+            per_domain in 1usize..7,
+            sends in proptest::collection::vec((0usize..7, 0usize..7, 0u64..3), 0..80),
+        ) {
+            let per_domain = per_domain.min(nodes);
+            let window_end = Time::from_ns(100);
+            let mut reference: ShardRouter<u64> = ShardRouter::new(nodes);
+            let mut router: ShardRouter<u64> = ShardRouter::new(nodes);
+            let mut sent = vec![Vec::new(); nodes.div_ceil(per_domain)];
+            for (id, (src, dst, delay)) in sends.into_iter().enumerate() {
+                let (src, dst) = (src % nodes, dst % nodes);
+                if src == dst {
+                    continue;
+                }
+                let at = window_end + Time::from_ns(delay);
+                if router.outboxes_mut()[src].is_empty() {
+                    sent[src / per_domain].push(src % per_domain);
+                }
+                router.push(src, dst, at, id as u64);
+                reference.push(src, dst, at, id as u64);
+            }
+            let mut domains: Vec<Mailbag<'_>> = router
+                .outboxes_mut()
+                .chunks_mut(per_domain)
+                .zip(sent)
+                .map(|(outboxes, sent)| {
+                    let queues = (0..outboxes.len())
+                        .map(|_| {
+                            // Pop one event at the window end, as a drain
+                            // would, so arrivals there join the lane.
+                            let mut queue = NodeQueue::new();
+                            queue.schedule(window_end, u64::MAX);
+                            queue.pop_until(window_end);
+                            queue
+                        })
+                        .collect();
+                    Mailbag { outboxes, sent, queues }
+                })
+                .collect();
+            let mut refs: Vec<&mut Mailbag<'_>> = domains.iter_mut().collect();
+            deliver(&mut refs, per_domain, window_end);
+            let merged = ShardRouter::merge_sorted(reference.outboxes_mut().iter_mut());
+            for dst in 0..nodes {
+                let queue = &mut domains[dst / per_domain].queues[dst % per_domain];
+                let popped: Vec<(Time, u64)> =
+                    std::iter::from_fn(|| queue.pop_until(Time::MAX)).collect();
+                let expected: Vec<(Time, u64)> = merged
+                    .iter()
+                    .filter(|&&(_, to, _)| to == dst)
+                    .map(|&(at, _, id)| (at, id))
+                    .collect();
+                prop_assert_eq!(popped, expected);
+            }
+            prop_assert!(domains.iter().all(|d| d.sent.is_empty()));
         }
     }
 

@@ -2,8 +2,8 @@
 //!
 //! A counting global allocator watches a measured window of a warmed
 //! 8-node rack whose readers mix plain remote reads with one-sided writes.
-//! Once the node queues, their slabs and lanes, the packet buffers and the
-//! merge buffer have grown to the workload's high-water marks, handling an
+//! Once the node queues (their deques and lanes), the packet buffers and
+//! the outboxes have grown to the workload's high-water marks, handling an
 //! event — a packet send or arrival, a pump, a memory completion, a wake
 //! or a completion — must not touch the heap. A handful of late growth
 //! steps are tolerated: at most one allocation per 10,000 handled events.
