@@ -8,8 +8,9 @@ use std::hint::black_box;
 
 use sabre_core::{LightSabres, LightSabresConfig, SabreId, StreamBuffer};
 use sabre_mem::{Addr, BlockAddr, Llc, NodeMemory, BLOCK_BYTES};
-use sabre_rack::workloads::{UpdatePlan, WriterLayout};
-use sabre_rack::{spec, Arrivals, Cluster, ClusterConfig, ReadMechanism, ScenarioBuilder};
+use sabre_rack::{
+    spec, Arrivals, Cluster, ClusterConfig, ReadMechanism, ScenarioBuilder, StoreLayout, UpdatePlan,
+};
 use sabre_sim::{CalendarQueue, EventQueue, LatencyHistogram, Time};
 use sabre_sonuma::{Block, Packet, PacketKind, R2p2, R2p2Action};
 use sabre_sw::layout::{CleanLayout, PerClLayout};
@@ -87,8 +88,8 @@ fn bench_writers(c: &mut Criterion) {
     // split into 17 clean stores, or re-encoded as 19 stamped per-CL lines.
     let mut plan = UpdatePlan::new();
     for (name, layout) in [
-        ("writer_plan_rebuild_1k_clean", WriterLayout::Clean),
-        ("writer_plan_rebuild_1k_percl", WriterLayout::PerCl),
+        ("writer_plan_rebuild_1k_clean", StoreLayout::Clean),
+        ("writer_plan_rebuild_1k_percl", StoreLayout::PerCl),
     ] {
         let mut seq = 0u64;
         g.bench_function(name, |b| {

@@ -14,7 +14,7 @@
 
 use sabre_core::CcMode;
 use sabre_farm::{ScenarioStoreExt, StoreLayout};
-use sabre_rack::workloads::{Writer, WriterLayout};
+use sabre_rack::workloads::Writer;
 use sabre_rack::{spec, ReadMechanism, ScenarioBuilder};
 use sabre_sim::Time;
 
@@ -126,7 +126,7 @@ pub fn retry_policy_sweep(opts: RunOpts) -> Vec<(String, f64, f64)> {
             scenario = scenario.workload(
                 1,
                 w,
-                Box::new(Writer::new(owned, 8192, WriterLayout::Clean, Time::ZERO)),
+                Box::new(Writer::new(owned, 8192, StoreLayout::Clean, Time::ZERO)),
             );
         }
         let report = scenario.run_for(duration);

@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 
 use sabre_farm::{ScenarioStoreExt, StoreLayout};
 use sabre_mem::Addr;
-use sabre_rack::workloads::{verify_payload, Writer, WriterLayout};
+use sabre_rack::workloads::{verify_payload, Writer};
 use sabre_rack::{CoreApi, ReadMechanism, ScenarioBuilder, Workload};
 use sabre_sim::Time;
 use sabre_sonuma::CqEntry;
@@ -128,7 +128,7 @@ fn run_side(mech: ReadMechanism, duration: Time) -> (u64, u64, u64) {
         .workload(
             1,
             0,
-            Box::new(Writer::new(entries, 112, WriterLayout::Clean, Time::ZERO)),
+            Box::new(Writer::new(entries, 112, StoreLayout::Clean, Time::ZERO)),
         )
         .run_for(duration);
     let c = counters.lock().expect("counters poisoned");

@@ -11,7 +11,7 @@
 //! failure notification does not.
 
 use sabre_farm::{ScenarioStoreExt, StoreLayout};
-use sabre_rack::workloads::{Writer, WriterLayout};
+use sabre_rack::workloads::Writer;
 use sabre_rack::{spec, ScenarioBuilder};
 use sabre_sim::Time;
 
@@ -59,12 +59,6 @@ fn measure(size: u32, writers: usize, layout: StoreLayout, duration: Time) -> (f
             .wire(wire),
     );
     if writers > 0 {
-        let wl = match layout {
-            StoreLayout::Clean => WriterLayout::Clean,
-            StoreLayout::PerCl => WriterLayout::PerCl,
-            StoreLayout::Checksum => WriterLayout::Checksum,
-            StoreLayout::WfRegister => WriterLayout::WfRegister,
-        };
         // CREW: partition the objects across writers round-robin so every
         // writer owns ⌈100/N⌉ or ⌊100/N⌋ objects (a contiguous-chunk split
         // can leave one writer a single object that it then rewrites
@@ -72,7 +66,8 @@ fn measure(size: u32, writers: usize, layout: StoreLayout, duration: Time) -> (f
         let entries = store.object_entries();
         for w in 0..writers {
             let owned: Vec<_> = entries.iter().copied().skip(w).step_by(writers).collect();
-            scenario = scenario.workload(1, w, Box::new(Writer::new(owned, size, wl, Time::ZERO)));
+            scenario =
+                scenario.workload(1, w, Box::new(Writer::new(owned, size, layout, Time::ZERO)));
         }
     }
     let report = scenario.run_for(duration);

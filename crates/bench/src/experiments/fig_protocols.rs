@@ -24,7 +24,7 @@
 //! `tests/experiment_shapes.rs`.
 
 use sabre_farm::{ScenarioStoreExt, StoreLayout};
-use sabre_rack::workloads::{Writer, WriterLayout};
+use sabre_rack::workloads::Writer;
 use sabre_rack::{spec, Arrivals, ReadMechanism, ScenarioBuilder};
 use sabre_sim::Time;
 
@@ -83,14 +83,10 @@ impl Protocol {
         }
     }
 
-    /// The store layout this protocol reads.
+    /// The store layout this protocol reads and its writers maintain:
+    /// raw reads and SABRes read clean objects.
     pub fn layout(self) -> StoreLayout {
-        match self {
-            Protocol::Raw | Protocol::Sabre | Protocol::OhRam => StoreLayout::Clean,
-            Protocol::PerCl => StoreLayout::PerCl,
-            Protocol::Checksum => StoreLayout::Checksum,
-            Protocol::WfRegister => StoreLayout::WfRegister,
-        }
+        StoreLayout::of_mechanism(self.read_mechanism()).map_or(StoreLayout::Clean, |(l, _)| l)
     }
 
     /// The matching reader mechanism.
@@ -102,16 +98,6 @@ impl Protocol {
             Protocol::Checksum => ReadMechanism::ChecksumValidate { payload: PAYLOAD },
             Protocol::WfRegister => ReadMechanism::WfRegister { payload: PAYLOAD },
             Protocol::OhRam => ReadMechanism::OhRam { payload: PAYLOAD },
-        }
-    }
-
-    /// The writer protocol maintaining the layout under the readers.
-    pub fn writer_layout(self) -> WriterLayout {
-        match self.layout() {
-            StoreLayout::Clean => WriterLayout::Clean,
-            StoreLayout::PerCl => WriterLayout::PerCl,
-            StoreLayout::Checksum => WriterLayout::Checksum,
-            StoreLayout::WfRegister => WriterLayout::WfRegister,
         }
     }
 }
@@ -192,7 +178,7 @@ pub fn measure_threaded(
             .chunks(OBJECTS_PER_WRITER)
             .enumerate()
         {
-            let writer = Writer::new(entries.to_vec(), PAYLOAD, proto.writer_layout(), Time::ZERO);
+            let writer = Writer::new(entries.to_vec(), PAYLOAD, proto.layout(), Time::ZERO);
             scenario = scenario.workload(shard.node() as usize, w, Box::new(writer));
         }
     }

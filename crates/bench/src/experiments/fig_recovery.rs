@@ -34,7 +34,6 @@
 
 use sabre_farm::{replica_sites, RecoveringWriter, ScenarioStoreExt, StoreLayout, WriteLog};
 use sabre_mem::Addr;
-use sabre_rack::workloads::WriterLayout;
 use sabre_rack::{spec, FaultPlan, ReadMechanism, RecoveryReport, ScenarioBuilder};
 use sabre_sim::Time;
 
@@ -180,7 +179,7 @@ pub fn measure_threaded(mode: Mode, iters: u64, shards: usize, threads: Option<u
             Box::new(RecoveringWriter::new(
                 store.object_entries(),
                 PAYLOAD,
-                WriterLayout::Clean,
+                StoreLayout::Clean,
                 Time::from_ns(500),
                 log,
                 peers,

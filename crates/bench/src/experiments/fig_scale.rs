@@ -66,13 +66,10 @@ impl Mechanism {
         }
     }
 
-    /// The store layout this mechanism reads.
+    /// The store layout this mechanism reads: raw reads and SABRes read
+    /// clean objects.
     pub fn layout(self) -> StoreLayout {
-        match self {
-            Mechanism::Raw | Mechanism::Sabre => StoreLayout::Clean,
-            Mechanism::PerCl => StoreLayout::PerCl,
-            Mechanism::Checksum => StoreLayout::Checksum,
-        }
+        StoreLayout::of_mechanism(self.read_mechanism()).map_or(StoreLayout::Clean, |(l, _)| l)
     }
 
     /// The matching reader mechanism.

@@ -35,20 +35,6 @@ use crate::config::{CcMode, LightSabresConfig, SpecMode};
 use crate::ids::{SabreId, SlotId};
 use crate::stream_buffer::{Probe, StreamBuffer};
 
-/// Why a SABRe aborted (statistics / tests only; the wire protocol reports
-/// just success or failure).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AbortReason {
-    /// An invalidation hit an already-read data block inside the window.
-    WindowConflict,
-    /// The sampled version was odd: a writer held the object.
-    VersionLocked,
-    /// Header re-read found a different version than the sample.
-    ValidateMismatch,
-    /// The shared reader lock could not be acquired (locking mode).
-    LockFailed,
-}
-
 /// A memory operation the engine wants issued, returned by
 /// [`LightSabres::next_issue`]. The caller owns actually performing it and
 /// feeding the result back.

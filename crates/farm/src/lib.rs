@@ -7,9 +7,11 @@
 //! crate reproduces the parts of FaRM the evaluation exercises:
 //!
 //! * [`store`] — the object store: fixed-size block-aligned object slots in
-//!   a registered region, in either the **per-cache-line versions** layout
-//!   (the FaRM baseline), the **clean** layout (the SABRe variant), or the
-//!   **checksum** layout (the Pilaf comparison);
+//!   a registered region, in one [`StoreLayout`]: the **per-cache-line
+//!   versions** layout (the FaRM baseline), the **clean** layout (the SABRe
+//!   variant), the **checksum** layout (the Pilaf comparison) or the
+//!   **wait-free register**. The layout type, with every per-layout fact,
+//!   is [`sabre_rack::StoreLayout`], re-exported here;
 //! * [`kv`] — the key-value view: key → object mapping and lookup cost;
 //! * [`costs`] — the FaRM framework cost model: KV lookup, the baseline's
 //!   intermediate-buffer management, the leaner SABRe path (including the

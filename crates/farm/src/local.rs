@@ -11,7 +11,6 @@ use sabre_rack::workloads::verify_payload;
 use sabre_rack::{CoreApi, Workload};
 use sabre_sim::Time;
 use sabre_sw::cost::DataSource;
-use sabre_sw::layout::{CleanLayout, PerClLayout};
 
 use crate::costs::FarmCosts;
 use crate::kv::KvStore;
@@ -117,28 +116,7 @@ impl Workload for FarmLocalReader {
         assert!(self.busy, "unexpected wake");
         let slot = self.kv.store().slot_bytes() as usize;
         let image = api.read_local(self.cur_addr, slot);
-        let clean = match self.kv.store().layout() {
-            StoreLayout::PerCl => PerClLayout::validate_and_strip(&image, self.payload()).ok(),
-            StoreLayout::Checksum => sabre_sw::ChecksumLayout::validate(&image, self.payload())
-                .ok()
-                .map(<[u8]>::to_vec),
-            StoreLayout::Clean => {
-                // Local optimistic read: version must be even (no writer).
-                let v = CleanLayout::version_of(&image);
-                (!v.is_locked()).then(|| CleanLayout::payload_of(&image, self.payload()).to_vec())
-            }
-            StoreLayout::WfRegister => {
-                // Follow the publish word to the current slot; the local
-                // snapshot is instantaneous, so it is always consistent.
-                use sabre_sw::WfRegisterLayout;
-                let (_, slot) = WfRegisterLayout::published_of(&image);
-                let start = WfRegisterLayout::HEADER_BYTES
-                    + slot as usize * WfRegisterLayout::slot_bytes(self.payload())
-                    + WfRegisterLayout::SLOT_HEADER_BYTES;
-                Some(image[start..start + self.payload()].to_vec())
-            }
-        };
-        match clean {
+        match self.kv.store().layout().validate(&image, self.payload()) {
             Some(payload) => {
                 if self.verify {
                     assert!(

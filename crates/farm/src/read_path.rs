@@ -9,13 +9,14 @@
 //! where the NI's DMA left it). Atomicity failures retry the same key, as
 //! FaRM does.
 
+use std::borrow::Cow;
+
 use sabre_mem::Addr;
 use sabre_rack::workloads::verify_payload;
 use sabre_rack::{CoreApi, Phase, Workload};
 use sabre_sim::Time;
 use sabre_sonuma::CqEntry;
 use sabre_sw::cost::DataSource;
-use sabre_sw::layout::{CleanLayout, PerClLayout};
 
 use crate::costs::FarmCosts;
 use crate::kv::KvStore;
@@ -141,22 +142,10 @@ impl FarmReader {
     /// success.
     fn validate(&self, api: &CoreApi<'_>) -> Option<Vec<u8>> {
         let image = api.read_local(self.buf(api), self.wire() as usize);
-        match self.kv.store().layout() {
-            StoreLayout::PerCl => {
-                PerClLayout::validate_and_strip(&image, self.payload() as usize).ok()
-            }
-            StoreLayout::Checksum => {
-                sabre_sw::ChecksumLayout::validate(&image, self.payload() as usize)
-                    .ok()
-                    .map(|p| p.to_vec())
-            }
-            StoreLayout::Clean => {
-                Some(CleanLayout::payload_of(&image, self.payload() as usize).to_vec())
-            }
-            StoreLayout::WfRegister => Some(
-                sabre_sw::WfRegisterLayout::payload_of(&image, self.payload() as usize).to_vec(),
-            ),
-        }
+        let layout = self.kv.store().layout();
+        layout
+            .validate(&image, self.payload() as usize)
+            .map(Cow::into_owned)
     }
 
     fn check_pattern(&self, payload: &[u8]) {

@@ -56,10 +56,10 @@
 //! consumes them.
 
 use sabre_mem::{Addr, BLOCK_BYTES};
-use sabre_rack::workloads::{UpdatePlan, WriterLayout};
-use sabre_rack::{CoreApi, Workload};
+use sabre_rack::{CoreApi, StoreLayout, UpdatePlan, Workload};
 use sabre_sim::Time;
 use sabre_sonuma::{CqEntry, OpKind};
+use sabre_sw::ReaderLockWord;
 
 /// Availability state of one replica site, as its writer walks it; see
 /// [`RecoveringWriter::state`].
@@ -179,10 +179,8 @@ impl WriteLog {
 enum RwPhase {
     /// Between updates (think pause running).
     Idle,
-    /// Version word locked; payload chunk `chunk` is the next store.
-    Writing { chunk: usize },
-    /// All data written; the publish store is next.
-    Publishing,
+    /// An update is in progress; each wake is one [`UpdatePlan::step`].
+    Updating,
     /// Published; the log record store is next.
     LogRecord,
     /// Record stored; the log head bump is next.
@@ -217,7 +215,7 @@ enum RwPhase {
 pub struct RecoveringWriter {
     objects: Vec<(u64, Addr)>,
     payload: u32,
-    layout: WriterLayout,
+    layout: StoreLayout,
     think: Time,
     log: WriteLog,
     /// Fellow replica sites (own node excluded), catch-up sources.
@@ -267,7 +265,7 @@ impl RecoveringWriter {
     pub fn new(
         objects: Vec<(u64, Addr)>,
         payload: u32,
-        layout: WriterLayout,
+        layout: StoreLayout,
         think: Time,
         log: WriteLog,
         peers: Vec<u8>,
@@ -362,7 +360,7 @@ impl RecoveringWriter {
     }
 
     /// Starts the current object's update through the same
-    /// [`UpdatePlan::start`] as the local writer, then enters the chunk
+    /// [`UpdatePlan::start`] as the local writer, then enters the updating
     /// loop (or spins on a held reader lock).
     fn start_update(&mut self, api: &mut CoreApi<'_>) {
         if let Some(target) = self.replay_until {
@@ -392,7 +390,7 @@ impl RecoveringWriter {
             self.payload as usize,
             self.respect_reader_locks,
         ) {
-            RwPhase::Writing { chunk: 0 }
+            RwPhase::Updating
         } else {
             RwPhase::SpinningOnReaders
         };
@@ -439,7 +437,7 @@ impl RecoveringWriter {
                         // nobody holds and the site never catches up.
                         for i in 0..self.objects.len() {
                             let (_, base) = self.objects[i];
-                            api.store_local_u64(base + 8u64, 0);
+                            api.store_local_u64(base + ReaderLockWord::OFFSET_FROM_VERSION, 0);
                         }
                     }
                 }
@@ -523,18 +521,11 @@ impl Workload for RecoveringWriter {
         match self.phase {
             RwPhase::Idle => self.begin(api),
             RwPhase::Frozen => self.resume_from_outage(api),
-            RwPhase::Writing { chunk } => {
-                self.phase = if self.plan.apply(api, chunk) {
-                    RwPhase::Writing { chunk: chunk + 1 }
-                } else {
-                    RwPhase::Publishing
-                };
-                api.sleep(api.config().writer_store_interval);
-            }
-            RwPhase::Publishing => {
-                self.plan.publish(api);
-                self.phase = RwPhase::LogRecord;
-                api.sleep(api.config().writer_store_interval);
+            RwPhase::Updating => {
+                if self.plan.step(api) {
+                    self.phase = RwPhase::LogRecord;
+                    api.sleep(api.config().writer_store_interval);
+                }
             }
             RwPhase::LogRecord => {
                 // Record first, head second: a concurrent pull seeing
@@ -635,7 +626,7 @@ mod tests {
         let _ = RecoveringWriter::new(
             vec![(0, Addr::new(0))],
             64,
-            WriterLayout::Clean,
+            StoreLayout::Clean,
             Time::from_ns(100),
             WriteLog::new(Addr::new(4096), 8),
             vec![1],

@@ -1,61 +1,14 @@
-//! The object store: a registered region of fixed-size object slots.
+//! The object store: a registered region of fixed-size object slots, laid
+//! out in one [`StoreLayout`].
+//!
+//! The layout itself — footprint, wire size, initial image, the writer's
+//! update stores and the reader's validation — is
+//! [`sabre_rack::StoreLayout`], re-exported here; an [`ObjectStore`] only
+//! places its objects.
 
 use sabre_mem::{Addr, NodeMemory};
 use sabre_rack::workloads::pattern_payload;
-use sabre_sw::layout::{CleanLayout, PerClLayout};
-use sabre_sw::{ChecksumLayout, WfRegisterLayout};
-
-/// Which object layout the store uses — the choice the paper's evaluation
-/// toggles between its baseline and SABRe configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StoreLayout {
-    /// Clean layout: 16 B header + contiguous payload (SABRe variant;
-    /// "unmodified object store" in Fig. 10).
-    Clean,
-    /// FaRM per-cache-line versions.
-    PerCl,
-    /// Pilaf checksums.
-    Checksum,
-    /// The wait-free multi-version register (Ianni et al.): a publish-word
-    /// header block plus [`WfRegisterLayout::SLOTS`] version slots. Reads
-    /// transfer only the header + the published slot, so the wire size is
-    /// much smaller than the footprint. (Oh-RAM reads need no layout of
-    /// their own — they run over [`StoreLayout::Clean`] objects.)
-    WfRegister,
-}
-
-impl StoreLayout {
-    /// In-memory footprint of one object with `payload` clean bytes,
-    /// rounded up to whole blocks (slots are block-aligned).
-    pub fn object_bytes(self, payload: usize) -> usize {
-        match self {
-            StoreLayout::Clean => CleanLayout::object_bytes(payload),
-            StoreLayout::PerCl => PerClLayout::object_bytes(payload),
-            StoreLayout::Checksum => ChecksumLayout::object_bytes(payload),
-            StoreLayout::WfRegister => WfRegisterLayout::object_bytes(payload),
-        }
-    }
-
-    /// Bytes a one-sided read of one object must transfer. Equal to the
-    /// footprint for all layouts except the wait-free register, which
-    /// keeps multiple versions in memory but ships only one.
-    pub fn wire_bytes(self, payload: usize) -> usize {
-        match self {
-            StoreLayout::WfRegister => WfRegisterLayout::wire_bytes(payload),
-            _ => self.object_bytes(payload),
-        }
-    }
-
-    /// The matching reader mechanism for [`sabre_rack`] workloads.
-    pub fn mechanism(self, payload: u32) -> sabre_rack::ReadMechanism {
-        match self {
-            StoreLayout::Clean => sabre_rack::ReadMechanism::Sabre,
-            StoreLayout::PerCl => sabre_rack::ReadMechanism::PerClValidate { payload },
-            StoreLayout::Checksum => sabre_rack::ReadMechanism::ChecksumValidate { payload },
-            StoreLayout::WfRegister => sabre_rack::ReadMechanism::WfRegister { payload },
-        }
-    }
-}
+pub use sabre_rack::StoreLayout;
 
 /// Descriptor of an object store region on one node.
 ///
@@ -172,13 +125,7 @@ impl ObjectStore {
         );
         for i in 0..self.n_objects {
             let payload = pattern_payload(i, 0, self.payload as usize);
-            let addr = self.object_addr(i);
-            match self.layout {
-                StoreLayout::Clean => CleanLayout::init(mem, addr, &payload),
-                StoreLayout::PerCl => PerClLayout::init(mem, addr, &payload),
-                StoreLayout::Checksum => ChecksumLayout::init(mem, addr, &payload),
-                StoreLayout::WfRegister => WfRegisterLayout::init(mem, addr, &payload),
-            }
+            self.layout.init(mem, self.object_addr(i), &payload);
         }
     }
 }
@@ -187,6 +134,7 @@ impl ObjectStore {
 mod tests {
     use super::*;
     use sabre_rack::workloads::verify_payload;
+    use sabre_sw::layout::{CleanLayout, PerClLayout};
 
     #[test]
     fn slot_geometry_per_layout() {

@@ -9,12 +9,10 @@
 
 use std::collections::VecDeque;
 
-use sabre_rack::workloads::{UpdatePlan, WriterLayout};
-use sabre_rack::{CoreApi, Workload};
+use sabre_rack::{CoreApi, UpdatePlan, Workload};
 use sabre_sim::Time;
 
 use crate::kv::KvStore;
-use crate::store::StoreLayout;
 
 #[derive(Debug, Clone, Copy)]
 struct PendingWrite {
@@ -27,8 +25,9 @@ struct PendingWrite {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ServerPhase {
     Idle,
-    Writing { chunk: usize },
-    Publishing,
+    /// The queue's head write is in progress; each wake is one
+    /// [`UpdatePlan::step`].
+    Updating,
 }
 
 /// The owner-side RPC write server: applies object updates requested by
@@ -64,15 +63,6 @@ impl RpcWriteServer {
         self.applied
     }
 
-    fn layout(&self) -> WriterLayout {
-        match self.kv.store().layout() {
-            StoreLayout::Clean => WriterLayout::Clean,
-            StoreLayout::PerCl => WriterLayout::PerCl,
-            StoreLayout::Checksum => WriterLayout::Checksum,
-            StoreLayout::WfRegister => WriterLayout::WfRegister,
-        }
-    }
-
     fn begin_next(&mut self, api: &mut CoreApi<'_>) {
         let Some(req) = self.queue.front().copied() else {
             self.phase = ServerPhase::Idle;
@@ -81,9 +71,10 @@ impl RpcWriteServer {
         let object = (req.obj, self.kv.store().object_addr(req.obj));
         let payload_len = self.kv.store().payload() as usize;
         // The server never waits on reader locks, so the update starts.
+        let layout = self.kv.store().layout();
         self.plan
-            .start(api, self.layout(), object, self.seq, payload_len, false);
-        self.phase = ServerPhase::Writing { chunk: 0 };
+            .start(api, layout, object, self.seq, payload_len, false);
+        self.phase = ServerPhase::Updating;
     }
 }
 
@@ -110,25 +101,17 @@ impl Workload for RpcWriteServer {
     }
 
     fn on_wake(&mut self, api: &mut CoreApi<'_>) {
-        let req = *self.queue.front().expect("woke with work pending");
-        match self.phase {
-            ServerPhase::Idle => unreachable!("idle server does not sleep"),
-            ServerPhase::Writing { chunk } => {
-                self.phase = if self.plan.apply(api, chunk) {
-                    ServerPhase::Writing { chunk: chunk + 1 }
-                } else {
-                    ServerPhase::Publishing
-                };
-                api.sleep(api.config().writer_store_interval);
-            }
-            ServerPhase::Publishing => {
-                self.plan.publish(api);
-                self.applied += 1;
-                self.seq += 1;
-                self.queue.pop_front();
-                api.reply_rpc(req.src_node, req.src_core, req.tag, 16);
-                self.begin_next(api);
-            }
+        assert_eq!(
+            self.phase,
+            ServerPhase::Updating,
+            "idle server does not sleep"
+        );
+        if self.plan.step(api) {
+            let req = self.queue.pop_front().expect("woke with work pending");
+            self.applied += 1;
+            self.seq += 1;
+            api.reply_rpc(req.src_node, req.src_core, req.tag, 16);
+            self.begin_next(api);
         }
     }
 }

@@ -7,7 +7,6 @@
 use sabre_farm::scenario::ScenarioStoreExt;
 use sabre_farm::{replica_sites, RecoveringWriter, StoreLayout, WriteLog};
 use sabre_mem::Addr;
-use sabre_rack::workloads::WriterLayout;
 use sabre_rack::{spec, FaultPlan, ReadMechanism, RecoveryReport, ScenarioBuilder};
 use sabre_sim::Time;
 
@@ -78,7 +77,7 @@ fn leaf_outage_run(serve_stale: bool) -> RecoveryReport {
             Box::new(RecoveringWriter::new(
                 store.object_entries(),
                 PAYLOAD,
-                WriterLayout::Clean,
+                StoreLayout::Clean,
                 // Replay runs think-free, so the convergence margin is the
                 // think pause: 500 ns makes the lag floor (pull + replay
                 // overhead, ~2 updates) sit well under converged_lag.

@@ -4,7 +4,7 @@
 
 use sabre_farm::{ScenarioStoreExt, StoreLayout};
 use sabre_mem::Addr;
-use sabre_rack::workloads::{pattern_payload, verify_payload, Writer, WriterLayout};
+use sabre_rack::workloads::{pattern_payload, verify_payload, Writer};
 use sabre_rack::{spec, Phase, ReadMechanism, ScenarioBuilder};
 use sabre_sim::Time;
 use sabre_sw::layout::{CleanLayout, PerClLayout};
@@ -42,7 +42,7 @@ fn writer_updates_publish_consistent_objects() {
         .workload(
             1,
             0,
-            Box::new(Writer::new(entries, 480, WriterLayout::Clean, Time::ZERO)),
+            Box::new(Writer::new(entries, 480, StoreLayout::Clean, Time::ZERO)),
         )
         .run_for(Time::from_us(50));
     // Whatever instant we stop at, at most one object is mid-update; the
@@ -77,7 +77,7 @@ fn percl_writer_keeps_store_validatable() {
             Box::new(Writer::new(
                 entries,
                 480,
-                WriterLayout::PerCl,
+                StoreLayout::PerCl,
                 Time::from_ns(100),
             )),
         )
@@ -197,4 +197,84 @@ fn store_local_rejects_straddling_writes() {
     small_scenario()
         .workload(0, 0, Box::new(Bad))
         .run_for(Time::from_ns(10));
+}
+
+/// Cadence pins for the three writer programs, taken at a fixed window.
+/// Each pin sums the final version (or publish) words of the store's
+/// objects, so an update that gains or loses one store interval moves it.
+mod cadence {
+    use super::*;
+    use sabre_farm::{KvStore, ObjectStore, RecoveringWriter, RpcWriteServer, RpcWriter, WriteLog};
+    use sabre_rack::RunReport;
+
+    const PAYLOAD: u32 = 200;
+    const OBJECTS: u64 = 3;
+    const WINDOW: Time = Time::from_us(20);
+
+    fn version_sum(report: &RunReport, store: &ObjectStore, layout: StoreLayout) -> u64 {
+        let mem = report.cluster().node_memory(1);
+        (0..OBJECTS)
+            .map(|i| mem.read_u64(layout.version_addr(store.object_addr(i))))
+            .sum()
+    }
+
+    fn writer_run(layout: StoreLayout) -> u64 {
+        let (scenario, store) = small_scenario().store(1, layout, PAYLOAD, Some(OBJECTS));
+        let writer = Writer::new(store.object_entries(), PAYLOAD, layout, Time::from_ns(50));
+        let report = scenario.workload(1, 0, Box::new(writer)).run_for(WINDOW);
+        version_sum(&report, &store, layout)
+    }
+
+    #[test]
+    fn writer_cadence_per_layout() {
+        let sums = [
+            StoreLayout::Clean,
+            StoreLayout::PerCl,
+            StoreLayout::Checksum,
+            StoreLayout::WfRegister,
+        ]
+        .map(writer_run);
+        assert_eq!(sums, [409, 409, 378, 765]);
+    }
+
+    #[test]
+    fn recovering_writer_cadence_without_faults() {
+        let (scenario, store) =
+            small_scenario().store(1, StoreLayout::Clean, PAYLOAD, Some(OBJECTS));
+        let log = WriteLog::new(Addr::new(1 << 20), 64);
+        let writer = RecoveringWriter::new(
+            store.object_entries(),
+            PAYLOAD,
+            StoreLayout::Clean,
+            Time::from_ns(50),
+            log,
+            vec![0],
+            Addr::new(2 << 20),
+            8,
+        );
+        let report = scenario.workload(1, 0, Box::new(writer)).run_for(WINDOW);
+        let head = report.cluster().node_memory(1).read_u64(log.head_addr());
+        assert_eq!(
+            (version_sum(&report, &store, StoreLayout::Clean), head),
+            (352, 175)
+        );
+    }
+
+    #[test]
+    fn rpc_write_server_cadence() {
+        let (scenario, store) =
+            small_scenario().store(1, StoreLayout::PerCl, PAYLOAD, Some(OBJECTS));
+        let kv = KvStore::new(store.clone(), 64);
+        let report = scenario
+            .workload(1, 0, Box::new(RpcWriteServer::new(kv.clone())))
+            .workload(0, 0, Box::new(RpcWriter::endless(kv, 0, Time::ZERO)))
+            .run_for(WINDOW);
+        assert_eq!(
+            (
+                version_sum(&report, &store, StoreLayout::PerCl),
+                report.core(0, 0).ops
+            ),
+            (200, 99)
+        );
+    }
 }

@@ -14,18 +14,14 @@
 //!   LightSABRes must not abort on).
 //! * [`timing`] — queued DRAM channels and LLC banks producing completion
 //!   times for block accesses (Table 2 parameters).
-//! * [`snoop`] — invalidation messages fanned out to integrated protocol
-//!   controllers, the hook LightSABRes' address-range snooping builds on.
 
 pub mod block;
 pub mod llc;
 pub mod memory;
-pub mod snoop;
 pub mod tags;
 pub mod timing;
 
 pub use block::{Addr, BlockAddr, BlockRange, BLOCK_BYTES, PAGE_BYTES};
 pub use llc::{Llc, LlcOutcome};
 pub use memory::NodeMemory;
-pub use snoop::{InvalCause, Invalidation};
 pub use timing::{MemSystem, MemTimingConfig, ServiceLevel};

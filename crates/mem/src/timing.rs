@@ -137,13 +137,6 @@ impl MemSystem {
     pub fn access_counts(&self) -> (u64, u64) {
         (self.dram_accesses, self.llc_accesses)
     }
-
-    /// Aggregate DRAM utilization over `[0, horizon]` (mean across
-    /// channels).
-    pub fn dram_utilization(&self, horizon: Time) -> f64 {
-        let sum: f64 = self.channels.iter().map(|c| c.utilization(horizon)).sum();
-        sum / self.channels.len() as f64
-    }
 }
 
 #[cfg(test)]

@@ -130,7 +130,8 @@ use sabre_mem::{Addr, BlockAddr, Llc, MemSystem, NodeMemory, ServiceLevel, BLOCK
 use sabre_sim::{FifoServer, SimRng, Time};
 use sabre_sonuma::r2p2::{R2p2Action, R2p2Stats};
 use sabre_sonuma::{Block, CqEntry, OpKind, Packet, PacketKind, R2p2, SourcePipeline, WqEntry};
-use sabre_sw::{CpuCostModel, ReaderLockWord, VersionWord};
+use sabre_sw::locking::{remote_cas_lock, remote_unlock, CasOutcome};
+use sabre_sw::{CpuCostModel, ReaderLockWord};
 
 use crate::config::ClusterConfig;
 use crate::metrics::CoreMetrics;
@@ -1223,10 +1224,9 @@ impl<'a> ShardExec<'a> {
                 token,
                 version_addr,
             } => {
-                let v = VersionWord::load(&self.node_ref(n).memory, version_addr);
-                let acquired = !v.is_locked();
+                let acquired = remote_cas_lock(&mut self.node_mut(n).memory, version_addr)
+                    == CasOutcome::Acquired;
                 if acquired {
-                    v.locked().store(&mut self.node_mut(n).memory, version_addr);
                     self.broadcast_inval(n, version_addr.block());
                 }
                 let ctx = self.node_mut(n);
@@ -1236,9 +1236,7 @@ impl<'a> ShardExec<'a> {
                 token,
                 version_addr,
             } => {
-                let v = VersionWord::load(&self.node_ref(n).memory, version_addr);
-                v.unlocked()
-                    .store(&mut self.node_mut(n).memory, version_addr);
+                remote_unlock(&mut self.node_mut(n).memory, version_addr);
                 self.broadcast_inval(n, version_addr.block());
                 let ctx = self.node_mut(n);
                 ctx.r2p2s[p].on_unlock_done_into(token, &mut ctx.sends);
@@ -1541,9 +1539,10 @@ impl CoreApi<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::{StoreLayout, UpdatePlan};
     use crate::spec::spec;
     use crate::workload::ReadMechanism;
-    use crate::workloads::{UpdatePlan, Writer, WriterLayout};
+    use crate::workloads::Writer;
     use proptest::prelude::*;
     use sabre_sim::EventQueue;
     use sabre_sw::layout::CleanLayout;
@@ -2002,7 +2001,7 @@ mod tests {
     /// merge's new-head hint) and some after it (no hint needed).
     fn contended_store_fingerprint(shards: usize, threads: Option<usize>) -> ContendedRun {
         const PAYLOAD: u32 = 256;
-        let layout = WriterLayout::Clean;
+        let layout = StoreLayout::Clean;
         let objects: Vec<(u64, Addr)> = (0..8).map(|i| (i, Addr::new(i * 4096))).collect();
         let bases: Vec<Addr> = objects.iter().map(|&(_, base)| base).collect();
         let mut cfg = ClusterConfig::with_nodes(4);

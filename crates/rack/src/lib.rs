@@ -46,6 +46,7 @@
 pub mod cluster;
 pub mod config;
 pub mod fault;
+pub mod layout;
 pub mod metrics;
 pub mod scenario;
 pub mod spec;
@@ -55,6 +56,7 @@ pub mod workloads;
 pub use cluster::{Cluster, EventCounts};
 pub use config::{ClusterConfig, NodeRole, PlacementFn, PlacementPolicy, Topology};
 pub use fault::{FaultPlan, FaultProfile};
+pub use layout::{StoreLayout, UpdatePlan};
 pub use metrics::{CoreMetrics, Phase};
 pub use scenario::{NodeReport, RecoveryReport, RunReport, ScenarioBuilder, Sweep};
 pub use spec::{spec, Arrivals, Popularity, WorkloadSpec};

@@ -9,8 +9,8 @@
 pub use crate::cluster::CoreApi;
 
 use sabre_sonuma::{CqEntry, OpKind};
-use sabre_sw::layout::PerClLayout;
-use sabre_sw::ChecksumLayout;
+
+use crate::layout::StoreLayout;
 
 /// How a reader achieves (or forgoes) atomicity — the mechanisms the
 /// paper's evaluation compares.
@@ -64,24 +64,14 @@ impl ReadMechanism {
     /// Bytes that must be transferred to read one object of `payload`
     /// useful bytes under this mechanism. Raw reads and SABRes move exactly
     /// the requested bytes (the microbenchmark's objects carry their
-    /// version word inside the payload, at offset 0); the software layouts
-    /// move their embedded metadata too. Store-backed readers override
-    /// this with the store's exact footprint.
+    /// version word inside the payload, at offset 0); every other
+    /// mechanism moves its [layout's](StoreLayout::of_mechanism) wire
+    /// image, metadata included. Store-backed readers override this with
+    /// the store's exact footprint.
     pub fn wire_bytes(self, payload: u32) -> u32 {
-        match self {
-            ReadMechanism::Raw | ReadMechanism::Sabre => payload,
-            ReadMechanism::PerClValidate { .. } => PerClLayout::wire_bytes(payload as usize) as u32,
-            ReadMechanism::ChecksumValidate { .. } => {
-                ChecksumLayout::object_bytes(payload as usize) as u32
-            }
-            ReadMechanism::WfRegister { .. } => {
-                sabre_sw::WfRegisterLayout::wire_bytes(payload as usize) as u32
-            }
-            // Oh-RAM reads run over clean-layout objects: header + payload.
-            ReadMechanism::OhRam { .. } => {
-                sabre_sw::layout::CleanLayout::object_bytes(payload as usize) as u32
-            }
-        }
+        StoreLayout::of_mechanism(self).map_or(payload, |(layout, _)| {
+            layout.wire_bytes(payload as usize) as u32
+        })
     }
 }
 

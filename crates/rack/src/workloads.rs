@@ -2,19 +2,25 @@
 //! §6/§7 ("a number of writer threads that update objects in their local
 //! memory, or reader threads that access objects in remote memory using
 //! one-sided soNUMA operations in a tight loop").
+//!
+//! The writers here and in `sabre_farm` keep their objects in a
+//! [`StoreLayout`] and walk each update through an [`UpdatePlan`], both
+//! from [`crate::layout`]; [`WriterLayout`] names the same type.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::ops::Range;
 
-use sabre_mem::{Addr, BLOCK_BYTES};
+use sabre_mem::Addr;
 use sabre_sim::{SimRng, Time, Zipf};
 use sabre_sonuma::CqEntry;
 use sabre_sw::cost::DataSource;
-use sabre_sw::layout::{CleanLayout, PerClLayout};
-use sabre_sw::{crc64_ecma, tag_board_addr, ChecksumLayout, VersionWord, WfRegisterLayout};
+use sabre_sw::tag_board_addr;
 
 use crate::cluster::CoreApi;
+/// The object layout under its writer-side name: the same type as
+/// [`StoreLayout`].
+pub use crate::layout::StoreLayout as WriterLayout;
+use crate::layout::{StoreLayout, UpdatePlan};
 use crate::metrics::Phase;
 use crate::spec::{Arrivals, Popularity, WorkloadSpec};
 use crate::workload::{ReadMechanism, Workload};
@@ -29,7 +35,7 @@ pub fn pattern_payload(obj_id: u64, seq: u64, payload_len: usize) -> Vec<u8> {
 }
 
 /// Writes [`pattern_payload`]`(obj_id, seq, out.len())` into `out`.
-fn fill_pattern(out: &mut [u8], obj_id: u64, seq: u64) {
+pub(crate) fn fill_pattern(out: &mut [u8], obj_id: u64, seq: u64) {
     let fill = (obj_id.wrapping_mul(31).wrapping_add(seq) & 0xFF) as u8;
     out.fill(fill);
     if out.len() >= 8 {
@@ -57,182 +63,6 @@ pub fn verify_payload(obj_id: u64, data: &[u8]) -> Option<u64> {
     }
     let fill = (obj_id.wrapping_mul(31).wrapping_add(seq) & 0xFF) as u8;
     data[16..].iter().all(|&b| b == fill).then_some(seq)
-}
-
-/// The sequence of single-block stores one object update performs under a
-/// [`WriterLayout`], in protocol order, and the version word stores around
-/// them. Shared by local [`Writer`]s and the FaRM writers.
-///
-/// A writer [`start`](UpdatePlan::start)s an update (lock, then rebuild the
-/// plan once), walks it one [`apply`](UpdatePlan::apply) per store
-/// interval — each step a lookup into one reused buffer, with no
-/// allocation or copying — and ends it with
-/// [`publish`](UpdatePlan::publish).
-///
-/// For the per-CL layout the head line comes *last*: it carries the header
-/// version every stamp is compared against, so writing it last publishes
-/// the update atomically with respect to the stamp check.
-#[derive(Debug, Clone, Default)]
-pub struct UpdatePlan {
-    /// The payload pattern, followed by any bytes the layout stores on top
-    /// of it (per-CL lines, the CRC, the slot's seq word).
-    bytes: Vec<u8>,
-    /// Each store's target and its bytes within `bytes`.
-    stores: Vec<(Addr, Range<usize>)>,
-    /// The version word's address and the word that publishes the update.
-    publish: (Addr, u64),
-}
-
-/// How long a writer waits before re-checking a held reader lock.
-const READER_LOCK_SPIN: Time = Time::from_ns(10);
-
-impl UpdatePlan {
-    /// An empty plan; [`rebuild`](UpdatePlan::rebuild) fills it.
-    pub fn new() -> Self {
-        UpdatePlan::default()
-    }
-
-    /// Starts update `seq` of `object` (its id and base address), the
-    /// steps every writer shares. With `respect_reader_locks` set and the
-    /// object's shared reader lock held (destination locking), it stores
-    /// nothing, sleeps one spin and returns `false`: the caller retries on
-    /// wake. Otherwise it reads the version word, stores it locked (if the
-    /// layout locks), rebuilds the plan and sleeps one store interval
-    /// before store 0, returning `true`.
-    pub fn start(
-        &mut self,
-        api: &mut CoreApi<'_>,
-        layout: WriterLayout,
-        (obj_id, base): (u64, Addr),
-        seq: u64,
-        payload_len: usize,
-        respect_reader_locks: bool,
-    ) -> bool {
-        if respect_reader_locks {
-            let rlock = api.read_local(base + 8, 8);
-            let readers = u64::from_le_bytes(rlock.try_into().expect("8 bytes"));
-            if readers > 0 {
-                api.sleep(READER_LOCK_SPIN);
-                return false;
-            }
-        }
-        let va = layout.version_addr(base);
-        let v = VersionWord::new(u64::from_le_bytes(
-            api.read_local(va, 8).try_into().expect("8 bytes"),
-        ));
-        if layout.takes_lock() {
-            api.store_local_u64(va, v.locked().raw());
-        }
-        self.rebuild(layout, base, obj_id, seq, payload_len, v.raw());
-        api.sleep(api.config().writer_store_interval);
-        true
-    }
-
-    /// Publishes the finished update: stores the even version + 2, or the
-    /// next slot's publish word for the wait-free register.
-    pub fn publish(&self, api: &mut CoreApi<'_>) {
-        let (addr, word) = self.publish;
-        api.store_local_u64(addr, word);
-    }
-
-    /// Replaces the plan with the stores of update `seq` of object `obj_id`
-    /// at `base`, given the version word read at lock time.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a per-CL update with `payload_len == 0`.
-    pub fn rebuild(
-        &mut self,
-        layout: WriterLayout,
-        base: Addr,
-        obj_id: u64,
-        seq: u64,
-        payload_len: usize,
-        locked_version: u64,
-    ) {
-        self.bytes.clear();
-        self.bytes.resize(payload_len, 0);
-        fill_pattern(&mut self.bytes, obj_id, seq);
-        self.stores.clear();
-        self.publish = (
-            layout.version_addr(base),
-            layout.publish_word(locked_version),
-        );
-        match layout {
-            WriterLayout::Clean => {
-                self.push_split(base + CleanLayout::HEADER_BYTES as u64, payload_len);
-            }
-            WriterLayout::PerCl => {
-                let next_version = VersionWord::new(locked_version + 2);
-                for line in (0..PerClLayout::lines_needed(payload_len)).rev() {
-                    let encoded =
-                        PerClLayout::encode_line(next_version, &self.bytes[..payload_len], line);
-                    self.push_bytes(base + (line * BLOCK_BYTES) as u64, &encoded);
-                }
-            }
-            WriterLayout::Checksum => {
-                self.push_split(base + ChecksumLayout::HEADER_BYTES as u64, payload_len);
-                // The CRC of the finished payload lands last, just before
-                // the version word (at +8) publishes the update.
-                let crc = crc64_ecma(&self.bytes[..payload_len]);
-                self.push_bytes(base, &crc.to_le_bytes());
-            }
-            WriterLayout::WfRegister => {
-                // Write the *next* slot in rotation; readers keep
-                // snapshotting the published one undisturbed. The slot's
-                // own seq word goes last so a capture of a half-written
-                // slot is recognizably stale, and the publish word (stored
-                // by the caller) flips readers over atomically.
-                let (pub_seq, slot) = WfRegisterLayout::unpack(locked_version);
-                let next_slot = (slot + 1) % WfRegisterLayout::SLOTS;
-                let slot_base = WfRegisterLayout::slot_addr(base, next_slot, payload_len);
-                self.push_split(
-                    slot_base + WfRegisterLayout::SLOT_HEADER_BYTES as u64,
-                    payload_len,
-                );
-                self.push_bytes(slot_base, &(pub_seq + 1).to_le_bytes());
-            }
-        }
-    }
-
-    /// Splits the `len`-byte payload (the head of `bytes`) on absolute
-    /// cache-block boundaries into stores starting at `start`.
-    fn push_split(&mut self, start: Addr, len: usize) {
-        let mut off = 0;
-        while off < len {
-            let addr = start + off as u64;
-            let end = (off + BLOCK_BYTES - addr.block_offset()).min(len);
-            self.stores.push((addr, off..end));
-            off = end;
-        }
-    }
-
-    /// Appends one store of `data` at `addr`.
-    fn push_bytes(&mut self, addr: Addr, data: &[u8]) {
-        let start = self.bytes.len();
-        self.bytes.extend_from_slice(data);
-        self.stores.push((addr, start..self.bytes.len()));
-    }
-
-    /// Store `i` of the plan, or `None` once the plan is done.
-    pub fn store(&self, i: usize) -> Option<(Addr, &[u8])> {
-        self.stores
-            .get(i)
-            .map(|(addr, range)| (*addr, &self.bytes[range.clone()]))
-    }
-
-    /// One `Writing { chunk }` step of a writer: performs store `chunk` and
-    /// returns `true`, or returns `false` once every store is done and the
-    /// update is ready to publish.
-    pub fn apply(&self, api: &mut CoreApi<'_>, chunk: usize) -> bool {
-        match self.store(chunk) {
-            Some((addr, data)) => {
-                api.store_local(addr, data);
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 /// Local buffer bytes per core for the synchronous readers: the default
@@ -914,18 +744,11 @@ impl Workload for Reader {
             }
             Wake::Service => match self.state {
                 ReaderState::AwaitStrip => {
+                    let (layout, payload) = StoreLayout::of_mechanism(self.mech)
+                        .expect("strip state only for software mechanisms");
                     let buf = self.buf(api);
                     let image = api.read_local(buf, self.wire as usize);
-                    let ok = match self.mech {
-                        ReadMechanism::PerClValidate { payload } => {
-                            PerClLayout::validate_and_strip(&image, payload as usize).is_ok()
-                        }
-                        ReadMechanism::ChecksumValidate { payload } => {
-                            ChecksumLayout::validate(&image, payload as usize).is_ok()
-                        }
-                        _ => unreachable!("strip state only for software mechanisms"),
-                    };
-                    if ok {
+                    if layout.validate(&image, payload as usize).is_some() {
                         self.success(api);
                     } else {
                         self.retry(api);
@@ -1018,62 +841,11 @@ impl Workload for AsyncReader {
     }
 }
 
-/// Which object layout a writer maintains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriterLayout {
-    /// Clean layout (SABRe experiments): header + contiguous payload.
-    Clean,
-    /// FaRM per-cache-line versions layout.
-    PerCl,
-    /// Pilaf-style checksummed layout: `[crc64 | version | payload]`.
-    Checksum,
-    /// Wait-free multi-version register: the writer fills the next slot in
-    /// rotation, then flips the publish word — it never locks, so readers
-    /// never wait and never abort.
-    WfRegister,
-}
-
-impl WriterLayout {
-    /// Address of the word the update protocol locks and publishes
-    /// through. The checksummed layout keeps its version behind the CRC;
-    /// everyone else leads with it.
-    pub fn version_addr(self, base: Addr) -> Addr {
-        match self {
-            WriterLayout::Checksum => base + 8,
-            _ => base,
-        }
-    }
-
-    /// Whether an update begins by storing the locked (odd) version. The
-    /// wait-free register never locks: the word at `base` is a *publish
-    /// word* (`seq × slots + slot`), and writing in-place slots are
-    /// invisible to readers until it flips.
-    pub fn takes_lock(self) -> bool {
-        !matches!(self, WriterLayout::WfRegister)
-    }
-
-    /// The word that publishes a finished update, given the version read
-    /// at lock time.
-    pub fn publish_word(self, locked_version: u64) -> u64 {
-        match self {
-            WriterLayout::WfRegister => {
-                let (seq, slot) = WfRegisterLayout::unpack(locked_version);
-                WfRegisterLayout::pack(seq + 1, (slot + 1) % WfRegisterLayout::SLOTS)
-            }
-            _ => locked_version + 2,
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WriterPhase {
     Idle,
-    /// Version word set odd; writing payload chunk `chunk` next.
-    Writing {
-        chunk: usize,
-    },
-    /// All data written; publish (even version) next.
-    Publishing,
+    /// An update is in progress; each wake is one [`UpdatePlan::step`].
+    Updating,
     /// Waiting for readers to drain (locking-mode experiments).
     SpinningOnReaders,
 }
@@ -1089,7 +861,7 @@ enum WriterPhase {
 pub struct Writer {
     objects: Vec<(u64, Addr)>,
     payload: u32,
-    layout: WriterLayout,
+    layout: StoreLayout,
     think: Time,
     /// Respect the shared reader-lock word before locking (destination-
     /// locking experiments).
@@ -1110,7 +882,7 @@ impl Writer {
     /// # Panics
     ///
     /// Panics if `objects` is empty.
-    pub fn new(objects: Vec<(u64, Addr)>, payload: u32, layout: WriterLayout, think: Time) -> Self {
+    pub fn new(objects: Vec<(u64, Addr)>, payload: u32, layout: StoreLayout, think: Time) -> Self {
         assert!(!objects.is_empty(), "a writer needs at least one object");
         Writer {
             objects,
@@ -1147,7 +919,7 @@ impl Writer {
             self.payload as usize,
             self.respect_reader_locks,
         ) {
-            WriterPhase::Writing { chunk: 0 }
+            WriterPhase::Updating
         } else {
             WriterPhase::SpinningOnReaders
         };
@@ -1163,21 +935,14 @@ impl Workload for Writer {
         match self.phase {
             WriterPhase::Idle => self.begin_update(api),
             WriterPhase::SpinningOnReaders => self.begin_update(api),
-            WriterPhase::Writing { chunk } => {
-                self.phase = if self.plan.apply(api, chunk) {
-                    WriterPhase::Writing { chunk: chunk + 1 }
-                } else {
-                    WriterPhase::Publishing
-                };
-                api.sleep(api.config().writer_store_interval);
-            }
-            WriterPhase::Publishing => {
-                self.plan.publish(api);
-                self.updates += 1;
-                self.seq += 1;
-                self.cur = (self.cur + 1) % self.objects.len();
-                self.phase = WriterPhase::Idle;
-                api.sleep(self.think.max(api.config().writer_store_interval));
+            WriterPhase::Updating => {
+                if self.plan.step(api) {
+                    self.updates += 1;
+                    self.seq += 1;
+                    self.cur = (self.cur + 1) % self.objects.len();
+                    self.phase = WriterPhase::Idle;
+                    api.sleep(self.think.max(api.config().writer_store_interval));
+                }
             }
         }
     }
@@ -1227,7 +992,7 @@ impl SourceLockingReader {
     }
 
     fn wire(&self) -> u32 {
-        CleanLayout::object_bytes(self.payload as usize) as u32
+        StoreLayout::Clean.wire_bytes(self.payload as usize) as u32
     }
 
     fn buf(&self, api: &CoreApi<'_>) -> Addr {

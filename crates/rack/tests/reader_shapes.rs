@@ -9,10 +9,10 @@
 
 use sabre_core::CcMode;
 use sabre_mem::Addr;
-use sabre_rack::workloads::{UpdatePlan, Writer, WriterLayout};
+use sabre_rack::workloads::Writer;
 use sabre_rack::{
     spec, Arrivals, ClusterConfig, CoreApi, CoreMetrics, FaultPlan, Popularity, ReadMechanism,
-    RunReport, ScenarioBuilder, Workload, WorkloadSpec,
+    RunReport, ScenarioBuilder, StoreLayout, UpdatePlan, Workload, WorkloadSpec,
 };
 use sabre_sim::Time;
 use sabre_sw::layout::CleanLayout;
@@ -36,7 +36,7 @@ fn entries() -> Vec<(u64, Addr)> {
 
 /// Lays out `OBJECTS` published objects of `layout` on `node` (update 0
 /// already applied) and returns their addresses as the scenario targets.
-fn objects(builder: ScenarioBuilder, node: usize, layout: WriterLayout) -> ScenarioBuilder {
+fn objects(builder: ScenarioBuilder, node: usize, layout: StoreLayout) -> ScenarioBuilder {
     builder.prepare(move |cluster| {
         let mem = cluster.node_memory_mut(node);
         let mut plan = UpdatePlan::new();
@@ -54,7 +54,7 @@ fn objects(builder: ScenarioBuilder, node: usize, layout: WriterLayout) -> Scena
 }
 
 /// A zero-think writer on core 0 of `node` racing every object.
-fn writer(builder: ScenarioBuilder, node: usize, layout: WriterLayout) -> ScenarioBuilder {
+fn writer(builder: ScenarioBuilder, node: usize, layout: StoreLayout) -> ScenarioBuilder {
     builder.workload(
         node,
         0,
@@ -64,7 +64,7 @@ fn writer(builder: ScenarioBuilder, node: usize, layout: WriterLayout) -> Scenar
 
 /// Objects of `layout` on node 1 under a racing writer, read by `spec`
 /// from core 1 of node 0 for `us` microseconds.
-fn raced(layout: WriterLayout, reader: WorkloadSpec, us: u64) -> RunReport {
+fn raced(layout: StoreLayout, reader: WorkloadSpec, us: u64) -> RunReport {
     let b = objects(ScenarioBuilder::with_config(small()), 1, layout);
     writer(b, 1, layout)
         .reader_spec(0, 1, reader)
@@ -97,7 +97,7 @@ fn sabre() -> WorkloadSpec {
 
 #[test]
 fn plain_closed_sabre_under_a_writer() {
-    let r = raced(WriterLayout::Clean, sabre(), 40);
+    let r = raced(StoreLayout::Clean, sabre(), 40);
     assert_eq!(fingerprint(r.core(0, 1)), "ops=197 retries=24 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=202.841 p99_ns=373");
 }
 
@@ -108,7 +108,7 @@ fn plain_closed_sabre_with_every_closed_loop_knob() {
         .backoff(Time::from_ns(100))
         .iterations(60)
         .local_buf(Addr::new(3 << 20));
-    let r = raced(WriterLayout::Clean, reader, 40);
+    let r = raced(StoreLayout::Clean, reader, 40);
     assert_eq!(fingerprint(r.core(0, 1)), "ops=60 retries=6 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=230.905 p99_ns=494");
 }
 
@@ -118,7 +118,7 @@ fn per_cl_validate_under_a_writer() {
         .store(1)
         .payload(PAYLOAD)
         .mechanism(ReadMechanism::PerClValidate { payload: PAYLOAD });
-    let r = raced(WriterLayout::PerCl, reader, 40);
+    let r = raced(StoreLayout::PerCl, reader, 40);
     assert_eq!(fingerprint(r.core(0, 1)), "ops=147 retries=12 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=270.985 p99_ns=500");
 }
 
@@ -128,7 +128,7 @@ fn checksum_validate_under_a_writer() {
         .store(1)
         .payload(PAYLOAD)
         .mechanism(ReadMechanism::ChecksumValidate { payload: PAYLOAD });
-    let r = raced(WriterLayout::Checksum, reader, 40);
+    let r = raced(StoreLayout::Checksum, reader, 40);
     assert_eq!(fingerprint(r.core(0, 1)), "ops=22 retries=1 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=1783.587 p99_ns=3412");
 }
 
@@ -138,7 +138,7 @@ fn oh_ram_under_a_writer() {
         .store(1)
         .payload(PAYLOAD)
         .mechanism(ReadMechanism::OhRam { payload: PAYLOAD });
-    let r = raced(WriterLayout::Clean, reader, 40);
+    let r = raced(StoreLayout::Clean, reader, 40);
     assert_eq!(fingerprint(r.core(0, 1)), "ops=206 retries=0 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=194.047 p99_ns=271");
 }
 
@@ -148,7 +148,7 @@ fn wait_free_register_under_a_writer() {
         .store(1)
         .payload(PAYLOAD)
         .mechanism(ReadMechanism::WfRegister { payload: PAYLOAD });
-    let r = raced(WriterLayout::WfRegister, reader, 40);
+    let r = raced(StoreLayout::WfRegister, reader, 40);
     assert_eq!(fingerprint(r.core(0, 1)), "ops=202 retries=0 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=197.697 p99_ns=199");
 }
 
@@ -162,9 +162,9 @@ fn wait_free_register_under_a_writer() {
 fn destination_locking_sabre_under_a_lock_respecting_writer() {
     let mut cfg = small();
     cfg.lightsabres.cc_mode = CcMode::Locking;
-    let b = objects(ScenarioBuilder::with_config(cfg), 1, WriterLayout::Clean);
+    let b = objects(ScenarioBuilder::with_config(cfg), 1, StoreLayout::Clean);
     let writer =
-        Writer::new(entries(), PAYLOAD, WriterLayout::Clean, Time::ZERO).respecting_reader_locks();
+        Writer::new(entries(), PAYLOAD, StoreLayout::Clean, Time::ZERO).respecting_reader_locks();
     let r = b
         .workload(1, 0, Box::new(writer))
         .reader_spec(0, 1, sabre())
@@ -211,7 +211,7 @@ fn poisson_zipf_under_a_writer() {
     let reader = sabre()
         .arrivals(Arrivals::Poisson { ops_per_us: 3.0 })
         .popularity(Popularity::Zipf { exponent: 0.99 });
-    let r = raced(WriterLayout::Clean, reader, 40);
+    let r = raced(StoreLayout::Clean, reader, 40);
     assert_eq!(fingerprint(r.core(0, 1)), "ops=116 retries=19 failovers=0 migrations=0 stale_refusals=0 queued=71 peak_backlog=4 mean_ns=396.607 p99_ns=1279");
 }
 
@@ -271,9 +271,9 @@ fn replicated(reader: WorkloadSpec) -> RunReport {
         .fault(FaultPlan::new().crash_restore(1, Time::from_us(10), Time::from_us(30)));
     for node in [1, 3, 2] {
         b = writer(
-            objects(b, node, WriterLayout::Clean),
+            objects(b, node, StoreLayout::Clean),
             node,
-            WriterLayout::Clean,
+            StoreLayout::Clean,
         );
     }
     let addrs: Vec<Addr> = entries().into_iter().map(|(_, a)| a).collect();

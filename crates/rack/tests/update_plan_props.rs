@@ -9,14 +9,15 @@
 use proptest::prelude::*;
 
 use sabre_mem::{Addr, BLOCK_BYTES};
-use sabre_rack::workloads::{pattern_payload, UpdatePlan, WriterLayout};
+use sabre_rack::workloads::pattern_payload;
+use sabre_rack::{StoreLayout, UpdatePlan};
 use sabre_sw::layout::{CleanLayout, PerClLayout};
 use sabre_sw::{crc64_ecma, ChecksumLayout, VersionWord, WfRegisterLayout};
 
 /// The single-block stores of one object update, rebuilt from scratch
 /// (the allocation-per-call form [`UpdatePlan`] replaces).
 fn reference_update_chunks(
-    layout: WriterLayout,
+    layout: StoreLayout,
     base: Addr,
     obj_id: u64,
     seq: u64,
@@ -25,7 +26,7 @@ fn reference_update_chunks(
 ) -> Vec<(Addr, Vec<u8>)> {
     let payload = pattern_payload(obj_id, seq, payload_len);
     match layout {
-        WriterLayout::Clean => {
+        StoreLayout::Clean => {
             let start = base + CleanLayout::HEADER_BYTES as u64;
             let mut out = Vec::new();
             let mut off = 0usize;
@@ -38,7 +39,7 @@ fn reference_update_chunks(
             }
             out
         }
-        WriterLayout::PerCl => {
+        StoreLayout::PerCl => {
             let lines = PerClLayout::lines_needed(payload.len());
             let next_version = VersionWord::new(locked_version + 2);
             let mut out = Vec::new();
@@ -51,7 +52,7 @@ fn reference_update_chunks(
             }
             out
         }
-        WriterLayout::Checksum => {
+        StoreLayout::Checksum => {
             let start = base + ChecksumLayout::HEADER_BYTES as u64;
             let mut out = Vec::new();
             let mut off = 0usize;
@@ -65,7 +66,7 @@ fn reference_update_chunks(
             out.push((base, crc64_ecma(&payload).to_le_bytes().to_vec()));
             out
         }
-        WriterLayout::WfRegister => {
+        StoreLayout::WfRegister => {
             let (pub_seq, slot) = WfRegisterLayout::unpack(locked_version);
             let next_slot = (slot + 1) % WfRegisterLayout::SLOTS;
             let slot_base = WfRegisterLayout::slot_addr(base, next_slot, payload.len());
@@ -85,16 +86,16 @@ fn reference_update_chunks(
     }
 }
 
-const LAYOUTS: [WriterLayout; 4] = [
-    WriterLayout::Clean,
-    WriterLayout::PerCl,
-    WriterLayout::Checksum,
-    WriterLayout::WfRegister,
+const LAYOUTS: [StoreLayout; 4] = [
+    StoreLayout::Clean,
+    StoreLayout::PerCl,
+    StoreLayout::Checksum,
+    StoreLayout::WfRegister,
 ];
 
 /// One object update: layout, base, object id, seq, payload length and the
 /// version word read at lock time.
-type Update = (WriterLayout, Addr, u64, u64, usize, u64);
+type Update = (StoreLayout, Addr, u64, u64, usize, u64);
 
 /// Updates of 1–2048 B payloads at bases anywhere within a block, with lock
 /// words spanning many per-CL stamps and every wait-free register slot.
@@ -149,7 +150,7 @@ proptest! {
         // Per-CL lines and header words need the block-aligned bases every
         // object store hands out; the clean payload split takes any base.
         let base = match layout {
-            WriterLayout::Clean => base,
+            StoreLayout::Clean => base,
             _ => base.align_down_to_block(),
         };
         let mut plan = UpdatePlan::new();
@@ -168,7 +169,7 @@ fn percl_stamps_and_register_slots_follow_the_lock_word() {
     // rotating from its last slot back to slot 0.
     let base = Addr::new(4096);
     let mut plan = UpdatePlan::new();
-    plan.rebuild(WriterLayout::PerCl, base, 7, 3, 120, 10);
+    plan.rebuild(StoreLayout::PerCl, base, 7, 3, 120, 10);
     let stores = plan_stores(&plan);
     let heads: Vec<Addr> = stores.iter().map(|(addr, _)| *addr).collect();
     assert_eq!(heads, [base + 128u64, base + 64u64, base]);
@@ -177,7 +178,7 @@ fn percl_stamps_and_register_slots_follow_the_lock_word() {
     }
 
     let last_slot = WfRegisterLayout::pack(5, WfRegisterLayout::SLOTS - 1);
-    plan.rebuild(WriterLayout::WfRegister, base, 7, 3, 120, last_slot);
+    plan.rebuild(StoreLayout::WfRegister, base, 7, 3, 120, last_slot);
     let (seq_addr, seq_word) = plan_stores(&plan).pop().unwrap();
     assert_eq!(seq_addr, WfRegisterLayout::slot_addr(base, 0, 120));
     assert_eq!(seq_word, 6u64.to_le_bytes());

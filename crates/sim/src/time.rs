@@ -77,11 +77,6 @@ impl Time {
         self.0 as f64 / 1_000_000.0
     }
 
-    /// This time expressed in fractional seconds.
-    pub fn as_secs(self) -> f64 {
-        self.0 as f64 / 1e12
-    }
-
     /// Saturating subtraction: `self - rhs`, or [`Time::ZERO`] if `rhs`
     /// is later than `self`.
     pub fn saturating_sub(self, rhs: Time) -> Time {

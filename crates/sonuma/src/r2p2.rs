@@ -65,7 +65,7 @@ pub enum R2p2Action {
         data: Block,
     },
     /// Atomically try-acquire the shared reader lock at `version_addr`
-    /// (locking mode); call [`R2p2::on_lock_reply`] with the outcome.
+    /// (locking mode); call [`R2p2::on_lock_reply_into`] with the outcome.
     LockRmw {
         /// Completion tag.
         token: MemToken,
@@ -78,7 +78,7 @@ pub enum R2p2Action {
         version_addr: Addr,
     },
     /// Atomically CAS the version word at `version_addr` from even to odd
-    /// (remote write-lock acquire); call [`R2p2::on_cas_done`].
+    /// (remote write-lock acquire); call [`R2p2::on_cas_done_into`].
     WriterCas {
         /// Completion tag.
         token: MemToken,
@@ -86,7 +86,7 @@ pub enum R2p2Action {
         version_addr: Addr,
     },
     /// Advance the odd version word at `version_addr` to even (remote
-    /// unlock); call [`R2p2::on_unlock_done`].
+    /// unlock); call [`R2p2::on_unlock_done_into`].
     WriterUnlock {
         /// Completion tag.
         token: MemToken,
@@ -776,19 +776,8 @@ impl R2p2 {
         }
     }
 
-    /// Completes a remote write-lock CAS.
-    ///
-    /// Allocates its result; the event loop calls
-    /// [`R2p2::on_cas_done_into`] with a buffer it reuses.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown or non-CAS tokens.
-    pub fn on_cas_done(&mut self, token: MemToken, acquired: bool) -> Vec<R2p2Action> {
-        sends(|out| self.on_cas_done_into(token, acquired, out))
-    }
-
-    /// [`R2p2::on_cas_done`] appending its reply packet to `out`.
+    /// Completes a remote write-lock CAS, appending its reply packet to
+    /// `out`.
     ///
     /// # Panics
     ///
@@ -806,19 +795,7 @@ impl R2p2 {
         }
     }
 
-    /// Completes a remote unlock.
-    ///
-    /// Allocates its result; the event loop calls
-    /// [`R2p2::on_unlock_done_into`] with a buffer it reuses.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown or non-unlock tokens.
-    pub fn on_unlock_done(&mut self, token: MemToken) -> Vec<R2p2Action> {
-        sends(|out| self.on_unlock_done_into(token, out))
-    }
-
-    /// [`R2p2::on_unlock_done`] appending its reply packet to `out`.
+    /// Completes a remote unlock, appending its reply packet to `out`.
     ///
     /// # Panics
     ///
@@ -865,19 +842,8 @@ impl R2p2 {
         }
     }
 
-    /// Completes a reader-lock acquire RMW.
-    ///
-    /// Allocates its result; the event loop calls
-    /// [`R2p2::on_lock_reply_into`] with a buffer it reuses.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown or non-lock tokens.
-    pub fn on_lock_reply(&mut self, token: MemToken, acquired: bool) -> Vec<R2p2Action> {
-        sends(|out| self.on_lock_reply_into(token, acquired, out))
-    }
-
-    /// [`R2p2::on_lock_reply`] appending the packets it sends to `out`.
+    /// Completes a reader-lock acquire RMW, appending the packets it sends
+    /// to `out`.
     ///
     /// # Panics
     ///
@@ -929,11 +895,6 @@ fn sends(complete: impl FnOnce(&mut Vec<Packet>)) -> Vec<R2p2Action> {
     let mut out = Vec::new();
     complete(&mut out);
     out.into_iter().map(R2p2Action::Send).collect()
-}
-
-/// Convenience: the blocks a registration spans (used by tests).
-pub fn sabre_blocks(base: Addr, size_bytes: u32) -> BlockRange {
-    BlockRange::covering(base, size_bytes as u64)
 }
 
 #[cfg(test)]
@@ -1156,12 +1117,11 @@ mod tests {
             panic!("expected WriterCas");
         };
         assert_eq!(version_addr, Addr::new(0));
-        let out = r.on_cas_done(token, true);
-        let R2p2Action::Send(rep) = out[0] else {
-            panic!()
-        };
+        let mut out = Vec::new();
+        r.on_cas_done_into(token, true, &mut out);
+        assert_eq!(out.len(), 1);
         assert_eq!(
-            rep.kind,
+            out[0].kind,
             PacketKind::CasReply {
                 transfer: 4,
                 acquired: true
@@ -1174,11 +1134,10 @@ mod tests {
         let R2p2Action::WriterUnlock { token, .. } = r.next_issue().unwrap() else {
             panic!("expected WriterUnlock");
         };
-        let out = r.on_unlock_done(token);
-        let R2p2Action::Send(rep) = out[0] else {
-            panic!()
-        };
-        assert_eq!(rep.kind, PacketKind::UnlockAck { transfer: 5 });
+        out.clear();
+        r.on_unlock_done_into(token, &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].kind, PacketKind::UnlockAck { transfer: 5 });
     }
 
     #[test]

@@ -36,7 +36,7 @@ fn run_policy(backoff: Time) -> (f64, f64, u64, u64) {
             Box::new(Writer::new(
                 chunk.to_vec(),
                 2048,
-                WriterLayout::Clean,
+                StoreLayout::Clean,
                 Time::ZERO,
             )),
         );

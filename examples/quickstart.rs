@@ -35,7 +35,7 @@ fn main() {
             Box::new(Writer::new(
                 store.object_entries().into_iter().take(8).collect(),
                 1024,
-                WriterLayout::Clean,
+                StoreLayout::Clean,
                 Time::from_ns(500),
             )),
         )

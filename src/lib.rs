@@ -88,7 +88,7 @@ pub mod prelude {
         ScenarioStoreExt, StoreLayout, WriteLog,
     };
     pub use sabre_mem::{Addr, BlockAddr, NodeMemory, BLOCK_BYTES};
-    pub use sabre_rack::workloads::{pattern_payload, verify_payload, Writer, WriterLayout};
+    pub use sabre_rack::workloads::{pattern_payload, verify_payload, Writer};
     pub use sabre_rack::{
         spec, Arrivals, Cluster, ClusterConfig, CoreApi, FaultPlan, NodeReport, NodeRole, Phase,
         PlacementPolicy, Popularity, ReadMechanism, RecoveryReport, RunReport, ScenarioBuilder,

@@ -197,7 +197,6 @@ impl Workload for RawReader {
 fn race(
     mech: ReadMechanism,
     layout: StoreLayout,
-    writer_layout: WriterLayout,
     cc_mode: CcMode,
     spec_mode: SpecMode,
     payload: u32,
@@ -222,7 +221,7 @@ fn race(
     // Aggressive writers over small CREW subsets maximize conflicts.
     let entries = store.object_entries();
     for (w, chunk) in entries.chunks(6).enumerate() {
-        let mut writer = Writer::new(chunk.to_vec(), payload, writer_layout, Time::ZERO);
+        let mut writer = Writer::new(chunk.to_vec(), payload, layout, Time::ZERO);
         if cc_mode == CcMode::Locking {
             writer = writer.respecting_reader_locks();
         }
@@ -252,7 +251,6 @@ fn sabre_occ_speculative_reads_are_never_torn() {
         let o = race(
             ReadMechanism::Sabre,
             StoreLayout::Clean,
-            WriterLayout::Clean,
             CcMode::Occ,
             SpecMode::Speculative,
             480,
@@ -267,7 +265,6 @@ fn sabre_occ_no_speculation_reads_are_never_torn() {
     let o = race(
         ReadMechanism::Sabre,
         StoreLayout::Clean,
-        WriterLayout::Clean,
         CcMode::Occ,
         SpecMode::ReadVersionFirst,
         480,
@@ -281,7 +278,6 @@ fn sabre_destination_locking_reads_are_never_torn() {
     let o = race(
         ReadMechanism::Sabre,
         StoreLayout::Clean,
-        WriterLayout::Clean,
         CcMode::Locking,
         SpecMode::Speculative,
         480,
@@ -296,7 +292,6 @@ fn sabre_large_objects_are_never_torn() {
     let o = race(
         ReadMechanism::Sabre,
         StoreLayout::Clean,
-        WriterLayout::Clean,
         CcMode::Occ,
         SpecMode::Speculative,
         4000,
@@ -311,7 +306,6 @@ fn percl_validated_reads_are_never_torn() {
         let o = race(
             ReadMechanism::PerClValidate { payload: 480 },
             StoreLayout::PerCl,
-            WriterLayout::PerCl,
             CcMode::Occ,
             SpecMode::Speculative,
             480,
@@ -350,7 +344,7 @@ fn raw_reads_do_tear_under_conflict() {
             Box::new(Writer::new(
                 chunk.to_vec(),
                 480,
-                WriterLayout::Clean,
+                StoreLayout::Clean,
                 Time::ZERO,
             )),
         );
@@ -402,49 +396,43 @@ impl TortureMech {
         matches!(self, TortureMech::WfRegister | TortureMech::OhRam)
     }
 
-    /// The mechanism's full configuration: reader mechanism, store/writer
-    /// layouts, engine concurrency-control and speculation modes.
-    fn setup(self, payload: u32) -> (ReadMechanism, StoreLayout, WriterLayout, CcMode, SpecMode) {
+    /// The mechanism's full configuration: reader mechanism, store layout,
+    /// engine concurrency-control and speculation modes.
+    fn setup(self, payload: u32) -> (ReadMechanism, StoreLayout, CcMode, SpecMode) {
         match self {
             TortureMech::Occ => (
                 ReadMechanism::Sabre,
                 StoreLayout::Clean,
-                WriterLayout::Clean,
                 CcMode::Occ,
                 SpecMode::Speculative,
             ),
             TortureMech::NoSpec => (
                 ReadMechanism::Sabre,
                 StoreLayout::Clean,
-                WriterLayout::Clean,
                 CcMode::Occ,
                 SpecMode::ReadVersionFirst,
             ),
             TortureMech::Locking => (
                 ReadMechanism::Sabre,
                 StoreLayout::Clean,
-                WriterLayout::Clean,
                 CcMode::Locking,
                 SpecMode::Speculative,
             ),
             TortureMech::PerCl => (
                 ReadMechanism::PerClValidate { payload },
                 StoreLayout::PerCl,
-                WriterLayout::PerCl,
                 CcMode::Occ,
                 SpecMode::Speculative,
             ),
             TortureMech::WfRegister => (
                 ReadMechanism::WfRegister { payload },
                 StoreLayout::WfRegister,
-                WriterLayout::WfRegister,
                 CcMode::Occ,
                 SpecMode::Speculative,
             ),
             TortureMech::OhRam => (
                 ReadMechanism::OhRam { payload },
                 StoreLayout::Clean,
-                WriterLayout::Clean,
                 CcMode::Occ,
                 SpecMode::Speculative,
             ),
@@ -467,7 +455,7 @@ fn torture_race(tm: TortureMech, nodes: usize, seed: u64) -> Outcome {
 /// perturbs an adversarial schedule.
 fn torture_race_threaded(tm: TortureMech, nodes: usize, seed: u64, threads: usize) -> Outcome {
     let payload = [208u32, 480, 1008][(seed % 3) as usize];
-    let (mech, layout, writer_layout, cc_mode, spec_mode) = tm.setup(payload);
+    let (mech, layout, cc_mode, spec_mode) = tm.setup(payload);
     let builder = ScenarioBuilder::new()
         .configure(move |cfg| {
             cfg.lightsabres.cc_mode = cc_mode;
@@ -493,7 +481,7 @@ fn torture_race_threaded(tm: TortureMech, nodes: usize, seed: u64, threads: usiz
     let chunk = [3usize, 4, 6][((seed / 3) % 3) as usize];
     for shard in &shards {
         for (w, entries) in shard.object_entries().chunks(chunk).enumerate() {
-            let mut writer = Writer::new(entries.to_vec(), payload, writer_layout, Time::ZERO);
+            let mut writer = Writer::new(entries.to_vec(), payload, layout, Time::ZERO);
             if cc_mode == CcMode::Locking {
                 writer = writer.respecting_reader_locks();
             }
@@ -586,12 +574,11 @@ fn torture_outcomes_are_thread_invariant_on_the_eight_node_rack() {
 /// fully sharded event loop. `mech` [`None`] runs the raw-read control.
 fn fat_tree_nearest_race(tm: Option<TortureMech>, seed: u64) -> Outcome {
     let payload = [208u32, 480, 1008][(seed % 3) as usize];
-    let (mech, layout, writer_layout, cc_mode, spec_mode) = match tm {
+    let (mech, layout, cc_mode, spec_mode) = match tm {
         Some(tm) => tm.setup(payload),
         None => (
             ReadMechanism::Raw,
             StoreLayout::Clean,
-            WriterLayout::Clean,
             CcMode::Occ,
             SpecMode::Speculative,
         ),
@@ -632,7 +619,7 @@ fn fat_tree_nearest_race(tm: Option<TortureMech>, seed: u64) -> Outcome {
     let chunk = [3usize, 4, 6][((seed / 3) % 3) as usize];
     for shard in &shards {
         for (w, entries) in shard.object_entries().chunks(chunk).enumerate() {
-            let mut writer = Writer::new(entries.to_vec(), payload, writer_layout, Time::ZERO);
+            let mut writer = Writer::new(entries.to_vec(), payload, layout, Time::ZERO);
             if cc_mode == CcMode::Locking {
                 writer = writer.respecting_reader_locks();
             }
@@ -720,7 +707,7 @@ fn torture_raw_reads_still_tear_on_every_rack_size() {
                         Box::new(Writer::new(
                             entries.to_vec(),
                             payload,
-                            WriterLayout::Clean,
+                            StoreLayout::Clean,
                             Time::ZERO,
                         )),
                     );
@@ -956,12 +943,11 @@ fn crash_race_threaded(
     threads: usize,
 ) -> Outcome {
     let payload = [208u32, 480, 1008][(seed % 3) as usize];
-    let (mech, layout, writer_layout, cc_mode, spec_mode) = match tm {
+    let (mech, layout, cc_mode, spec_mode) = match tm {
         Some(tm) => tm.setup(payload),
         None => (
             ReadMechanism::Raw,
             StoreLayout::Clean,
-            WriterLayout::Clean,
             CcMode::Occ,
             SpecMode::Speculative,
         ),
@@ -1009,7 +995,7 @@ fn crash_race_threaded(
     let chunk = [3usize, 4, 6][((seed / 3) % 3) as usize];
     for replica in store.replicas() {
         for (w, entries) in replica.object_entries().chunks(chunk).enumerate() {
-            let mut writer = Writer::new(entries.to_vec(), payload, writer_layout, Time::ZERO);
+            let mut writer = Writer::new(entries.to_vec(), payload, layout, Time::ZERO);
             if cc_mode == CcMode::Locking {
                 writer = writer.respecting_reader_locks();
             }
@@ -1155,7 +1141,7 @@ const LEAF_OBJECTS: u64 = 4;
 /// restored site once its guard drops ([`StaleGuard`]).
 fn leaf_race_threaded(tm: TortureMech, seed: u64, threads: usize) -> (Outcome, RecoveryReport) {
     let payload = [208u32, 480, 1008][(seed % 3) as usize];
-    let (mech, layout, writer_layout, cc_mode, spec_mode) = tm.setup(payload);
+    let (mech, layout, cc_mode, spec_mode) = tm.setup(payload);
     let builder = ScenarioBuilder::new()
         .configure(move |cfg| {
             cfg.lightsabres.cc_mode = cc_mode;
@@ -1210,7 +1196,7 @@ fn leaf_race_threaded(tm: TortureMech, seed: u64, threads: usize) -> (Outcome, R
         let mut writer = RecoveringWriter::new(
             store.object_entries(),
             payload,
-            writer_layout,
+            layout,
             // Replay runs think-free, so a positive think pause is the
             // convergence margin (see the recovery module docs).
             Time::from_ns(500),

@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use sabres::core::{Action, BlockIssue, IssueKind, LightSabres, SabreId};
 use sabres::mem::BLOCK_BYTES;
 use sabres::prelude::*;
-use sabres::rack::workloads::UpdatePlan;
+use sabres::rack::UpdatePlan;
 
 /// One writer's position inside an update.
 struct WriterModel {
@@ -51,7 +51,7 @@ impl WriterModel {
                 let v = VersionWord::new(mem.read_u64(self.base));
                 v.locked().store(mem, self.base);
                 self.plan.rebuild(
-                    WriterLayout::Clean,
+                    StoreLayout::Clean,
                     self.base,
                     0,
                     self.seq,

@@ -149,7 +149,7 @@ fn catch_up_traffic_extends_the_conservation_invariant() {
             Box::new(RecoveringWriter::new(
                 store.object_entries(),
                 208,
-                WriterLayout::Clean,
+                StoreLayout::Clean,
                 Time::from_ns(500),
                 log,
                 peers,

@@ -346,7 +346,7 @@ fn run_quadrant(
             Box::new(Writer::new(
                 chunk.to_vec(),
                 PAYLOAD,
-                WriterLayout::Clean,
+                StoreLayout::Clean,
                 Time::from_ns(q.think_ns),
             )),
         );

@@ -275,7 +275,7 @@ fn deterministic_replay_bitwise_identical() {
             .workload(
                 1,
                 0,
-                Box::new(Writer::new(entries, 480, WriterLayout::Clean, Time::ZERO)),
+                Box::new(Writer::new(entries, 480, StoreLayout::Clean, Time::ZERO)),
             )
             .run_for(Time::from_us(50));
         let m = report.node(0);
