@@ -38,7 +38,10 @@ pub fn depth_sweep(opts: RunOpts) -> Vec<(u32, f64)> {
                     .mechanism(ReadMechanism::Sabre),
             )
             .run_for(Time::from_us(15 * iters));
-        (depth, report.mean_latency_ns(0, 0).expect("ops completed"))
+        (
+            depth,
+            report.core(0, 0).latency.mean().expect("ops completed"),
+        )
     })
 }
 
@@ -63,7 +66,7 @@ pub fn concurrency_sweep(opts: RunOpts) -> Vec<(usize, f64)> {
                     .window(8),
             )
             .run_for(duration);
-        (buffers, report.gbps(0))
+        (buffers, report.node(0).gbps)
     })
 }
 
@@ -89,7 +92,7 @@ pub fn cc_mode_sweep(opts: RunOpts) -> Vec<(u32, f64, f64)> {
                         .wire(wire),
                 )
                 .run_for(Time::from_us(15 * iters));
-            out[i] = report.mean_latency_ns(0, 0).expect("ops");
+            out[i] = report.core(0, 0).latency.mean().expect("ops");
         }
         (size, out[0], out[1])
     })
@@ -129,12 +132,8 @@ pub fn retry_policy_sweep(opts: RunOpts) -> Vec<(String, f64, f64)> {
                 Box::new(Writer::new(owned, 8192, StoreLayout::Clean, Time::ZERO)),
             );
         }
-        let report = scenario.run_for(duration);
-        (
-            label.to_string(),
-            report.gbps(0),
-            report.node(0).abort_rate(),
-        )
+        let reader = scenario.run_for(duration).node(0);
+        (label.to_string(), reader.gbps, reader.metrics.abort_rate())
     })
 }
 

@@ -44,7 +44,8 @@ fn measure(size: u32, layout: StoreLayout, duration: Time) -> f64 {
             Box::new(FarmLocalReader::endless(kv, FarmCosts::default()).without_verify())
         })
         .run_for(duration)
-        .gbps(0)
+        .node(0)
+        .gbps
 }
 
 /// Runs the sweep.

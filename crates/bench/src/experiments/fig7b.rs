@@ -34,7 +34,8 @@ fn measure(size: u32, mech: ReadMechanism, duration: Time) -> f64 {
             spec().store(1).payload(size).mechanism(mech).window(4),
         )
         .run_for(duration)
-        .gbps(0)
+        .node(0)
+        .gbps
 }
 
 /// Runs the sweep.

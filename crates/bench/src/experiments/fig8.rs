@@ -70,9 +70,8 @@ fn measure(size: u32, writers: usize, layout: StoreLayout, duration: Time) -> (f
                 scenario.workload(1, w, Box::new(Writer::new(owned, size, layout, Time::ZERO)));
         }
     }
-    let report = scenario.run_for(duration);
-    let m = report.node(0);
-    (report.gbps(0), m.abort_rate())
+    let reader = scenario.run_for(duration).node(0);
+    (reader.gbps, reader.metrics.abort_rate())
 }
 
 /// Runs the sweep: the full {size × writer-count} grid, one parallel sweep

@@ -41,7 +41,8 @@ fn measure(size: u32, layout: StoreLayout, duration: Time) -> f64 {
             Box::new(FarmReader::endless(kv, FarmCosts::default()).without_verify())
         })
         .run_for(duration)
-        .gbps(0)
+        .node(0)
+        .gbps
 }
 
 /// Runs the sweep.

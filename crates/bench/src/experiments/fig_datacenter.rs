@@ -30,10 +30,11 @@
 //! Goodput scales with the reader count for both mechanisms — SABRes stay
 //! as free across the spine as inside the rack.
 
-use sabre_farm::{ScenarioStoreExt, StoreLayout};
+use sabre_farm::ScenarioStoreExt;
 use sabre_rack::{spec, PlacementPolicy, ReadMechanism, ScenarioBuilder, Topology};
 use sabre_sim::Time;
 
+use crate::experiments::{label, layout};
 use crate::table::{fmt_gbps, fmt_ns};
 use crate::{RunOpts, Table};
 
@@ -57,35 +58,9 @@ pub const OVERSUBSCRIPTION: u8 = 2;
 /// The rack counts swept.
 pub const RACK_COUNTS: [u8; 3] = [2, 4, 8];
 
-/// The read mechanisms compared at every rack count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mechanism {
-    /// Plain one-sided reads, no atomicity (the scaling baseline).
-    Raw,
-    /// Hardware SABRes (destination OCC).
-    Sabre,
-}
-
-impl Mechanism {
-    /// Both mechanisms in presentation order.
-    pub const ALL: [Mechanism; 2] = [Mechanism::Raw, Mechanism::Sabre];
-
-    /// Table label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Mechanism::Raw => "raw read",
-            Mechanism::Sabre => "SABRe",
-        }
-    }
-
-    /// The matching reader mechanism.
-    pub fn read_mechanism(self) -> ReadMechanism {
-        match self {
-            Mechanism::Raw => ReadMechanism::Raw,
-            Mechanism::Sabre => ReadMechanism::Sabre,
-        }
-    }
-}
+/// The read mechanisms compared at every rack count: plain one-sided
+/// reads (the scaling baseline) and hardware SABRes.
+pub const MECHANISMS: [ReadMechanism; 2] = [ReadMechanism::Raw, ReadMechanism::Sabre];
 
 /// The reader→shard policies swept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,7 +100,7 @@ pub struct Point {
     /// Racks in the datacenter (16 nodes each).
     pub racks: u8,
     /// The read mechanism.
-    pub mech: Mechanism,
+    pub mech: ReadMechanism,
     /// The reader→shard policy.
     pub placement: Placement,
     /// Mean end-to-end latency over every reader core (ns).
@@ -150,7 +125,7 @@ pub fn nodes_for(racks: u8) -> usize {
 /// — is bit-identical at every `shards` × `threads` setting.
 pub fn measure_threaded(
     racks: u8,
-    mech: Mechanism,
+    mech: ReadMechanism,
     placement: Placement,
     iters: u64,
     shards: usize,
@@ -177,7 +152,7 @@ pub fn measure_threaded(
     let store_nodes = topo.store_nodes();
     let (builder, store_shards) = builder.sharded_store(
         store_nodes.clone(),
-        StoreLayout::Clean,
+        layout(mech),
         PAYLOAD,
         OBJECTS_PER_SHARD,
     );
@@ -202,7 +177,7 @@ pub fn measure_threaded(
             spec()
                 .store(shard.node() as usize)
                 .payload(PAYLOAD)
-                .mechanism(mech.read_mechanism())
+                .mechanism(mech)
                 .wire(shard.slot_bytes() as u32)
                 .objects(shard.object_addrs())
         })
@@ -216,45 +191,37 @@ pub fn measure_threaded(
             latencies.push(m.latency.mean().expect("ops completed"));
         }
     }
-    let (_, p99, _) = report.latency_percentiles().expect("readers completed ops");
+    let rack = report.rack();
     Point {
         racks,
         mech,
         placement,
         latency_ns: latencies.iter().sum::<f64>() / latencies.len() as f64,
-        p99_ns: p99,
-        total_gbps: report.total_gbps(),
-        spine_share: report.hop_stats().spine_share(),
+        p99_ns: rack.metrics.p99_ns().expect("readers completed ops"),
+        total_gbps: rack.gbps,
+        spine_share: rack.hops.spine_share(),
     }
 }
 
 /// [`measure_threaded`] with the shipped configuration: one event-loop
 /// shard per node, serial worker resolution.
-pub fn measure(racks: u8, mech: Mechanism, placement: Placement, iters: u64) -> Point {
+pub fn measure(racks: u8, mech: ReadMechanism, placement: Placement, iters: u64) -> Point {
     measure_threaded(racks, mech, placement, iters, nodes_for(racks), None)
 }
 
 /// Runs the full sweep: rack count × mechanism × placement.
 pub fn data(opts: RunOpts) -> Vec<Point> {
     let iters = opts.pick(10, 2);
-    let points: Vec<(u8, Mechanism, Placement)> = RACK_COUNTS
+    let points: Vec<(u8, ReadMechanism, Placement)> = RACK_COUNTS
         .iter()
         .flat_map(|&r| {
-            Mechanism::ALL
+            MECHANISMS
                 .iter()
                 .flat_map(move |&m| Placement::ALL.iter().map(move |&p| (r, m, p)))
         })
         .collect();
-    opts.sweep(points).map(|&(racks, mech, placement)| {
-        measure_threaded(
-            racks,
-            mech,
-            placement,
-            iters,
-            nodes_for(racks),
-            opts.threads,
-        )
-    })
+    opts.sweep(points)
+        .map(|&(racks, mech, placement)| measure(racks, mech, placement, iters))
 }
 
 /// Renders the datacenter sweep as a table.
@@ -274,7 +241,7 @@ pub fn run(opts: RunOpts) -> Table {
     for p in data(opts) {
         t.row(vec![
             p.racks.to_string(),
-            p.mech.label().to_string(),
+            label(p.mech).to_string(),
             p.placement.label().to_string(),
             fmt_ns(p.latency_ns),
             fmt_ns(p.p99_ns as f64),

@@ -31,10 +31,13 @@
 //! equivalence tests) and golden-diffable.
 
 use sabre_farm::{replica_sites, ScenarioStoreExt};
-use sabre_rack::{spec, FaultPlan, ScenarioBuilder, Topology};
+use sabre_rack::{spec, FaultPlan, ReadMechanism, ScenarioBuilder, Topology};
 use sabre_sim::Time;
 
-use crate::experiments::fig_scale::{Mechanism, CORES_PER_READER_NODE, OBJECTS_PER_SHARD, PAYLOAD};
+use crate::experiments::fig_scale::{
+    CORES_PER_READER_NODE, MECHANISMS, OBJECTS_PER_SHARD, PAYLOAD,
+};
+use crate::experiments::{label, layout};
 use crate::table::fmt_ns;
 use crate::{RunOpts, Table};
 
@@ -74,7 +77,7 @@ impl Policy {
 #[derive(Debug, Clone, Copy)]
 pub struct Point {
     /// The read mechanism.
-    pub mech: Mechanism,
+    pub mech: ReadMechanism,
     /// The replica-selection policy.
     pub policy: Policy,
     /// Successful operations across the rack (the availability signal:
@@ -97,7 +100,7 @@ pub struct Point {
 /// equivalence tests can certify that *this* construction — not a copy of
 /// it — is bit-identical at every `shards` × `threads` setting.
 pub fn measure_threaded(
-    mech: Mechanism,
+    mech: ReadMechanism,
     policy: Policy,
     iters: u64,
     shards: usize,
@@ -124,7 +127,7 @@ pub fn measure_threaded(
         Time::from_ps(horizon.as_ps() / 2),
     ));
     let (builder, store) =
-        builder.replicated_store(&sites, mech.layout(), PAYLOAD, OBJECTS_PER_SHARD);
+        builder.replicated_store(&sites, layout(mech), PAYLOAD, OBJECTS_PER_SHARD);
     let readers = topo.reader_nodes();
     let placements: Vec<(usize, usize)> = readers
         .iter()
@@ -136,7 +139,7 @@ pub fn measure_threaded(
             spec()
                 .replicas(store.view_for(node, rack))
                 .payload(PAYLOAD)
-                .mechanism(mech.read_mechanism())
+                .mechanism(mech)
                 .wire(wire)
                 .failover_timeout(FAILOVER_TIMEOUT)
                 .migrate(policy == Policy::Adaptive)
@@ -151,7 +154,7 @@ pub fn measure_threaded(
             latencies.push(m.latency.mean().expect("ops completed"));
         }
     }
-    let m = report.rack_metrics();
+    let m = report.rack().metrics;
     Point {
         mech,
         policy,
@@ -163,25 +166,21 @@ pub fn measure_threaded(
     }
 }
 
-/// [`measure_threaded`] with the cluster's default thread resolution.
-pub fn measure_sharded(mech: Mechanism, policy: Policy, iters: u64, shards: usize) -> Point {
-    measure_threaded(mech, policy, iters, shards, None)
-}
-
-/// One point with the shipped configuration: one shard per node.
-pub fn measure(mech: Mechanism, policy: Policy, iters: u64) -> Point {
-    measure_sharded(mech, policy, iters, NODES)
+/// One point with the shipped configuration: one shard per node, driven
+/// serially.
+pub fn measure(mech: ReadMechanism, policy: Policy, iters: u64) -> Point {
+    measure_threaded(mech, policy, iters, NODES, None)
 }
 
 /// Runs the full sweep: mechanism × policy.
 pub fn data(opts: RunOpts) -> Vec<Point> {
     let iters = opts.pick(25, 3);
-    let points: Vec<(Mechanism, Policy)> = Mechanism::ALL
+    let points: Vec<(ReadMechanism, Policy)> = MECHANISMS
         .iter()
         .flat_map(|&m| Policy::ALL.iter().map(move |&p| (m, p)))
         .collect();
     opts.sweep(points)
-        .map(|&(mech, policy)| measure_threaded(mech, policy, iters, NODES, opts.threads))
+        .map(|&(mech, policy)| measure(mech, policy, iters))
 }
 
 /// Renders the failover sweep as a table.
@@ -200,7 +199,7 @@ pub fn run(opts: RunOpts) -> Table {
     );
     for p in data(opts) {
         t.row(vec![
-            p.mech.label().to_string(),
+            label(p.mech).to_string(),
             p.policy.label().to_string(),
             p.ops.to_string(),
             fmt_ns(p.latency_ns),

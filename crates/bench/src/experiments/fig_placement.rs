@@ -24,7 +24,7 @@
 
 use sabre_farm::{ScenarioStoreExt, StoreLayout};
 use sabre_rack::{spec, PlacementPolicy, ReadMechanism, ScenarioBuilder, Topology};
-use sabre_sim::Time;
+use sabre_sim::{HopStats, Time};
 
 use crate::table::{fmt_gbps, fmt_ns};
 use crate::{RunOpts, Table};
@@ -199,19 +199,17 @@ pub fn measure_threaded(
             latencies.push(m.latency.mean().expect("ops completed"));
         }
     }
-    let fabric_state = report.cluster().fabric();
-    let (mut hops, mut packets) = (0u64, 0u64);
+    let mut reader_hops = HopStats::default();
     for &node in &readers {
-        hops += fabric_state.node_hops_sent(node);
-        packets += fabric_state.node_packets_sent(node);
+        reader_hops.merge(&report.node(node).hops);
     }
     Point {
         fabric,
         placement,
         split,
         latency_ns: latencies.iter().sum::<f64>() / latencies.len() as f64,
-        total_gbps: report.total_gbps(),
-        reader_hops: hops as f64 / packets.max(1) as f64,
+        total_gbps: report.rack().gbps,
+        reader_hops: reader_hops.mean_hops(),
     }
 }
 
@@ -237,9 +235,8 @@ pub fn data(opts: RunOpts) -> Vec<Point> {
                 .flat_map(move |&p| SPLITS.iter().map(move |&s| (f, p, s)))
         })
         .collect();
-    opts.sweep(points).map(|&(fabric, placement, split)| {
-        measure_threaded(fabric, placement, split, iters, NODES, opts.threads)
-    })
+    opts.sweep(points)
+        .map(|&(fabric, placement, split)| measure(fabric, placement, split, iters))
 }
 
 /// Renders the placement sweep as a table.

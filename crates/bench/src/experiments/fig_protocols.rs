@@ -23,13 +23,14 @@
 //! paper protocol's per-block streaming) — both pinned by
 //! `tests/experiment_shapes.rs`.
 
-use sabre_farm::{ScenarioStoreExt, StoreLayout};
+use sabre_farm::ScenarioStoreExt;
 use sabre_rack::workloads::Writer;
 use sabre_rack::{spec, Arrivals, ReadMechanism, ScenarioBuilder};
 use sabre_sim::Time;
 
 use crate::experiments::fig_scale::{CORES_PER_READER_NODE, OBJECTS_PER_SHARD, PAYLOAD};
 use crate::experiments::fig_tail::{Skew, NODES};
+use crate::experiments::{label, layout};
 use crate::{RunOpts, Table};
 
 /// Per-core offered loads swept (ops/us): light and moderate. The
@@ -42,71 +43,22 @@ pub const LOADS: [f64; 2] = [0.2, 0.8];
 /// shard: 4 writers per store node).
 const OBJECTS_PER_WRITER: usize = 32;
 
-/// The read protocols compared head-to-head.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Protocol {
-    /// Plain one-sided reads, no atomicity (the floor).
-    Raw,
-    /// Hardware SABRes (destination OCC, the paper protocol).
-    Sabre,
-    /// FaRM per-cache-line versions, validated on the reader CPU.
-    PerCl,
-    /// Pilaf checksums, validated on the reader CPU.
-    Checksum,
-    /// The wait-free multi-version register (server-side slot capture).
-    WfRegister,
-    /// Oh-RAM's one-and-a-half-round read (server-side clean capture).
-    OhRam,
-}
-
-impl Protocol {
-    /// All protocols in presentation order: the established four first,
-    /// the alternatives last.
-    pub const ALL: [Protocol; 6] = [
-        Protocol::Raw,
-        Protocol::Sabre,
-        Protocol::PerCl,
-        Protocol::Checksum,
-        Protocol::WfRegister,
-        Protocol::OhRam,
-    ];
-
-    /// Table label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Protocol::Raw => "raw read",
-            Protocol::Sabre => "SABRe",
-            Protocol::PerCl => "FaRM perCL",
-            Protocol::Checksum => "Pilaf CRC64",
-            Protocol::WfRegister => "wait-free reg",
-            Protocol::OhRam => "Oh-RAM 1.5rt",
-        }
-    }
-
-    /// The store layout this protocol reads and its writers maintain:
-    /// raw reads and SABRes read clean objects.
-    pub fn layout(self) -> StoreLayout {
-        StoreLayout::of_mechanism(self.read_mechanism()).map_or(StoreLayout::Clean, |(l, _)| l)
-    }
-
-    /// The matching reader mechanism.
-    pub fn read_mechanism(self) -> ReadMechanism {
-        match self {
-            Protocol::Raw => ReadMechanism::Raw,
-            Protocol::Sabre => ReadMechanism::Sabre,
-            Protocol::PerCl => ReadMechanism::PerClValidate { payload: PAYLOAD },
-            Protocol::Checksum => ReadMechanism::ChecksumValidate { payload: PAYLOAD },
-            Protocol::WfRegister => ReadMechanism::WfRegister { payload: PAYLOAD },
-            Protocol::OhRam => ReadMechanism::OhRam { payload: PAYLOAD },
-        }
-    }
-}
+/// The read protocols compared head-to-head, in presentation order: the
+/// established four first, the alternatives last.
+pub const MECHANISMS: [ReadMechanism; 6] = [
+    ReadMechanism::Raw,
+    ReadMechanism::Sabre,
+    ReadMechanism::PerClValidate { payload: PAYLOAD },
+    ReadMechanism::ChecksumValidate { payload: PAYLOAD },
+    ReadMechanism::WfRegister { payload: PAYLOAD },
+    ReadMechanism::OhRam { payload: PAYLOAD },
+];
 
 /// One sweep point's measurement.
 #[derive(Debug, Clone, Copy)]
 pub struct Point {
     /// The read protocol.
-    pub proto: Protocol,
+    pub mech: ReadMechanism,
     /// The key-popularity setting.
     pub skew: Skew,
     /// Offered load per reader core (ops/us).
@@ -130,7 +82,7 @@ pub struct Point {
 /// certify that *this* construction — not a copy of it — is bit-identical
 /// at every shards × threads setting.
 pub fn measure_threaded(
-    proto: Protocol,
+    mech: ReadMechanism,
     skew: Skew,
     load: f64,
     iters: u64,
@@ -142,12 +94,8 @@ pub fn measure_threaded(
         .shards(shards)
         .configure(|cfg| cfg.threads = threads);
     let topo = builder.config().topology.clone();
-    let (builder, store_shards) = builder.sharded_store(
-        topo.store_nodes(),
-        proto.layout(),
-        PAYLOAD,
-        OBJECTS_PER_SHARD,
-    );
+    let (builder, store_shards) =
+        builder.sharded_store(topo.store_nodes(), layout(mech), PAYLOAD, OBJECTS_PER_SHARD);
     let readers = topo.reader_nodes();
     let placements: Vec<(usize, usize)> = readers
         .iter()
@@ -164,7 +112,7 @@ pub fn measure_threaded(
         spec()
             .store(shard.node() as usize)
             .payload(PAYLOAD)
-            .mechanism(proto.read_mechanism())
+            .mechanism(mech)
             .wire(shard.wire_bytes() as u32)
             .objects(shard.object_addrs())
             .arrivals(Arrivals::Poisson { ops_per_us: load })
@@ -178,43 +126,42 @@ pub fn measure_threaded(
             .chunks(OBJECTS_PER_WRITER)
             .enumerate()
         {
-            let writer = Writer::new(entries.to_vec(), PAYLOAD, proto.layout(), Time::ZERO);
+            let writer = Writer::new(entries.to_vec(), PAYLOAD, layout(mech), Time::ZERO);
             scenario = scenario.workload(shard.node() as usize, w, Box::new(writer));
         }
     }
     let report = scenario.run_for(Time::from_us(20 * iters));
-    let m = report.rack_metrics();
-    assert!(m.ops > 0, "{proto:?}/{skew:?}@{load}: no ops completed");
-    if proto == Protocol::WfRegister {
+    let rack = report.rack();
+    let m = &rack.metrics;
+    assert!(m.ops > 0, "{mech:?}/{skew:?}@{load}: no ops completed");
+    if matches!(mech, ReadMechanism::WfRegister { .. }) {
         assert_eq!(
             m.retries, 0,
             "the wait-free register aborted — it is wait-free by construction"
         );
     }
-    let (p50_ns, p99_ns, _) = report.latency_percentiles().expect("ops recorded");
-    let fabric = report.cluster().fabric();
-    let total_hops: u64 = (0..NODES).map(|n| fabric.node_hops_sent(n)).sum();
     Point {
-        proto,
+        mech,
         skew,
         load,
         ops: m.ops,
-        p50_ns,
-        p99_ns,
-        hops_per_op: total_hops as f64 / m.ops as f64,
+        p50_ns: m.p50_ns().expect("ops recorded"),
+        p99_ns: m.p99_ns().expect("ops recorded"),
+        hops_per_op: rack.hops.hops as f64 / m.ops as f64,
         retries: m.retries,
     }
 }
 
-/// One point with the shipped configuration: one shard per node.
-pub fn measure(proto: Protocol, skew: Skew, load: f64, iters: u64) -> Point {
-    measure_threaded(proto, skew, load, iters, NODES, None)
+/// One point with the shipped configuration: one shard per node, driven
+/// serially.
+pub fn measure(mech: ReadMechanism, skew: Skew, load: f64, iters: u64) -> Point {
+    measure_threaded(mech, skew, load, iters, NODES, None)
 }
 
 /// Runs the full sweep: protocol × skew × offered load.
 pub fn data(opts: RunOpts) -> Vec<Point> {
     let iters = opts.pick(15, 3);
-    let points: Vec<(Protocol, Skew, f64)> = Protocol::ALL
+    let points: Vec<(ReadMechanism, Skew, f64)> = MECHANISMS
         .iter()
         .flat_map(|&p| {
             Skew::ALL
@@ -223,7 +170,7 @@ pub fn data(opts: RunOpts) -> Vec<Point> {
         })
         .collect();
     opts.sweep(points)
-        .map(|&(proto, skew, load)| measure_threaded(proto, skew, load, iters, NODES, opts.threads))
+        .map(|&(mech, skew, load)| measure(mech, skew, load, iters))
 }
 
 /// Renders the protocol head-to-head as a table.
@@ -243,7 +190,7 @@ pub fn run(opts: RunOpts) -> Table {
     );
     for p in data(opts) {
         t.row(vec![
-            p.proto.label().to_string(),
+            label(p.mech).to_string(),
             p.skew.label().to_string(),
             format!("{:.1}", p.load),
             p.ops.to_string(),

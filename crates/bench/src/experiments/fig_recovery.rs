@@ -34,7 +34,7 @@
 
 use sabre_farm::{replica_sites, RecoveringWriter, ScenarioStoreExt, StoreLayout, WriteLog};
 use sabre_mem::Addr;
-use sabre_rack::{spec, FaultPlan, ReadMechanism, RecoveryReport, ScenarioBuilder};
+use sabre_rack::{spec, FaultPlan, ReadMechanism, ScenarioBuilder, Totals};
 use sabre_sim::Time;
 
 use crate::table::fmt_ns;
@@ -86,19 +86,17 @@ impl Mode {
 }
 
 /// One row's measurement.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct Point {
     /// The guard policy.
     pub mode: Mode,
-    /// Successful reads across the rack (the availability signal).
-    pub ops: u64,
     /// 99th-percentile read latency (ns).
     pub p99_ns: u64,
-    /// The rack-wide recovery ledger (catch-up, refusal and staleness
-    /// counters from both protocol sides).
-    pub recovery: RecoveryReport,
-    /// Replica-binding migrations (failover + hop-triggered re-placement).
-    pub migrations: u64,
+    /// The rack's counters: successful reads (the availability signal),
+    /// migrations, and the recovery ledger from both protocol sides —
+    /// catch-up, refusal and staleness in [`Totals::metrics`] (client) and
+    /// [`Totals::r2p2`] (server).
+    pub rack: Totals,
 }
 
 /// Measures one guard-policy row with explicit event-loop shard and
@@ -188,14 +186,11 @@ pub fn measure_threaded(mode: Mode, iters: u64, shards: usize, threads: Option<u
             )),
         );
     }
-    let report = scenario.run_for(horizon);
-    let m = report.rack_metrics();
+    let rack = scenario.run_for(horizon).rack();
     Point {
         mode,
-        ops: m.ops,
-        p99_ns: m.p99_ns().expect("readers completed ops"),
-        recovery: report.recovery(),
-        migrations: m.migrations,
+        p99_ns: rack.metrics.p99_ns().expect("readers completed ops"),
+        rack,
     }
 }
 
@@ -207,8 +202,7 @@ pub fn measure(mode: Mode, iters: u64) -> Point {
 /// Runs all three guard-policy rows.
 pub fn data(opts: RunOpts) -> Vec<Point> {
     let iters = opts.pick(10, 3);
-    opts.sweep(Mode::ALL)
-        .map(|&mode| measure_threaded(mode, iters, NODES, opts.threads))
+    opts.sweep(Mode::ALL).map(|&mode| measure(mode, iters))
 }
 
 /// Renders the recovery sweep as a table.
@@ -229,18 +223,18 @@ pub fn run(opts: RunOpts) -> Table {
         ],
     );
     for p in data(opts) {
-        let r = p.recovery;
+        let (m, r) = (&p.rack.metrics, &p.rack.r2p2);
         t.row(vec![
             p.mode.label().to_string(),
-            p.ops.to_string(),
+            m.ops.to_string(),
             format!("{} ns", p.p99_ns),
             r.catch_up_pulls.to_string(),
             r.catch_up_refused.to_string(),
-            r.replays_applied.to_string(),
-            r.stale_refusals.to_string(),
+            m.replays_applied.to_string(),
+            m.stale_refusals.to_string(),
             r.stale_served.to_string(),
-            fmt_ns(r.catch_up_ns as f64),
-            p.migrations.to_string(),
+            fmt_ns(m.catch_up_ns as f64),
+            m.migrations.to_string(),
         ]);
     }
     t

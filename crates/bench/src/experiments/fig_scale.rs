@@ -14,10 +14,11 @@
 //! shard — atomicity (SABRe or software) costs no more at 8 nodes than at
 //! 2.
 
-use sabre_farm::{ScenarioStoreExt, StoreLayout};
+use sabre_farm::ScenarioStoreExt;
 use sabre_rack::{spec, ReadMechanism, ScenarioBuilder};
 use sabre_sim::Time;
 
+use crate::experiments::{label, layout};
 use crate::table::{fmt_gbps, fmt_ns};
 use crate::{RunOpts, Table};
 
@@ -35,53 +36,12 @@ pub const OBJECTS_PER_SHARD: u64 = 128;
 pub const NODE_COUNTS: [usize; 4] = [2, 4, 6, 8];
 
 /// The read mechanisms compared at every node count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mechanism {
-    /// Plain one-sided reads, no atomicity (the scaling baseline).
-    Raw,
-    /// Hardware SABRes (destination OCC).
-    Sabre,
-    /// FaRM per-cache-line versions, validated on the reader CPU.
-    PerCl,
-    /// Pilaf checksums, validated on the reader CPU.
-    Checksum,
-}
-
-impl Mechanism {
-    /// All mechanisms in presentation order.
-    pub const ALL: [Mechanism; 4] = [
-        Mechanism::Raw,
-        Mechanism::Sabre,
-        Mechanism::PerCl,
-        Mechanism::Checksum,
-    ];
-
-    /// Table label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Mechanism::Raw => "raw read",
-            Mechanism::Sabre => "SABRe",
-            Mechanism::PerCl => "FaRM perCL",
-            Mechanism::Checksum => "Pilaf CRC64",
-        }
-    }
-
-    /// The store layout this mechanism reads: raw reads and SABRes read
-    /// clean objects.
-    pub fn layout(self) -> StoreLayout {
-        StoreLayout::of_mechanism(self.read_mechanism()).map_or(StoreLayout::Clean, |(l, _)| l)
-    }
-
-    /// The matching reader mechanism.
-    pub fn read_mechanism(self) -> ReadMechanism {
-        match self {
-            Mechanism::Raw => ReadMechanism::Raw,
-            Mechanism::Sabre => ReadMechanism::Sabre,
-            Mechanism::PerCl => ReadMechanism::PerClValidate { payload: PAYLOAD },
-            Mechanism::Checksum => ReadMechanism::ChecksumValidate { payload: PAYLOAD },
-        }
-    }
-}
+pub const MECHANISMS: [ReadMechanism; 4] = [
+    ReadMechanism::Raw,
+    ReadMechanism::Sabre,
+    ReadMechanism::PerClValidate { payload: PAYLOAD },
+    ReadMechanism::ChecksumValidate { payload: PAYLOAD },
+];
 
 /// One sweep point's measurement.
 #[derive(Debug, Clone, Copy)]
@@ -89,7 +49,7 @@ pub struct Point {
     /// Rack size in nodes.
     pub nodes: usize,
     /// The read mechanism.
-    pub mech: Mechanism,
+    pub mech: ReadMechanism,
     /// Mean end-to-end latency over every reader core (ns).
     pub latency_ns: f64,
     /// Aggregate rack goodput (GB/s).
@@ -100,21 +60,13 @@ pub struct Point {
     pub max_reader_gbps: f64,
 }
 
-/// Measures one `(nodes, mechanism)` point with an explicit event-loop
-/// shard count. Public (with the shard knob) so the equivalence tests can
-/// certify that *this* construction — not a copy of it — is bit-identical
-/// at every shard count.
-pub fn measure_sharded(nodes: usize, mech: Mechanism, iters: u64, shards: usize) -> Point {
-    measure_threaded(nodes, mech, iters, shards, None)
-}
-
-/// [`measure_sharded`] with an explicit worker-thread count driving the
-/// shards (`None`: the cluster's default resolution) — the knob the
-/// equivalence tests sweep to certify the shipped experiment is
-/// bit-identical at every thread count too.
+/// Measures one `(nodes, mechanism)` point with explicit event-loop shard
+/// and worker-thread knobs. Public so the equivalence tests can certify
+/// that *this* construction — not a copy of it — is bit-identical at
+/// every shards × threads setting.
 pub fn measure_threaded(
     nodes: usize,
-    mech: Mechanism,
+    mech: ReadMechanism,
     iters: u64,
     shards: usize,
     threads: Option<usize>,
@@ -124,12 +76,8 @@ pub fn measure_threaded(
         .shards(shards)
         .configure(|cfg| cfg.threads = threads);
     let topo = builder.config().topology.clone();
-    let (builder, store_shards) = builder.sharded_store(
-        topo.store_nodes(),
-        mech.layout(),
-        PAYLOAD,
-        OBJECTS_PER_SHARD,
-    );
+    let (builder, store_shards) =
+        builder.sharded_store(topo.store_nodes(), layout(mech), PAYLOAD, OBJECTS_PER_SHARD);
     let readers = topo.reader_nodes();
     let placements: Vec<(usize, usize)> = readers
         .iter()
@@ -146,7 +94,7 @@ pub fn measure_threaded(
             spec()
                 .store(shard.node() as usize)
                 .payload(PAYLOAD)
-                .mechanism(mech.read_mechanism())
+                .mechanism(mech)
                 .wire(shard.slot_bytes() as u32)
                 .objects(shard.object_addrs())
         })
@@ -160,40 +108,32 @@ pub fn measure_threaded(
             latencies.push(m.latency.mean().expect("ops completed"));
         }
     }
-    let per_node = report.node_reports();
-    let reader_gbps: Vec<f64> = per_node
-        .iter()
-        .filter(|n| n.role == sabre_rack::NodeRole::Reader)
-        .map(|n| n.gbps)
-        .collect();
+    let reader_gbps: Vec<f64> = readers.iter().map(|&n| report.node(n).gbps).collect();
     Point {
         nodes,
         mech,
         latency_ns: latencies.iter().sum::<f64>() / latencies.len() as f64,
-        total_gbps: report.total_gbps(),
+        total_gbps: report.rack().gbps,
         min_reader_gbps: reader_gbps.iter().copied().fold(f64::INFINITY, f64::min),
         max_reader_gbps: reader_gbps.iter().copied().fold(0.0, f64::max),
     }
 }
 
-/// [`measure_sharded`] with the shipped configuration: one event-loop
-/// shard per node.
-pub fn measure(nodes: usize, mech: Mechanism, iters: u64) -> Point {
-    measure_sharded(nodes, mech, iters, nodes)
+/// [`measure_threaded`] with the shipped configuration: one event-loop
+/// shard per node, driven serially.
+pub fn measure(nodes: usize, mech: ReadMechanism, iters: u64) -> Point {
+    measure_threaded(nodes, mech, iters, nodes, None)
 }
 
 /// Runs the full sweep: node count × mechanism.
 pub fn data(opts: RunOpts) -> Vec<Point> {
     let iters = opts.pick(25, 3);
-    let points: Vec<(usize, Mechanism)> = NODE_COUNTS
+    let points: Vec<(usize, ReadMechanism)> = NODE_COUNTS
         .iter()
-        .flat_map(|&n| Mechanism::ALL.iter().map(move |&m| (n, m)))
+        .flat_map(|&n| MECHANISMS.iter().map(move |&m| (n, m)))
         .collect();
-    // `--threads` (or `SABRES_THREADS`) caps the in-cluster shard workers
-    // the same way it caps the sweep pool; results are identical either
-    // way, which the golden/equivalence tests pin down.
     opts.sweep(points)
-        .map(|&(nodes, mech)| measure_threaded(nodes, mech, iters, nodes, opts.threads))
+        .map(|&(nodes, mech)| measure(nodes, mech, iters))
 }
 
 /// Renders the scaling sweep as a table.
@@ -211,7 +151,7 @@ pub fn run(opts: RunOpts) -> Table {
     for p in data(opts) {
         t.row(vec![
             p.nodes.to_string(),
-            p.mech.label().to_string(),
+            label(p.mech).to_string(),
             fmt_ns(p.latency_ns),
             fmt_gbps(p.total_gbps),
             format!("{:.2}..{:.2}", p.min_reader_gbps, p.max_reader_gbps),

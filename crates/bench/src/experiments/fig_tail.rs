@@ -20,10 +20,13 @@
 //! offered load — pinned by `tests/experiment_shapes.rs`.
 
 use sabre_farm::ScenarioStoreExt;
-use sabre_rack::{spec, Arrivals, Popularity, ScenarioBuilder};
+use sabre_rack::{spec, Arrivals, CoreMetrics, Popularity, ReadMechanism, ScenarioBuilder};
 use sabre_sim::Time;
 
-use crate::experiments::fig_scale::{Mechanism, CORES_PER_READER_NODE, OBJECTS_PER_SHARD, PAYLOAD};
+use crate::experiments::fig_scale::{
+    CORES_PER_READER_NODE, MECHANISMS, OBJECTS_PER_SHARD, PAYLOAD,
+};
+use crate::experiments::{label, layout};
 use crate::{RunOpts, Table};
 
 /// Rack size: the biggest configuration the equivalence suite pins.
@@ -72,7 +75,7 @@ impl Skew {
 #[derive(Debug, Clone, Copy)]
 pub struct Point {
     /// The read mechanism.
-    pub mech: Mechanism,
+    pub mech: ReadMechanism,
     /// The key-popularity setting.
     pub skew: Skew,
     /// Offered load per reader core (ops/us).
@@ -96,7 +99,7 @@ pub struct Point {
 /// certify that *this* construction — not a copy of it — is bit-identical
 /// at every shards × threads setting.
 pub fn measure_threaded(
-    mech: Mechanism,
+    mech: ReadMechanism,
     skew: Skew,
     load: f64,
     iters: u64,
@@ -108,12 +111,8 @@ pub fn measure_threaded(
         .shards(shards)
         .configure(|cfg| cfg.threads = threads);
     let topo = builder.config().topology.clone();
-    let (builder, store_shards) = builder.sharded_store(
-        topo.store_nodes(),
-        mech.layout(),
-        PAYLOAD,
-        OBJECTS_PER_SHARD,
-    );
+    let (builder, store_shards) =
+        builder.sharded_store(topo.store_nodes(), layout(mech), PAYLOAD, OBJECTS_PER_SHARD);
     let readers = topo.reader_nodes();
     let placements: Vec<(usize, usize)> = readers
         .iter()
@@ -130,43 +129,43 @@ pub fn measure_threaded(
             spec()
                 .store(shard.node() as usize)
                 .payload(PAYLOAD)
-                .mechanism(mech.read_mechanism())
+                .mechanism(mech)
                 .wire(shard.slot_bytes() as u32)
                 .objects(shard.object_addrs())
                 .arrivals(Arrivals::Poisson { ops_per_us: load })
                 .popularity(skew.popularity())
         })
         .run_for(Time::from_us(20 * iters));
-    let m = report.rack_metrics();
+    let m = report.rack().metrics;
     assert!(m.ops > 0, "{mech:?}/{skew:?}@{load}: no ops completed");
-    let (p50_ns, p99_ns, p999_ns) = report.latency_percentiles().expect("ops recorded");
+    point(mech, skew, load, &m)
+}
+
+/// A point from the rack's merged core metrics.
+fn point(mech: ReadMechanism, skew: Skew, load: f64, m: &CoreMetrics) -> Point {
     Point {
         mech,
         skew,
         load,
         ops: m.ops,
-        p50_ns,
-        p99_ns,
-        p999_ns,
+        p50_ns: m.p50_ns().expect("ops recorded"),
+        p99_ns: m.p99_ns().expect("ops recorded"),
+        p999_ns: m.p999_ns().expect("ops recorded"),
         queued: m.queued_arrivals,
         peak_backlog: m.peak_backlog,
     }
 }
 
-/// [`measure_threaded`] with the cluster's default thread resolution.
-pub fn measure_sharded(mech: Mechanism, skew: Skew, load: f64, iters: u64, shards: usize) -> Point {
-    measure_threaded(mech, skew, load, iters, shards, None)
-}
-
-/// One point with the shipped configuration: one shard per node.
-pub fn measure(mech: Mechanism, skew: Skew, load: f64, iters: u64) -> Point {
-    measure_sharded(mech, skew, load, iters, NODES)
+/// One point with the shipped configuration: one shard per node, driven
+/// serially.
+pub fn measure(mech: ReadMechanism, skew: Skew, load: f64, iters: u64) -> Point {
+    measure_threaded(mech, skew, load, iters, NODES, None)
 }
 
 /// Runs the full sweep: mechanism × skew × offered load.
 pub fn data(opts: RunOpts) -> Vec<Point> {
     let iters = opts.pick(15, 3);
-    let points: Vec<(Mechanism, Skew, f64)> = Mechanism::ALL
+    let points: Vec<(ReadMechanism, Skew, f64)> = MECHANISMS
         .iter()
         .flat_map(|&m| {
             Skew::ALL
@@ -175,7 +174,7 @@ pub fn data(opts: RunOpts) -> Vec<Point> {
         })
         .collect();
     opts.sweep(points)
-        .map(|&(mech, skew, load)| measure_threaded(mech, skew, load, iters, NODES, opts.threads))
+        .map(|&(mech, skew, load)| measure(mech, skew, load, iters))
 }
 
 /// Read fractions of the mix sweep: read-mostly down to write-heavy.
@@ -189,21 +188,13 @@ pub const MIX_LOAD: f64 = 0.8;
 /// read fraction; the write remainder issues one-sided remote writes back
 /// to the chosen objects (see `WorkloadSpec::mix` — the software layouts
 /// embed metadata a remote writer does not maintain, so the mix sweep is
-/// a raw-layout traffic study).
-pub fn measure_mix_threaded(
-    read_fraction: f64,
-    iters: u64,
-    shards: usize,
-    threads: Option<usize>,
-) -> Point {
-    let builder = ScenarioBuilder::new()
-        .nodes(NODES)
-        .shards(shards)
-        .configure(|cfg| cfg.threads = threads);
+/// a raw-layout traffic study). One shard per node, driven serially.
+pub fn measure_mix(read_fraction: f64, iters: u64) -> Point {
+    let builder = ScenarioBuilder::new().nodes(NODES).shards(NODES);
     let topo = builder.config().topology.clone();
     let (builder, store_shards) = builder.sharded_store(
         topo.store_nodes(),
-        Mechanism::Raw.layout(),
+        layout(ReadMechanism::Raw),
         PAYLOAD,
         OBJECTS_PER_SHARD,
     );
@@ -223,7 +214,7 @@ pub fn measure_mix_threaded(
             spec()
                 .store(shard.node() as usize)
                 .payload(PAYLOAD)
-                .mechanism(Mechanism::Raw.read_mechanism())
+                .mechanism(ReadMechanism::Raw)
                 .wire(shard.slot_bytes() as u32)
                 .objects(shard.object_addrs())
                 .arrivals(Arrivals::Poisson {
@@ -232,27 +223,16 @@ pub fn measure_mix_threaded(
                 .mix(read_fraction)
         })
         .run_for(Time::from_us(20 * iters));
-    let m = report.rack_metrics();
+    let m = report.rack().metrics;
     assert!(m.ops > 0, "mix {read_fraction}: no ops completed");
-    let (p50_ns, p99_ns, p999_ns) = report.latency_percentiles().expect("ops recorded");
-    Point {
-        mech: Mechanism::Raw,
-        skew: Skew::Uniform,
-        load: MIX_LOAD,
-        ops: m.ops,
-        p50_ns,
-        p99_ns,
-        p999_ns,
-        queued: m.queued_arrivals,
-        peak_backlog: m.peak_backlog,
-    }
+    point(ReadMechanism::Raw, Skew::Uniform, MIX_LOAD, &m)
 }
 
 /// Runs the read/write-mix sweep over [`MIX_FRACTIONS`].
 pub fn mix_data(opts: RunOpts) -> Vec<(f64, Point)> {
     let iters = opts.pick(15, 3);
     opts.sweep(MIX_FRACTIONS)
-        .map(|&f| (f, measure_mix_threaded(f, iters, NODES, opts.threads)))
+        .map(|&f| (f, measure_mix(f, iters)))
 }
 
 /// Renders the mix sweep as its own table (separate from [`run`]'s, so
@@ -302,7 +282,7 @@ pub fn run(opts: RunOpts) -> Table {
     );
     for p in data(opts) {
         t.row(vec![
-            p.mech.label().to_string(),
+            label(p.mech).to_string(),
             p.skew.label().to_string(),
             format!("{:.1}", p.load),
             format!("{} ns", p.p50_ns),

@@ -10,6 +10,9 @@
 //! a self-contained cluster, so results are deterministic whatever the
 //! thread count.
 
+use sabre_farm::StoreLayout;
+use sabre_rack::ReadMechanism;
+
 pub mod ablations;
 pub mod fig1;
 pub mod fig10;
@@ -34,3 +37,21 @@ pub const TRANSFER_SIZES: [u32; 8] = [64, 128, 256, 512, 1024, 2048, 4096, 8192]
 
 /// The object sizes of the object-store figures (Figs. 1, 9, 10).
 pub const OBJECT_SIZES: [u32; 7] = [128, 256, 512, 1024, 2048, 4096, 8192];
+
+/// A read mechanism's table label.
+pub fn label(mech: ReadMechanism) -> &'static str {
+    match mech {
+        ReadMechanism::Raw => "raw read",
+        ReadMechanism::Sabre => "SABRe",
+        ReadMechanism::PerClValidate { .. } => "FaRM perCL",
+        ReadMechanism::ChecksumValidate { .. } => "Pilaf CRC64",
+        ReadMechanism::WfRegister { .. } => "wait-free reg",
+        ReadMechanism::OhRam { .. } => "Oh-RAM 1.5rt",
+    }
+}
+
+/// The store layout a mechanism reads and its writers maintain: raw reads
+/// and SABRes read clean objects.
+pub fn layout(mech: ReadMechanism) -> StoreLayout {
+    StoreLayout::of_mechanism(mech).map_or(StoreLayout::Clean, |(l, _)| l)
+}

@@ -91,19 +91,14 @@ pub struct FabricPort {
     /// megabytes at 1024 nodes. A fresh server is idle at `Time::ZERO`, so
     /// lazy creation is arrival-for-arrival identical to preallocation.
     links: Vec<(u32, LinkState)>,
-    /// Packets pushed onto any link so far.
-    packets_sent: u64,
-    /// Hops traversed by every packet sent from this port so far,
-    /// including fat-tree uplink queueing penalties — the numerator of the
-    /// per-node mean hop count the placement experiments report.
-    hops_sent: u64,
+    /// Every packet sent from this port so far: hops (fat-tree uplink
+    /// queueing penalties included), spine crossings, and the packets that
+    /// queued at the uplink or spine bundle.
+    stats: HopStats,
     /// Hop-latency window index the uplink counter below covers.
     uplink_window: u64,
     /// Cross-leaf packets this port pushed within the current window.
     uplink_in_window: u64,
-    /// Cross-leaf packets that exceeded the uplink's per-window budget and
-    /// paid queueing hops.
-    uplink_queued: u64,
     /// Arrival time of the last packet through the uplink bundle: the
     /// bundle is a FIFO queue, so a later packet (whose window counter may
     /// have reset) never overtakes an earlier queued one.
@@ -112,15 +107,9 @@ pub struct FabricPort {
     spine_window: u64,
     /// Cross-rack packets this port pushed within the current spine window.
     spine_in_window: u64,
-    /// Cross-rack packets that exceeded the spine's per-window budget and
-    /// paid a full `spine_latency` of queueing per queued predecessor.
-    spine_queued: u64,
     /// Arrival time of the last packet through the rack's spine bundle
     /// (FIFO, like the leaf uplink).
     spine_tail: Time,
-    /// Cross-rack packets sent from this port so far — the numerator of
-    /// the cross-spine hop share `fig_datacenter` reports.
-    spine_crossings: u64,
 }
 
 /// One lazily-created directed link: its queued bandwidth server plus the
@@ -138,17 +127,13 @@ impl FabricPort {
         FabricPort {
             src,
             links: Vec::new(),
-            packets_sent: 0,
-            hops_sent: 0,
+            stats: HopStats::default(),
             uplink_window: 0,
             uplink_in_window: 0,
-            uplink_queued: 0,
             uplink_tail: Time::ZERO,
             spine_window: 0,
             spine_in_window: 0,
-            spine_queued: 0,
             spine_tail: Time::ZERO,
-            spine_crossings: 0,
         }
     }
 
@@ -222,7 +207,6 @@ impl FabricPort {
             "node index out of range: {} -> {dst}",
             self.src
         );
-        self.packets_sent += 1;
         let mut hops = cfg.topology.hops(self.src, dst);
         let crosses = cfg.topology.crosses_uplink(self.src, dst);
         if crosses {
@@ -238,12 +222,12 @@ impl FabricPort {
             self.uplink_in_window += 1;
             if self.uplink_in_window > budget {
                 hops += self.uplink_in_window - budget;
-                self.uplink_queued += 1;
+                self.stats.uplink_queued += 1;
             }
         }
-        self.hops_sent += hops;
         let mut propagation = cfg.hop_latency * hops;
         let spine = cfg.topology.crosses_spine(self.src, dst);
+        self.stats.record(hops, spine);
         if spine {
             let spine_latency = cfg
                 .topology
@@ -252,7 +236,6 @@ impl FabricPort {
             // The middle traversal is the long-haul inter-rack link: swap
             // one hop latency for the spine latency.
             propagation = propagation - cfg.hop_latency + spine_latency;
-            self.spine_crossings += 1;
             let budget = cfg
                 .topology
                 .spine_budget()
@@ -265,7 +248,7 @@ impl FabricPort {
             self.spine_in_window += 1;
             if self.spine_in_window > budget {
                 propagation += spine_latency * (self.spine_in_window - budget);
-                self.spine_queued += 1;
+                self.stats.spine_queued += 1;
             }
         }
         let link = self.link_mut(cfg, dst);
@@ -438,72 +421,26 @@ impl Fabric {
         self.ports[src].link(dst).map_or(0, |l| l.sent)
     }
 
-    /// Packets pushed from `src` onto any link so far.
-    pub fn node_packets_sent(&self, src: usize) -> u64 {
-        self.ports[src].packets_sent
-    }
-
-    /// Hops traversed by every packet sent from `src` so far, including
-    /// fat-tree uplink queueing penalties (see [`FabricPort::send`]).
-    /// Divided by [`Fabric::node_packets_sent`] this is the node's mean
-    /// hop count — the placement-quality metric of the `fig_placement`
-    /// experiment.
-    pub fn node_hops_sent(&self, src: usize) -> u64 {
-        self.ports[src].hops_sent
-    }
-
-    /// Cross-leaf packets from `src` that exceeded the fat-tree uplink's
-    /// per-window budget and paid queueing latency (always 0 on the flat
-    /// topologies).
-    pub fn node_uplink_queued(&self, src: usize) -> u64 {
-        self.ports[src].uplink_queued
-    }
-
-    /// Cross-rack packets sent from `src` over the inter-rack spine so far
-    /// (always 0 off the datacenter topology).
-    pub fn node_spine_crossings(&self, src: usize) -> u64 {
-        self.ports[src].spine_crossings
-    }
-
-    /// Cross-rack packets from `src` that exceeded the spine bundle's
-    /// per-window budget and paid a full `spine_latency` of queueing.
-    pub fn node_spine_queued(&self, src: usize) -> u64 {
-        self.ports[src].spine_queued
-    }
-
     /// The streaming hop/queue counters of `src`'s port as a mergeable
     /// [`HopStats`] — the per-node row datacenter-scale reports aggregate
     /// without any per-event storage.
     pub fn node_hop_stats(&self, src: usize) -> HopStats {
-        let p = &self.ports[src];
-        HopStats {
-            packets: p.packets_sent,
-            hops: p.hops_sent,
-            uplink_queued: p.uplink_queued,
-            spine_crossings: p.spine_crossings,
-            spine_queued: p.spine_queued,
-        }
+        self.ports[src].stats
     }
 
     /// [`Fabric::node_hop_stats`] merged over every port — whole-fabric
     /// traffic accounting.
     pub fn hop_stats(&self) -> HopStats {
         let mut total = HopStats::default();
-        for src in 0..self.ports.len() {
-            total.merge(&self.node_hop_stats(src));
+        for port in &self.ports {
+            total.merge(&port.stats);
         }
         total
     }
 
     /// Packets pushed onto any link so far.
     pub fn packets_total(&self) -> u64 {
-        self.ports.iter().map(|p| p.packets_sent).sum()
-    }
-
-    /// Cross-rack packets pushed over the inter-rack spine so far; with
-    /// [`Fabric::packets_total`] this gives the cross-spine traffic share.
-    pub fn spine_crossings_total(&self) -> u64 {
-        self.ports.iter().map(|p| p.spine_crossings).sum()
+        self.ports.iter().map(|p| p.stats.packets).sum()
     }
 
     /// Utilization of the `src → dst` link over `[0, horizon]`.
@@ -784,9 +721,13 @@ mod tests {
             Time::from_ns(70),
             "two extra hops at 35 ns each"
         );
-        assert_eq!(f.node_hops_sent(0), 4);
-        assert_eq!(f.node_packets_sent(0), 2);
-        assert_eq!(f.node_uplink_queued(0), 0, "full bisection never queues");
+        assert_eq!(f.node_hop_stats(0).hops, 4);
+        assert_eq!(f.node_hop_stats(0).packets, 2);
+        assert_eq!(
+            f.node_hop_stats(0).uplink_queued,
+            0,
+            "full bisection never queues"
+        );
     }
 
     #[test]
@@ -808,8 +749,8 @@ mod tests {
         // extra hop to the second packet, two to the third.
         assert_eq!(second - first, Time::from_ps(160) + Time::from_ns(35));
         assert_eq!(third - second, Time::from_ps(160) + Time::from_ns(35));
-        assert_eq!(f.node_uplink_queued(0), 2);
-        assert_eq!(f.node_hops_sent(0), 3 + 4 + 5);
+        assert_eq!(f.node_hop_stats(0).uplink_queued, 2);
+        assert_eq!(f.node_hop_stats(0).hops, 3 + 4 + 5);
         // Same-leaf traffic never touches the uplink.
         let mut g = Fabric::new(FabricConfig {
             nodes: 8,
@@ -822,7 +763,7 @@ mod tests {
         let a = g.send(Time::ZERO, 0, 3, 0);
         let b = g.send(Time::ZERO, 0, 3, 0);
         assert_eq!(b - a, Time::from_ps(160), "only link serialization");
-        assert_eq!(g.node_uplink_queued(0), 0);
+        assert_eq!(g.node_hop_stats(0).uplink_queued, 0);
     }
 
     #[test]
@@ -837,10 +778,10 @@ mod tests {
         });
         let _ = f.send(Time::ZERO, 0, 7, 0);
         let _ = f.send(Time::ZERO, 0, 7, 0); // queued
-        assert_eq!(f.node_uplink_queued(0), 1);
+        assert_eq!(f.node_hop_stats(0).uplink_queued, 1);
         // The next window's first packet is inside the budget again.
         let _ = f.send(Time::from_ns(35), 0, 7, 0);
-        assert_eq!(f.node_uplink_queued(0), 1);
+        assert_eq!(f.node_hop_stats(0).uplink_queued, 1);
     }
 
     /// A 2-rack × radix-4 (32-node) datacenter fabric at the given
@@ -865,10 +806,14 @@ mod tests {
             Time::from_ns(35) + Time::from_ns(350),
             "one more rack-local hop plus the 350 ns spine traversal"
         );
-        assert_eq!(f.node_hops_sent(0), 1 + 3 + 5);
-        assert_eq!(f.node_spine_crossings(0), 1);
-        assert_eq!(f.spine_crossings_total(), 1);
-        assert_eq!(f.node_spine_queued(0), 0, "full bisection never queues");
+        assert_eq!(f.node_hop_stats(0).hops, 1 + 3 + 5);
+        assert_eq!(f.node_hop_stats(0).spine_crossings, 1);
+        assert_eq!(f.hop_stats().spine_crossings, 1);
+        assert_eq!(
+            f.node_hop_stats(0).spine_queued,
+            0,
+            "full bisection never queues"
+        );
     }
 
     #[test]
@@ -887,14 +832,14 @@ mod tests {
             Time::from_ps(160) + Time::from_ns(350) + Time::from_ns(35),
             "two spine queue slots plus the leaf uplink's first penalty hop"
         );
-        assert_eq!(f.node_spine_queued(0), 2);
-        assert_eq!(f.node_spine_crossings(0), 3);
+        assert_eq!(f.node_hop_stats(0).spine_queued, 2);
+        assert_eq!(f.node_hop_stats(0).spine_crossings, 3);
         // Rack-local traffic never touches the spine state.
         let mut g = dc_fabric(2);
         let _ = g.send(Time::ZERO, 0, 15, 0);
         let _ = g.send(Time::ZERO, 0, 15, 0);
-        assert_eq!(g.node_spine_queued(0), 0);
-        assert_eq!(g.node_spine_crossings(0), 0);
+        assert_eq!(g.node_hop_stats(0).spine_queued, 0);
+        assert_eq!(g.node_hop_stats(0).spine_crossings, 0);
     }
 
     #[test]
@@ -902,12 +847,16 @@ mod tests {
         let mut f = dc_fabric(2);
         let _ = f.send(Time::ZERO, 0, 16, 0);
         let _ = f.send(Time::ZERO, 0, 16, 0); // queued
-        assert_eq!(f.node_spine_queued(0), 1);
+        assert_eq!(f.node_hop_stats(0).spine_queued, 1);
         // The next 350 ns window's first packet is inside the budget, but
         // the spine FIFO still refuses to let it overtake the queued one.
         let queued_tail = f.send(Time::ZERO, 0, 16, 0);
         let next_window = f.send(Time::from_ns(350), 0, 16, 0);
-        assert_eq!(f.node_spine_queued(0), 2, "in-budget packet never queues");
+        assert_eq!(
+            f.node_hop_stats(0).spine_queued,
+            2,
+            "in-budget packet never queues"
+        );
         assert!(next_window >= queued_tail, "spine is FIFO across windows");
     }
 
@@ -939,7 +888,7 @@ mod tests {
         let f = dc_fabric(1);
         assert_eq!(f.link_bytes(0, 31), 0);
         assert_eq!(f.link_packets(0, 31), 0);
-        assert_eq!(f.node_packets_sent(0), 0);
+        assert_eq!(f.node_hop_stats(0).packets, 0);
         assert_eq!(f.link_utilization(0, 31, Time::from_ns(100)), 0.0);
         assert_eq!(f.packets_total(), 0);
     }

@@ -174,7 +174,7 @@ proptest! {
         }
         prop_assert_eq!(fabric.packets_total(), count);
         prop_assert_eq!(
-            fabric.spine_crossings_total(), spine_count,
+            fabric.hop_stats().spine_crossings, spine_count,
             "every cross-rack packet crosses the spine exactly once"
         );
         let per_link: u64 = (0..nodes)

@@ -400,7 +400,7 @@ impl RecoveringWriter {
     /// or rest.
     fn end_update(&mut self, api: &mut CoreApi<'_>) {
         if let Some(target) = self.replay_until {
-            api.metrics().replays_applied += 1;
+            api.metrics().record_replay();
             if self.applied >= target {
                 // Round done; re-pull to measure the fresh lag (peers
                 // kept writing meanwhile).
@@ -490,7 +490,7 @@ impl RecoveringWriter {
     /// A pull completed: replay the missed range, or declare convergence
     /// and drop the guard.
     fn on_pull(&mut self, api: &mut CoreApi<'_>) {
-        api.metrics().record_catch_up(0);
+        api.metrics().record_catch_up();
         let image = api.read_local(self.pull_buf, self.log.region_bytes() as usize);
         let latest = WriteLog::parse_head(&image);
         let lag = latest.saturating_sub(self.applied);

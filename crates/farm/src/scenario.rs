@@ -257,9 +257,15 @@ mod tests {
             })
             .run_for(Time::from_us(30));
         assert!(report.core(0, 0).ops > 0);
-        let per_node = report.node_reports();
-        assert!(per_node[4].r2p2.sabres_registered > 0, "shard node served");
-        assert_eq!(per_node[3].r2p2.sabres_registered, 0, "unread shard idle");
+        assert!(
+            report.node(4).r2p2.sabres_registered > 0,
+            "shard node served"
+        );
+        assert_eq!(
+            report.node(3).r2p2.sabres_registered,
+            0,
+            "unread shard idle"
+        );
     }
 
     #[test]
@@ -282,7 +288,9 @@ mod tests {
                         .wire(store.slot_bytes() as u32),
                 )
                 .run_for(Time::from_us(50))
-                .mean_latency_ns(0, 0)
+                .core(0, 0)
+                .latency
+                .mean()
                 .expect("ops completed")
         };
         assert!(

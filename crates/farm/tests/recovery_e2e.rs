@@ -7,7 +7,7 @@
 use sabre_farm::scenario::ScenarioStoreExt;
 use sabre_farm::{replica_sites, RecoveringWriter, StoreLayout, WriteLog};
 use sabre_mem::Addr;
-use sabre_rack::{spec, FaultPlan, ReadMechanism, RecoveryReport, ScenarioBuilder};
+use sabre_rack::{spec, FaultPlan, ReadMechanism, ScenarioBuilder, Totals};
 use sabre_sim::Time;
 
 const PAYLOAD: u32 = 208;
@@ -18,8 +18,8 @@ const PULL_BUF: u64 = 2 << 20;
 
 /// Three replicas on an 8-node radix-2 fat tree (stores 4..8 span leaves
 /// 2 and 3); leaf 2 — holding replica sites 4 and 5 — dies for the middle
-/// of the run. Returns the recovery ledger.
-fn leaf_outage_run(serve_stale: bool) -> RecoveryReport {
+/// of the run. Returns the rack's counters.
+fn leaf_outage_run(serve_stale: bool) -> Totals {
     let builder = ScenarioBuilder::new()
         .seed(7)
         .nodes(8)
@@ -89,22 +89,23 @@ fn leaf_outage_run(serve_stale: bool) -> RecoveryReport {
             )),
         );
     }
-    let report = scenario.run_for(Time::from_us(200));
+    let rack = scenario.run_for(Time::from_us(200)).rack();
     assert!(
-        report.rack_metrics().ops > 100,
+        rack.metrics.ops > 100,
         "readers made no progress through the outage"
     );
-    report.recovery()
+    rack
 }
 
 #[test]
 fn restored_sites_catch_up_and_refuse_reads_meanwhile() {
-    let r = leaf_outage_run(false);
+    let rack = leaf_outage_run(false);
+    let (m, r) = (&rack.metrics, &rack.r2p2);
     // Both leaf-2 sites recovered: each pulled at least once (a probing
     // pull plus replay rounds) from the surviving peer.
-    assert!(r.catch_up_ops >= 2, "missing catch-up rounds: {r:?}");
+    assert!(m.catch_up_ops >= 2, "missing catch-up rounds: {m:?}");
     assert_eq!(
-        r.catch_up_ops, r.catch_up_pulls,
+        m.catch_up_ops, r.catch_up_pulls,
         "client and server disagree on pulls: {r:?}"
     );
     // Leaf 2 held two replica sites; restored together, each first asked
@@ -112,27 +113,28 @@ fn restored_sites_catch_up_and_refuse_reads_meanwhile() {
     // surviving cross-leaf replica.
     assert!(r.catch_up_refused > 0, "siblings never bounced: {r:?}");
     // The outage spans ~150 missed updates per site; all were replayed.
-    assert!(r.replays_applied > 100, "too few replays: {r:?}");
+    assert!(m.replays_applied > 100, "too few replays: {m:?}");
     // The staleness window is real and bounded by the run.
-    assert!(r.catch_up_ns > 0, "no staleness window recorded: {r:?}");
+    assert!(m.catch_up_ns > 0, "no staleness window recorded: {m:?}");
     assert!(
-        r.catch_up_ns < 2 * 200_000,
-        "catch-up outlived the run: {r:?}"
+        m.catch_up_ns < 2 * 200_000,
+        "catch-up outlived the run: {m:?}"
     );
     // Readers bound to a catching-up replica were turned away (and each
     // client-side refusal stems from at least one refused request packet).
-    assert!(r.stale_refusals > 0, "the guard never fired: {r:?}");
-    assert!(r.reads_refused >= r.stale_refusals, "{r:?}");
+    assert!(m.stale_refusals > 0, "the guard never fired: {m:?}");
+    assert!(r.reads_refused >= m.stale_refusals, "{r:?}");
     assert_eq!(r.stale_served, 0, "stale data served in refuse mode: {r:?}");
 }
 
 #[test]
 fn serve_stale_trades_refusals_for_counted_stale_reads() {
-    let r = leaf_outage_run(true);
-    assert!(r.catch_up_ops >= 2, "missing catch-up rounds: {r:?}");
-    assert!(r.replays_applied > 100, "too few replays: {r:?}");
+    let rack = leaf_outage_run(true);
+    let (m, r) = (&rack.metrics, &rack.r2p2);
+    assert!(m.catch_up_ops >= 2, "missing catch-up rounds: {m:?}");
+    assert!(m.replays_applied > 100, "too few replays: {m:?}");
     // Availability mode: nobody is refused, staleness is counted instead.
-    assert_eq!(r.stale_refusals, 0, "refused despite serve_stale: {r:?}");
+    assert_eq!(m.stale_refusals, 0, "refused despite serve_stale: {m:?}");
     assert_eq!(r.reads_refused, 0, "refused despite serve_stale: {r:?}");
     assert!(r.stale_served > 0, "no stale reads counted: {r:?}");
 }

@@ -180,7 +180,7 @@ fn node_metrics_aggregate_cores() {
                 .build(targets)
         })
         .run_for(Time::from_us(50));
-    let agg = report.node(0);
+    let agg = report.node(0).metrics;
     assert_eq!(agg.ops, 30);
     assert_eq!(agg.bytes, 30 * 64);
 }

@@ -476,15 +476,6 @@ impl Cluster {
         &self.nodes[node].metrics[core]
     }
 
-    /// Aggregated (summed) metrics over all cores of `node`.
-    pub fn node_metrics(&self, node: usize) -> CoreMetrics {
-        let mut total = CoreMetrics::default();
-        for m in &self.nodes[node].metrics {
-            total.merge(m);
-        }
-        total
-    }
-
     /// Resets every measurement sink — per-core [`CoreMetrics`], per-pipe
     /// R2P2 counters, LightSABRes engine counters and
     /// [`Cluster::events_handled`] — without disturbing

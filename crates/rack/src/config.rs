@@ -21,11 +21,6 @@ pub enum NodeRole {
     Store,
 }
 
-/// A custom reader→shard assignment: given the reader *index* (position in
-/// [`Topology::reader_nodes`]), the role topology and the rack's wiring,
-/// return the store *node* the reader should target.
-pub type PlacementFn = fn(usize, &Topology, RackTopology) -> usize;
-
 /// How reader nodes are assigned to store shards — the knob
 /// [`Topology::store_for_reader`] dispatches on.
 ///
@@ -34,7 +29,7 @@ pub type PlacementFn = fn(usize, &Topology, RackTopology) -> usize;
 /// routed hops — and, on a fat tree, uplink queueing — on every packet of
 /// every read. The `fig_placement` experiment sweeps these policies
 /// against topology families.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementPolicy {
     /// Reader `i` targets the `i % S`-th store node (the historical
     /// default; ignores geometry).
@@ -45,33 +40,7 @@ pub enum PlacementPolicy {
     /// crossbar, where every shard is one hop away, it degenerates to
     /// exactly [`PlacementPolicy::RoundRobin`]).
     NearestShard,
-    /// Contiguous blocks: the first `R/S` readers share store 0, the next
-    /// block store 1, … (keeps reader cohorts together, e.g. to saturate
-    /// one shard's pipelines before spilling to the next).
-    Striped,
-    /// An arbitrary assignment function (must be deterministic — it is
-    /// consulted during scenario construction).
-    Custom(PlacementFn),
 }
-
-impl PartialEq for PlacementPolicy {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (PlacementPolicy::RoundRobin, PlacementPolicy::RoundRobin)
-            | (PlacementPolicy::NearestShard, PlacementPolicy::NearestShard)
-            | (PlacementPolicy::Striped, PlacementPolicy::Striped) => true,
-            // Two Custom policies compare by function address: equal
-            // addresses certainly dispatch identically, distinct addresses
-            // are conservatively unequal.
-            (PlacementPolicy::Custom(a), PlacementPolicy::Custom(b)) => {
-                std::ptr::fn_addr_eq(*a, *b)
-            }
-            _ => false,
-        }
-    }
-}
-
-impl Eq for PlacementPolicy {}
 
 /// The rack's role topology: which nodes host store shards and which host
 /// readers, plus the [`PlacementPolicy`] pairing them. The paper's
@@ -210,19 +179,12 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if the topology has no store nodes (or, for
-    /// [`PlacementPolicy::Custom`], if the function returns a non-store
-    /// node).
+    /// Panics if the topology has no store nodes.
     pub fn store_for_reader(&self, reader_index: usize, rack: RackTopology) -> usize {
         let stores = self.store_nodes();
         assert!(!stores.is_empty(), "topology has no store nodes");
         match self.placement {
             PlacementPolicy::RoundRobin => stores[reader_index % stores.len()],
-            PlacementPolicy::Striped => {
-                let readers = self.reader_nodes().len().max(1);
-                let i = reader_index % readers;
-                stores[(i * stores.len()) / readers]
-            }
             PlacementPolicy::NearestShard => {
                 let readers = self.reader_nodes();
                 let reader = readers[reader_index % readers.len()];
@@ -237,14 +199,6 @@ impl Topology {
                     .filter(|&s| rack.hops(reader, s) == best)
                     .collect();
                 nearest[reader_index % nearest.len()]
-            }
-            PlacementPolicy::Custom(f) => {
-                let node = f(reader_index, self, rack);
-                assert!(
-                    self.roles.get(node) == Some(&NodeRole::Store),
-                    "custom placement returned non-store node {node}"
-                );
-                node
             }
         }
     }
@@ -525,15 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn striped_placement_assigns_contiguous_reader_blocks() {
-        let t = Topology::skewed(2, 3).with_placement(PlacementPolicy::Striped);
-        let rack = RackTopology::mesh_for(8);
-        // 6 readers over 2 stores: first 3 -> store 0, last 3 -> store 4.
-        let picks: Vec<usize> = (0..6).map(|i| t.store_for_reader(i, rack)).collect();
-        assert_eq!(picks, vec![0, 0, 0, 4, 4, 4]);
-    }
-
-    #[test]
     fn nearest_shard_minimizes_hops_and_spreads_ties() {
         let rack = RackTopology::FatTree {
             radix: 4,
@@ -553,26 +498,6 @@ mod tests {
                 rr.store_for_reader(i, RackTopology::Direct)
             );
         }
-    }
-
-    #[test]
-    fn custom_placement_is_consulted_and_checked() {
-        fn always_last(_: usize, topo: &Topology, _: RackTopology) -> usize {
-            *topo.store_nodes().last().expect("has stores")
-        }
-        let t = Topology::skewed(2, 1).with_placement(PlacementPolicy::Custom(always_last));
-        assert_eq!(t.store_for_reader(0, RackTopology::Direct), 2);
-        assert_eq!(t.store_for_reader(1, RackTopology::Direct), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-store node")]
-    fn custom_placement_rejects_reader_targets() {
-        fn bad(_: usize, topo: &Topology, _: RackTopology) -> usize {
-            topo.reader_nodes()[0]
-        }
-        let t = Topology::skewed(2, 1).with_placement(PlacementPolicy::Custom(bad));
-        let _ = t.store_for_reader(0, RackTopology::Direct);
     }
 
     #[test]

@@ -54,10 +54,10 @@ pub mod workload;
 pub mod workloads;
 
 pub use cluster::{Cluster, EventCounts};
-pub use config::{ClusterConfig, NodeRole, PlacementFn, PlacementPolicy, Topology};
+pub use config::{ClusterConfig, NodeRole, PlacementPolicy, Topology};
 pub use fault::{FaultPlan, FaultProfile};
 pub use layout::{StoreLayout, UpdatePlan};
 pub use metrics::{CoreMetrics, Phase};
-pub use scenario::{NodeReport, RecoveryReport, RunReport, ScenarioBuilder, Sweep};
+pub use scenario::{RunReport, ScenarioBuilder, Sweep, Totals};
 pub use spec::{spec, Arrivals, Popularity, WorkloadSpec};
 pub use workload::{CoreApi, ReadMechanism, Workload};

@@ -30,7 +30,7 @@ impl Phase {
 }
 
 /// Metrics one core's workload accumulates.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CoreMetrics {
     /// Successful (atomic, validated) operations.
     pub ops: u64,
@@ -109,10 +109,14 @@ impl CoreMetrics {
         self.migrations += 1;
     }
 
-    /// Records one catch-up pull round replaying `replayed` missed writes.
-    pub fn record_catch_up(&mut self, replayed: u64) {
+    /// Records one catch-up pull round.
+    pub fn record_catch_up(&mut self) {
         self.catch_up_ops += 1;
-        self.replays_applied += replayed;
+    }
+
+    /// Records one missed write replayed during catch-up.
+    pub fn record_replay(&mut self) {
+        self.replays_applied += 1;
     }
 
     /// Records one refused read (the bound replica was catching up).
@@ -282,9 +286,15 @@ mod tests {
     fn recovery_counters_record_and_merge() {
         let mut a = CoreMetrics::default();
         let mut b = CoreMetrics::default();
-        a.record_catch_up(5);
+        a.record_catch_up();
         a.record_catch_up_window(Time::from_us(2));
-        b.record_catch_up(3);
+        b.record_catch_up();
+        for _ in 0..5 {
+            a.record_replay();
+        }
+        for _ in 0..3 {
+            b.record_replay();
+        }
         b.record_stale_refusal();
         b.record_stale_refusal();
         a.merge(&b);

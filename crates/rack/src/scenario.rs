@@ -6,10 +6,11 @@
 //! for some simulated time, and scrape metrics. [`ScenarioBuilder`] makes
 //! that ritual declarative — the scenario is *described* up front and
 //! materialized only when [`ScenarioBuilder::run`] fires — and
-//! [`RunReport`] bundles everything an experiment reads back: per-core
-//! [`CoreMetrics`], per-pipe [`R2p2Stats`] and [`EngineStats`], simulated
-//! and host wall-clock time, plus the finished [`Cluster`] for ad-hoc
-//! inspection (functional memory, configuration).
+//! [`RunReport`] reads the run back at three grains: one core's
+//! [`CoreMetrics`], and one node's or the whole rack's [`Totals`] (core
+//! metrics, [`R2p2Stats`], [`EngineStats`], [`HopStats`] and goodput,
+//! merged by one function), plus the finished [`Cluster`] for ad-hoc
+//! inspection (simulated time, functional memory, configuration).
 //!
 //! Because each simulated cluster is a self-contained single-threaded
 //! world, *independent* scenarios are embarrassingly parallel: [`Sweep`]
@@ -31,16 +32,18 @@
 //!                 spec().store(1).payload(size).mechanism(ReadMechanism::Sabre),
 //!             )
 //!             .run_for(Time::from_us(30))
-//!             .mean_latency_ns(0, 0)
+//!             .core(0, 0)
+//!             .latency
+//!             .mean()
 //!             .expect("ops completed")
 //!     });
 //! assert_eq!(latencies.len(), 3);
 //! assert!(latencies[0] < latencies[2], "larger transfers take longer");
 //! ```
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use sabre_core::EngineStats;
 use sabre_mem::Addr;
@@ -48,7 +51,7 @@ use sabre_sim::{HopStats, Time};
 use sabre_sonuma::r2p2::R2p2Stats;
 
 use crate::cluster::Cluster;
-use crate::config::{ClusterConfig, NodeRole, PlacementPolicy, Topology};
+use crate::config::{ClusterConfig, PlacementPolicy, Topology};
 use crate::metrics::CoreMetrics;
 use crate::spec::WorkloadSpec;
 use crate::workload::Workload;
@@ -56,8 +59,7 @@ use crate::workload::Workload;
 type PrepareFn = Box<dyn FnOnce(&mut Cluster) -> Vec<Addr>>;
 type FactoryFn = Box<dyn FnOnce(&[Addr]) -> Box<dyn Workload>>;
 
-/// The `SABRES_THREADS` environment cap, shared by the [`Sweep`] runner
-/// and the cluster's sharded event loop.
+/// The `SABRES_THREADS` environment cap on [`Sweep`] workers.
 pub(crate) fn threads_from_env() -> Option<usize> {
     let v = std::env::var("SABRES_THREADS").ok()?;
     match v.trim().parse::<usize>() {
@@ -195,9 +197,9 @@ impl ScenarioBuilder {
     ///         },
     ///     )
     ///     .run_for(Time::from_us(10));
-    /// let nodes = report.node_reports();
-    /// assert!(nodes[1].metrics.ops > 0, "leaf-0 readers progress");
-    /// assert_eq!(nodes[1].mean_hops, 1.0, "no reader ever crosses the spine");
+    /// let reader = report.node(1);
+    /// assert!(reader.metrics.ops > 0, "leaf-0 readers progress");
+    /// assert_eq!(reader.hops.mean_hops(), 1.0, "no reader ever crosses the spine");
     /// ```
     pub fn fat_tree(mut self, radix: u8, oversubscription: u8) -> Self {
         self.cfg.fabric.topology = sabre_fabric::RackTopology::FatTree {
@@ -417,7 +419,6 @@ impl ScenarioBuilder {
             self.measure > Time::ZERO,
             "no measurement window declared: call .measure(t) (or .run_for(t)) before .run()"
         );
-        let wall = Instant::now();
         let mut cluster = Cluster::new(self.cfg);
         let mut targets = Vec::new();
         for prep in self.prepares {
@@ -433,11 +434,7 @@ impl ScenarioBuilder {
         let start = cluster.now();
         cluster.run_for(self.measure);
         let measured = cluster.now() - start;
-        RunReport {
-            cluster,
-            measured,
-            wall: wall.elapsed(),
-        }
+        RunReport { cluster, measured }
     }
 
     /// Shorthand: sets the measurement window to `t` and runs.
@@ -446,23 +443,44 @@ impl ScenarioBuilder {
     }
 }
 
-/// Everything an experiment reads back from one scenario run.
+/// Everything an experiment reads back from one scenario run: the
+/// finished cluster, the measurement window, and its counters per core
+/// ([`RunReport::core`]), per node ([`RunReport::node`]) or rack-wide
+/// ([`RunReport::rack`]).
 pub struct RunReport {
     cluster: Cluster,
     measured: Time,
-    wall: Duration,
+}
+
+/// The counters of a set of nodes, merged: every core's metrics, every
+/// destination pipeline's R2P2 and engine statistics, and the nodes'
+/// fabric ports. Counters merge exactly (integer addition or max) and
+/// goodput sums in node order, so a total is bit-identical at every
+/// shard × thread setting.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Totals {
+    /// Core metrics summed over every core. The float
+    /// [`CoreMetrics::latency`] mean is not merged; read percentiles from
+    /// [`CoreMetrics::latency_hist`] (or one core's mean via
+    /// [`RunReport::core`]).
+    pub metrics: CoreMetrics,
+    /// R2P2 statistics summed over every pipeline.
+    pub r2p2: R2p2Stats,
+    /// LightSABRes engine statistics summed over every pipeline.
+    pub engine: EngineStats,
+    /// Hop and queue counters of every packet the nodes sent
+    /// ([`HopStats::mean_hops`], [`HopStats::spine_share`]).
+    pub hops: HopStats,
+    /// Goodput over the measurement window in GB/s: each node's successful
+    /// reader bytes over the window, summed in node order.
+    pub gbps: f64,
 }
 
 impl RunReport {
-    /// The finished cluster, for ad-hoc inspection (functional memory,
-    /// configuration, anything the structured accessors don't cover).
+    /// The finished cluster, for ad-hoc inspection (simulated time,
+    /// functional memory, configuration, per-pipe statistics).
     pub fn cluster(&self) -> &Cluster {
         &self.cluster
-    }
-
-    /// Simulated time at the end of the run.
-    pub fn sim_time(&self) -> Time {
-        self.cluster.now()
     }
 
     /// Length of the measurement window the metrics cover (excludes
@@ -471,212 +489,38 @@ impl RunReport {
         self.measured
     }
 
-    /// Host wall-clock time the run took.
-    pub fn wall(&self) -> Duration {
-        self.wall
-    }
-
     /// Metrics of one core.
     pub fn core(&self, node: usize, core: usize) -> &CoreMetrics {
         self.cluster.metrics(node, core)
     }
 
-    /// Aggregated (summed) metrics over all cores of `node`.
-    pub fn node(&self, node: usize) -> CoreMetrics {
-        self.cluster.node_metrics(node)
+    /// The counters of one node.
+    pub fn node(&self, node: usize) -> Totals {
+        self.totals(node..node + 1)
     }
 
-    /// Mean end-to-end latency of one core's successful operations, in ns.
-    pub fn mean_latency_ns(&self, node: usize, core: usize) -> Option<f64> {
-        self.cluster.metrics(node, core).latency.mean()
+    /// The counters of the whole rack.
+    pub fn rack(&self) -> Totals {
+        self.totals(0..self.cluster.config().nodes)
     }
 
-    /// Aggregate goodput of `node` over the measurement window, in GB/s.
-    pub fn gbps(&self, node: usize) -> f64 {
-        self.node(node).gbps(self.measured)
-    }
-
-    /// R2P2 statistics of one destination pipeline.
-    pub fn r2p2(&self, node: usize, pipe: usize) -> R2p2Stats {
-        self.cluster.r2p2_stats(node, pipe)
-    }
-
-    /// LightSABRes engine statistics of one destination pipeline.
-    pub fn engine(&self, node: usize, pipe: usize) -> EngineStats {
-        self.cluster.engine_stats(node, pipe)
-    }
-
-    /// R2P2 statistics summed over every pipeline of `node`.
-    pub fn r2p2_totals(&self, node: usize) -> R2p2Stats {
-        let mut total = R2p2Stats::default();
-        for pipe in 0..self.cluster.config().rmc_backends {
-            total.merge(&self.cluster.r2p2_stats(node, pipe));
+    fn totals(&self, nodes: Range<usize>) -> Totals {
+        let cfg = self.cluster.config();
+        let mut t = Totals::default();
+        for node in nodes {
+            let mut m = CoreMetrics::default();
+            for core in 0..cfg.cores_per_node {
+                m.merge(self.cluster.metrics(node, core));
+            }
+            t.gbps += m.gbps(self.measured);
+            t.metrics.merge(&m);
+            for pipe in 0..cfg.rmc_backends {
+                t.r2p2.merge(&self.cluster.r2p2_stats(node, pipe));
+                t.engine.merge(&self.cluster.engine_stats(node, pipe));
+            }
+            t.hops.merge(&self.cluster.fabric().node_hop_stats(node));
         }
-        total
-    }
-
-    /// Engine statistics summed over every pipeline of `node`.
-    pub fn engine_totals(&self, node: usize) -> EngineStats {
-        let mut total = EngineStats::default();
-        for pipe in 0..self.cluster.config().rmc_backends {
-            total.merge(&self.cluster.engine_stats(node, pipe));
-        }
-        total
-    }
-
-    /// Per-node breakdown of the whole rack, in node order: role, summed
-    /// core metrics, pipeline/engine totals and goodput — the structured
-    /// view N-node experiments report from.
-    pub fn node_reports(&self) -> Vec<NodeReport> {
-        (0..self.cluster.config().nodes)
-            .map(|node| {
-                let hops = self.cluster.fabric().node_hop_stats(node);
-                NodeReport {
-                    node,
-                    role: self.cluster.config().topology.role(node),
-                    metrics: self.node(node),
-                    r2p2: self.r2p2_totals(node),
-                    engine: self.engine_totals(node),
-                    gbps: self.gbps(node),
-                    mean_hops: hops.mean_hops(),
-                    hops,
-                }
-            })
-            .collect()
-    }
-
-    /// Streaming hop/queue statistics merged over every node's fabric
-    /// port ([`HopStats`] — exact element-wise merge, so bit-identical at
-    /// every shard × thread setting). [`HopStats::spine_share`] is the
-    /// cross-spine hop share datacenter experiments report.
-    pub fn hop_stats(&self) -> HopStats {
-        self.cluster.fabric().hop_stats()
-    }
-
-    /// Aggregate goodput of the whole rack (every node's successful reader
-    /// bytes over the measurement window), in GB/s.
-    pub fn total_gbps(&self) -> f64 {
-        (0..self.cluster.config().nodes).map(|n| self.gbps(n)).sum()
-    }
-
-    /// Core metrics merged over every core of every node — the rack-wide
-    /// aggregate. The deterministic latency histogram merges exactly
-    /// (element-wise bucket addition), so anything derived from it is
-    /// bit-identical at every shard × thread setting.
-    pub fn rack_metrics(&self) -> CoreMetrics {
-        let mut total = CoreMetrics::default();
-        for node in 0..self.cluster.config().nodes {
-            total.merge(&self.node(node));
-        }
-        total
-    }
-
-    /// R2P2 statistics summed over every pipeline of every node.
-    pub fn r2p2_rack_totals(&self) -> R2p2Stats {
-        let mut total = R2p2Stats::default();
-        for node in 0..self.cluster.config().nodes {
-            total.merge(&self.r2p2_totals(node));
-        }
-        total
-    }
-
-    /// The run's recovery ledger: every catch-up and staleness counter,
-    /// merged rack-wide from both sides of the protocol (reader/writer
-    /// core metrics and destination-pipeline statistics).
-    pub fn recovery(&self) -> RecoveryReport {
-        let m = self.rack_metrics();
-        let r = self.r2p2_rack_totals();
-        RecoveryReport {
-            catch_up_ops: m.catch_up_ops,
-            replays_applied: m.replays_applied,
-            stale_refusals: m.stale_refusals,
-            catch_up_ns: m.catch_up_ns,
-            catch_up_pulls: r.catch_up_pulls,
-            catch_up_refused: r.catch_up_refused,
-            reads_refused: r.reads_refused,
-            stale_served: r.stale_served,
-            stale_dropped: r.stale_dropped,
-        }
-    }
-
-    /// `(p50, p99, p99.9)` end-to-end latency in whole ns over every
-    /// successful operation of the run, from the merged deterministic
-    /// histogram ([`LatencyHistogram`](sabre_sim::LatencyHistogram) —
-    /// exact below 16 ns, within 1/16 relative error above). `None` when
-    /// nothing completed.
-    pub fn latency_percentiles(&self) -> Option<(u64, u64, u64)> {
-        let m = self.rack_metrics();
-        Some((m.p50_ns()?, m.p99_ns()?, m.p999_ns()?))
-    }
-
-    /// Human-readable dump of the rack-wide merged latency histogram
-    /// (one `lower..=upper count` line per occupied bucket) — the
-    /// debugging view behind the percentile accessors.
-    pub fn latency_dump(&self) -> String {
-        self.rack_metrics().latency_hist.dump()
-    }
-}
-
-/// Rack-wide recovery counters of one run, client side and server side —
-/// see [`RunReport::recovery`]. A healthy no-fault run is all zeros.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Catch-up pull rounds issued by recovering writers.
-    pub catch_up_ops: u64,
-    /// Missed writes replayed through the deterministic update path.
-    pub replays_applied: u64,
-    /// Refused reads that readers re-issued at another replica.
-    pub stale_refusals: u64,
-    /// Total ns recovering writers spent catching up (staleness window).
-    pub catch_up_ns: u64,
-    /// Catch-up pulls served by live peers (server side).
-    pub catch_up_pulls: u64,
-    /// Catch-up pulls refused because the asked peer was itself catching
-    /// up (mutual-staleness bounce; the puller retried elsewhere).
-    pub catch_up_refused: u64,
-    /// Reads refused by the epoch/seq guard (server side).
-    pub reads_refused: u64,
-    /// Reads served despite catch-up, under
-    /// [`serve_stale`](crate::ClusterConfig::serve_stale).
-    pub stale_served: u64,
-    /// Stale data requests discarded because a crash ate their
-    /// registration.
-    pub stale_dropped: u64,
-}
-
-/// One node's slice of a [`RunReport`]: everything the rack-scale
-/// experiments break down per node.
-#[derive(Debug, Clone)]
-pub struct NodeReport {
-    /// The node index.
-    pub node: usize,
-    /// The node's declared role.
-    pub role: NodeRole,
-    /// Core metrics summed over the node's cores.
-    pub metrics: CoreMetrics,
-    /// R2P2 statistics summed over the node's pipelines.
-    pub r2p2: R2p2Stats,
-    /// LightSABRes engine statistics summed over the node's pipelines.
-    pub engine: EngineStats,
-    /// The node's goodput over the measurement window, in GB/s.
-    pub gbps: f64,
-    /// Mean routed hops per packet *sent* by this node (fat-tree uplink
-    /// queueing penalties included; 0.0 if the node sent nothing) — the
-    /// placement-quality metric: a well-placed reader keeps it at the
-    /// fabric's minimum.
-    pub mean_hops: f64,
-    /// The node's full streaming hop/queue counters (packets, hops,
-    /// uplink and spine queueing, spine crossings) — what `mean_hops` is
-    /// derived from, with the datacenter-tier spine share alongside.
-    pub hops: HopStats,
-}
-
-impl NodeReport {
-    /// 99th-percentile end-to-end latency across the node's cores in
-    /// whole ns, from the merged deterministic histogram (`None` if the
-    /// node completed nothing — e.g. store nodes).
-    pub fn p99_ns(&self) -> Option<u64> {
-        self.metrics.p99_ns()
+        t
     }
 }
 
@@ -834,10 +678,10 @@ mod tests {
 
         assert_eq!(scenario.core(0, 0).ops, cluster.metrics(0, 0).ops);
         assert_eq!(
-            scenario.mean_latency_ns(0, 0),
+            scenario.core(0, 0).latency.mean(),
             cluster.metrics(0, 0).latency.mean()
         );
-        assert_eq!(scenario.r2p2_totals(1).plain_reads, {
+        assert_eq!(scenario.node(1).r2p2.plain_reads, {
             let mut t = R2p2Stats::default();
             for p in 0..4 {
                 t.merge(&cluster.r2p2_stats(1, p));
@@ -853,7 +697,7 @@ mod tests {
             .warmup(Time::from_us(30))
             .measure(Time::from_us(30))
             .run();
-        assert_eq!(windowed.sim_time(), Time::from_us(60));
+        assert_eq!(windowed.cluster().now(), Time::from_us(60));
         assert_eq!(windowed.measured(), Time::from_us(30));
         assert!(windowed.core(0, 0).ops > 0);
         assert!(
@@ -866,7 +710,7 @@ mod tests {
     fn sweep_parallel_matches_serial_in_order() {
         let run = |size: u32| {
             let r = one_reader(size).run_for(Time::from_us(30));
-            (size, r.core(0, 0).ops, r.mean_latency_ns(0, 0))
+            (size, r.core(0, 0).ops, r.core(0, 0).latency.mean())
         };
         let serial = Sweep::over([64u32, 512, 2048]).threads(1).map(|&s| run(s));
         let parallel = Sweep::over([64u32, 512, 2048]).threads(3).map(|&s| run(s));
@@ -910,27 +754,36 @@ mod tests {
                 spec().store(store).payload(256).objects(slice.to_vec())
             })
             .run_for(Time::from_us(30));
-        let nodes = report.node_reports();
-        assert_eq!(nodes.len(), 4);
-        for n in &nodes {
-            match n.role {
+        assert_eq!(report.cluster().config().nodes, 4);
+        let nodes: Vec<Totals> = (0..4).map(|n| report.node(n)).collect();
+        for (node, n) in nodes.iter().enumerate() {
+            match topo.role(node) {
                 crate::config::NodeRole::Reader => {
-                    assert!(n.metrics.ops > 0, "reader node {} made no progress", n.node);
+                    assert!(n.metrics.ops > 0, "reader node {node} made no progress");
                     assert!(n.gbps > 0.0);
                 }
                 crate::config::NodeRole::Store => {
-                    assert!(
-                        n.r2p2.plain_reads > 0,
-                        "store node {} served no reads",
-                        n.node
-                    );
+                    assert!(n.r2p2.plain_reads > 0, "store node {node} served no reads");
                     assert_eq!(n.metrics.ops, 0);
                 }
             }
         }
-        assert!(report.total_gbps() > 0.0);
+        let rack = report.rack();
+        assert!(rack.gbps > 0.0);
         let summed: f64 = nodes.iter().map(|n| n.gbps).sum();
-        assert!((report.total_gbps() - summed).abs() < 1e-12);
+        assert_eq!(
+            rack.gbps, summed,
+            "rack goodput sums node goodputs in node order"
+        );
+        let mut merged = Totals::default();
+        for n in &nodes {
+            merged.metrics.merge(&n.metrics);
+            merged.r2p2.merge(&n.r2p2);
+            merged.engine.merge(&n.engine);
+            merged.hops.merge(&n.hops);
+        }
+        merged.gbps = summed;
+        assert_eq!(rack, merged, "the rack is the merge of its nodes");
     }
 
     #[test]
@@ -945,19 +798,19 @@ mod tests {
             .reader_spec(0, 0, spec().store(6).payload(256))
             .run_for(Time::from_us(30));
         assert!(report.core(0, 0).ops > 0, "cross-rack reads complete");
-        let rack_wide = report.hop_stats();
+        let rack_wide = report.rack().hops;
         assert!(rack_wide.packets > 0);
         assert!(rack_wide.spine_crossings > 0);
-        let nodes = report.node_reports();
-        let reader = &nodes[0].hops;
+        let reader = report.node(0).hops;
         assert_eq!(
             reader.spine_crossings, reader.packets,
             "every reader packet crosses the spine"
         );
-        assert!((nodes[0].hops.spine_share() - 1.0).abs() < 1e-12);
-        assert!(nodes[0].mean_hops >= 5.0, "cross-rack routes are 5 hops");
+        assert!((reader.spine_share() - 1.0).abs() < 1e-12);
+        assert!(reader.mean_hops() >= 5.0, "cross-rack routes are 5 hops");
         // The store's replies cross right back.
-        assert_eq!(nodes[6].hops.spine_crossings, nodes[6].hops.packets);
+        let store = report.node(6).hops;
+        assert_eq!(store.spine_crossings, store.packets);
     }
 
     #[test]

@@ -90,7 +90,11 @@ fn a_warm_write_mix_window_allocates_at_most_once_per_10k_events() {
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
     let events = cluster.events_handled().total();
-    let ops: u64 = (0..8).map(|n| cluster.node_metrics(n).ops).sum();
+    let cores = cluster.config().cores_per_node;
+    let ops: u64 = (0..8)
+        .flat_map(|n| (0..cores).map(move |c| (n, c)))
+        .map(|(n, c)| cluster.metrics(n, c).ops)
+        .sum();
     assert!(
         ops > 1_000,
         "the readers must keep the rack busy: {ops} ops"

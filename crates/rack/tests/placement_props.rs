@@ -66,8 +66,8 @@ proptest! {
         }
     }
 
-    /// Every policy returns a store node for every reader index (striped
-    /// included), so factories can index shard handles safely.
+    /// Every policy returns a store node for every reader index, so
+    /// factories can index shard handles safely.
     #[test]
     fn every_policy_returns_a_store_node(
         roles in roles(),
@@ -77,7 +77,6 @@ proptest! {
         for policy in [
             PlacementPolicy::RoundRobin,
             PlacementPolicy::NearestShard,
-            PlacementPolicy::Striped,
         ] {
             let t = Topology::new(roles.clone()).with_placement(policy);
             let stores = t.store_nodes();

@@ -4,7 +4,7 @@ use crate::time::Time;
 
 /// Running mean / min / max of a stream of samples (Welford-free: the
 /// experiments only need mean and extremes, so a simple sum suffices).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MeanTracker {
     sum: f64,
     n: u64,

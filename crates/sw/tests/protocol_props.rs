@@ -303,9 +303,8 @@ fn ohram_read_is_one_and_a_half_rounds_on_the_fabric() {
             .run_for(Time::from_us(100));
         let ops = report.core(0, 0).ops;
         assert!(ops > 0, "{mech:?}: no ops completed");
-        let fabric = report.cluster().fabric();
-        let reader_sent = fabric.node_packets_sent(0);
-        let hops: u64 = (0..2).map(|n| fabric.node_hops_sent(n)).sum();
+        let reader_sent = report.node(0).hops.packets;
+        let hops = report.rack().hops.hops;
         (ops, reader_sent, hops)
     };
 

@@ -42,9 +42,9 @@ fn run_policy(backoff: Time) -> (f64, f64, u64, u64) {
         );
     }
 
-    let report = scenario.run_for(Time::from_us(300));
-    let m = report.node(0);
-    (report.gbps(0), m.abort_rate(), m.ops, m.retries)
+    let readers = scenario.run_for(Time::from_us(300)).node(0);
+    let m = &readers.metrics;
+    (readers.gbps, m.abort_rate(), m.ops, m.retries)
 }
 
 fn main() {

@@ -38,8 +38,8 @@ fn deploy(layout: StoreLayout) -> (f64, f64, u64) {
 
     let readers = report.node(0);
     (
-        readers.gbps(report.sim_time()),
-        readers.abort_rate(),
+        readers.gbps,
+        readers.metrics.abort_rate(),
         report.core(0, 15).ops, // RPC writes acknowledged
     )
 }

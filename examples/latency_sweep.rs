@@ -21,7 +21,9 @@ fn one_reader(size: u32, mech: ReadMechanism, mode: SpecMode) -> f64 {
         .raw_region_sized(1, size, count)
         .reader_spec(0, 0, spec().store(1).payload(size).mechanism(mech))
         .run_for(Time::from_us(400))
-        .mean_latency_ns(0, 0)
+        .core(0, 0)
+        .latency
+        .mean()
         .expect("ops completed")
 }
 

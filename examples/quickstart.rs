@@ -42,7 +42,7 @@ fn main() {
         // Run one millisecond of simulated time.
         .run_for(Time::from_us(1000));
 
-    println!("simulated time: {}", report.sim_time());
+    println!("simulated time: {}", report.cluster().now());
     let mut total_ok = 0;
     for core in 0..4 {
         let m = report.core(0, core);
@@ -57,11 +57,11 @@ fn main() {
     println!(
         "aggregate: {} reads, {:.2} GB/s of clean payload",
         total_ok,
-        report.gbps(0)
+        report.node(0).gbps
     );
 
     // Engine-level visibility: how the destination's LightSABRes engines saw it.
-    let engines = report.engine_totals(1);
+    let engines = report.node(1).engine;
     println!(
         "destination engines: {} atomic, {} aborted (exposed to software)",
         engines.completed_ok, engines.completed_failed

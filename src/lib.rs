@@ -60,7 +60,9 @@
 //!         .raw_region(1, size)
 //!         .reader_spec(0, 0, spec().store(1).payload(size).mechanism(ReadMechanism::Sabre))
 //!         .run_for(Time::from_us(30))
-//!         .mean_latency_ns(0, 0)
+//!         .core(0, 0)
+//!         .latency
+//!         .mean()
 //!         .expect("ops completed")
 //! });
 //! assert!(latencies[0] < latencies[1]);
@@ -90,9 +92,9 @@ pub mod prelude {
     pub use sabre_mem::{Addr, BlockAddr, NodeMemory, BLOCK_BYTES};
     pub use sabre_rack::workloads::{pattern_payload, verify_payload, Writer};
     pub use sabre_rack::{
-        spec, Arrivals, Cluster, ClusterConfig, CoreApi, FaultPlan, NodeReport, NodeRole, Phase,
-        PlacementPolicy, Popularity, ReadMechanism, RecoveryReport, RunReport, ScenarioBuilder,
-        Sweep, Topology, Workload, WorkloadSpec,
+        spec, Arrivals, Cluster, ClusterConfig, CoreApi, FaultPlan, NodeRole, Phase,
+        PlacementPolicy, Popularity, ReadMechanism, RunReport, ScenarioBuilder, Sweep, Topology,
+        Totals, Workload, WorkloadSpec,
     };
     pub use sabre_sim::{SimRng, Time};
     pub use sabre_sonuma::{CqEntry, OpKind};

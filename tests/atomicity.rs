@@ -1139,7 +1139,7 @@ const LEAF_OBJECTS: u64 = 4;
 /// guard refusals at the next replica, and hold two invariants at once:
 /// never a torn image (as everywhere), and never pre-outage data from a
 /// restored site once its guard drops ([`StaleGuard`]).
-fn leaf_race_threaded(tm: TortureMech, seed: u64, threads: usize) -> (Outcome, RecoveryReport) {
+fn leaf_race_threaded(tm: TortureMech, seed: u64, threads: usize) -> (Outcome, Totals) {
     let payload = [208u32, 480, 1008][(seed % 3) as usize];
     let (mech, layout, cc_mode, spec_mode) = tm.setup(payload);
     let builder = ScenarioBuilder::new()
@@ -1215,7 +1215,7 @@ fn leaf_race_threaded(tm: TortureMech, seed: u64, threads: usize) -> (Outcome, R
     }
     let report = scenario.run_for(Time::from_us(55));
     let o = outcome.lock().expect("outcome poisoned").clone();
-    (o, report.recovery())
+    (o, report.rack())
 }
 
 #[test]
@@ -1232,7 +1232,8 @@ fn torture_kill_a_leaf_catch_up_never_serves_stale_or_torn_reads() {
     });
     let mut per_mech: std::collections::HashMap<TortureMech, Outcome> =
         std::collections::HashMap::new();
-    for (tm, seed, (o, r)) in &results {
+    for (tm, seed, (o, rack)) in &results {
+        let (m, r) = (&rack.metrics, &rack.r2p2);
         assert_eq!(
             o.torn, 0,
             "{tm:?} under a leaf outage (seed {seed}): {} torn objects delivered \
@@ -1257,13 +1258,13 @@ fn torture_kill_a_leaf_catch_up_never_serves_stale_or_torn_reads() {
             "{tm:?} (seed {seed}): the equally-stale siblings never bounced: {r:?}"
         );
         assert!(
-            r.replays_applied > 0,
-            "{tm:?} (seed {seed}): catch-up replayed nothing: {r:?}"
+            m.replays_applied > 0,
+            "{tm:?} (seed {seed}): catch-up replayed nothing: {m:?}"
         );
         assert!(
-            r.catch_up_ns > 0,
+            m.catch_up_ns > 0,
             "{tm:?} (seed {seed}): no staleness window ever closed — the \
-             guard never dropped, so the freshness check saw nothing: {r:?}"
+             guard never dropped, so the freshness check saw nothing: {m:?}"
         );
         let e = per_mech.entry(*tm).or_default();
         e.verified += o.verified;

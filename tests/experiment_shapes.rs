@@ -9,6 +9,7 @@
 
 use sabre_bench::experiments as ex;
 use sabre_bench::RunOpts;
+use sabres::rack::ReadMechanism;
 
 const Q: RunOpts = RunOpts {
     quick: true,
@@ -208,16 +209,20 @@ fn ablation_concurrency_scales_until_saturation() {
 #[test]
 fn fig_scale_goodput_grows_and_atomicity_stays_cheap() {
     let points = ex::fig_scale::data(Q);
-    let get = |nodes: usize, mech: ex::fig_scale::Mechanism| {
+    let get = |nodes: usize, mech: ReadMechanism| {
         *points
             .iter()
             .find(|p| p.nodes == nodes && p.mech == mech)
             .expect("swept point")
     };
-    use ex::fig_scale::Mechanism::*;
+    let [raw, sabre, percl, checksum] = ex::fig_scale::MECHANISMS;
     for &nodes in &ex::fig_scale::NODE_COUNTS {
-        let raw = get(nodes, Raw);
-        let sabre = get(nodes, Sabre);
+        let (raw, sabre, percl, checksum) = (
+            get(nodes, raw),
+            get(nodes, sabre),
+            get(nodes, percl),
+            get(nodes, checksum),
+        );
         // The paper's headline survives scale-out: hardware SABRes track
         // plain reads at every rack size, while the software checks pay
         // their CPU validation on top.
@@ -227,14 +232,14 @@ fn fig_scale_goodput_grows_and_atomicity_stays_cheap() {
             sabre.latency_ns,
             raw.latency_ns
         );
-        assert!(get(nodes, PerCl).latency_ns > sabre.latency_ns);
-        assert!(get(nodes, Checksum).latency_ns > get(nodes, PerCl).latency_ns);
+        assert!(percl.latency_ns > sabre.latency_ns);
+        assert!(checksum.latency_ns > percl.latency_ns);
         // Every reader node makes progress (no placement starves).
         assert!(sabre.min_reader_gbps > 0.0);
     }
     // Aggregate goodput scales with the reader count while reader↔shard
     // pairs stay one mesh hop apart (2 → 6 nodes ≈ 3 independent pairs).
-    for mech in [Raw, Sabre] {
+    for mech in [raw, sabre] {
         let g2 = get(2, mech).total_gbps;
         let g6 = get(6, mech).total_gbps;
         assert!(
@@ -320,7 +325,7 @@ fn fig_tail_p99_is_monotone_in_offered_load() {
     for p in &points {
         assert!(p.p50_ns <= p.p99_ns && p.p99_ns <= p.p999_ns, "{p:?}");
     }
-    for mech in ex::fig_scale::Mechanism::ALL {
+    for mech in ex::fig_scale::MECHANISMS {
         for skew in Skew::ALL {
             let curve: Vec<&ex::fig_tail::Point> = LOADS
                 .iter()
@@ -372,7 +377,7 @@ fn fig_tail_mix_rows_are_live_and_ordered() {
 fn fig_failover_adaptive_beats_static_under_a_crash() {
     use ex::fig_failover::Policy;
     let points = ex::fig_failover::data(Q);
-    for mech in ex::fig_scale::Mechanism::ALL {
+    for mech in ex::fig_scale::MECHANISMS {
         let get = |policy: Policy| {
             points
                 .iter()
@@ -406,19 +411,21 @@ fn fig_failover_adaptive_beats_static_under_a_crash() {
 
 #[test]
 fn fig_protocols_wait_free_never_aborts_and_ohram_undercuts_sabre_hops() {
-    use ex::fig_protocols::Protocol;
     let points = ex::fig_protocols::data(Q);
-    let get = |proto: Protocol, skew: ex::fig_tail::Skew, load: f64| {
+    let get = |mech: ReadMechanism, skew: ex::fig_tail::Skew, load: f64| {
         points
             .iter()
-            .find(|p| p.proto == proto && p.skew == skew && p.load == load)
+            .find(|p| p.mech == mech && p.skew == skew && p.load == load)
             .expect("every (protocol, skew, load) point present")
     };
+    let [_, sabre, _, _, wf_register, ohram] = ex::fig_protocols::MECHANISMS;
     for skew in ex::fig_tail::Skew::ALL {
         for load in ex::fig_protocols::LOADS {
-            let sabre = get(Protocol::Sabre, skew, load);
-            let wf = get(Protocol::WfRegister, skew, load);
-            let ohram = get(Protocol::OhRam, skew, load);
+            let (sabre, wf, ohram) = (
+                get(sabre, skew, load),
+                get(wf_register, skew, load),
+                get(ohram, skew, load),
+            );
             // The wait-free register's headline: zero aborts by
             // construction, at every load and skew, under live writers.
             assert_eq!(
@@ -446,7 +453,7 @@ fn fig_protocols_wait_free_never_aborts_and_ohram_undercuts_sabre_hops() {
     assert!(
         points
             .iter()
-            .filter(|p| p.proto == Protocol::Sabre)
+            .filter(|p| p.mech == sabre)
             .any(|p| p.retries > 0),
         "SABRe never retried: the racing writers are not racing"
     );
@@ -468,37 +475,58 @@ fn fig_recovery_guard_trades_availability_for_freshness() {
         get(Mode::ServeStale),
     );
     // The fault-free baseline is clean: no recovery activity at all.
-    assert_eq!(base.recovery, Default::default(), "baseline not clean");
-    assert_eq!(base.migrations, 0, "baseline readers migrated");
+    let (m, r) = (&base.rack.metrics, &base.rack.r2p2);
+    assert_eq!(
+        [
+            m.catch_up_ops,
+            m.replays_applied,
+            m.stale_refusals,
+            m.catch_up_ns,
+            r.catch_up_pulls,
+            r.catch_up_refused,
+            r.reads_refused,
+            r.stale_served,
+            r.stale_dropped,
+        ],
+        [0; 9],
+        "baseline not clean: {m:?} {r:?}"
+    );
+    assert_eq!(m.migrations, 0, "baseline readers migrated");
     // Both outage rows recover: the restored sibling sites bounce off
     // each other's guards, pull the surviving replica's log, and replay
     // a real missed range inside a nonzero staleness window.
     for p in [refuse, stale] {
-        let r = p.recovery;
+        let (m, r) = (&p.rack.metrics, &p.rack.r2p2);
         assert!(r.catch_up_pulls >= 2, "{:?}: {r:?}", p.mode);
         assert!(
             r.catch_up_refused >= 2,
             "{:?}: siblings never bounced",
             p.mode
         );
-        assert!(r.replays_applied > 50, "{:?}: {r:?}", p.mode);
-        assert!(r.catch_up_ns > 0, "{:?}: no staleness window", p.mode);
-        assert!(p.migrations > 0, "{:?}: readers never re-placed", p.mode);
+        assert!(m.replays_applied > 50, "{:?}: {m:?}", p.mode);
+        assert!(m.catch_up_ns > 0, "{:?}: no staleness window", p.mode);
+        assert!(m.migrations > 0, "{:?}: readers never re-placed", p.mode);
         // The outage costs availability against the baseline either way.
-        assert!(p.ops < base.ops, "{:?}: outage was free", p.mode);
+        assert!(
+            m.ops < base.rack.metrics.ops,
+            "{:?}: outage was free",
+            p.mode
+        );
     }
     // The guard split: refuse mode turns readers away and serves nothing
     // stale; serve-stale mode does the opposite — and the reads it keeps
     // serving buy back availability.
-    assert!(refuse.recovery.stale_refusals > 0, "{:?}", refuse.recovery);
-    assert_eq!(refuse.recovery.stale_served, 0, "{:?}", refuse.recovery);
-    assert_eq!(stale.recovery.stale_refusals, 0, "{:?}", stale.recovery);
-    assert!(stale.recovery.stale_served > 0, "{:?}", stale.recovery);
+    let (refused, stale_m) = (&refuse.rack.metrics, &stale.rack.metrics);
+    let (refuse_r, stale_r) = (&refuse.rack.r2p2, &stale.rack.r2p2);
+    assert!(refused.stale_refusals > 0, "{refused:?}");
+    assert_eq!(refuse_r.stale_served, 0, "{refuse_r:?}");
+    assert_eq!(stale_m.stale_refusals, 0, "{stale_m:?}");
+    assert!(stale_r.stale_served > 0, "{stale_r:?}");
     assert!(
-        stale.ops > refuse.ops,
+        stale_m.ops > refused.ops,
         "serve-stale {} ops vs refuse {} ops",
-        stale.ops,
-        refuse.ops
+        stale_m.ops,
+        refused.ops
     );
 }
 
@@ -507,7 +535,7 @@ fn fig_datacenter_spine_is_costly_and_nearest_placement_avoids_it() {
     use ex::fig_datacenter::Placement;
     let points = ex::fig_datacenter::data(Q);
     for &racks in &ex::fig_datacenter::RACK_COUNTS {
-        for mech in ex::fig_datacenter::Mechanism::ALL {
+        for mech in ex::fig_datacenter::MECHANISMS {
             let get = |placement: Placement| {
                 points
                     .iter()
@@ -553,7 +581,7 @@ fn fig_datacenter_spine_is_costly_and_nearest_placement_avoids_it() {
     }
     // Round-robin's cross-spine share grows with the rack count (the
     // random-target floor is (racks-1)/racks), for both mechanisms.
-    for mech in ex::fig_datacenter::Mechanism::ALL {
+    for mech in ex::fig_datacenter::MECHANISMS {
         let shares: Vec<f64> = ex::fig_datacenter::RACK_COUNTS
             .iter()
             .map(|&racks| {

@@ -10,7 +10,7 @@
 //! * so does a full **recovery**-laden scenario: a correlated whole-leaf
 //!   outage with catch-up pulls, sibling bounces, guarded reads and
 //!   replay on top of the crash machinery (the shipped fig_recovery
-//!   construction, every counter of its [`RecoveryReport`] included);
+//!   construction, every counter of its rack [`Totals`] included);
 //! * the packet-conservation invariant extends to faults and catch-up
 //!   traffic: every packet the fabric accepted is either delivered
 //!   exactly once or dropped by the fault plan — `sent == delivered +
@@ -21,7 +21,6 @@ use sabres::sim::HopStats;
 
 use sabre_bench::experiments::fig_failover::{measure_threaded, Point, Policy};
 use sabre_bench::experiments::fig_recovery;
-use sabre_bench::experiments::fig_scale::Mechanism;
 
 /// Everything observable about one fig_failover point: op count, float
 /// mean, integer p99, and both fault counters.
@@ -36,7 +35,13 @@ fn crash_laden_fig_failover_is_shard_and_thread_invariant() {
     // {1, 2, 8} for both replica-selection policies: every op count,
     // latency bit, failover and migration must match the serial run.
     for policy in [Policy::Adaptive, Policy::Static] {
-        let serial = fingerprint(measure_threaded(Mechanism::Sabre, policy, 2, 1, Some(1)));
+        let serial = fingerprint(measure_threaded(
+            ReadMechanism::Sabre,
+            policy,
+            2,
+            1,
+            Some(1),
+        ));
         assert!(serial.0 > 0, "{policy:?}: serial run must complete ops");
         assert!(serial.3 > 0, "{policy:?}: the crash must force failovers");
         for shards in [2usize, 8] {
@@ -44,7 +49,7 @@ fn crash_laden_fig_failover_is_shard_and_thread_invariant() {
                 assert_eq!(
                     serial,
                     fingerprint(measure_threaded(
-                        Mechanism::Sabre,
+                        ReadMechanism::Sabre,
                         policy,
                         2,
                         shards,
@@ -58,10 +63,11 @@ fn crash_laden_fig_failover_is_shard_and_thread_invariant() {
     }
 }
 
-/// Everything observable about one fig_recovery point: op count, integer
-/// p99, every recovery counter (both protocol sides), and migrations.
-fn recovery_fingerprint(p: fig_recovery::Point) -> (u64, u64, RecoveryReport, u64) {
-    (p.ops, p.p99_ns, p.recovery, p.migrations)
+/// Everything observable about one fig_recovery point: integer p99 and
+/// the rack's counters — op count, migrations, every recovery counter
+/// (both protocol sides), engine and hop counters.
+fn recovery_fingerprint(p: fig_recovery::Point) -> (u64, Totals) {
+    (p.p99_ns, p.rack)
 }
 
 #[test]
@@ -74,21 +80,19 @@ fn recovery_laden_fig_recovery_is_shard_and_thread_invariant() {
     // single-shard run.
     for mode in [fig_recovery::Mode::Refuse, fig_recovery::Mode::ServeStale] {
         let serial = recovery_fingerprint(fig_recovery::measure_threaded(mode, 2, 1, Some(1)));
-        assert!(serial.0 > 0, "{mode:?}: serial run must complete ops");
+        let (m, r) = (&serial.1.metrics, &serial.1.r2p2);
+        assert!(m.ops > 0, "{mode:?}: serial run must complete ops");
         assert!(
-            serial.2.catch_up_pulls >= 2,
-            "{mode:?}: both restored sites must pull: {:?}",
-            serial.2
+            r.catch_up_pulls >= 2,
+            "{mode:?}: both restored sites must pull: {r:?}"
         );
         assert!(
-            serial.2.catch_up_refused > 0,
-            "{mode:?}: the stale siblings must bounce: {:?}",
-            serial.2
+            r.catch_up_refused > 0,
+            "{mode:?}: the stale siblings must bounce: {r:?}"
         );
         assert!(
-            serial.2.replays_applied > 0,
-            "{mode:?}: catch-up must replay updates: {:?}",
-            serial.2
+            m.replays_applied > 0,
+            "{mode:?}: catch-up must replay updates: {m:?}"
         );
         for shards in [2usize, 8] {
             for threads in [1usize, 2, 8] {
@@ -159,13 +163,14 @@ fn catch_up_traffic_extends_the_conservation_invariant() {
         );
     }
     let report = scenario.run_for(Time::from_us(300));
-    let m = report.rack_metrics();
+    let rack = report.rack();
+    let m = &rack.metrics;
     assert_eq!(
         m.ops,
         100 * readers.len() as u64,
         "every reader must finish its iterations despite the leaf outage"
     );
-    let r = report.recovery();
+    let r = &rack.r2p2;
     assert!(
         r.catch_up_pulls >= 2,
         "both restored sites must pull over the fabric: {r:?}"
@@ -219,7 +224,7 @@ fn dropped_packets_extend_the_conservation_invariant() {
         );
     }
     let report = scenario.run_for(Time::from_us(400));
-    let m = report.rack_metrics();
+    let m = report.rack().metrics;
     assert_eq!(
         m.ops,
         40 * readers.len() as u64,
@@ -278,7 +283,8 @@ fn rack_outage_fingerprint(shards: usize, threads: usize) -> RackOutagePrint {
         );
     }
     let report = scenario.run_for(Time::from_us(400));
-    let m = report.rack_metrics();
+    let rack = report.rack();
+    let m = &rack.metrics;
     let cluster = report.cluster();
     (
         m.ops,
@@ -288,7 +294,7 @@ fn rack_outage_fingerprint(shards: usize, threads: usize) -> RackOutagePrint {
         cluster.fabric().packets_total(),
         cluster.packets_delivered(),
         cluster.packets_dropped(),
-        report.hop_stats(),
+        rack.hops,
     )
 }
 

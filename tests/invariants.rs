@@ -361,12 +361,13 @@ fn run_quadrant(
     check_ledger_matches_metrics(&label, &report, &ledger);
 
     let cluster = report.cluster();
-    let m = report.rack_metrics();
+    let rack = report.rack();
+    let m = rack.metrics;
     RunFingerprint {
         sent: cluster.fabric().packets_total(),
         delivered: cluster.packets_delivered(),
         dropped: cluster.packets_dropped(),
-        hops: report.hop_stats(),
+        hops: rack.hops,
         ops: m.ops,
         retries: m.retries,
         p99_ns: m.p99_ns(),
@@ -394,18 +395,23 @@ fn check_conservation(label: &str, report: &RunReport) {
         "{label}: packet ledger out of balance \
          (sent {sent}, delivered {delivered}, dropped {dropped})"
     );
-    let hops = report.hop_stats();
+    let hops = cluster.fabric().hop_stats();
     assert_eq!(
         hops.packets, sent,
         "{label}: the streaming counters missed packets"
     );
     let mut merged = HopStats::default();
-    for nr in report.node_reports() {
-        merged.merge(&nr.hops);
+    for node in 0..cluster.config().nodes {
+        merged.merge(&report.node(node).hops);
     }
     assert_eq!(
         merged, hops,
         "{label}: per-node hop stats do not merge to the fabric total"
+    );
+    assert_eq!(
+        report.rack().hops,
+        hops,
+        "{label}: the rack's hop stats differ from the fabric total"
     );
     assert!(
         hops.hops >= hops.packets,
@@ -499,7 +505,7 @@ fn check_abort_freedom(label: &str, mech: ReadMechanism, ledger: &Ledger) {
 /// Cross-layer agreement: the harness's own ledger and the metrics
 /// layer's counters describe the same run.
 fn check_ledger_matches_metrics(label: &str, report: &RunReport, ledger: &Ledger) {
-    let m = report.rack_metrics();
+    let m = report.rack().metrics;
     assert_eq!(
         m.ops, ledger.verified,
         "{label}: metrics ops disagree with verified reads"

@@ -126,12 +126,12 @@ fn att_overflow_parks_and_everything_still_completes() {
                 .objects(store.object_addrs()),
         )
         .run_for(Time::from_us(100));
-    let parked = report.r2p2_totals(1).sabres_parked;
+    let parked = report.node(1).r2p2.sabres_parked;
     assert!(parked > 0, "2-entry ATTs under 64 outstanding must park");
     // Flow control: every registered SABRe completed (none stuck).
     for p in 0..4 {
-        let e = report.engine(1, p);
-        let registered_started = report.r2p2(1, p).sabres_registered;
+        let e = report.cluster().engine_stats(1, p);
+        let registered_started = report.cluster().r2p2_stats(1, p).sabres_registered;
         assert!(
             e.completed_ok + e.completed_failed + 16 >= registered_started,
             "pipe {p}: {} registered vs {} completed",
@@ -139,7 +139,7 @@ fn att_overflow_parks_and_everything_still_completes() {
             e.completed_ok + e.completed_failed
         );
     }
-    assert!(report.node(0).ops > 100, "progress despite parking");
+    assert!(report.node(0).metrics.ops > 100, "progress despite parking");
 }
 
 #[test]
@@ -213,7 +213,7 @@ fn sabre_across_page_boundary_completes() {
         .expect("SABRe completed");
     assert!(cq.success);
     assert!(
-        report.engine_totals(1).page_stalls > 0,
+        report.node(1).engine.page_stalls > 0,
         "the crossing must have stalled inside the window"
     );
     let image = report
@@ -239,7 +239,7 @@ fn source_locking_readers_contend_but_progress() {
                 .iterations(150),
         )
         .run_for(Time::from_us(500));
-    let m = report.node(0);
+    let m = report.node(0).metrics;
     assert_eq!(m.ops, 300, "both readers must finish their 150 reads");
     assert!(m.retries > 0, "no CAS contention observed");
     // Both objects end unlocked (even versions): no leaked locks once the
@@ -278,8 +278,13 @@ fn deterministic_replay_bitwise_identical() {
                 Box::new(Writer::new(entries, 480, StoreLayout::Clean, Time::ZERO)),
             )
             .run_for(Time::from_us(50));
-        let m = report.node(0);
-        (m.ops, m.retries, m.bytes, report.engine(1, 0))
+        let m = report.node(0).metrics;
+        (
+            m.ops,
+            m.retries,
+            m.bytes,
+            report.cluster().engine_stats(1, 0),
+        )
     };
     assert_eq!(run(), run(), "identical seeds must replay identically");
 }

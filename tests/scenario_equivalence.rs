@@ -180,14 +180,14 @@ fn warmup_window_changes_measurement_not_simulation() {
         .warmup(Time::from_us(40))
         .measure(Time::from_us(60))
         .run();
-    assert_eq!(windowed.sim_time(), full.sim_time());
+    assert_eq!(windowed.cluster().now(), full.cluster().now());
     assert!(windowed.core(0, 0).ops > 0);
     assert!(windowed.core(0, 0).ops < full.core(0, 0).ops);
     // Engine registrations were reset at the window boundary too.
-    assert!(windowed.engine_totals(1).registered < full.engine_totals(1).registered);
+    assert!(windowed.node(1).engine.registered < full.node(1).engine.registered);
     assert_eq!(
         windowed.core(0, 0).ops,
-        windowed.engine_totals(1).completed_ok,
+        windowed.node(1).engine.completed_ok,
         "windowed core ops and windowed engine completions must agree"
     );
 }
@@ -232,17 +232,16 @@ fn rack_fingerprint_threaded(
         );
     }
     let report = scenario.run_for(Time::from_us(60));
-    report
-        .node_reports()
-        .iter()
-        .map(|n| {
+    (0..nodes)
+        .map(|node| {
+            let n = report.node(node);
             format!(
                 "{}:{:?}:{}:{}:{:?}:{}:{}:{}",
-                n.node,
-                n.role,
+                node,
+                topo.role(node),
                 n.metrics.ops,
                 n.metrics.retries,
-                report.core(n.node, 0).latency.mean(),
+                report.core(node, 0).latency.mean(),
                 n.r2p2.sabres_registered,
                 n.engine.completed_ok,
                 n.engine.completed_failed,
@@ -324,20 +323,10 @@ fn table1_quadrant_is_thread_invariant() {
 fn eight_node_fig_scale_point_is_thread_invariant() {
     // The shipped fig_scale construction (not a copy of it), 8 nodes and
     // 8 shards, across worker-thread counts {1, 2, shards}.
-    let serial = sabre_bench::experiments::fig_scale::measure_sharded(
-        8,
-        sabre_bench::experiments::fig_scale::Mechanism::Sabre,
-        3,
-        1,
-    );
+    use sabre_bench::experiments::fig_scale::measure_threaded;
+    let serial = measure_threaded(8, ReadMechanism::Sabre, 3, 1, None);
     for threads in [1usize, 2, 8] {
-        let threaded = sabre_bench::experiments::fig_scale::measure_threaded(
-            8,
-            sabre_bench::experiments::fig_scale::Mechanism::Sabre,
-            3,
-            8,
-            Some(threads),
-        );
+        let threaded = measure_threaded(8, ReadMechanism::Sabre, 3, 8, Some(threads));
         assert_eq!(serial.latency_ns, threaded.latency_ns, "{threads} threads");
         assert_eq!(serial.total_gbps, threaded.total_gbps, "{threads} threads");
         assert_eq!(
@@ -393,7 +382,6 @@ fn fig_tail_point_is_shard_and_thread_invariant() {
     // open-loop point with queueing and skew in play — the tentpole
     // acceptance bar: every percentile, queue counter and op count must
     // replay bit for bit at every shards x threads setting.
-    use sabre_bench::experiments::fig_scale::Mechanism;
     use sabre_bench::experiments::fig_tail::{measure_threaded, Skew};
     let fingerprint = |p: sabre_bench::experiments::fig_tail::Point| {
         (
@@ -406,7 +394,7 @@ fn fig_tail_point_is_shard_and_thread_invariant() {
         )
     };
     let serial = fingerprint(measure_threaded(
-        Mechanism::Sabre,
+        ReadMechanism::Sabre,
         Skew::Zipf,
         0.8,
         2,
@@ -418,7 +406,7 @@ fn fig_tail_point_is_shard_and_thread_invariant() {
     for shards in [2usize, 8] {
         for threads in [1usize, 2, 8] {
             let threaded = fingerprint(measure_threaded(
-                Mechanism::Sabre,
+                ReadMechanism::Sabre,
                 Skew::Zipf,
                 0.8,
                 2,
@@ -462,9 +450,9 @@ fn open_loop_bucket_counts_are_shard_and_thread_invariant() {
                     .popularity(Popularity::Zipf { exponent: 0.99 }),
             );
         }
-        let report = scenario.run_for(Time::from_us(40));
-        assert!(report.rack_metrics().ops > 0, "no ops recorded");
-        report.latency_dump()
+        let rack = scenario.run_for(Time::from_us(40)).rack();
+        assert!(rack.metrics.ops > 0, "no ops recorded");
+        rack.metrics.latency_hist.dump()
     };
     let serial = dump(1, 1);
     for shards in [2usize, 8] {
@@ -483,18 +471,9 @@ fn eight_node_table1_workload_reports_per_node_metrics() {
     // The Table-1 workload (1 KB clean-store SABRes), distributed over the
     // 8-node rack through the Scenario API, with the shipped fig_scale
     // construction — and the shipped experiment is itself shard-invariant.
-    let sharded = sabre_bench::experiments::fig_scale::measure_sharded(
-        8,
-        sabre_bench::experiments::fig_scale::Mechanism::Sabre,
-        3,
-        8,
-    );
-    let unsharded = sabre_bench::experiments::fig_scale::measure_sharded(
-        8,
-        sabre_bench::experiments::fig_scale::Mechanism::Sabre,
-        3,
-        1,
-    );
+    use sabre_bench::experiments::fig_scale::measure_threaded;
+    let sharded = measure_threaded(8, ReadMechanism::Sabre, 3, 8, None);
+    let unsharded = measure_threaded(8, ReadMechanism::Sabre, 3, 1, None);
     assert_eq!(sharded.latency_ns, unsharded.latency_ns);
     assert_eq!(sharded.total_gbps, unsharded.total_gbps);
     assert!(sharded.total_gbps > 0.0);
@@ -520,7 +499,8 @@ fn fig_protocols_point_is_shard_and_thread_invariant() {
     // writers on every shard, so server-side captures, writer invalidation
     // restarts and open-loop queueing are all in play — must replay bit
     // for bit at every shards x threads setting.
-    use sabre_bench::experiments::fig_protocols::{measure_threaded, Protocol};
+    use sabre_bench::experiments::fig_protocols::measure_threaded;
+    use sabre_bench::experiments::fig_scale::PAYLOAD;
     use sabre_bench::experiments::fig_tail::Skew;
     let fingerprint = |p: sabre_bench::experiments::fig_protocols::Point| {
         (
@@ -532,7 +512,7 @@ fn fig_protocols_point_is_shard_and_thread_invariant() {
         )
     };
     let serial = fingerprint(measure_threaded(
-        Protocol::WfRegister,
+        ReadMechanism::WfRegister { payload: PAYLOAD },
         Skew::Zipf,
         0.8,
         2,
@@ -543,7 +523,7 @@ fn fig_protocols_point_is_shard_and_thread_invariant() {
     for shards in [2usize, 8] {
         for threads in [1usize, 2, 8] {
             let threaded = fingerprint(measure_threaded(
-                Protocol::WfRegister,
+                ReadMechanism::WfRegister { payload: PAYLOAD },
                 Skew::Zipf,
                 0.8,
                 2,
@@ -558,7 +538,7 @@ fn fig_protocols_point_is_shard_and_thread_invariant() {
     }
     // And the Oh-RAM path (confirm writes in flight at merge time) too.
     let serial = fingerprint(measure_threaded(
-        Protocol::OhRam,
+        ReadMechanism::OhRam { payload: PAYLOAD },
         Skew::Zipf,
         0.8,
         2,
@@ -568,7 +548,7 @@ fn fig_protocols_point_is_shard_and_thread_invariant() {
     assert!(serial.0 > 0, "serial Oh-RAM run must complete ops");
     for (shards, threads) in [(2usize, 2usize), (8, 8)] {
         let threaded = fingerprint(measure_threaded(
-            Protocol::OhRam,
+            ReadMechanism::OhRam { payload: PAYLOAD },
             Skew::Zipf,
             0.8,
             2,
