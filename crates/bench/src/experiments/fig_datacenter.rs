@@ -34,7 +34,9 @@ use sabre_farm::ScenarioStoreExt;
 use sabre_rack::{spec, PlacementPolicy, ReadMechanism, ScenarioBuilder, Topology};
 use sabre_sim::Time;
 
-use crate::experiments::{label, layout};
+use crate::experiments::{
+    label, layout, mean_core_latency, placement_label, reader_grid, PLACEMENTS,
+};
 use crate::table::{fmt_gbps, fmt_ns};
 use crate::{RunOpts, Table};
 
@@ -62,38 +64,6 @@ pub const RACK_COUNTS: [u8; 3] = [2, 4, 8];
 /// reads (the scaling baseline) and hardware SABRes.
 pub const MECHANISMS: [ReadMechanism; 2] = [ReadMechanism::Raw, ReadMechanism::Sabre];
 
-/// The reader→shard policies swept.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
-    /// The historical default pairing (ignores rack geometry).
-    RoundRobin,
-    /// Geometry-aware pairing
-    /// ([`PlacementPolicy::NearestShard`]): with one store per leaf it
-    /// keeps every reader rack-local.
-    Nearest,
-}
-
-impl Placement {
-    /// Both policies in presentation order.
-    pub const ALL: [Placement; 2] = [Placement::RoundRobin, Placement::Nearest];
-
-    /// Table label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Placement::RoundRobin => "round-robin",
-            Placement::Nearest => "nearest",
-        }
-    }
-
-    /// The rack-level policy.
-    pub fn policy(self) -> PlacementPolicy {
-        match self {
-            Placement::RoundRobin => PlacementPolicy::RoundRobin,
-            Placement::Nearest => PlacementPolicy::NearestShard,
-        }
-    }
-}
-
 /// One sweep point's measurement.
 #[derive(Debug, Clone, Copy)]
 pub struct Point {
@@ -102,7 +72,7 @@ pub struct Point {
     /// The read mechanism.
     pub mech: ReadMechanism,
     /// The reader→shard policy.
-    pub placement: Placement,
+    pub placement: PlacementPolicy,
     /// Mean end-to-end latency over every reader core (ns).
     pub latency_ns: f64,
     /// 99th-percentile end-to-end latency over every successful op (ns).
@@ -126,7 +96,7 @@ pub fn nodes_for(racks: u8) -> usize {
 pub fn measure_threaded(
     racks: u8,
     mech: ReadMechanism,
-    placement: Placement,
+    placement: PlacementPolicy,
     iters: u64,
     shards: usize,
     threads: Option<usize>,
@@ -136,7 +106,7 @@ pub fn measure_threaded(
     // the radix-4 leaves, so NearestShard has a rack-local (indeed
     // leaf-local) shard to pick for every reader.
     let builder = ScenarioBuilder::new()
-        .topology(Topology::skewed(nodes / 4, 3).with_placement(placement.policy()))
+        .topology(Topology::skewed(nodes / 4, 3).with_placement(placement))
         .datacenter(racks, RADIX, OVERSUBSCRIPTION)
         .shards(shards)
         .configure(|cfg| {
@@ -156,18 +126,9 @@ pub fn measure_threaded(
         PAYLOAD,
         OBJECTS_PER_SHARD,
     );
-    let readers = topo.reader_nodes();
-    let placements: Vec<(usize, usize)> = readers
-        .iter()
-        .flat_map(|&node| (0..CORES_PER_READER_NODE).map(move |core| (node, core)))
-        .collect();
-    let reader_index: std::collections::HashMap<usize, usize> = readers
-        .iter()
-        .enumerate()
-        .map(|(i, &node)| (node, i))
-        .collect();
+    let (grid, reader_index) = reader_grid(&topo, CORES_PER_READER_NODE);
     let report = builder
-        .readers_grid_spec(placements, move |node, _core, _targets| {
+        .readers_grid_spec(grid.clone(), move |node, _core, _targets| {
             let store = cfg.store_for_reader(reader_index[&node]);
             let shard_pos = store_nodes
                 .iter()
@@ -183,20 +144,12 @@ pub fn measure_threaded(
         })
         .run_for(Time::from_us(10 * iters));
 
-    let mut latencies = Vec::new();
-    for &node in &readers {
-        for core in 0..CORES_PER_READER_NODE {
-            let m = report.core(node, core);
-            assert!(m.ops > 0, "reader {node}.{core} completed no ops");
-            latencies.push(m.latency.mean().expect("ops completed"));
-        }
-    }
     let rack = report.rack();
     Point {
         racks,
         mech,
         placement,
-        latency_ns: latencies.iter().sum::<f64>() / latencies.len() as f64,
+        latency_ns: mean_core_latency(&report, &grid),
         p99_ns: rack.metrics.p99_ns().expect("readers completed ops"),
         total_gbps: rack.gbps,
         spine_share: rack.hops.spine_share(),
@@ -205,19 +158,19 @@ pub fn measure_threaded(
 
 /// [`measure_threaded`] with the shipped configuration: one event-loop
 /// shard per node, serial worker resolution.
-pub fn measure(racks: u8, mech: ReadMechanism, placement: Placement, iters: u64) -> Point {
+pub fn measure(racks: u8, mech: ReadMechanism, placement: PlacementPolicy, iters: u64) -> Point {
     measure_threaded(racks, mech, placement, iters, nodes_for(racks), None)
 }
 
 /// Runs the full sweep: rack count × mechanism × placement.
 pub fn data(opts: RunOpts) -> Vec<Point> {
     let iters = opts.pick(10, 2);
-    let points: Vec<(u8, ReadMechanism, Placement)> = RACK_COUNTS
+    let points: Vec<(u8, ReadMechanism, PlacementPolicy)> = RACK_COUNTS
         .iter()
         .flat_map(|&r| {
             MECHANISMS
                 .iter()
-                .flat_map(move |&m| Placement::ALL.iter().map(move |&p| (r, m, p)))
+                .flat_map(move |&m| PLACEMENTS.iter().map(move |&p| (r, m, p)))
         })
         .collect();
     opts.sweep(points)
@@ -242,7 +195,7 @@ pub fn run(opts: RunOpts) -> Table {
         t.row(vec![
             p.racks.to_string(),
             label(p.mech).to_string(),
-            p.placement.label().to_string(),
+            placement_label(p.placement).to_string(),
             fmt_ns(p.latency_ns),
             fmt_ns(p.p99_ns as f64),
             fmt_gbps(p.total_gbps),

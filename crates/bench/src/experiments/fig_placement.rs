@@ -26,6 +26,7 @@ use sabre_farm::{ScenarioStoreExt, StoreLayout};
 use sabre_rack::{spec, PlacementPolicy, ReadMechanism, ScenarioBuilder, Topology};
 use sabre_sim::{HopStats, Time};
 
+use crate::experiments::{mean_core_latency, placement_label, reader_grid, PLACEMENTS};
 use crate::table::{fmt_gbps, fmt_ns};
 use crate::{RunOpts, Table};
 
@@ -75,36 +76,6 @@ impl FabricKind {
     }
 }
 
-/// The reader→shard policies swept.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
-    /// The historical default pairing.
-    RoundRobin,
-    /// Geometry-aware pairing ([`PlacementPolicy::NearestShard`]).
-    Nearest,
-}
-
-impl Placement {
-    /// Both policies in presentation order.
-    pub const ALL: [Placement; 2] = [Placement::RoundRobin, Placement::Nearest];
-
-    /// Table label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Placement::RoundRobin => "round-robin",
-            Placement::Nearest => "nearest",
-        }
-    }
-
-    /// The rack-level policy.
-    pub fn policy(self) -> PlacementPolicy {
-        match self {
-            Placement::RoundRobin => PlacementPolicy::RoundRobin,
-            Placement::Nearest => PlacementPolicy::NearestShard,
-        }
-    }
-}
-
 /// The store:reader splits swept, as `(stores, readers_per_store)` — all
 /// three fill the 8-node rack.
 pub const SPLITS: [(usize, usize); 3] = [(4, 1), (2, 3), (1, 7)];
@@ -120,7 +91,7 @@ pub struct Point {
     /// The fabric family.
     pub fabric: FabricKind,
     /// The reader→shard policy.
-    pub placement: Placement,
+    pub placement: PlacementPolicy,
     /// The `(stores, readers_per_store)` split.
     pub split: (usize, usize),
     /// Mean end-to-end latency over every reader core (ns).
@@ -138,7 +109,7 @@ pub struct Point {
 /// `shards` × `threads` setting.
 pub fn measure_threaded(
     fabric: FabricKind,
-    placement: Placement,
+    placement: PlacementPolicy,
     split: (usize, usize),
     iters: u64,
     shards: usize,
@@ -146,7 +117,7 @@ pub fn measure_threaded(
 ) -> Point {
     let (stores, readers_per_store) = split;
     let mut builder = ScenarioBuilder::new()
-        .topology(Topology::skewed(stores, readers_per_store).with_placement(placement.policy()))
+        .topology(Topology::skewed(stores, readers_per_store).with_placement(placement))
         .shards(shards)
         .configure(|cfg| cfg.threads = threads);
     if let Some(oversubscription) = fabric.oversubscription() {
@@ -162,18 +133,9 @@ pub fn measure_threaded(
         PAYLOAD,
         OBJECTS_PER_SHARD,
     );
-    let readers = topo.reader_nodes();
-    let placements: Vec<(usize, usize)> = readers
-        .iter()
-        .flat_map(|&node| (0..CORES_PER_READER_NODE).map(move |core| (node, core)))
-        .collect();
-    let reader_index: std::collections::HashMap<usize, usize> = readers
-        .iter()
-        .enumerate()
-        .map(|(i, &node)| (node, i))
-        .collect();
+    let (grid, reader_index) = reader_grid(&topo, CORES_PER_READER_NODE);
     let report = builder
-        .readers_grid_spec(placements, move |node, _core, _targets| {
+        .readers_grid_spec(grid.clone(), move |node, _core, _targets| {
             // The policy picks a store *node*; shard handles are in
             // store-node order.
             let store = cfg.store_for_reader(reader_index[&node]);
@@ -191,23 +153,15 @@ pub fn measure_threaded(
         })
         .run_for(Time::from_us(20 * iters));
 
-    let mut latencies = Vec::new();
-    for &node in &readers {
-        for core in 0..CORES_PER_READER_NODE {
-            let m = report.core(node, core);
-            assert!(m.ops > 0, "reader {node}.{core} completed no ops");
-            latencies.push(m.latency.mean().expect("ops completed"));
-        }
-    }
     let mut reader_hops = HopStats::default();
-    for &node in &readers {
+    for &node in &topo.reader_nodes() {
         reader_hops.merge(&report.node(node).hops);
     }
     Point {
         fabric,
         placement,
         split,
-        latency_ns: latencies.iter().sum::<f64>() / latencies.len() as f64,
+        latency_ns: mean_core_latency(&report, &grid),
         total_gbps: report.rack().gbps,
         reader_hops: reader_hops.mean_hops(),
     }
@@ -217,7 +171,7 @@ pub fn measure_threaded(
 /// shard per node, serial worker resolution.
 pub fn measure(
     fabric: FabricKind,
-    placement: Placement,
+    placement: PlacementPolicy,
     split: (usize, usize),
     iters: u64,
 ) -> Point {
@@ -227,10 +181,10 @@ pub fn measure(
 /// Runs the full sweep: fabric × placement × split.
 pub fn data(opts: RunOpts) -> Vec<Point> {
     let iters = opts.pick(25, 3);
-    let points: Vec<(FabricKind, Placement, (usize, usize))> = FabricKind::ALL
+    let points: Vec<(FabricKind, PlacementPolicy, (usize, usize))> = FabricKind::ALL
         .iter()
         .flat_map(|&f| {
-            Placement::ALL
+            PLACEMENTS
                 .iter()
                 .flat_map(move |&p| SPLITS.iter().map(move |&s| (f, p, s)))
         })
@@ -255,7 +209,7 @@ pub fn run(opts: RunOpts) -> Table {
     for p in data(opts) {
         t.row(vec![
             p.fabric.label().to_string(),
-            p.placement.label().to_string(),
+            placement_label(p.placement).to_string(),
             split_label(p.split),
             fmt_ns(p.latency_ns),
             fmt_gbps(p.total_gbps),

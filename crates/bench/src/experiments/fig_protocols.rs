@@ -30,7 +30,7 @@ use sabre_sim::Time;
 
 use crate::experiments::fig_scale::{CORES_PER_READER_NODE, OBJECTS_PER_SHARD, PAYLOAD};
 use crate::experiments::fig_tail::{Skew, NODES};
-use crate::experiments::{label, layout};
+use crate::experiments::{label, layout, reader_grid};
 use crate::{RunOpts, Table};
 
 /// Per-core offered loads swept (ops/us): light and moderate. The
@@ -96,18 +96,9 @@ pub fn measure_threaded(
     let topo = builder.config().topology.clone();
     let (builder, store_shards) =
         builder.sharded_store(topo.store_nodes(), layout(mech), PAYLOAD, OBJECTS_PER_SHARD);
-    let readers = topo.reader_nodes();
-    let placements: Vec<(usize, usize)> = readers
-        .iter()
-        .flat_map(|&node| (0..CORES_PER_READER_NODE).map(move |core| (node, core)))
-        .collect();
-    let reader_index: std::collections::HashMap<usize, usize> = readers
-        .iter()
-        .enumerate()
-        .map(|(i, &node)| (node, i))
-        .collect();
+    let (grid, reader_index) = reader_grid(&topo, CORES_PER_READER_NODE);
     let shards_for_readers = store_shards.clone();
-    let mut scenario = builder.readers_grid_spec(placements, move |node, _core, _targets| {
+    let mut scenario = builder.readers_grid_spec(grid, move |node, _core, _targets| {
         let shard = &shards_for_readers[reader_index[&node] % shards_for_readers.len()];
         spec()
             .store(shard.node() as usize)

@@ -18,7 +18,7 @@ use sabre_farm::ScenarioStoreExt;
 use sabre_rack::{spec, ReadMechanism, ScenarioBuilder};
 use sabre_sim::Time;
 
-use crate::experiments::{label, layout};
+use crate::experiments::{label, layout, mean_core_latency, reader_grid};
 use crate::table::{fmt_gbps, fmt_ns};
 use crate::{RunOpts, Table};
 
@@ -78,18 +78,9 @@ pub fn measure_threaded(
     let topo = builder.config().topology.clone();
     let (builder, store_shards) =
         builder.sharded_store(topo.store_nodes(), layout(mech), PAYLOAD, OBJECTS_PER_SHARD);
-    let readers = topo.reader_nodes();
-    let placements: Vec<(usize, usize)> = readers
-        .iter()
-        .flat_map(|&node| (0..CORES_PER_READER_NODE).map(move |core| (node, core)))
-        .collect();
-    let reader_index: std::collections::HashMap<usize, usize> = readers
-        .iter()
-        .enumerate()
-        .map(|(i, &node)| (node, i))
-        .collect();
+    let (grid, reader_index) = reader_grid(&topo, CORES_PER_READER_NODE);
     let report = builder
-        .readers_grid_spec(placements, move |node, _core, _targets| {
+        .readers_grid_spec(grid.clone(), move |node, _core, _targets| {
             let shard = &store_shards[reader_index[&node] % store_shards.len()];
             spec()
                 .store(shard.node() as usize)
@@ -100,19 +91,15 @@ pub fn measure_threaded(
         })
         .run_for(Time::from_us(20 * iters));
 
-    let mut latencies = Vec::new();
-    for &node in &readers {
-        for core in 0..CORES_PER_READER_NODE {
-            let m = report.core(node, core);
-            assert!(m.ops > 0, "reader {node}.{core} completed no ops");
-            latencies.push(m.latency.mean().expect("ops completed"));
-        }
-    }
-    let reader_gbps: Vec<f64> = readers.iter().map(|&n| report.node(n).gbps).collect();
+    let reader_gbps: Vec<f64> = topo
+        .reader_nodes()
+        .iter()
+        .map(|&n| report.node(n).gbps)
+        .collect();
     Point {
         nodes,
         mech,
-        latency_ns: latencies.iter().sum::<f64>() / latencies.len() as f64,
+        latency_ns: mean_core_latency(&report, &grid),
         total_gbps: report.rack().gbps,
         min_reader_gbps: reader_gbps.iter().copied().fold(f64::INFINITY, f64::min),
         max_reader_gbps: reader_gbps.iter().copied().fold(0.0, f64::max),

@@ -26,7 +26,7 @@ use sabre_sim::Time;
 use crate::experiments::fig_scale::{
     CORES_PER_READER_NODE, MECHANISMS, OBJECTS_PER_SHARD, PAYLOAD,
 };
-use crate::experiments::{label, layout};
+use crate::experiments::{label, layout, reader_grid};
 use crate::{RunOpts, Table};
 
 /// Rack size: the biggest configuration the equivalence suite pins.
@@ -113,18 +113,9 @@ pub fn measure_threaded(
     let topo = builder.config().topology.clone();
     let (builder, store_shards) =
         builder.sharded_store(topo.store_nodes(), layout(mech), PAYLOAD, OBJECTS_PER_SHARD);
-    let readers = topo.reader_nodes();
-    let placements: Vec<(usize, usize)> = readers
-        .iter()
-        .flat_map(|&node| (0..CORES_PER_READER_NODE).map(move |core| (node, core)))
-        .collect();
-    let reader_index: std::collections::HashMap<usize, usize> = readers
-        .iter()
-        .enumerate()
-        .map(|(i, &node)| (node, i))
-        .collect();
+    let (grid, reader_index) = reader_grid(&topo, CORES_PER_READER_NODE);
     let report = builder
-        .readers_grid_spec(placements, move |node, _core, _targets| {
+        .readers_grid_spec(grid, move |node, _core, _targets| {
             let shard = &store_shards[reader_index[&node] % store_shards.len()];
             spec()
                 .store(shard.node() as usize)
@@ -198,18 +189,9 @@ pub fn measure_mix(read_fraction: f64, iters: u64) -> Point {
         PAYLOAD,
         OBJECTS_PER_SHARD,
     );
-    let readers = topo.reader_nodes();
-    let placements: Vec<(usize, usize)> = readers
-        .iter()
-        .flat_map(|&node| (0..CORES_PER_READER_NODE).map(move |core| (node, core)))
-        .collect();
-    let reader_index: std::collections::HashMap<usize, usize> = readers
-        .iter()
-        .enumerate()
-        .map(|(i, &node)| (node, i))
-        .collect();
+    let (grid, reader_index) = reader_grid(&topo, CORES_PER_READER_NODE);
     let report = builder
-        .readers_grid_spec(placements, move |node, _core, _targets| {
+        .readers_grid_spec(grid, move |node, _core, _targets| {
             let shard = &store_shards[reader_index[&node] % store_shards.len()];
             spec()
                 .store(shard.node() as usize)

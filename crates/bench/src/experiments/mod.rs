@@ -10,8 +10,10 @@
 //! a self-contained cluster, so results are deterministic whatever the
 //! thread count.
 
+use std::collections::HashMap;
+
 use sabre_farm::StoreLayout;
-use sabre_rack::ReadMechanism;
+use sabre_rack::{PlacementPolicy, ReadMechanism, RunReport, Topology};
 
 pub mod ablations;
 pub mod fig1;
@@ -54,4 +56,52 @@ pub fn label(mech: ReadMechanism) -> &'static str {
 /// and SABRes read clean objects.
 pub fn layout(mech: ReadMechanism) -> StoreLayout {
     StoreLayout::of_mechanism(mech).map_or(StoreLayout::Clean, |(l, _)| l)
+}
+
+/// The reader→shard policies the placement sweeps compare, in
+/// presentation order.
+pub const PLACEMENTS: [PlacementPolicy; 2] =
+    [PlacementPolicy::RoundRobin, PlacementPolicy::NearestShard];
+
+/// A placement policy's table label.
+pub fn placement_label(policy: PlacementPolicy) -> &'static str {
+    match policy {
+        PlacementPolicy::RoundRobin => "round-robin",
+        PlacementPolicy::NearestShard => "nearest",
+    }
+}
+
+/// The reader cores of a sweep point — `cores` on each of `topo`'s reader
+/// nodes, node by node, as `(node, core)` — and each reader node's index
+/// among the reader nodes, which shard placement is keyed by.
+pub fn reader_grid(topo: &Topology, cores: usize) -> (Vec<(usize, usize)>, HashMap<usize, usize>) {
+    let readers = topo.reader_nodes();
+    let grid = readers
+        .iter()
+        .flat_map(|&node| (0..cores).map(move |core| (node, core)))
+        .collect();
+    let index = readers
+        .iter()
+        .enumerate()
+        .map(|(i, &node)| (node, i))
+        .collect();
+    (grid, index)
+}
+
+/// The mean over `grid`'s cores of each core's mean end-to-end latency
+/// (ns).
+///
+/// # Panics
+///
+/// Panics if a core completed no operation.
+pub fn mean_core_latency(report: &RunReport, grid: &[(usize, usize)]) -> f64 {
+    let sum: f64 = grid
+        .iter()
+        .map(|&(node, core)| {
+            let m = report.core(node, core);
+            assert!(m.ops > 0, "reader {node}.{core} completed no ops");
+            m.latency.mean().expect("ops completed")
+        })
+        .sum();
+    sum / grid.len() as f64
 }

@@ -146,6 +146,35 @@ impl fmt::Display for BlockAddr {
     }
 }
 
+/// Interleaves indices over `n` units (cache sets, DRAM channels, LLC
+/// banks): unit `index % n`, computed with a mask when `n` is a power of
+/// two.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Interleave {
+    n: u64,
+    /// `n - 1` when `n` is a power of two.
+    mask: Option<u64>,
+}
+
+impl Interleave {
+    /// Interleaving over `n > 0` units.
+    pub(crate) fn new(n: usize) -> Self {
+        debug_assert!(n > 0, "interleaving over no units");
+        Interleave {
+            n: n as u64,
+            mask: n.is_power_of_two().then_some(n as u64 - 1),
+        }
+    }
+
+    /// The unit `index` maps to.
+    pub(crate) fn unit(self, index: u64) -> usize {
+        match self.mask {
+            Some(mask) => (index & mask) as usize,
+            None => (index % self.n) as usize,
+        }
+    }
+}
+
 /// The half-open range of blocks covering `len` bytes starting at `base`.
 ///
 /// # Example

@@ -4,8 +4,53 @@
 //! set-associative structure). Only tags are stored — data lives in
 //! [`crate::memory::NodeMemory`] — because the simulation needs *presence*
 //! (hit/miss/eviction), not duplicated contents.
+//!
+//! # Layout
+//!
+//! One flat `Vec<u64>` holds every set's `ways` slots. A set keeps its
+//! valid tags in recency order, most recently used first, packed before
+//! its empty slots. A slot stores `tag + 1`, so `0` is an empty slot and
+//! the array is allocated zeroed: the allocator hands out untouched pages
+//! and a set costs no host memory until its first fill. A hit rotates the
+//! set's prefix up to the tag by one, a fill rotates the tag in at the
+//! front (the least recently used tag falls off the end when the set is
+//! full), and an invalidation shifts the later tags left. The order is
+//! the one unique per-access timestamps would give, so hits, misses and
+//! evictions are exactly those of a textbook LRU array.
 
-/// An LRU set-associative tag array over `u64` tags.
+use crate::block::Interleave;
+
+/// The slot value of an empty way.
+const EMPTY: u64 = 0;
+
+/// The slot value that stores `tag`.
+///
+/// # Panics
+///
+/// Panics if `tag` is `u64::MAX`, whose key would read as an empty slot.
+fn key(tag: u64) -> u64 {
+    tag.checked_add(1).expect("u64::MAX is not a valid tag")
+}
+
+/// Where `key` sits in `set` (`Ok`), or, when absent, how many valid
+/// slots the set holds (`Err`): the scan stops at the first empty slot.
+fn find(set: &[u64], key: u64) -> Result<usize, usize> {
+    for (i, &k) in set.iter().enumerate() {
+        if k == key {
+            return Ok(i);
+        }
+        if k == EMPTY {
+            return Err(i);
+        }
+    }
+    Err(set.len())
+}
+
+/// An LRU set-associative tag array over `u64` tags; see the
+/// [module docs](self) for the layout.
+///
+/// Every method that takes a tag panics if it is `u64::MAX`, whose slot
+/// value would read as an empty way.
 ///
 /// # Example
 ///
@@ -22,11 +67,11 @@
 pub struct SetAssocTags {
     sets: usize,
     ways: usize,
-    /// `entries[set * ways + way]`: tag, or `None` when invalid.
-    entries: Vec<Option<u64>>,
-    /// Monotone per-entry access stamps for LRU.
-    stamps: Vec<u64>,
-    tick: u64,
+    /// The set index of a tag: a mask for the Table 2 LLC's 2,048 sets.
+    set_of: Interleave,
+    /// `slots[set * ways..][..ways]`: the set's tags as `tag + 1`, most
+    /// recently used first, then its empty (`0`) slots.
+    slots: Vec<u64>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -43,9 +88,8 @@ impl SetAssocTags {
         SetAssocTags {
             sets,
             ways,
-            entries: vec![None; sets * ways],
-            stamps: vec![0; sets * ways],
-            tick: 0,
+            set_of: Interleave::new(sets),
+            slots: vec![EMPTY; sets * ways],
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -67,70 +111,77 @@ impl SetAssocTags {
         SetAssocTags::new(lines / ways, ways)
     }
 
-    fn set_of(&self, tag: u64) -> usize {
-        (tag % self.sets as u64) as usize
-    }
-
-    fn range(&self, set: usize) -> std::ops::Range<usize> {
+    /// The slot range of the set `tag` maps to.
+    fn range(&self, tag: u64) -> std::ops::Range<usize> {
+        let set = self.set_of.unit(tag);
         set * self.ways..(set + 1) * self.ways
     }
 
     /// Whether `tag` is currently present (does not update LRU state).
     pub fn contains(&self, tag: u64) -> bool {
-        let set = self.set_of(tag);
-        self.entries[self.range(set)].contains(&Some(tag))
+        find(&self.slots[self.range(tag)], key(tag)).is_ok()
     }
 
     /// Touches `tag`: returns `true` on hit (refreshing LRU), `false` on
     /// miss (without inserting).
     pub fn touch(&mut self, tag: u64) -> bool {
-        let set = self.set_of(tag);
-        self.tick += 1;
-        let range = self.range(set);
-        for i in range {
-            if self.entries[i] == Some(tag) {
-                self.stamps[i] = self.tick;
+        let range = self.range(tag);
+        let set = &mut self.slots[range];
+        match find(set, key(tag)) {
+            Ok(i) => {
+                set[..=i].rotate_right(1);
                 self.hits += 1;
-                return true;
+                true
+            }
+            Err(_) => {
+                self.misses += 1;
+                false
             }
         }
-        self.misses += 1;
-        false
     }
 
     /// Ensures `tag` is present. Returns the evicted tag, if insertion
     /// displaced one; `None` on hit or on filling an invalid way.
     pub fn insert(&mut self, tag: u64) -> Option<u64> {
-        if self.touch(tag) {
-            return None;
+        let key = key(tag);
+        let range = self.range(tag);
+        let set = &mut self.slots[range];
+        match find(set, key) {
+            Ok(i) => {
+                set[..=i].rotate_right(1);
+                self.hits += 1;
+                None
+            }
+            Err(valid) => {
+                self.misses += 1;
+                // The slot rotated to the front: the first empty one, or
+                // the least recently used tag of a full set.
+                let last = valid.min(set.len() - 1);
+                let victim = set[last];
+                set[..=last].rotate_right(1);
+                set[0] = key;
+                if victim == EMPTY {
+                    None
+                } else {
+                    self.evictions += 1;
+                    Some(victim - 1)
+                }
+            }
         }
-        let set = self.set_of(tag);
-        let range = self.range(set);
-        // Prefer an invalid way.
-        if let Some(i) = range.clone().find(|&i| self.entries[i].is_none()) {
-            self.entries[i] = Some(tag);
-            self.stamps[i] = self.tick;
-            return None;
-        }
-        // Evict LRU.
-        let victim = range.min_by_key(|&i| self.stamps[i]).expect("ways > 0");
-        let evicted = self.entries[victim];
-        self.entries[victim] = Some(tag);
-        self.stamps[victim] = self.tick;
-        self.evictions += 1;
-        evicted
     }
 
     /// Removes `tag` if present; returns whether it was present.
     pub fn invalidate(&mut self, tag: u64) -> bool {
-        let set = self.set_of(tag);
-        for i in self.range(set) {
-            if self.entries[i] == Some(tag) {
-                self.entries[i] = None;
-                return true;
+        let range = self.range(tag);
+        let set = &mut self.slots[range];
+        match find(set, key(tag)) {
+            Ok(i) => {
+                set[i..].rotate_left(1);
+                set[set.len() - 1] = EMPTY;
+                true
             }
+            Err(_) => false,
         }
-        false
     }
 
     /// Number of sets.
@@ -190,6 +241,28 @@ mod tests {
     }
 
     #[test]
+    fn invalidate_keeps_recency_order() {
+        let mut t = SetAssocTags::new(1, 3);
+        t.insert(1);
+        t.insert(2);
+        t.insert(3); // recency 3, 2, 1
+        assert!(t.invalidate(2));
+        t.insert(4); // fills the freed way: 4, 3, 1
+        assert_eq!(t.insert(5), Some(1));
+        assert_eq!(t.insert(6), Some(3));
+        assert_eq!(t.stats(), (0, 6, 2));
+    }
+
+    #[test]
+    fn odd_set_count_divides() {
+        let mut t = SetAssocTags::new(3, 1);
+        t.insert(4); // set 1
+        assert_eq!(t.insert(7), Some(4)); // 7 % 3 == 1
+        assert!(t.contains(7));
+        assert!(!t.contains(4));
+    }
+
+    #[test]
     fn geometry_constructor() {
         // 2 MB, 64 B lines, 16-way: 2048 sets (Table 2 LLC).
         let t = SetAssocTags::with_geometry(2 * 1024 * 1024, 64, 16);
@@ -207,6 +280,12 @@ mod tests {
         // Inserting 2 (set 0) evicts 0, not 1.
         assert_eq!(t.insert(2), Some(0));
         assert!(t.contains(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a valid tag")]
+    fn max_tag_rejected() {
+        let _ = SetAssocTags::new(1, 1).insert(u64::MAX);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! by an integrated controller is ≈90 ns* (the figure §5.1 quotes when
 //! sizing the stream buffers via Little's law).
 
+use sabre_sim::time::transfer_time;
 use sabre_sim::{FifoServer, Time};
 
-use crate::block::{BlockAddr, BLOCK_BYTES};
+use crate::block::{BlockAddr, Interleave, BLOCK_BYTES};
 
 /// Which level services a block access. The assembly layer decides this by
 /// probing the [`crate::llc::Llc`] presence model.
@@ -82,6 +83,12 @@ pub struct MemSystem {
     cfg: MemTimingConfig,
     channels: Vec<FifoServer>,
     banks: Vec<FifoServer>,
+    channel_of: Interleave,
+    bank_of: Interleave,
+    /// A block's occupancy of one DRAM channel, computed once.
+    dram_occupancy: Time,
+    /// A block's occupancy of one LLC bank, computed once.
+    llc_occupancy: Time,
     dram_accesses: u64,
     llc_accesses: u64,
 }
@@ -98,6 +105,10 @@ impl MemSystem {
         MemSystem {
             channels: vec![FifoServer::new(); cfg.channels],
             banks: vec![FifoServer::new(); cfg.llc_banks],
+            channel_of: Interleave::new(cfg.channels),
+            bank_of: Interleave::new(cfg.llc_banks),
+            dram_occupancy: transfer_time(BLOCK_BYTES as u64, cfg.channel_gbps),
+            llc_occupancy: transfer_time(BLOCK_BYTES as u64, cfg.llc_bank_gbps),
             cfg,
             dram_accesses: 0,
             llc_accesses: 0,
@@ -116,17 +127,15 @@ impl MemSystem {
         match level {
             ServiceLevel::Dram => {
                 self.dram_accesses += 1;
-                let ch = (block.index() % self.channels.len() as u64) as usize;
-                let occupancy =
-                    sabre_sim::time::transfer_time(BLOCK_BYTES as u64, self.cfg.channel_gbps);
+                let ch = self.channel_of.unit(block.index());
+                let occupancy = self.dram_occupancy;
                 let start = self.channels[ch].admit(now, occupancy);
                 start + occupancy + self.cfg.dram_latency + self.cfg.dram_overhead
             }
             ServiceLevel::Llc => {
                 self.llc_accesses += 1;
-                let bank = (block.index() % self.banks.len() as u64) as usize;
-                let occupancy =
-                    sabre_sim::time::transfer_time(BLOCK_BYTES as u64, self.cfg.llc_bank_gbps);
+                let bank = self.bank_of.unit(block.index());
+                let occupancy = self.llc_occupancy;
                 let start = self.banks[bank].admit(now, occupancy);
                 start + occupancy + self.cfg.llc_latency
             }

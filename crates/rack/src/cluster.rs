@@ -134,6 +134,7 @@ use sabre_sw::locking::{remote_cas_lock, remote_unlock, CasOutcome};
 use sabre_sw::{CpuCostModel, ReaderLockWord};
 
 use crate::config::ClusterConfig;
+use crate::fault::DropIndex;
 use crate::metrics::CoreMetrics;
 use crate::workload::Workload;
 
@@ -357,6 +358,8 @@ struct NodeCtx {
 /// The simulated rack. See the [crate docs](crate) for an example.
 pub struct Cluster {
     cfg: ClusterConfig,
+    /// `cfg.fault` indexed for the barrier's per-packet drop check.
+    drops: DropIndex,
     now: Time,
     fabric: Fabric,
     router: ShardRouter<Event>,
@@ -419,6 +422,7 @@ impl Cluster {
             })
             .collect();
         Cluster {
+            drops: DropIndex::new(&cfg.fault),
             fabric: Fabric::new(cfg.fabric.clone()),
             router: ShardRouter::new(cfg.nodes),
             nodes,
@@ -580,6 +584,8 @@ impl Cluster {
         // and their window bookkeeping, plus the shared read-only
         // configuration.
         let cfg = &self.cfg;
+        let drops = &self.drops;
+        let issue_interval = cfg.r2p2_issue_interval();
         let (_, ports) = self.fabric.split();
         let outboxes = self.router.outboxes_mut();
         self.scheds
@@ -597,6 +603,8 @@ impl Cluster {
             .enumerate()
             .map(|(i, (((nodes, ports), outboxes), sched))| ShardExec {
                 cfg,
+                drops,
+                issue_interval,
                 base: i * per_shard,
                 nodes,
                 ports,
@@ -863,13 +871,14 @@ impl Domain<Event> for ShardExec<'_> {
     /// scheduled. The decision is a pure function of the (static) plan and
     /// the packet's `(src, dst, arrival)` tuple, so injection cannot
     /// perturb the shard × thread bit-identity the delivery order
-    /// guarantees.
+    /// guarantees. The check reads the plan's per-node index, built once
+    /// in [`Cluster::new`].
     fn receive(&mut self, local: usize, at: Time, msg: Event) {
         let node = &mut self.nodes[local];
-        let fault = &self.cfg.fault;
         if let Event::PacketArrive(pkt) = &msg {
-            if !fault.is_empty()
-                && fault.drops_packet(pkt.src_node as usize, pkt.dst_node as usize, at)
+            if self
+                .drops
+                .drops_packet(pkt.src_node as usize, pkt.dst_node as usize, at)
             {
                 node.dropped_packets += 1;
                 return;
@@ -893,6 +902,10 @@ impl Domain<Event> for ShardExec<'_> {
 /// threads.
 struct ShardExec<'a> {
     cfg: &'a ClusterConfig,
+    /// The fault plan's drop index.
+    drops: &'a DropIndex,
+    /// [`ClusterConfig::r2p2_issue_interval`], computed once per run.
+    issue_interval: Time,
     /// Global index of `nodes[0]`.
     base: usize,
     nodes: &'a mut [NodeCtx],
@@ -906,6 +919,8 @@ impl<'a> ShardExec<'a> {
     fn reborrow(&mut self) -> ShardExec<'_> {
         ShardExec {
             cfg: self.cfg,
+            drops: self.drops,
+            issue_interval: self.issue_interval,
             base: self.base,
             nodes: self.nodes,
             ports: self.ports,
@@ -1144,7 +1159,7 @@ impl<'a> ShardExec<'a> {
     fn on_pump(&mut self, node: u8, pipe: u8) {
         let n = node as usize;
         let p = pipe as usize;
-        let interval = self.cfg.r2p2_issue_interval();
+        let interval = self.issue_interval;
         let ctx = self.node_mut(n);
         ctx.pump_on[p] = false;
         let Some(action) = ctx.r2p2s[p].next_issue() else {

@@ -241,10 +241,7 @@ impl FaultPlan {
     /// (link outages only — a crashed endpoint is
     /// [`FaultPlan::node_down_at`]'s business).
     pub fn link_down_at(&self, a: usize, b: usize, t: Time) -> bool {
-        let (lo, hi) = (a.min(b), a.max(b));
-        self.link_outages
-            .iter()
-            .any(|&(x, y, o)| x == lo && y == hi && o.covers(t))
+        link_down(&self.link_outages, a, b, t)
     }
 
     /// Whether a `src → dst` packet arriving at instant `t` is dropped:
@@ -320,6 +317,75 @@ impl FaultPlan {
             }
         }
         Ok(())
+    }
+}
+
+/// Whether one of `links` (endpoints stored low, high) covers the link
+/// between `a` and `b` at `t`.
+fn link_down(links: &[(usize, usize, Outage)], a: usize, b: usize, t: Time) -> bool {
+    let (lo, hi) = (a.min(b), a.max(b));
+    links
+        .iter()
+        .any(|&(x, y, o)| x == lo && y == hi && o.covers(t))
+}
+
+/// A [`FaultPlan`] indexed for the window barrier's per-packet drop
+/// check: each node's outages sorted and merged into disjoint windows, so
+/// a lookup is a binary search of one node's windows instead of a scan of
+/// every node outage in the plan. [`FaultPlan::drops_packet`] stays the
+/// reference; the two agree on every plan (a property test checks it).
+#[derive(Debug)]
+pub(crate) struct DropIndex {
+    /// `nodes[n]`: node `n`'s down windows, disjoint and sorted by start
+    /// (a window that never ends is last). Nodes past the end never fail.
+    nodes: Vec<Vec<Outage>>,
+    /// The plan's link outages, scanned as the plan does.
+    links: Vec<(usize, usize, Outage)>,
+}
+
+impl DropIndex {
+    /// Indexes `plan`.
+    pub(crate) fn new(plan: &FaultPlan) -> Self {
+        let mut nodes: Vec<Vec<Outage>> = Vec::new();
+        for &(n, o) in &plan.node_outages {
+            if nodes.len() <= n {
+                nodes.resize_with(n + 1, Vec::new);
+            }
+            nodes[n].push(o);
+        }
+        for windows in &mut nodes {
+            windows.sort_by_key(|o| o.from);
+            let mut merged: Vec<Outage> = Vec::with_capacity(windows.len());
+            for o in windows.drain(..) {
+                match merged.last_mut() {
+                    // Overlapping or adjacent: one window covers both.
+                    Some(last) if last.until.is_none_or(|u| o.from <= u) => {
+                        last.until = last.until.zip(o.until).map(|(a, b)| a.max(b));
+                    }
+                    _ => merged.push(o),
+                }
+            }
+            *windows = merged;
+        }
+        DropIndex {
+            nodes,
+            links: plan.link_outages.clone(),
+        }
+    }
+
+    /// [`FaultPlan::drops_packet`], answered from the index.
+    pub(crate) fn drops_packet(&self, src: usize, dst: usize, t: Time) -> bool {
+        self.node_down_at(src, t)
+            || self.node_down_at(dst, t)
+            || (!self.links.is_empty() && link_down(&self.links, src, dst, t))
+    }
+
+    fn node_down_at(&self, node: usize, t: Time) -> bool {
+        let Some(windows) = self.nodes.get(node) else {
+            return false;
+        };
+        let after = windows.partition_point(|o| o.from <= t);
+        after > 0 && windows[after - 1].covers(t)
     }
 }
 
@@ -400,6 +466,8 @@ fn exponential(rng: &mut SimRng, mean: Time) -> Time {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -630,5 +698,86 @@ mod tests {
         let w = wide.generate(9);
         let n = narrow.generate(9);
         assert_eq!(w.outages_for(5), n.outages_for(5));
+    }
+
+    #[test]
+    fn drop_index_merges_overlapping_and_endless_windows() {
+        let plan = FaultPlan::new()
+            .crash_restore(2, Time::from_ns(10), Time::from_ns(20))
+            .crash_restore(2, Time::from_ns(15), Time::from_ns(30))
+            .crash_restore(2, Time::from_ns(30), Time::from_ns(40))
+            .crash(2, Time::from_ns(100))
+            .crash_restore(2, Time::from_ns(120), Time::from_ns(130));
+        let index = DropIndex::new(&plan);
+        assert_eq!(
+            index.nodes[2],
+            [
+                Outage {
+                    from: Time::from_ns(10),
+                    until: Some(Time::from_ns(40)),
+                },
+                Outage {
+                    from: Time::from_ns(100),
+                    until: None,
+                },
+            ]
+        );
+        assert!(index.nodes[..2].iter().all(Vec::is_empty));
+    }
+
+    /// Raw bounds of a random outage: `(node or link id, from, length)`,
+    /// with length 0 meaning the component never recovers.
+    fn outage() -> impl Strategy<Value = (usize, u64, u64)> {
+        (0usize..6, 0u64..2_000, 0u64..600)
+    }
+
+    proptest! {
+        /// The index answers every drop query exactly as the plan does,
+        /// on plans with overlapping, adjacent, endless and link outages —
+        /// probed at random instants and at every window edge.
+        #[test]
+        fn drop_index_agrees_with_the_plan(
+            node_outages in proptest::collection::vec(outage(), 0..24),
+            link_outages in proptest::collection::vec(outage(), 0..4),
+            probes in proptest::collection::vec((0usize..7, 0usize..7, 0u64..3_000), 1..64),
+        ) {
+            let mut plan = FaultPlan::new();
+            let mut edges = Vec::new();
+            for &(n, from, len) in &node_outages {
+                let from_t = Time::from_ns(from);
+                plan = if len == 0 {
+                    plan.crash(n, from_t)
+                } else {
+                    plan.crash_restore(n, from_t, Time::from_ns(from + len))
+                };
+                edges.extend([from, from + len]);
+            }
+            for &(a, from, len) in &link_outages {
+                let b = (a + 1) % 6;
+                let from_t = Time::from_ns(from);
+                plan = if len == 0 {
+                    plan.cut_link(a, b, from_t)
+                } else {
+                    plan.link_outage(a, b, from_t, Time::from_ns(from + len))
+                };
+                edges.extend([from, from + len]);
+            }
+            let index = DropIndex::new(&plan);
+            let edge_probes = edges
+                .iter()
+                .flat_map(|&e| [e.saturating_sub(1), e])
+                .flat_map(|t| (0..7).map(move |n| (n, (n + 1) % 7, t)));
+            for (src, dst, t) in probes.iter().copied().chain(edge_probes) {
+                let t = Time::from_ns(t);
+                prop_assert_eq!(
+                    index.drops_packet(src, dst, t),
+                    plan.drops_packet(src, dst, t),
+                    "{} -> {} at {:?}",
+                    src,
+                    dst,
+                    t
+                );
+            }
+        }
     }
 }

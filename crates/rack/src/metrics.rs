@@ -39,8 +39,9 @@ pub struct CoreMetrics {
     /// Operations retried after an atomicity failure.
     pub retries: u64,
     /// End-to-end latency of successful operations (ns): the float mean
-    /// the mean-latency tables read. Kept per-core (not merged), unlike
-    /// [`CoreMetrics::latency_hist`].
+    /// the mean-latency tables read. [`CoreMetrics::merge`] adds its float
+    /// sum, so an aggregate is reproducible only in a fixed merge order;
+    /// [`CoreMetrics::latency_hist`] merges exactly in any order.
     pub latency: MeanTracker,
     /// Deterministic integer latency histogram of the same successes —
     /// u64 ns bucket counts with an exact merge, so tail percentiles are
@@ -183,15 +184,21 @@ impl CoreMetrics {
     ///
     /// Counters add, [`CoreMetrics::latency_hist`] merges exactly
     /// (element-wise bucket addition), `queued_arrivals` adds and
-    /// `peak_backlog` takes the max — all associative/commutative, so the
-    /// aggregate is independent of merge grouping. The float `latency`
-    /// mean and the phase means are kept per-core only (their float sums
-    /// would not merge exactly); aggregate callers use `latency_hist`.
+    /// `peak_backlog` takes the max — all associative/commutative, so
+    /// those fields are independent of merge grouping. The float
+    /// `latency` mean and the phase means merge too
+    /// ([`MeanTracker::merge`]); their float sums depend on the order, so
+    /// aggregates merge cores in a fixed order (the report merges node by
+    /// node, core by core).
     pub fn merge(&mut self, other: &CoreMetrics) {
         self.ops += other.ops;
         self.bytes += other.bytes;
         self.retries += other.retries;
+        self.latency.merge(&other.latency);
         self.latency_hist.merge(&other.latency_hist);
+        for (mine, theirs) in self.phases.iter_mut().zip(&other.phases) {
+            mine.merge(theirs);
+        }
         self.queued_arrivals += other.queued_arrivals;
         self.peak_backlog = self.peak_backlog.max(other.peak_backlog);
         self.failovers += other.failovers;
@@ -264,6 +271,23 @@ mod tests {
         assert_eq!(a.ops, 2);
         assert_eq!(a.bytes, 30);
         assert_eq!(a.retries, 1);
+    }
+
+    #[test]
+    fn merge_combines_means_and_phases() {
+        let mut a = CoreMetrics::default();
+        let mut b = CoreMetrics::default();
+        a.record_success(10, Time::from_ns(100));
+        a.record_phase(Phase::Transfer, Time::from_ns(40));
+        b.record_success(10, Time::from_ns(300));
+        b.record_success(10, Time::from_ns(500));
+        b.record_phase(Phase::Strip, Time::from_ns(8));
+        a.merge(&b);
+        assert_eq!(a.latency.count(), 3);
+        assert_eq!(a.latency.mean(), Some(300.0));
+        assert_eq!(a.phase_mean_ns(Phase::Transfer), Some(40.0));
+        assert_eq!(a.phase_mean_ns(Phase::Strip), Some(8.0));
+        assert_eq!(a.phase_mean_ns(Phase::App), None);
     }
 
     #[test]

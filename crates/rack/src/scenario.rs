@@ -784,6 +784,18 @@ mod tests {
         }
         merged.gbps = summed;
         assert_eq!(rack, merged, "the rack is the merge of its nodes");
+        // The float latency mean merges with the counters: one sample per
+        // success, averaging what the histogram averages (it truncates
+        // each sample to whole ns).
+        let m = &rack.metrics;
+        assert_eq!(m.latency.count(), m.ops);
+        assert_eq!(m.latency_hist.count(), m.ops);
+        let hist_mean = m.latency_hist.sum_ns() as f64 / m.ops as f64;
+        let mean = m.latency.mean().expect("the readers completed ops");
+        assert!(
+            (0.0..1.0).contains(&(mean - hist_mean)),
+            "mean {mean} vs histogram mean {hist_mean}"
+        );
     }
 
     #[test]

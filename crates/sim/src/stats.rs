@@ -60,14 +60,31 @@ impl MeanTracker {
     pub fn sum(&self) -> f64 {
         self.sum
     }
+
+    /// Adds `other`'s samples: counts and sums add, extremes widen. The
+    /// float sum makes the result depend on merge order, so aggregates
+    /// merge in a fixed order to stay reproducible.
+    pub fn merge(&mut self, other: &MeanTracker) {
+        if other.n == 0 {
+            return;
+        }
+        if self.n == 0 {
+            *self = other.clone();
+            return;
+        }
+        self.sum += other.sum;
+        self.n += other.n;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
 }
 
 /// A deterministic HDR-style log-linear histogram of integer nanosecond
 /// latencies, built for tail reporting that must stay **bit-identical**
 /// across execution knobs (event-loop shard count, worker-thread count).
 ///
-/// Unlike a [`MeanTracker`] (whose float sum is deliberately per-core
-/// only), every field here is an exact integer, and
+/// Unlike a [`MeanTracker`] (whose float sum depends on merge order),
+/// every field here is an exact integer, and
 /// [`LatencyHistogram::merge`] is plain element-wise `u64` addition —
 /// associative and commutative — so per-core histograms can be reduced in
 /// any grouping (window barriers, node aggregation, whole-rack reports)
@@ -374,6 +391,28 @@ mod tests {
         assert_eq!(m.count(), 2);
         m.record_time(Time::from_ns(8));
         assert_eq!(m.max(), Some(8.0));
+    }
+
+    #[test]
+    fn mean_tracker_merge_matches_recording_everything() {
+        let mut a = MeanTracker::new();
+        let mut b = MeanTracker::new();
+        let mut all = MeanTracker::new();
+        for x in [4.0, 1.0] {
+            a.record(x);
+            all.record(x);
+        }
+        for x in [9.0, 2.0, 5.0] {
+            b.record(x);
+            all.record(x);
+        }
+        let mut merged = MeanTracker::new();
+        merged.merge(&a);
+        merged.merge(&MeanTracker::new());
+        merged.merge(&b);
+        assert_eq!(merged, all);
+        assert_eq!(merged.min(), Some(1.0));
+        assert_eq!(merged.max(), Some(9.0));
     }
 
     #[test]

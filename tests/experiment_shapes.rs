@@ -255,9 +255,10 @@ fn fig_scale_goodput_grows_and_atomicity_stays_cheap() {
 
 #[test]
 fn fig_placement_nearest_beats_round_robin_where_geometry_matters() {
-    use ex::fig_placement::{FabricKind, Placement, SPLITS};
+    use ex::fig_placement::{FabricKind, SPLITS};
+    use sabre_rack::PlacementPolicy;
     let points = ex::fig_placement::data(Q);
-    let get = |f: FabricKind, p: Placement, s: (usize, usize)| {
+    let get = |f: FabricKind, p: PlacementPolicy, s: (usize, usize)| {
         *points
             .iter()
             .find(|x| x.fabric == f && x.placement == p && x.split == s)
@@ -267,8 +268,8 @@ fn fig_placement_nearest_beats_round_robin_where_geometry_matters() {
         let mut rr_hops = 0.0;
         let mut near_hops = 0.0;
         for &split in &SPLITS {
-            let rr = get(fabric, Placement::RoundRobin, split);
-            let near = get(fabric, Placement::Nearest, split);
+            let rr = get(fabric, PlacementPolicy::RoundRobin, split);
+            let near = get(fabric, PlacementPolicy::NearestShard, split);
             // NearestShard never routes a reader's packets farther than
             // round-robin does (the placement_props invariant, observed
             // end to end), and never costs goodput.
@@ -308,11 +309,11 @@ fn fig_placement_nearest_beats_round_robin_where_geometry_matters() {
     // leaf-local nearest placement is immune to the uplink entirely.
     let mixed = (2usize, 3usize);
     assert!(
-        get(FabricKind::FatTree4, Placement::RoundRobin, mixed).latency_ns
-            > get(FabricKind::FatTree2, Placement::RoundRobin, mixed).latency_ns
+        get(FabricKind::FatTree4, PlacementPolicy::RoundRobin, mixed).latency_ns
+            > get(FabricKind::FatTree2, PlacementPolicy::RoundRobin, mixed).latency_ns
     );
     assert_eq!(
-        get(FabricKind::FatTree4, Placement::Nearest, mixed).reader_hops,
+        get(FabricKind::FatTree4, PlacementPolicy::NearestShard, mixed).reader_hops,
         1.0,
         "nearest keeps every reader on its shard's leaf"
     );
@@ -532,17 +533,20 @@ fn fig_recovery_guard_trades_availability_for_freshness() {
 
 #[test]
 fn fig_datacenter_spine_is_costly_and_nearest_placement_avoids_it() {
-    use ex::fig_datacenter::Placement;
+    use sabre_rack::PlacementPolicy;
     let points = ex::fig_datacenter::data(Q);
     for &racks in &ex::fig_datacenter::RACK_COUNTS {
         for mech in ex::fig_datacenter::MECHANISMS {
-            let get = |placement: Placement| {
+            let get = |placement: PlacementPolicy| {
                 points
                     .iter()
                     .find(|p| p.racks == racks && p.mech == mech && p.placement == placement)
                     .expect("every (racks, mechanism, placement) point present")
             };
-            let (rr, near) = (get(Placement::RoundRobin), get(Placement::Nearest));
+            let (rr, near) = (
+                get(PlacementPolicy::RoundRobin),
+                get(PlacementPolicy::NearestShard),
+            );
             // Cross-spine reads are strictly slower than rack-local ones:
             // round-robin drags most reads over the 350 ns spine (twice —
             // request and reply) while nearest-shard placement keeps every
@@ -590,7 +594,7 @@ fn fig_datacenter_spine_is_costly_and_nearest_placement_avoids_it() {
                     .find(|p| {
                         p.racks == racks
                             && p.mech == mech
-                            && p.placement == ex::fig_datacenter::Placement::RoundRobin
+                            && p.placement == sabre_rack::PlacementPolicy::RoundRobin
                     })
                     .expect("round-robin point present")
                     .spine_share

@@ -346,13 +346,14 @@ fn fig_placement_point_is_shard_and_thread_invariant() {
     // geometry-heaviest point — the 4:1 fat tree with a 1:3 skew under
     // round-robin placement, where uplink queueing is busiest — replayed
     // at every shards × threads setting.
-    use sabre_bench::experiments::fig_placement::{measure_threaded, FabricKind, Placement};
+    use sabre_bench::experiments::fig_placement::{measure_threaded, FabricKind};
+    use sabre_rack::PlacementPolicy;
     let fingerprint = |p: sabre_bench::experiments::fig_placement::Point| {
         (p.latency_ns, p.total_gbps, p.reader_hops)
     };
     for (fabric, placement) in [
-        (FabricKind::FatTree4, Placement::RoundRobin),
-        (FabricKind::Mesh, Placement::Nearest),
+        (FabricKind::FatTree4, PlacementPolicy::RoundRobin),
+        (FabricKind::Mesh, PlacementPolicy::NearestShard),
     ] {
         let serial = fingerprint(measure_threaded(fabric, placement, (2, 3), 3, 1, Some(1)));
         assert!(serial.1 > 0.0, "{fabric:?}/{placement:?}: no goodput");
