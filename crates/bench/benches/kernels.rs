@@ -288,17 +288,9 @@ fn bench_sim_primitives(c: &mut Criterion) {
             black_box(mem.read_block(BlockAddr::from_index(17)))
         })
     });
-    // Steady-state fills and evictions: a 100,000-block span cycles
-    // through the 32,768-block LLC. One untimed pass over the span first
-    // fills every set, so the timed loop does not pay the first touch of
-    // each page of the tag array.
     g.bench_function("llc_access", |b| {
         let mut llc = Llc::with_geometry(2 * 1024 * 1024, 16);
         let mut i = 0u64;
-        for _ in 0..100_000 {
-            i = (i + 997) % 100_000;
-            llc.access(BlockAddr::from_index(i));
-        }
         b.iter(|| {
             i = (i + 997) % 100_000;
             black_box(llc.access(BlockAddr::from_index(i)))
@@ -306,8 +298,8 @@ fn bench_sim_primitives(c: &mut Criterion) {
     });
     // The LLC hit path a store node's writers and DMA fills take: 2,048
     // resident blocks (a quarter of the Table 2 LLC), eight to a set over
-    // 256 sets, touched in a scattered order so hits land at every
-    // recency depth. Every access hits.
+    // 256 sets. The stride visits each set's eight blocks in one fixed
+    // cycle, so every access hits the set's least recently used tag.
     g.bench_function("llc_access_resident", |b| {
         let mut llc = Llc::with_geometry(2 * 1024 * 1024, 16);
         let block = |i: u64| BlockAddr::from_index(i % 2048 * 8);

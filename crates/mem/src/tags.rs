@@ -46,6 +46,15 @@ fn find(set: &[u64], key: u64) -> Result<usize, usize> {
     Err(set.len())
 }
 
+/// Moves the tag in slot `i` to the front of `set`, shifting the more
+/// recent tags back by one. A hit on the most recent tag, where the
+/// order does not change, skips the rotation.
+fn to_front(set: &mut [u64], i: usize) {
+    if i > 0 {
+        set[..=i].rotate_right(1);
+    }
+}
+
 /// An LRU set-associative tag array over `u64` tags; see the
 /// [module docs](self) for the layout.
 ///
@@ -129,7 +138,7 @@ impl SetAssocTags {
         let set = &mut self.slots[range];
         match find(set, key(tag)) {
             Ok(i) => {
-                set[..=i].rotate_right(1);
+                to_front(set, i);
                 self.hits += 1;
                 true
             }
@@ -148,7 +157,7 @@ impl SetAssocTags {
         let set = &mut self.slots[range];
         match find(set, key) {
             Ok(i) => {
-                set[..=i].rotate_right(1);
+                to_front(set, i);
                 self.hits += 1;
                 None
             }

@@ -99,10 +99,6 @@ pub struct BandwidthServer {
     latency: Time,
     server: FifoServer,
     bytes_total: u64,
-    /// The last message size and its serialization time: a link carries
-    /// few distinct sizes, so this one-entry memo spares most transmits
-    /// the float division and rounding.
-    memo: (u64, Time),
 }
 
 impl BandwidthServer {
@@ -119,17 +115,13 @@ impl BandwidthServer {
             latency,
             server: FifoServer::new(),
             bytes_total: 0,
-            memo: (0, transfer_time(0, gbps)),
         }
     }
 
     /// Transmits `bytes` starting no earlier than `now`; returns the arrival
     /// time at the far end (serialization + queueing + propagation).
     pub fn transmit(&mut self, now: Time, bytes: u64) -> Time {
-        if self.memo.0 != bytes {
-            self.memo = (bytes, transfer_time(bytes, self.gbps));
-        }
-        let ser = self.memo.1;
+        let ser = transfer_time(bytes, self.gbps);
         let start = self.server.admit(now, ser);
         self.bytes_total += bytes;
         start + ser + self.latency
