@@ -1,9 +1,10 @@
-//! Interconnect models: the on-chip 2D mesh and the inter-node rack fabric.
+//! Interconnect models: the inter-node rack fabric and its topologies.
 //!
 //! Table 2 parameters:
 //!
 //! * on-chip: 2D mesh, 16-byte links, 3 cycles/hop (at the 2 GHz core
-//!   clock);
+//!   clock) — not modeled here: the calibrated latencies of
+//!   `sabre-mem::timing` fold in its average traversal;
 //! * inter-node: lossless fabric, fixed 35 ns per hop (following the Anton 2
 //!   unified-switching design the paper cites), 100 GBps links.
 //!
@@ -23,4 +24,4 @@ pub mod internode;
 pub mod mesh;
 
 pub use internode::{Fabric, FabricConfig, FabricPort, Outbox, ShardRouter};
-pub use mesh::{MeshConfig, MeshCoord, RackTopology};
+pub use mesh::{MeshCoord, RackTopology};

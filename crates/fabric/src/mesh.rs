@@ -1,24 +1,17 @@
-//! 2D meshes: the on-chip tile mesh (analytic model) and the rack-level
-//! node mesh the N-node fabric routes over.
+//! Rack topologies: how the fabric's nodes are wired, and the hop
+//! counts internode routes derive from.
 //!
-//! The on-chip mesh carries traffic between cores, LLC banks, memory
-//! controllers and the edge-placed RMC backends. We model it analytically:
-//! a message's latency is `hops × hop_latency + serialization`, with hop
-//! counts from Manhattan distance on the 4×4 tile grid. Contention on mesh
-//! links is second-order for the paper's experiments (the bottlenecks are
-//! DRAM channels, R2P2 issue bandwidth and the inter-node fabric) and is
-//! deliberately not modeled; the calibrated end-to-end latencies in
-//! `sabre-mem::timing` already include average mesh traversal.
-//!
-//! [`RackTopology`] reuses the same Manhattan-distance geometry one level
-//! up: beyond the paper's directly-connected pair, rack nodes sit on a 2D
-//! mesh and internode packets pay one
+//! Beyond the paper's directly-connected pair, [`RackTopology::Mesh`]
+//! places rack nodes on a 2D mesh whose packets pay one
 //! [`FabricConfig::hop_latency`](crate::FabricConfig::hop_latency) per hop
-//! of dimension-ordered (XY) routing.
+//! of dimension-ordered (XY) routing: the hop count between two nodes is
+//! the Manhattan distance of their [`MeshCoord`]s. The on-chip tile mesh
+//! is not modeled here: the calibrated latencies in `sabre-mem::timing`
+//! already include average on-chip traversal.
 
-use sabre_sim::{Freq, Time};
+use sabre_sim::Time;
 
-/// A tile coordinate on the mesh.
+/// A node's coordinate on a rack mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MeshCoord {
     /// Column index.
@@ -33,74 +26,6 @@ impl MeshCoord {
         let dx = (self.x as i32 - other.x as i32).unsigned_abs() as u64;
         let dy = (self.y as i32 - other.y as i32).unsigned_abs() as u64;
         dx + dy
-    }
-}
-
-/// Geometry and timing of the on-chip mesh.
-#[derive(Debug, Clone)]
-pub struct MeshConfig {
-    /// Tiles per row/column (Table 2 chip: 4×4 = 16 tiles).
-    pub dim: u8,
-    /// Cycles per hop (Table 2: 3).
-    pub cycles_per_hop: u64,
-    /// Link width in bytes (Table 2: 16).
-    pub link_bytes: u64,
-    /// Clock the mesh runs at (core clock, 2 GHz).
-    pub clock: Freq,
-}
-
-impl Default for MeshConfig {
-    fn default() -> Self {
-        MeshConfig {
-            dim: 4,
-            cycles_per_hop: 3,
-            link_bytes: 16,
-            clock: Freq::ghz(2.0),
-        }
-    }
-}
-
-impl MeshConfig {
-    /// Tile coordinate of tile `i` (row-major).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn coord(&self, i: usize) -> MeshCoord {
-        assert!(
-            i < self.dim as usize * self.dim as usize,
-            "tile {i} out of range"
-        );
-        MeshCoord {
-            x: (i % self.dim as usize) as u8,
-            y: (i / self.dim as usize) as u8,
-        }
-    }
-
-    /// Latency of a `bytes`-byte message over `hops` hops: per-hop router
-    /// latency plus serialization of the message onto a 16-byte-wide link.
-    pub fn traversal(&self, hops: u64, bytes: u64) -> Time {
-        let flits = bytes.div_ceil(self.link_bytes).max(1);
-        // Head flit pays the full hop latency; body flits pipeline behind it
-        // at one flit per cycle.
-        self.clock.cycles(hops * self.cycles_per_hop + (flits - 1))
-    }
-
-    /// Average hop count between a uniformly random pair of distinct tiles.
-    /// Used to calibrate average LLC/directory traversal latencies.
-    pub fn average_hops(&self) -> f64 {
-        let n = self.dim as usize * self.dim as usize;
-        let mut total = 0u64;
-        let mut pairs = 0u64;
-        for a in 0..n {
-            for b in 0..n {
-                if a != b {
-                    total += self.coord(a).hops_to(self.coord(b));
-                    pairs += 1;
-                }
-            }
-        }
-        total as f64 / pairs as f64
     }
 }
 
@@ -412,38 +337,6 @@ mod tests {
         assert_eq!(a.hops_to(b), 5);
         assert_eq!(b.hops_to(a), 5);
         assert_eq!(a.hops_to(a), 0);
-    }
-
-    #[test]
-    fn coord_layout_row_major() {
-        let cfg = MeshConfig::default();
-        assert_eq!(cfg.coord(0), MeshCoord { x: 0, y: 0 });
-        assert_eq!(cfg.coord(5), MeshCoord { x: 1, y: 1 });
-        assert_eq!(cfg.coord(15), MeshCoord { x: 3, y: 3 });
-    }
-
-    #[test]
-    fn traversal_latency() {
-        let cfg = MeshConfig::default();
-        // 2 hops, single-flit message: 6 cycles @ 2 GHz = 3 ns.
-        assert_eq!(cfg.traversal(2, 8), Time::from_ns(3));
-        // 64-byte message = 4 flits: 3 extra cycles of serialization.
-        assert_eq!(cfg.traversal(2, 64), Time::from_ns_f64(4.5));
-    }
-
-    #[test]
-    fn average_hops_for_4x4_mesh() {
-        // Known value for a 4×4 mesh: 8/3 average hops between distinct
-        // tiles (per-axis mean distance on 4 points is 20/16 = 1.25... times
-        // 2 axes, normalized to distinct pairs = 8/3).
-        let avg = MeshConfig::default().average_hops();
-        assert!((avg - 8.0 / 3.0).abs() < 1e-9, "avg = {avg}");
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn coord_bounds_checked() {
-        let _ = MeshConfig::default().coord(16);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   false alarm (§4.2) rather than a conflict.
 
 use crate::block::BlockAddr;
-use crate::tags::SetAssocTags;
+use crate::tags::{Insert, SetAssocTags};
 
 /// Result of one LLC access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,16 +53,15 @@ impl Llc {
 
     /// Accesses `block`, filling on miss. Returns hit/miss and any eviction.
     pub fn access(&mut self, block: BlockAddr) -> LlcOutcome {
-        if self.tags.touch(block.index()) {
-            return LlcOutcome {
+        match self.tags.insert(block.index()) {
+            Insert::Hit => LlcOutcome {
                 hit: true,
                 evicted: None,
-            };
-        }
-        let evicted = self.tags.insert(block.index()).map(BlockAddr::from_index);
-        LlcOutcome {
-            hit: false,
-            evicted,
+            },
+            Insert::Fill(evicted) => LlcOutcome {
+                hit: false,
+                evicted: evicted.map(BlockAddr::from_index),
+            },
         }
     }
 
@@ -96,6 +95,15 @@ mod tests {
         assert_eq!(first.evicted, None);
         assert!(llc.access(b).hit);
         assert!(llc.contains(b));
+    }
+
+    #[test]
+    fn one_access_counts_once() {
+        let mut llc = Llc::with_geometry(64 * 16, 16);
+        let b = BlockAddr::from_index(3);
+        llc.access(b);
+        llc.access(b);
+        assert_eq!(llc.stats(), (1, 1, 0), "one miss, then one hit");
     }
 
     #[test]

@@ -55,6 +55,16 @@ fn to_front(set: &mut [u64], i: usize) {
     }
 }
 
+/// What [`SetAssocTags::insert`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Insert {
+    /// The tag was present; it is now the most recently used of its set.
+    Hit,
+    /// The tag was absent and is filled, displacing the least recently
+    /// used tag of a full set (`None` when the set had an empty way).
+    Fill(Option<u64>),
+}
+
 /// An LRU set-associative tag array over `u64` tags; see the
 /// [module docs](self) for the layout.
 ///
@@ -64,13 +74,13 @@ fn to_front(set: &mut [u64], i: usize) {
 /// # Example
 ///
 /// ```
-/// use sabre_mem::tags::SetAssocTags;
+/// use sabre_mem::tags::{Insert, SetAssocTags};
 ///
-/// let mut t = SetAssocTags::new(2, 2); // 2 sets, 2 ways
-/// assert_eq!(t.insert(0), None);       // miss, no eviction
-/// assert_eq!(t.insert(2), None);       // same set (2 % 2 == 0), second way
-/// assert!(t.contains(0));
-/// assert_eq!(t.insert(4), Some(0));    // set full: LRU tag 0 evicted
+/// let mut t = SetAssocTags::new(2, 2);        // 2 sets, 2 ways
+/// assert_eq!(t.insert(0), Insert::Fill(None)); // miss, no eviction
+/// assert_eq!(t.insert(2), Insert::Fill(None)); // same set (2 % 2 == 0)
+/// assert_eq!(t.insert(0), Insert::Hit);        // 0 is most recent again
+/// assert_eq!(t.insert(4), Insert::Fill(Some(2))); // set full: LRU tag 2 evicted
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocTags {
@@ -131,27 +141,9 @@ impl SetAssocTags {
         find(&self.slots[self.range(tag)], key(tag)).is_ok()
     }
 
-    /// Touches `tag`: returns `true` on hit (refreshing LRU), `false` on
-    /// miss (without inserting).
-    pub fn touch(&mut self, tag: u64) -> bool {
-        let range = self.range(tag);
-        let set = &mut self.slots[range];
-        match find(set, key(tag)) {
-            Ok(i) => {
-                to_front(set, i);
-                self.hits += 1;
-                true
-            }
-            Err(_) => {
-                self.misses += 1;
-                false
-            }
-        }
-    }
-
-    /// Ensures `tag` is present. Returns the evicted tag, if insertion
-    /// displaced one; `None` on hit or on filling an invalid way.
-    pub fn insert(&mut self, tag: u64) -> Option<u64> {
+    /// Ensures `tag` is present and most recently used, in one scan of
+    /// its set: a hit refreshes it, a miss fills it.
+    pub fn insert(&mut self, tag: u64) -> Insert {
         let key = key(tag);
         let range = self.range(tag);
         let set = &mut self.slots[range];
@@ -159,7 +151,7 @@ impl SetAssocTags {
             Ok(i) => {
                 to_front(set, i);
                 self.hits += 1;
-                None
+                Insert::Hit
             }
             Err(valid) => {
                 self.misses += 1;
@@ -170,10 +162,10 @@ impl SetAssocTags {
                 set[..=last].rotate_right(1);
                 set[0] = key;
                 if victim == EMPTY {
-                    None
+                    Insert::Fill(None)
                 } else {
                     self.evictions += 1;
-                    Some(victim - 1)
+                    Insert::Fill(Some(victim - 1))
                 }
             }
         }
@@ -216,13 +208,11 @@ mod tests {
     #[test]
     fn hit_miss_basic() {
         let mut t = SetAssocTags::new(4, 2);
-        assert!(!t.touch(5));
-        assert_eq!(t.insert(5), None);
-        assert!(t.touch(5));
+        assert_eq!(t.insert(5), Insert::Fill(None));
+        assert_eq!(t.insert(5), Insert::Hit);
         assert!(t.contains(5));
-        let (h, m, _) = t.stats();
-        // Two misses (explicit touch + the probe inside insert), one hit.
-        assert_eq!((h, m), (1, 2));
+        // One scan per access: the fill is one miss, the refresh one hit.
+        assert_eq!(t.stats(), (1, 1, 0));
     }
 
     #[test]
@@ -232,8 +222,8 @@ mod tests {
         t.insert(20);
         t.insert(30);
         // Refresh 10 so 20 becomes LRU.
-        assert!(t.touch(10));
-        assert_eq!(t.insert(40), Some(20));
+        assert_eq!(t.insert(10), Insert::Hit);
+        assert_eq!(t.insert(40), Insert::Fill(Some(20)));
         assert!(t.contains(10));
         assert!(!t.contains(20));
     }
@@ -246,7 +236,7 @@ mod tests {
         assert!(t.invalidate(1));
         assert!(!t.invalidate(1));
         // Now an insert fills the invalid way without eviction.
-        assert_eq!(t.insert(3), None);
+        assert_eq!(t.insert(3), Insert::Fill(None));
     }
 
     #[test]
@@ -257,8 +247,8 @@ mod tests {
         t.insert(3); // recency 3, 2, 1
         assert!(t.invalidate(2));
         t.insert(4); // fills the freed way: 4, 3, 1
-        assert_eq!(t.insert(5), Some(1));
-        assert_eq!(t.insert(6), Some(3));
+        assert_eq!(t.insert(5), Insert::Fill(Some(1)));
+        assert_eq!(t.insert(6), Insert::Fill(Some(3)));
         assert_eq!(t.stats(), (0, 6, 2));
     }
 
@@ -266,7 +256,7 @@ mod tests {
     fn odd_set_count_divides() {
         let mut t = SetAssocTags::new(3, 1);
         t.insert(4); // set 1
-        assert_eq!(t.insert(7), Some(4)); // 7 % 3 == 1
+        assert_eq!(t.insert(7), Insert::Fill(Some(4))); // 7 % 3 == 1
         assert!(t.contains(7));
         assert!(!t.contains(4));
     }
@@ -287,7 +277,7 @@ mod tests {
         assert!(t.contains(0));
         assert!(t.contains(1));
         // Inserting 2 (set 0) evicts 0, not 1.
-        assert_eq!(t.insert(2), Some(0));
+        assert_eq!(t.insert(2), Insert::Fill(Some(0)));
         assert!(t.contains(1));
     }
 

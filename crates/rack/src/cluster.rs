@@ -22,9 +22,10 @@
 //! path: the pump touches the access's [`R2p2Action::block`] in the LLC,
 //! times it on the node's DRAM model and schedules one `MemDone` event
 //! carrying the action; `on_mem_done` then applies its functional effect,
-//! raises its invalidation and hands the outcome to the issuing R2P2. A
-//! reader-lock acquire answers its engine *before* its invalidation fans
-//! out, and a release re-arms no pump.
+//! raises its invalidation and hands the outcome to the issuing R2P2's
+//! one completion method, [`R2p2::complete_into`]. A reader-lock acquire
+//! answers its engine *before* its invalidation fans out, and a release
+//! re-arms no pump.
 //!
 //! # The sharded, thread-parallel event loop
 //!
@@ -90,10 +91,11 @@
 //!
 //! Nothing else on the per-event path allocates once a run is warm:
 //! R2P2 completions and the RGP unroll append their packets to a per-node
-//! buffer (the `*_into` forms of [`R2p2`] and [`SourcePipeline`]), a
-//! one-sided write reads its payload straight from the node's memory, and
-//! queues and outboxes keep their grown capacity between windows and
-//! runs. [`Cluster::events_handled`] counts the handled events by kind.
+//! buffer ([`R2p2::complete_into`],
+//! [`SourcePipeline::start_transfer_into`]), a one-sided write reads its
+//! payload straight from the node's memory, and queues and outboxes keep
+//! their grown capacity between windows and runs.
+//! [`Cluster::events_handled`] counts the handled events by kind.
 //!
 //! # O(active) window scheduling
 //!
@@ -128,7 +130,7 @@ use std::sync::{Barrier, Mutex};
 use sabre_fabric::{Fabric, FabricPort, Outbox, ShardRouter};
 use sabre_mem::{Addr, BlockAddr, Llc, MemSystem, NodeMemory, ServiceLevel, BLOCK_BYTES};
 use sabre_sim::{FifoServer, SimRng, Time};
-use sabre_sonuma::r2p2::{R2p2Action, R2p2Stats};
+use sabre_sonuma::r2p2::{MemOutcome, R2p2Action, R2p2Stats};
 use sabre_sonuma::{Block, CqEntry, OpKind, Packet, PacketKind, R2p2, SourcePipeline, WqEntry};
 use sabre_sw::locking::{remote_cas_lock, remote_unlock, CasOutcome};
 use sabre_sw::{CpuCostModel, ReaderLockWord};
@@ -1186,37 +1188,35 @@ impl<'a> ShardExec<'a> {
     /// Completes a memory access at the instant it is serviced: applies
     /// its functional effect to the node's memory, raises the coherence
     /// invalidation a store makes, and hands the outcome to the R2P2 that
-    /// issued it.
+    /// issued it. A store invalidates before the R2P2 builds its reply,
+    /// except a reader-lock acquire (see below).
     fn on_mem_done(&mut self, node: u8, pipe: u8, access: R2p2Action) {
         let n = node as usize;
         let p = pipe as usize;
-        match access {
-            R2p2Action::MemRead { token, block, .. } => {
-                let ctx = self.node_mut(n);
-                let data = Block(ctx.memory.read_block(block));
-                ctx.r2p2s[p].on_mem_reply_into(token, data, &mut ctx.sends);
+        let mut after_reply = None;
+        let (token, outcome) = match access {
+            R2p2Action::MemRead { token, block } => {
+                let data = Block(self.node_mut(n).memory.read_block(block));
+                (token, MemOutcome::Data(data))
             }
             R2p2Action::MemWrite { token, block, data } => {
                 self.apply_store(n, block, &data.0);
-                let ctx = self.node_mut(n);
-                ctx.r2p2s[p].on_mem_write_done_into(token, &mut ctx.sends);
+                (token, MemOutcome::Done)
             }
             R2p2Action::LockRmw {
                 token,
                 version_addr,
             } => {
-                let ctx = self.node_mut(n);
-                let acquired = ReaderLockWord::try_shared_acquire(&mut ctx.memory, version_addr);
+                let memory = &mut self.node_mut(n).memory;
+                let acquired = ReaderLockWord::try_shared_acquire(memory, version_addr);
                 // Deliver the outcome to the acquiring engine before the
                 // RMW's invalidation fans out: the requester owns the line
                 // it just modified, so its own stream buffer must not treat
                 // the acquisition as a foreign write (other R2P2s' SABRes
                 // on the object still see it — real reader-reader
                 // interference).
-                ctx.r2p2s[p].on_lock_reply_into(token, acquired, &mut ctx.sends);
-                if acquired {
-                    self.broadcast_inval(n, version_addr.block());
-                }
+                after_reply = acquired.then(|| version_addr.block());
+                (token, MemOutcome::Acquired(acquired))
             }
             R2p2Action::LockRelease { version_addr } => {
                 ReaderLockWord::shared_release(&mut self.node_mut(n).memory, version_addr);
@@ -1235,8 +1235,7 @@ impl<'a> ShardExec<'a> {
                 if acquired {
                     self.broadcast_inval(n, version_addr.block());
                 }
-                let ctx = self.node_mut(n);
-                ctx.r2p2s[p].on_cas_done_into(token, acquired, &mut ctx.sends);
+                (token, MemOutcome::Acquired(acquired))
             }
             R2p2Action::WriterUnlock {
                 token,
@@ -1244,10 +1243,14 @@ impl<'a> ShardExec<'a> {
             } => {
                 remote_unlock(&mut self.node_mut(n).memory, version_addr);
                 self.broadcast_inval(n, version_addr.block());
-                let ctx = self.node_mut(n);
-                ctx.r2p2s[p].on_unlock_done_into(token, &mut ctx.sends);
+                (token, MemOutcome::Done)
             }
             R2p2Action::Send(pkt) => unreachable!("a send is not a memory access: {pkt:?}"),
+        };
+        let ctx = self.node_mut(n);
+        ctx.r2p2s[p].complete_into(token, outcome, &mut ctx.sends);
+        if let Some(block) = after_reply {
+            self.broadcast_inval(n, block);
         }
         // A completion only sends; memory work comes from `next_issue`
         // alone, which keeps it paced.

@@ -331,28 +331,6 @@ impl ScenarioBuilder {
         self.reader(node, core, move |_| w)
     }
 
-    /// Places one workload per `(node, core)` placement, each built by
-    /// `factory` from `(node, core, targets)` — the N-node generalization
-    /// of [`ScenarioBuilder::readers`], used with the topology's
-    /// [`Topology::reader_nodes`] to spread a workload across every reader
-    /// node of the rack.
-    pub fn readers_grid(
-        mut self,
-        placements: impl IntoIterator<Item = (usize, usize)>,
-        factory: impl Fn(usize, usize, &[Addr]) -> Box<dyn Workload> + 'static,
-    ) -> Self {
-        let factory = std::rc::Rc::new(factory);
-        for (node, core) in placements {
-            let f = std::rc::Rc::clone(&factory);
-            self.workloads.push((
-                node,
-                core,
-                Box::new(move |targets: &[Addr]| f(node, core, targets)),
-            ));
-        }
-        self
-    }
-
     /// Places the workload declared by a [`WorkloadSpec`] on `core` of
     /// `node` — the declarative counterpart of [`ScenarioBuilder::reader`].
     /// The spec's default object set is the concatenated targets of every
@@ -374,17 +352,26 @@ impl ScenarioBuilder {
 
     /// Places one spec-declared workload per `(node, core)` placement,
     /// with `factory` producing the spec from `(node, core, targets)` —
-    /// the declarative counterpart of [`ScenarioBuilder::readers_grid`].
-    /// `targets` lets per-node factories slice the region targets into
-    /// explicit [`WorkloadSpec::objects`].
+    /// the N-node generalization of [`ScenarioBuilder::readers_spec`],
+    /// used with the topology's [`Topology::reader_nodes`] to spread a
+    /// workload across every reader node of the rack. `targets` lets
+    /// per-node factories slice the region targets into explicit
+    /// [`WorkloadSpec::objects`].
     pub fn readers_grid_spec(
-        self,
+        mut self,
         placements: impl IntoIterator<Item = (usize, usize)>,
         factory: impl Fn(usize, usize, &[Addr]) -> WorkloadSpec + 'static,
     ) -> Self {
-        self.readers_grid(placements, move |node, core, targets| {
-            factory(node, core, targets).build(targets)
-        })
+        let factory = std::rc::Rc::new(factory);
+        for (node, core) in placements {
+            let f = std::rc::Rc::clone(&factory);
+            self.workloads.push((
+                node,
+                core,
+                Box::new(move |targets: &[Addr]| f(node, core, targets).build(targets)),
+            ));
+        }
+        self
     }
 
     /// Declares a warmup window: the simulation runs for `t` before the

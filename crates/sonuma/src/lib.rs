@@ -32,5 +32,5 @@ pub mod wire;
 
 pub use pipeline::{Completion, LocalWrite, SourcePipeline};
 pub use queues::{CqEntry, OpKind, WqEntry};
-pub use r2p2::{MemToken, R2p2, R2p2Action, ReadKind};
+pub use r2p2::{MemOutcome, MemToken, R2p2, R2p2Action};
 pub use wire::{Block, NodeId, Packet, PacketKind, PipeId};

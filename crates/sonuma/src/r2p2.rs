@@ -21,43 +21,41 @@ use crate::wire::{Block, NodeId, Packet, PacketKind, PipeId};
 
 pub use sabre_core::engine::IssueKind as EngineIssueKind;
 
-/// Opaque tag pairing a memory access with its completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MemToken(pub u64);
-
-/// Why a memory read was issued (exposed for tests and tracing).
+/// The continuation of one memory access: the work its completion does,
+/// carried in the access itself, so the R2P2 keeps no table of accesses
+/// in flight. Hand it back to [`R2p2::complete_into`] with the access's
+/// [`MemOutcome`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadKind {
-    /// A plain one-sided read request.
-    Plain,
-    /// A SABRe data block.
-    SabreData,
-    /// A SABRe header re-read (OCC revalidation).
-    SabreValidate,
-    /// A block of a server-side object capture (WfRegister / Oh-RAM).
-    Capture,
-    /// A block of a write-log region pulled by a recovering peer.
-    CatchUp,
+pub struct MemToken(Pending);
+
+/// What a memory access returned, handed back with its [`MemToken`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MemOutcome {
+    /// The block a read returned.
+    Data(Block),
+    /// Whether a reader-lock acquire or a writer CAS took the lock.
+    Acquired(bool),
+    /// A write or an unlock was applied.
+    Done,
 }
 
-/// An action the assembly layer must perform for the R2P2.
+/// An action the assembly layer must perform for the R2P2. Every memory
+/// access but a release carries a [`MemToken`]; once the access is
+/// serviced, [`R2p2::complete_into`] takes the token and its outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum R2p2Action {
-    /// Read `block` from local memory; call [`R2p2::on_mem_reply`] with the
-    /// data when it completes.
+    /// Read `block` from local memory; completes with [`MemOutcome::Data`].
     MemRead {
-        /// Completion tag.
+        /// The access's continuation.
         token: MemToken,
         /// The block to read.
         block: BlockAddr,
-        /// Why (tracing only; handling is identical).
-        kind: ReadKind,
     },
-    /// Write `data` to `block` (one-sided write); call
-    /// [`R2p2::on_mem_write_done`] when it completes. The write must raise
-    /// coherence invalidations like any store.
+    /// Write `data` to `block` (one-sided write); completes with
+    /// [`MemOutcome::Done`]. The write must raise coherence invalidations
+    /// like any store.
     MemWrite {
-        /// Completion tag.
+        /// The access's continuation.
         token: MemToken,
         /// The block to write.
         block: BlockAddr,
@@ -65,9 +63,9 @@ pub enum R2p2Action {
         data: Block,
     },
     /// Atomically try-acquire the shared reader lock at `version_addr`
-    /// (locking mode); call [`R2p2::on_lock_reply_into`] with the outcome.
+    /// (locking mode); completes with [`MemOutcome::Acquired`].
     LockRmw {
-        /// Completion tag.
+        /// The access's continuation.
         token: MemToken,
         /// Address of the version/lock word.
         version_addr: Addr,
@@ -78,17 +76,17 @@ pub enum R2p2Action {
         version_addr: Addr,
     },
     /// Atomically CAS the version word at `version_addr` from even to odd
-    /// (remote write-lock acquire); call [`R2p2::on_cas_done_into`].
+    /// (remote write-lock acquire); completes with [`MemOutcome::Acquired`].
     WriterCas {
-        /// Completion tag.
+        /// The access's continuation.
         token: MemToken,
         /// Address of the version/lock word.
         version_addr: Addr,
     },
     /// Advance the odd version word at `version_addr` to even (remote
-    /// unlock); call [`R2p2::on_unlock_done_into`].
+    /// unlock); completes with [`MemOutcome::Done`].
     WriterUnlock {
-        /// Completion tag.
+        /// The access's continuation.
         token: MemToken,
         /// Address of the version/lock word.
         version_addr: Addr,
@@ -113,38 +111,34 @@ impl R2p2Action {
     }
 }
 
-/// What an issued memory token completes. Work that answers a requester
-/// directly carries the [`Route`] of its reply.
-#[derive(Debug, Clone, Copy)]
+/// What a memory access completes. Work that answers a requester directly
+/// carries the [`Route`] of its reply; SABRe work names its ATT slot,
+/// whose live entry holds the SABRe's id, which is its route.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Pending {
-    CasApply(Route),
-    UnlockApply(Route),
     PlainRead { route: Route, block_index: u32 },
-    WriteApply { route: Route, block_index: u32 },
     CatchUpRead { route: Route, block_index: u32 },
+    Write { route: Route, block_index: u32 },
+    Cas(Route),
+    Unlock(Route),
     SabreData { slot: SlotId, block_index: u32 },
     SabreValidate { slot: SlotId },
     SabreLock { slot: SlotId },
-    CaptureRead { capture: u64, block: BlockAddr },
+    CaptureRead { capture: u32, block: BlockAddr },
 }
 
 /// Where a reply goes: the requester's node and pipeline, and the
-/// transfer it belongs to.
-#[derive(Debug, Clone, Copy)]
-struct Route {
-    node: NodeId,
-    pipe: PipeId,
-    transfer: u32,
-}
+/// transfer it belongs to. A SABRe's id names exactly these, so it is its
+/// own route.
+type Route = SabreId;
 
-impl Route {
-    /// The route back to the sender of request `pkt`.
-    fn back_to(pkt: &Packet, transfer: u32) -> Route {
-        Route {
-            node: pkt.src_node,
-            pipe: pkt.src_pipe,
-            transfer,
-        }
+/// The sender of request `pkt` and its transfer: the route back to it,
+/// and the id of the SABRe a SABRe request belongs to.
+fn requester(pkt: &Packet, transfer: u32) -> Route {
+    SabreId {
+        src_node: pkt.src_node,
+        src_pipe: pkt.src_pipe,
+        transfer,
     }
 }
 
@@ -223,16 +217,13 @@ pub struct R2p2 {
     node: NodeId,
     pipe: PipeId,
     engine: LightSabres,
-    next_token: u64,
-    pending: FastMap<u64, Pending>,
     /// Plain-service work awaiting an issue slot (FIFO).
     ready: VecDeque<R2p2Action>,
     /// SABRes waiting for a free ATT entry (in arrival order).
     parked: VecDeque<ParkedSabre>,
     /// Live object captures (WfRegister / Oh-RAM), keyed by capture id.
-    captures: FastMap<u64, CaptureCtx>,
-    next_capture: u64,
-    routes: FastMap<u8, Route>,
+    captures: FastMap<u32, CaptureCtx>,
+    next_capture: u32,
     stats: R2p2Stats,
     /// Discard (rather than panic on) data requests whose registration is
     /// neither live nor parked. Off by default: in a fault-free rack such
@@ -258,13 +249,10 @@ impl R2p2 {
             node,
             pipe,
             engine: LightSabres::new(cfg),
-            next_token: 0,
-            pending: FastMap::default(),
             ready: VecDeque::new(),
             parked: VecDeque::new(),
             captures: FastMap::default(),
             next_capture: 0,
-            routes: FastMap::default(),
             stats: R2p2Stats::default(),
             tolerate_stale: false,
             catching_up: 0,
@@ -339,31 +327,13 @@ impl R2p2 {
         !self.ready.is_empty() || self.engine.active_count() > 0
     }
 
-    fn token(&mut self, p: Pending) -> MemToken {
-        let t = self.next_token;
-        self.next_token += 1;
-        self.pending.insert(t, p);
-        MemToken(t)
-    }
-
-    /// Retires `token`, returning the work it was issued for.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown tokens (wiring bug).
-    fn take(&mut self, token: MemToken) -> Pending {
-        self.pending
-            .remove(&token.0)
-            .unwrap_or_else(|| panic!("unknown memory token {token:?}"))
-    }
-
     /// The reply `kind` from this pipeline along `route`.
     fn reply(&self, route: Route, kind: PacketKind) -> Packet {
         Packet {
             src_node: self.node,
             src_pipe: self.pipe,
-            dst_node: route.node,
-            dst_pipe: route.pipe,
+            dst_node: route.src_node,
+            dst_pipe: route.src_pipe,
             kind,
         }
     }
@@ -415,14 +385,12 @@ impl R2p2 {
                 block_index,
             } => {
                 self.stats.plain_reads += 1;
-                let token = self.token(Pending::PlainRead {
-                    route: Route::back_to(pkt, transfer),
-                    block_index,
-                });
                 self.ready.push_back(R2p2Action::MemRead {
-                    token,
+                    token: MemToken(Pending::PlainRead {
+                        route: requester(pkt, transfer),
+                        block_index,
+                    }),
                     block: addr.block(),
-                    kind: ReadKind::Plain,
                 });
                 true
             }
@@ -433,29 +401,26 @@ impl R2p2 {
                 data,
             } => {
                 self.stats.writes += 1;
-                let token = self.token(Pending::WriteApply {
-                    route: Route::back_to(pkt, transfer),
-                    block_index,
-                });
                 self.ready.push_back(R2p2Action::MemWrite {
-                    token,
+                    token: MemToken(Pending::Write {
+                        route: requester(pkt, transfer),
+                        block_index,
+                    }),
                     block: addr.block(),
                     data,
                 });
                 true
             }
             PacketKind::CasReq { addr, transfer } => {
-                let token = self.token(Pending::CasApply(Route::back_to(pkt, transfer)));
                 self.ready.push_back(R2p2Action::WriterCas {
-                    token,
+                    token: MemToken(Pending::Cas(requester(pkt, transfer))),
                     version_addr: addr,
                 });
                 true
             }
             PacketKind::UnlockReq { addr, transfer } => {
-                let token = self.token(Pending::UnlockApply(Route::back_to(pkt, transfer)));
                 self.ready.push_back(R2p2Action::WriterUnlock {
-                    token,
+                    token: MemToken(Pending::Unlock(requester(pkt, transfer))),
                     version_addr: addr,
                 });
                 true
@@ -482,11 +447,7 @@ impl R2p2 {
                 size_bytes,
                 version_offset,
             } => {
-                let id = SabreId {
-                    src_node: pkt.src_node,
-                    src_pipe: pkt.src_pipe,
-                    transfer,
-                };
+                let id = requester(pkt, transfer);
                 self.register_or_park(id, base, size_bytes, version_offset);
                 true
             }
@@ -504,24 +465,18 @@ impl R2p2 {
                     .iter()
                     .enumerate()
                 {
-                    let token = self.token(Pending::CatchUpRead {
-                        route: Route::back_to(pkt, transfer),
-                        block_index: i as u32,
-                    });
                     self.ready.push_back(R2p2Action::MemRead {
-                        token,
+                        token: MemToken(Pending::CatchUpRead {
+                            route: requester(pkt, transfer),
+                            block_index: i as u32,
+                        }),
                         block,
-                        kind: ReadKind::CatchUp,
                     });
                 }
                 true
             }
             PacketKind::SabreReadReq { transfer, .. } => {
-                let id = SabreId {
-                    src_node: pkt.src_node,
-                    src_pipe: pkt.src_pipe,
-                    transfer,
-                };
+                let id = requester(pkt, transfer);
                 match self.engine.on_data_request(id) {
                     Ok(()) => {}
                     Err(SabreError::UnknownId) => {
@@ -549,7 +504,7 @@ impl R2p2 {
     /// Queues the epoch/seq guard's refusal of request `pkt`.
     fn refuse(&mut self, pkt: &Packet, transfer: u32) {
         let refusal = self.reply(
-            Route::back_to(pkt, transfer),
+            requester(pkt, transfer),
             PacketKind::ReadRefused { transfer },
         );
         self.ready.push_back(R2p2Action::Send(refusal));
@@ -567,47 +522,35 @@ impl R2p2 {
     ) {
         self.stats.captured_reads += 1;
         let id = self.next_capture;
-        self.next_capture += 1;
+        self.next_capture = id.checked_add(1).expect("capture ids exhausted");
         let (capture, step) = ObjectCapture::new(kind, base, size_bytes);
         self.captures.insert(
             id,
             CaptureCtx {
                 capture,
-                route: Route::back_to(pkt, transfer),
+                route: requester(pkt, transfer),
             },
         );
         self.queue_capture_step(id, step);
     }
 
     /// Queues the memory reads a capture step asks for (delivery steps are
-    /// handled where they arise, in [`R2p2::on_mem_reply`]).
-    fn queue_capture_step(&mut self, id: u64, step: CaptureStep) {
+    /// handled where they arise, in [`R2p2::complete_into`]).
+    fn queue_capture_step(&mut self, id: u32, step: CaptureStep) {
         let CaptureStep::Read(blocks) = step else {
             unreachable!("delivery steps are converted to replies inline");
         };
         for block in blocks {
-            let token = self.token(Pending::CaptureRead { capture: id, block });
             self.ready.push_back(R2p2Action::MemRead {
-                token,
+                token: MemToken(Pending::CaptureRead { capture: id, block }),
                 block,
-                kind: ReadKind::Capture,
             });
         }
     }
 
     fn register_or_park(&mut self, id: SabreId, base: Addr, size_bytes: u32, version_offset: u32) {
         match self.engine.register(id, base, size_bytes, version_offset) {
-            Ok(slot) => {
-                self.stats.sabres_registered += 1;
-                self.routes.insert(
-                    slot.0,
-                    Route {
-                        node: id.src_node,
-                        pipe: id.src_pipe,
-                        transfer: id.transfer,
-                    },
-                );
-            }
+            Ok(_) => self.stats.sabres_registered += 1,
             Err(RegisterError::Full) => {
                 self.stats.sabres_parked += 1;
                 self.parked.push_back(ParkedSabre {
@@ -649,36 +592,27 @@ impl R2p2 {
             return Some(a);
         }
         let issue = self.engine.next_issue()?;
+        let slot = issue.slot;
         Some(match issue.kind {
-            IssueKind::Data => {
-                let token = self.token(Pending::SabreData {
-                    slot: issue.slot,
+            IssueKind::Data => R2p2Action::MemRead {
+                token: MemToken(Pending::SabreData {
+                    slot,
                     block_index: issue.block_index,
-                });
-                R2p2Action::MemRead {
-                    token,
-                    block: issue.block,
-                    kind: ReadKind::SabreData,
-                }
-            }
-            IssueKind::Validate => {
-                let token = self.token(Pending::SabreValidate { slot: issue.slot });
-                R2p2Action::MemRead {
-                    token,
-                    block: issue.block,
-                    kind: ReadKind::SabreValidate,
-                }
-            }
+                }),
+                block: issue.block,
+            },
+            IssueKind::Validate => R2p2Action::MemRead {
+                token: MemToken(Pending::SabreValidate { slot }),
+                block: issue.block,
+            },
             IssueKind::LockAcquire => {
                 let entry = self
                     .engine
-                    .entry(issue.slot)
-                    .expect("lock acquire for live slot");
-                let version_addr = entry.version_addr();
-                let token = self.token(Pending::SabreLock { slot: issue.slot });
+                    .entry(slot)
+                    .expect("lock acquire for a live slot");
                 R2p2Action::LockRmw {
-                    token,
-                    version_addr,
+                    token: MemToken(Pending::SabreLock { slot }),
+                    version_addr: entry.version_addr(),
                 }
             }
             IssueKind::LockRelease => {
@@ -690,44 +624,60 @@ impl R2p2 {
         })
     }
 
-    /// Completes a memory read issued earlier.
-    ///
-    /// Allocates its result; the event loop calls
-    /// [`R2p2::on_mem_reply_into`] with a buffer it reuses.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown or non-read tokens (wiring bug).
-    pub fn on_mem_reply(&mut self, token: MemToken, data: Block) -> Vec<R2p2Action> {
-        sends(|out| self.on_mem_reply_into(token, data, out))
-    }
-
-    /// [`R2p2::on_mem_reply`] appending the reply packets it sends to `out`
-    /// instead of returning them (a completion only ever sends).
+    /// Completes the memory access `token` continues, given what memory
+    /// returned, and appends the reply packets it sends to `out` (a
+    /// completion only ever sends; memory work comes from
+    /// [`R2p2::next_issue`] alone, which keeps it paced).
     ///
     /// # Panics
     ///
-    /// Panics on unknown or non-read tokens (wiring bug).
-    pub fn on_mem_reply_into(&mut self, token: MemToken, data: Block, out: &mut Vec<Packet>) {
-        match self.take(token) {
-            Pending::PlainRead { route, block_index } => out.push(self.reply(
+    /// Panics if `outcome` is not what the token's access returns: data
+    /// for a read, a lock outcome for a reader-lock acquire or a CAS,
+    /// [`MemOutcome::Done`] for a write or an unlock (wiring bug).
+    pub fn complete_into(&mut self, token: MemToken, outcome: MemOutcome, out: &mut Vec<Packet>) {
+        match (token.0, outcome) {
+            (Pending::PlainRead { route, block_index }, MemOutcome::Data(data)) => {
+                out.push(self.reply(
+                    route,
+                    PacketKind::ReadReply {
+                        transfer: route.transfer,
+                        block_index,
+                        data,
+                    },
+                ))
+            }
+            (Pending::CatchUpRead { route, block_index }, MemOutcome::Data(data)) => {
+                out.push(self.reply(
+                    route,
+                    PacketKind::CatchUpReply {
+                        transfer: route.transfer,
+                        block_index,
+                        data,
+                    },
+                ))
+            }
+            (Pending::Write { route, block_index }, MemOutcome::Done) => out.push(self.reply(
                 route,
-                PacketKind::ReadReply {
+                PacketKind::WriteAck {
                     transfer: route.transfer,
                     block_index,
-                    data,
                 },
             )),
-            Pending::CatchUpRead { route, block_index } => out.push(self.reply(
+            (Pending::Cas(route), MemOutcome::Acquired(acquired)) => out.push(self.reply(
                 route,
-                PacketKind::CatchUpReply {
+                PacketKind::CasReply {
                     transfer: route.transfer,
-                    block_index,
-                    data,
+                    acquired,
                 },
             )),
-            Pending::SabreData { slot, block_index } => {
-                let route = self.routes[&slot.0];
+            (Pending::Unlock(route), MemOutcome::Done) => out.push(self.reply(
+                route,
+                PacketKind::UnlockAck {
+                    transfer: route.transfer,
+                },
+            )),
+            (Pending::SabreData { slot, block_index }, MemOutcome::Data(data)) => {
+                let route = self.engine.entry(slot).expect("data for a live SABRe").id;
                 out.push(self.reply(
                     route,
                     PacketKind::SabreReply {
@@ -739,11 +689,15 @@ impl R2p2 {
                 let actions = self.engine.on_block_reply(slot, block_index, &data.0);
                 self.extend_with_completions(out, actions);
             }
-            Pending::SabreValidate { slot } => {
+            (Pending::SabreValidate { slot }, MemOutcome::Data(data)) => {
                 let actions = self.engine.on_validate_reply(slot, &data.0);
                 self.extend_with_completions(out, actions);
             }
-            Pending::CaptureRead { capture, block } => {
+            (Pending::SabreLock { slot }, MemOutcome::Acquired(acquired)) => {
+                let actions = self.engine.on_lock_reply(slot, acquired);
+                self.extend_with_completions(out, actions);
+            }
+            (Pending::CaptureRead { capture, block }, MemOutcome::Data(data)) => {
                 let ctx = self
                     .captures
                     .get_mut(&capture)
@@ -772,90 +726,28 @@ impl R2p2 {
                     }
                 }
             }
-            other => panic!("read completion for a non-read token: {other:?}"),
+            (pending, outcome) => panic!("{outcome:?} does not complete {pending:?}"),
         }
     }
 
-    /// Completes a remote write-lock CAS, appending its reply packet to
-    /// `out`.
+    /// Completes a memory read issued earlier: [`R2p2::complete_into`]
+    /// with the read's data, into a fresh buffer.
     ///
     /// # Panics
     ///
-    /// Panics on unknown or non-CAS tokens.
-    pub fn on_cas_done_into(&mut self, token: MemToken, acquired: bool, out: &mut Vec<Packet>) {
-        match self.take(token) {
-            Pending::CasApply(route) => out.push(self.reply(
-                route,
-                PacketKind::CasReply {
-                    transfer: route.transfer,
-                    acquired,
-                },
-            )),
-            other => panic!("CAS completion for non-CAS token: {other:?}"),
-        }
+    /// Panics if `token` is not a read's.
+    pub fn on_mem_reply(&mut self, token: MemToken, data: Block) -> Vec<R2p2Action> {
+        sends(|out| self.complete_into(token, MemOutcome::Data(data), out))
     }
 
-    /// Completes a remote unlock, appending its reply packet to `out`.
+    /// Completes a one-sided write: [`R2p2::complete_into`] into a fresh
+    /// buffer.
     ///
     /// # Panics
     ///
-    /// Panics on unknown or non-unlock tokens.
-    pub fn on_unlock_done_into(&mut self, token: MemToken, out: &mut Vec<Packet>) {
-        match self.take(token) {
-            Pending::UnlockApply(route) => out.push(self.reply(
-                route,
-                PacketKind::UnlockAck {
-                    transfer: route.transfer,
-                },
-            )),
-            other => panic!("unlock completion for non-unlock token: {other:?}"),
-        }
-    }
-
-    /// Completes a one-sided write.
-    ///
-    /// Allocates its result; the event loop calls
-    /// [`R2p2::on_mem_write_done_into`] with a buffer it reuses.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown or non-write tokens.
+    /// Panics if `token` is not a write's or an unlock's.
     pub fn on_mem_write_done(&mut self, token: MemToken) -> Vec<R2p2Action> {
-        sends(|out| self.on_mem_write_done_into(token, out))
-    }
-
-    /// [`R2p2::on_mem_write_done`] appending its acknowledgement to `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown or non-write tokens.
-    pub fn on_mem_write_done_into(&mut self, token: MemToken, out: &mut Vec<Packet>) {
-        match self.take(token) {
-            Pending::WriteApply { route, block_index } => out.push(self.reply(
-                route,
-                PacketKind::WriteAck {
-                    transfer: route.transfer,
-                    block_index,
-                },
-            )),
-            other => panic!("write completion for non-write token: {other:?}"),
-        }
-    }
-
-    /// Completes a reader-lock acquire RMW, appending the packets it sends
-    /// to `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown or non-lock tokens.
-    pub fn on_lock_reply_into(&mut self, token: MemToken, acquired: bool, out: &mut Vec<Packet>) {
-        match self.take(token) {
-            Pending::SabreLock { slot } => {
-                let actions = self.engine.on_lock_reply(slot, acquired);
-                self.extend_with_completions(out, actions);
-            }
-            other => panic!("lock completion for non-lock token: {other:?}"),
-        }
+        sends(|out| self.complete_into(token, MemOutcome::Done, out))
     }
 
     /// Delivers a coherence invalidation to the engine's stream buffers
@@ -870,27 +762,19 @@ impl R2p2 {
         }
     }
 
+    /// Sends each finished SABRe's validation packet to its requester,
+    /// whom its id names, and unparks a waiting SABRe into the freed slot.
     fn extend_with_completions(&mut self, out: &mut Vec<Packet>, actions: Vec<Action>) {
-        for action in actions {
-            let Action::Complete { slot, id, atomic } = action;
-            let route = self
-                .routes
-                .remove(&slot.0)
-                .unwrap_or_else(|| panic!("completion for routeless slot of {id}"));
-            out.push(self.reply(
-                route,
-                PacketKind::SabreValidation {
-                    transfer: route.transfer,
-                    atomic,
-                },
-            ));
+        for Action::Complete { id, atomic, .. } in actions {
+            let transfer = id.transfer;
+            out.push(self.reply(id, PacketKind::SabreValidation { transfer, atomic }));
             self.try_unpark();
         }
     }
 }
 
-/// Runs a `*_into` completion into a fresh buffer and returns its packets
-/// as the sends the `Vec`-returning wrappers report.
+/// Runs a completion into a fresh buffer and returns its packets as the
+/// sends the `Vec`-returning wrappers report.
 fn sends(complete: impl FnOnce(&mut Vec<Packet>)) -> Vec<R2p2Action> {
     let mut out = Vec::new();
     complete(&mut out);
@@ -935,8 +819,29 @@ mod tests {
     }
 
     #[test]
+    fn a_token_is_at_most_two_words() {
+        // `R2p2Action` and the cluster's events carry tokens by value.
+        assert!(std::mem::size_of::<MemToken>() <= 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not complete")]
+    fn an_outcome_of_the_wrong_kind_is_a_wiring_bug() {
+        let mut r = R2p2::new(1, 0, LightSabresConfig::default());
+        r.on_packet(&req(PacketKind::ReadReq {
+            addr: Addr::new(0),
+            transfer: 1,
+            block_index: 0,
+        }));
+        let Some(R2p2Action::MemRead { token, .. }) = r.next_issue() else {
+            panic!("expected MemRead");
+        };
+        r.complete_into(token, MemOutcome::Done, &mut Vec::new());
+    }
+
+    #[test]
     fn every_memory_access_names_its_block() {
-        let token = MemToken(0);
+        let token = MemToken(Pending::SabreLock { slot: SlotId(0) });
         let data_block = BlockAddr::from_index(3);
         let version_addr = Addr::new(5 * BLOCK_BYTES as u64 + 8);
         let word_block = BlockAddr::from_index(5);
@@ -945,7 +850,6 @@ mod tests {
                 R2p2Action::MemRead {
                     token,
                     block: data_block,
-                    kind: ReadKind::Plain,
                 },
                 Some(data_block),
             ),
@@ -998,11 +902,11 @@ mod tests {
             block_index: 0,
         }));
         let issue = r.next_issue().expect("read queued");
-        let R2p2Action::MemRead { token, block, kind } = issue else {
+        let R2p2Action::MemRead { token, block } = issue else {
             panic!("expected MemRead, got {issue:?}");
         };
         assert_eq!(block, BlockAddr::from_index(2));
-        assert_eq!(kind, ReadKind::Plain);
+        assert!(matches!(token.0, Pending::PlainRead { .. }));
         let out = r.on_mem_reply(token, Block([9; BLOCK_BYTES]));
         assert_eq!(out.len(), 1);
         let R2p2Action::Send(reply) = out[0] else {
@@ -1030,10 +934,10 @@ mod tests {
         // Two data issues.
         let mut tokens = Vec::new();
         while let Some(a) = r.next_issue() {
-            let R2p2Action::MemRead { token, kind, .. } = a else {
+            let R2p2Action::MemRead { token, .. } = a else {
                 panic!("expected MemRead, got {a:?}");
             };
-            assert_eq!(kind, ReadKind::SabreData);
+            assert!(matches!(token.0, Pending::SabreData { .. }));
             tokens.push(token);
         }
         assert_eq!(tokens.len(), 2);
@@ -1084,6 +988,73 @@ mod tests {
     }
 
     #[test]
+    fn a_parked_sabre_answers_its_own_requester() {
+        let cfg = LightSabresConfig {
+            stream_buffers: 1,
+            ..LightSabresConfig::default()
+        };
+        let mut r = R2p2::new(1, 0, cfg);
+        for pkt in sabre_packets(1, 0, 64) {
+            r.on_packet(&pkt);
+        }
+        // A two-block SABRe from another node, pipeline and transfer
+        // parks behind the first.
+        for mut pkt in sabre_packets(2, 4096, 128) {
+            pkt.src_node = 2;
+            pkt.src_pipe = 3;
+            r.on_packet(&pkt);
+        }
+        assert_eq!(r.stats().sabres_parked, 1);
+        let R2p2Action::MemRead { token, .. } = r.next_issue().unwrap() else {
+            panic!("expected MemRead")
+        };
+        let first = r.on_mem_reply(token, block_with_version(0));
+        let mut parked = Vec::new();
+        while let Some(a) = r.next_issue() {
+            let R2p2Action::MemRead { token, .. } = a else {
+                panic!("expected MemRead, got {a:?}")
+            };
+            parked.extend(r.on_mem_reply(token, block_with_version(2)));
+        }
+        let sent = |actions: Vec<R2p2Action>| -> Vec<(NodeId, PipeId, PacketKind)> {
+            actions
+                .into_iter()
+                .map(|a| match a {
+                    R2p2Action::Send(p) => (p.dst_node, p.dst_pipe, p.kind),
+                    a => panic!("expected Send, got {a:?}"),
+                })
+                .collect()
+        };
+        let first = sent(first);
+        assert_eq!(first.len(), 2, "one block and the validation");
+        assert!(first.iter().all(|&(node, pipe, _)| (node, pipe) == (0, 1)));
+        let parked = sent(parked);
+        assert_eq!(parked.len(), 3, "two blocks and the validation");
+        for (i, &(node, pipe, kind)) in parked.iter().enumerate() {
+            assert_eq!(
+                (node, pipe),
+                (2, 3),
+                "reply {i} goes to the parked requester"
+            );
+            match kind {
+                PacketKind::SabreReply {
+                    transfer,
+                    block_index,
+                    ..
+                } => assert_eq!((transfer, block_index), (2, i as u32)),
+                k => assert_eq!(
+                    k,
+                    PacketKind::SabreValidation {
+                        transfer: 2,
+                        atomic: true
+                    }
+                ),
+            }
+        }
+        assert!(matches!(parked[2].2, PacketKind::SabreValidation { .. }));
+    }
+
+    #[test]
     fn one_sided_write_acks() {
         let mut r = R2p2::new(1, 0, LightSabresConfig::default());
         r.on_packet(&req(PacketKind::WriteReq {
@@ -1118,7 +1089,7 @@ mod tests {
         };
         assert_eq!(version_addr, Addr::new(0));
         let mut out = Vec::new();
-        r.on_cas_done_into(token, true, &mut out);
+        r.complete_into(token, MemOutcome::Acquired(true), &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(
             out[0].kind,
@@ -1135,7 +1106,7 @@ mod tests {
             panic!("expected WriterUnlock");
         };
         out.clear();
-        r.on_unlock_done_into(token, &mut out);
+        r.complete_into(token, MemOutcome::Done, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].kind, PacketKind::UnlockAck { transfer: 5 });
     }
@@ -1151,10 +1122,10 @@ mod tests {
         }));
         assert_eq!(r.stats().captured_reads, 1);
         // First issue: the header block.
-        let R2p2Action::MemRead { token, block, kind } = r.next_issue().unwrap() else {
+        let R2p2Action::MemRead { token, block } = r.next_issue().unwrap() else {
             panic!("expected MemRead")
         };
-        assert_eq!(kind, ReadKind::Capture);
+        assert!(matches!(token.0, Pending::CaptureRead { .. }));
         assert_eq!(block, BlockAddr::from_index(0));
         assert!(r.next_issue().is_none(), "slot blocks wait for the header");
         // Publish word names slot 1 → slot base = 64 + 1*128 = 192.
@@ -1244,10 +1215,10 @@ mod tests {
         let mut tokens = Vec::new();
         let mut blocks = Vec::new();
         while let Some(a) = r.next_issue() {
-            let R2p2Action::MemRead { token, block, kind } = a else {
+            let R2p2Action::MemRead { token, block } = a else {
                 panic!("expected MemRead, got {a:?}")
             };
-            assert_eq!(kind, ReadKind::CatchUp);
+            assert!(matches!(token.0, Pending::CatchUpRead { .. }));
             tokens.push(token);
             blocks.push(block);
         }

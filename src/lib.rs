@@ -21,7 +21,7 @@
 //! | [`farm`] | `sabre-farm` | object store, KV store, FaRM read/write paths |
 //! | [`sw`] | `sabre-sw` | software atomicity layouts and the CPU cost model |
 //! | [`mem`] | `sabre-mem` | functional memory, LLC model, DRAM timing |
-//! | [`fabric`] | `sabre-fabric` | on-chip mesh and inter-node fabric |
+//! | [`fabric`] | `sabre-fabric` | inter-node fabric and rack topologies |
 //! | [`sim`] | `sabre-sim` | event queue, virtual time, statistics |
 //!
 //! ## Quickstart
