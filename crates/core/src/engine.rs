@@ -46,6 +46,9 @@ pub struct BlockIssue {
     pub block_index: u32,
     /// The block to access.
     pub block: BlockAddr,
+    /// The SABRe's version/lock word: the word a reader-lock acquire or
+    /// release modifies (carried here because a release frees the slot).
+    pub version_addr: Addr,
     /// What kind of access.
     pub kind: IssueKind,
 }
@@ -327,39 +330,32 @@ impl LightSabres {
     fn try_issue_slot(&mut self, idx: usize) -> Option<BlockIssue> {
         let entry = self.entries[idx].as_mut()?;
         let slot = SlotId(idx as u8);
+        let version_addr = entry.version_addr();
+        // A header operation accesses the version/lock word's block.
+        let header = |kind| BlockIssue {
+            slot,
+            block_index: 0,
+            block: version_addr.block(),
+            version_addr,
+            kind,
+        };
 
         // A pending reader-lock release has priority; it also frees the slot.
         if entry.state == SabreState::Releasing {
-            let issue = BlockIssue {
-                slot,
-                block_index: 0,
-                block: entry.version_addr().block(),
-                kind: IssueKind::LockRelease,
-            };
             self.free_slot(idx);
-            return Some(issue);
+            return Some(header(IssueKind::LockRelease));
         }
 
         // Locking mode: the reader-lock acquire is the head access.
         if self.cfg.cc_mode == CcMode::Locking && !entry.lock_issued && !entry.aborted {
             entry.lock_issued = true;
-            return Some(BlockIssue {
-                slot,
-                block_index: 0,
-                block: entry.version_addr().block(),
-                kind: IssueKind::LockAcquire,
-            });
+            return Some(header(IssueKind::LockAcquire));
         }
 
         // OCC revalidation: header re-read once data is complete.
         if entry.state == SabreState::Validating && !entry.validate_issued {
             entry.validate_issued = true;
-            return Some(BlockIssue {
-                slot,
-                block_index: 0,
-                block: entry.version_addr().block(),
-                kind: IssueKind::Validate,
-            });
+            return Some(header(IssueKind::Validate));
         }
 
         // Data issue, subject to the §4.1/§5.1 gates.
@@ -405,6 +401,7 @@ impl LightSabres {
             slot,
             block_index: i,
             block: entry.block(i),
+            version_addr,
             kind: IssueKind::Data,
         })
     }

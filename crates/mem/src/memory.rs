@@ -1,7 +1,7 @@
 //! The functional byte store backing one node.
 //!
-//! `NodeMemory` is deliberately *functional only*: it answers "what bytes
-//! are at this address" and tracks a per-block write epoch. All timing (who
+//! `NodeMemory` is deliberately *functional only* and holds nothing but
+//! the bytes: it answers "what bytes are at this address". All timing (who
 //! gets serviced when) lives in [`crate::timing`]; all visibility (who gets
 //! told about a write) lives in the snoop fan-out wired up by the assembly
 //! crate. Because readers and writers touch `NodeMemory` at the simulated
@@ -11,7 +11,8 @@
 
 use crate::block::{Addr, BlockAddr, BLOCK_BYTES};
 
-/// Byte-accurate memory of one node, with per-block write epochs.
+/// Byte-accurate memory of one node: its bytes and nothing else, so a
+/// node's host footprint is its simulated capacity.
 ///
 /// # Example
 ///
@@ -25,9 +26,6 @@ use crate::block::{Addr, BlockAddr, BLOCK_BYTES};
 #[derive(Debug, Clone)]
 pub struct NodeMemory {
     bytes: Vec<u8>,
-    /// Incremented on every write touching the block; lets tests and
-    /// assertions detect concurrent modification cheaply.
-    epochs: Vec<u32>,
 }
 
 impl NodeMemory {
@@ -42,7 +40,6 @@ impl NodeMemory {
         let size = size.div_ceil(BLOCK_BYTES) * BLOCK_BYTES;
         NodeMemory {
             bytes: vec![0; size],
-            epochs: vec![0; size / BLOCK_BYTES],
         }
     }
 
@@ -74,8 +71,7 @@ impl NodeMemory {
         &self.bytes[start..end]
     }
 
-    /// Writes `data` starting at `addr`, bumping the epoch of every block
-    /// touched.
+    /// Writes `data` starting at `addr`.
     ///
     /// # Panics
     ///
@@ -90,11 +86,6 @@ impl NodeMemory {
             .filter(|&e| e <= self.bytes.len())
             .unwrap_or_else(|| panic!("write past end of memory: {addr}+{}", data.len()));
         self.bytes[start..end].copy_from_slice(data);
-        let first = addr.block().index();
-        let last = (addr + (data.len() as u64 - 1)).block().index();
-        for b in first..=last {
-            self.epochs[b as usize] += 1;
-        }
     }
 
     /// Reads one whole cache block.
@@ -138,15 +129,6 @@ impl NodeMemory {
         self.write(addr, &value.to_le_bytes());
     }
 
-    /// Write epoch of a block (number of writes that have touched it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block is out of range.
-    pub fn epoch(&self, block: BlockAddr) -> u32 {
-        self.epochs[block.index() as usize]
-    }
-
     /// Number of blocks in this memory.
     pub fn block_count(&self) -> u64 {
         (self.bytes.len() / BLOCK_BYTES) as u64
@@ -185,18 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn epochs_track_touched_blocks() {
-        let mut m = NodeMemory::new(1024);
-        assert_eq!(m.epoch(BlockAddr::from_index(0)), 0);
-        // A 100-byte write starting at 60 touches blocks 0..=2.
-        m.write(Addr::new(60), &[7u8; 100]);
-        assert_eq!(m.epoch(BlockAddr::from_index(0)), 1);
-        assert_eq!(m.epoch(BlockAddr::from_index(1)), 1);
-        assert_eq!(m.epoch(BlockAddr::from_index(2)), 1);
-        assert_eq!(m.epoch(BlockAddr::from_index(3)), 0);
-    }
-
-    #[test]
     fn u64_round_trip() {
         let mut m = NodeMemory::new(256);
         m.write_u64(Addr::new(8), 0xDEAD_BEEF_0123_4567);
@@ -207,7 +177,7 @@ mod tests {
     fn empty_write_is_noop() {
         let mut m = NodeMemory::new(256);
         m.write(Addr::new(0), &[]);
-        assert_eq!(m.epoch(BlockAddr::from_index(0)), 0);
+        assert!(m.slice(Addr::new(0), 256).iter().all(|&b| b == 0));
     }
 
     #[test]

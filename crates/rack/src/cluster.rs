@@ -1507,6 +1507,12 @@ impl CoreApi<'_> {
         self.exec.node_ref(self.node).memory.read_vec(addr, len)
     }
 
+    /// Reads the 64-bit little-endian word at `addr` in this node's memory
+    /// (functional, instant, allocation-free): version and lock words.
+    pub fn read_local_u64(&self, addr: Addr) -> u64 {
+        self.exec.node_ref(self.node).memory.read_u64(addr)
+    }
+
     /// Performs one local store of up to a cache block: functional write,
     /// LLC fill and coherence invalidation fan-out, at the current instant.
     /// This is the primitive writer threads build object updates from.

@@ -265,17 +265,14 @@ impl UpdatePlan {
         respect_reader_locks: bool,
     ) -> bool {
         if respect_reader_locks {
-            let rlock = api.read_local(base + ReaderLockWord::OFFSET_FROM_VERSION, 8);
-            let readers = u64::from_le_bytes(rlock.try_into().expect("8 bytes"));
+            let readers = api.read_local_u64(base + ReaderLockWord::OFFSET_FROM_VERSION);
             if readers > 0 {
                 api.sleep(READER_LOCK_SPIN);
                 return false;
             }
         }
         let va = layout.version_addr(base);
-        let v = VersionWord::new(u64::from_le_bytes(
-            api.read_local(va, 8).try_into().expect("8 bytes"),
-        ));
+        let v = VersionWord::new(api.read_local_u64(va));
         if layout.takes_lock() {
             api.store_local_u64(va, v.locked().raw());
         }

@@ -1,0 +1,177 @@
+//! The host pays memory only for simulated state.
+//!
+//! A counting global allocator checks two footprints in sequence:
+//!
+//! 1. Building a 256-node datacenter (16 cores and 1 MiB of memory per
+//!    node) and resetting its metrics requests no more than each node's
+//!    simulated memory, its LLC tag array and 32 KiB of engine, pipeline
+//!    and per-core state. Nothing shadows the memory per block, and a
+//!    core that never records a latency holds no histogram buckets.
+//! 2. A warm window of an 8-node rack whose store nodes each run four
+//!    zero-think CREW writers, beside readers issuing plain remote reads,
+//!    allocates at most once per 10,000 handled events: a writer reads its
+//!    version and reader-lock words without touching the heap.
+//!
+//! This binary holds a single test so no other test allocates while the
+//! footprints are measured.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use sabre_mem::{Addr, BLOCK_BYTES};
+use sabre_rack::workloads::Writer;
+use sabre_rack::{spec, Arrivals, Cluster, ReadMechanism, ScenarioBuilder, StoreLayout};
+use sabre_sim::Time;
+
+/// Counts every allocation and reallocation, and the bytes each one
+/// requests, then defers to the system allocator.
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const PAYLOAD: u32 = 1024;
+const OBJECTS: u64 = 128;
+const WRITERS_PER_STORE: usize = 4;
+
+/// Bytes `Cluster::new` plus `reset_metrics` request per node of a
+/// 256-node, 16-core datacenter with 1 MiB of memory per node, and the
+/// budget: that memory, the LLC tag array and 32 KiB.
+fn datacenter_bytes_per_node() -> (u64, u64) {
+    let mut cfg = ScenarioBuilder::new()
+        .seed(1)
+        .nodes(256)
+        .datacenter(4, 8, 2)
+        .config()
+        .clone();
+    cfg.memory_bytes = 1024 * 1024;
+    assert_eq!(cfg.cores_per_node, 16);
+    let tag_bytes = cfg.llc_bytes / BLOCK_BYTES * std::mem::size_of::<u64>();
+    let budget = (cfg.memory_bytes + tag_bytes + 32 * 1024) as u64;
+    let nodes = cfg.nodes as u64;
+
+    let before = BYTES.load(Ordering::Relaxed);
+    let mut cluster = Cluster::new(cfg);
+    cluster.reset_metrics();
+    let requested = BYTES.load(Ordering::Relaxed) - before;
+    drop(cluster);
+    (requested / nodes, budget)
+}
+
+/// The 8-node rack: four zero-think writers updating each store node's
+/// clean objects round-robin, and two Poisson reader cores per reader
+/// node issuing plain reads of those objects.
+fn writer_rack() -> (Cluster, Vec<(usize, Vec<Addr>)>) {
+    let cfg = ScenarioBuilder::new().seed(1).nodes(8).config().clone();
+    let readers = cfg.topology.reader_nodes();
+    let stores = cfg.topology.store_nodes();
+    let slot = StoreLayout::Clean.object_bytes(PAYLOAD as usize) as u64;
+    let objects: Vec<Addr> = (0..OBJECTS).map(|i| Addr::new(i * slot)).collect();
+    let entries: Vec<(u64, Addr)> = objects
+        .iter()
+        .copied()
+        .enumerate()
+        .map(|(i, a)| (i as u64, a))
+        .collect();
+    let mut cluster = Cluster::new(cfg);
+    for &store in &stores {
+        for (core, mine) in entries
+            .chunks(entries.len() / WRITERS_PER_STORE)
+            .enumerate()
+        {
+            let writer = Writer::new(mine.to_vec(), PAYLOAD, StoreLayout::Clean, Time::ZERO);
+            cluster.add_workload(store, core, Box::new(writer));
+        }
+    }
+    for (&reader, &store) in readers.iter().zip(&stores) {
+        for core in 0..2 {
+            let program = spec()
+                .store(store)
+                .payload(PAYLOAD)
+                .mechanism(ReadMechanism::Raw)
+                .wire(slot as u32)
+                .objects(objects.clone())
+                .arrivals(Arrivals::Poisson { ops_per_us: 0.8 })
+                .build(&objects);
+            cluster.add_workload(reader, core, program);
+        }
+    }
+    let stored = stores.into_iter().map(|s| (s, objects.clone())).collect();
+    (cluster, stored)
+}
+
+/// The sum of every object's version word on every store node.
+fn version_sum(cluster: &Cluster, stores: &[(usize, Vec<Addr>)]) -> u64 {
+    stores
+        .iter()
+        .flat_map(|(node, objects)| objects.iter().map(move |&a| (*node, a)))
+        .map(|(node, a)| cluster.node_memory(node).read_u64(a))
+        .sum()
+}
+
+#[test]
+fn the_host_pays_only_for_simulated_state() {
+    let (per_node, budget) = datacenter_bytes_per_node();
+    assert!(
+        per_node <= budget,
+        "building and resetting a node requests {per_node} bytes, budget {budget}"
+    );
+
+    let (mut cluster, stores) = writer_rack();
+    cluster.run_for(Time::from_us(50));
+    cluster.reset_metrics();
+    let versions = version_sum(&cluster, &stores);
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    cluster.run_for(Time::from_us(500));
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    let events = cluster.events_handled().total();
+    let updates = (version_sum(&cluster, &stores) - versions) / 2;
+    let cores = cluster.config().cores_per_node;
+    let reads: u64 = (0..8)
+        .flat_map(|n| (0..cores).map(move |c| (n, c)))
+        .map(|(n, c)| cluster.metrics(n, c).ops)
+        .sum();
+    assert!(
+        updates > 1_000,
+        "the writers must keep updating: {updates} updates"
+    );
+    assert!(
+        reads > 1_000,
+        "the readers must keep reading: {reads} reads"
+    );
+    assert!(
+        allocations * 10_000 <= events,
+        "{allocations} allocations in {events} handled events"
+    );
+}

@@ -122,6 +122,9 @@ impl MeanTracker {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
+    /// Per-bucket counts, empty exactly while `count == 0` (the first
+    /// sample allocates them): a core that never records holds no bucket
+    /// array, and the derived `==` still compares bucket counts.
     buckets: Vec<u64>,
     count: u64,
     sum_ns: u64,
@@ -141,10 +144,11 @@ const LAST_OCTAVE: u32 = 40;
 const LAT_BUCKETS: usize = SUB + (LAST_OCTAVE as usize - SUB_BITS as usize) * SUB;
 
 impl LatencyHistogram {
-    /// Creates an empty histogram.
+    /// Creates an empty histogram; it allocates its buckets on the first
+    /// [`record`](LatencyHistogram::record).
     pub fn new() -> Self {
         LatencyHistogram {
-            buckets: vec![0; LAT_BUCKETS],
+            buckets: Vec::new(),
             count: 0,
             sum_ns: 0,
             max_ns: 0,
@@ -187,6 +191,9 @@ impl LatencyHistogram {
 
     /// Records one latency sample in integer nanoseconds.
     pub fn record(&mut self, ns: u64) {
+        if self.buckets.is_empty() {
+            self.buckets = vec![0; LAT_BUCKETS];
+        }
         self.buckets[Self::index_of(ns)] += 1;
         self.count += 1;
         self.sum_ns = self.sum_ns.saturating_add(ns);
@@ -263,8 +270,12 @@ impl LatencyHistogram {
     /// associative and commutative, so any reduction grouping produces
     /// identical results.
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
+        if self.buckets.is_empty() {
+            self.buckets.clone_from(&other.buckets);
+        } else {
+            for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+                *a += b;
+            }
         }
         self.count += other.count;
         self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);

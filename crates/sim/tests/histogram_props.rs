@@ -3,7 +3,8 @@
 //! commutative, and any partition of a sample stream across histograms
 //! must merge back to the histogram of the whole stream — the property
 //! that makes per-core (and per-shard) accumulation order irrelevant to
-//! every reported percentile.
+//! every reported percentile. A histogram that never recorded (it holds
+//! no buckets yet) is the identity of that sum.
 
 use proptest::prelude::*;
 
@@ -71,6 +72,31 @@ proptest! {
     }
 
     #[test]
+    fn never_recorded_parts_merge_to_the_whole(
+        samples in proptest::collection::vec(0u64..10_000_000, 0..200),
+        cut in any::<usize>(),
+        empties in 0usize..4,
+    ) {
+        // Cores that never record sit between the ones that do: the
+        // reduction starts from one and meets more on the way, and the
+        // result is the histogram of the whole stream, field for field.
+        let whole = hist_of(&samples);
+        let cut = cut % (samples.len() + 1);
+        let mut merged = LatencyHistogram::new();
+        for part in [&samples[..cut], &samples[cut..]] {
+            for _ in 0..empties {
+                merged.merge(&LatencyHistogram::new());
+            }
+            merged.merge(&hist_of(part));
+        }
+        prop_assert_eq!(&merged, &whole);
+        prop_assert_eq!(fingerprint(&merged), fingerprint(&whole));
+        let mut into_whole = whole.clone();
+        into_whole.merge(&LatencyHistogram::new());
+        prop_assert_eq!(&into_whole, &whole);
+    }
+
+    #[test]
     fn quantiles_respect_the_resolution_bound(
         samples in proptest::collection::vec(1u64..100_000_000, 1..100),
         q in 0.0f64..1.0,
@@ -87,4 +113,12 @@ proptest! {
         let covered = samples.iter().any(|&s| s <= v && v as f64 <= s as f64 * 1.0625);
         prop_assert!(covered, "quantile {v} not within 6.25% above any sample");
     }
+}
+
+#[test]
+fn a_never_recorded_histogram_dumps_nothing() {
+    let h = LatencyHistogram::new();
+    assert_eq!(h.dump(), "");
+    assert_eq!(h, LatencyHistogram::default());
+    assert_eq!(fingerprint(&h), (0, String::new(), vec![None; 5]));
 }

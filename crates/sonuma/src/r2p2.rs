@@ -605,21 +605,16 @@ impl R2p2 {
                 token: MemToken(Pending::SabreValidate { slot }),
                 block: issue.block,
             },
-            IssueKind::LockAcquire => {
-                let entry = self
-                    .engine
-                    .entry(slot)
-                    .expect("lock acquire for a live slot");
-                R2p2Action::LockRmw {
-                    token: MemToken(Pending::SabreLock { slot }),
-                    version_addr: entry.version_addr(),
-                }
-            }
+            IssueKind::LockAcquire => R2p2Action::LockRmw {
+                token: MemToken(Pending::SabreLock { slot }),
+                version_addr: issue.version_addr,
+            },
             IssueKind::LockRelease => {
                 // Pulling the release frees the slot; parked SABRes can run.
-                let version_addr = issue.block.first_byte();
                 self.try_unpark();
-                R2p2Action::LockRelease { version_addr }
+                R2p2Action::LockRelease {
+                    version_addr: issue.version_addr,
+                }
             }
         })
     }
@@ -784,7 +779,9 @@ fn sends(complete: impl FnOnce(&mut Vec<Packet>)) -> Vec<R2p2Action> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sabre_mem::BLOCK_BYTES;
+    use sabre_core::CcMode;
+    use sabre_mem::{NodeMemory, BLOCK_BYTES};
+    use sabre_sw::ReaderLockWord;
 
     fn req(kind: PacketKind) -> Packet {
         Packet {
@@ -955,6 +952,53 @@ mod tests {
                 atomic: true
             }
         );
+    }
+
+    #[test]
+    fn a_reader_lock_is_released_at_the_word_it_was_acquired_at() {
+        let cfg = LightSabresConfig {
+            cc_mode: CcMode::Locking,
+            ..LightSabresConfig::default()
+        };
+        let mut r = R2p2::new(1, 0, cfg);
+        let mut packets = sabre_packets(1, 0, 64);
+        let PacketKind::SabreReg { version_offset, .. } = &mut packets[0].kind else {
+            panic!("the first packet registers the SABRe")
+        };
+        *version_offset = 8;
+        for pkt in packets {
+            r.on_packet(&pkt);
+        }
+        let mut mem = NodeMemory::new(4096);
+        let version_addr = Addr::new(8);
+        let lock_word = version_addr + ReaderLockWord::OFFSET_FROM_VERSION;
+        let (mut acquires, mut releases) = (0, 0);
+        while let Some(a) = r.next_issue() {
+            match a {
+                R2p2Action::LockRmw {
+                    token,
+                    version_addr: at,
+                } => {
+                    assert_eq!(at, version_addr, "acquired at the version word");
+                    let acquired = ReaderLockWord::try_shared_acquire(&mut mem, at);
+                    assert_eq!(mem.read_u64(lock_word), 1);
+                    r.complete_into(token, MemOutcome::Acquired(acquired), &mut Vec::new());
+                    acquires += 1;
+                }
+                R2p2Action::MemRead { token, block } => {
+                    let data = Block(mem.read_block(block));
+                    r.complete_into(token, MemOutcome::Data(data), &mut Vec::new());
+                }
+                R2p2Action::LockRelease { version_addr: at } => {
+                    assert_eq!(at, version_addr, "released at the word it acquired");
+                    ReaderLockWord::shared_release(&mut mem, at);
+                    releases += 1;
+                }
+                a => panic!("unexpected access {a:?}"),
+            }
+        }
+        assert_eq!((acquires, releases), (1, 1));
+        assert_eq!(mem.read_u64(lock_word), 0, "the lock word is free again");
     }
 
     #[test]

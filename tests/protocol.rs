@@ -69,14 +69,6 @@ fn one_sided_write_lands_with_invalidations() {
         payload,
         "payload must land at the destination"
     );
-    // The write epochs advanced at the destination (4 blocks touched).
-    assert!(
-        report
-            .cluster()
-            .node_memory(1)
-            .epoch(Addr::new(4096).block())
-            > 0
-    );
 }
 
 #[test]
