@@ -52,11 +52,19 @@ fn table1_dest_occ_scenario(iters: u64) -> (u64, Option<f64>) {
     (m.ops, m.latency.mean())
 }
 
+/// Ops and mean latency of the Table-1 quadrant over 200 us, recorded
+/// from the hand-wired `Cluster::new` construction.
+const TABLE1_PIN: (u64, f64) = (775, 257.943_225_806_453_5);
+
 #[test]
 fn table1_quadrant_scenario_matches_legacy_bitwise() {
     let legacy = table1_dest_occ_legacy(10);
     let scenario = table1_dest_occ_scenario(10);
-    assert!(legacy.0 > 0, "legacy run must complete ops");
+    assert_eq!(
+        (scenario.0, scenario.1.map(f64::to_bits)),
+        (TABLE1_PIN.0, Some(TABLE1_PIN.1.to_bits())),
+        "the scenario left the recorded legacy fingerprint"
+    );
     assert_eq!(
         legacy, scenario,
         "same seed must give identical ops and mean latency"
@@ -118,11 +126,19 @@ fn fig7a_point_scenario(size: u32, iters: u64) -> (u64, Option<f64>) {
     (m.ops, m.latency.mean())
 }
 
+/// Ops and mean latency of the 1 KB fig-7a point over 100 us, recorded
+/// from the hand-wired `Cluster::new` construction.
+const FIG7A_PIN: (u64, f64) = (342, 292.362_807_017_545_26);
+
 #[test]
 fn fig7a_point_scenario_matches_legacy_bitwise() {
     let legacy = fig7a_point_legacy(1024, 10);
     let scenario = fig7a_point_scenario(1024, 10);
-    assert!(legacy.0 > 0, "legacy run must complete ops");
+    assert_eq!(
+        (scenario.0, scenario.1.map(f64::to_bits)),
+        (FIG7A_PIN.0, Some(FIG7A_PIN.1.to_bits())),
+        "the scenario left the recorded legacy fingerprint"
+    );
     assert_eq!(
         legacy, scenario,
         "same seed must give identical ops and mean latency"
