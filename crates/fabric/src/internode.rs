@@ -442,13 +442,6 @@ impl Fabric {
     pub fn packets_total(&self) -> u64 {
         self.ports.iter().map(|p| p.stats.packets).sum()
     }
-
-    /// Utilization of the `src → dst` link over `[0, horizon]`.
-    pub fn link_utilization(&self, src: usize, dst: usize, horizon: Time) -> f64 {
-        self.ports[src]
-            .link(dst)
-            .map_or(0.0, |l| l.server.utilization(horizon))
-    }
 }
 
 /// One source node's outbound mailbox in a [`ShardRouter`].
@@ -889,7 +882,6 @@ mod tests {
         assert_eq!(f.link_bytes(0, 31), 0);
         assert_eq!(f.link_packets(0, 31), 0);
         assert_eq!(f.node_hop_stats(0).packets, 0);
-        assert_eq!(f.link_utilization(0, 31, Time::from_ns(100)), 0.0);
         assert_eq!(f.packets_total(), 0);
     }
 

@@ -200,16 +200,6 @@ impl RackTopology {
         }
     }
 
-    /// Nodes one rack holds: `radix²` for [`RackTopology::Datacenter`],
-    /// `None` for the single-rack topologies (the whole fabric is the
-    /// rack).
-    pub fn nodes_per_rack(self) -> Option<usize> {
-        match self {
-            RackTopology::Datacenter { radix, .. } => Some((radix.max(1) as usize).pow(2)),
-            _ => None,
-        }
-    }
-
     /// Whether a `src → dst` packet climbs a leaf uplink (fat tree and
     /// datacenter: the endpoints sit on different leaves).
     pub fn crosses_uplink(self, src: usize, dst: usize) -> bool {
@@ -433,7 +423,6 @@ mod tests {
         assert_eq!(dc.leaf_of(16), Some(4), "leaves number across racks");
         assert_eq!(dc.rack_of(15), Some(0));
         assert_eq!(dc.rack_of(16), Some(1));
-        assert_eq!(dc.nodes_per_rack(), Some(16));
         assert_eq!(dc.hops(0, 3), 1, "same leaf is one switch traversal");
         assert_eq!(dc.hops(0, 15), 3, "same rack crosses the rack spine");
         assert_eq!(dc.hops(0, 16), 5, "cross rack adds the dc spine");

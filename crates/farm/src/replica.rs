@@ -146,11 +146,6 @@ impl ReplicatedStore {
         self.replicas.iter().map(|s| s.node() as usize).collect()
     }
 
-    /// Number of replicas (k).
-    pub fn replication_factor(&self) -> usize {
-        self.replicas.len()
-    }
-
     /// Clean payload bytes per object.
     pub fn payload(&self) -> u32 {
         self.replicas[0].payload()
@@ -245,7 +240,6 @@ mod tests {
     #[test]
     fn geometry_is_identical_across_sites() {
         let store = ReplicatedStore::new(&[1, 3], Addr::new(64), StoreLayout::PerCl, 200, 10);
-        assert_eq!(store.replication_factor(), 2);
         assert_eq!(store.sites(), vec![1, 3]);
         let [a, b] = store.replicas() else {
             panic!("two replicas")

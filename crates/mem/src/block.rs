@@ -237,13 +237,6 @@ impl BlockRange {
             .is_some_and(|d| d < self.count)
     }
 
-    /// Whether the range crosses a superpage boundary. Inside the window of
-    /// vulnerability a SABRe must stall at such a crossing (§4.1) because
-    /// the next physical page may not be contiguous.
-    pub fn crosses_page(self) -> bool {
-        self.first.page() != self.first.offset(self.count - 1).page()
-    }
-
     /// Iterates over the blocks of the range in address order.
     pub fn iter(self) -> impl Iterator<Item = BlockAddr> {
         (0..self.count).map(move |i| self.first.offset(i))
@@ -293,17 +286,6 @@ mod tests {
         // 8 KB object: 128 blocks.
         let r = BlockRange::covering(Addr::new(0), 8192);
         assert_eq!(r.block_count(), 128);
-    }
-
-    #[test]
-    fn page_crossing_detection() {
-        let page = PAGE_BYTES as u64;
-        let r = BlockRange::covering(Addr::new(page - 64), 128);
-        assert!(r.crosses_page());
-        let r = BlockRange::covering(Addr::new(page - 128), 128);
-        assert!(!r.crosses_page());
-        let r = BlockRange::covering(Addr::new(0), 8192);
-        assert!(!r.crosses_page());
     }
 
     #[test]

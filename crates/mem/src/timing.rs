@@ -89,8 +89,6 @@ pub struct MemSystem {
     dram_occupancy: Time,
     /// A block's occupancy of one LLC bank, computed once.
     llc_occupancy: Time,
-    dram_accesses: u64,
-    llc_accesses: u64,
 }
 
 impl MemSystem {
@@ -110,8 +108,6 @@ impl MemSystem {
             dram_occupancy: transfer_time(BLOCK_BYTES as u64, cfg.channel_gbps),
             llc_occupancy: transfer_time(BLOCK_BYTES as u64, cfg.llc_bank_gbps),
             cfg,
-            dram_accesses: 0,
-            llc_accesses: 0,
         }
     }
 
@@ -126,25 +122,18 @@ impl MemSystem {
     pub fn access(&mut self, now: Time, block: BlockAddr, level: ServiceLevel) -> Time {
         match level {
             ServiceLevel::Dram => {
-                self.dram_accesses += 1;
                 let ch = self.channel_of.unit(block.index());
                 let occupancy = self.dram_occupancy;
                 let start = self.channels[ch].admit(now, occupancy);
                 start + occupancy + self.cfg.dram_latency + self.cfg.dram_overhead
             }
             ServiceLevel::Llc => {
-                self.llc_accesses += 1;
                 let bank = self.bank_of.unit(block.index());
                 let occupancy = self.llc_occupancy;
                 let start = self.banks[bank].admit(now, occupancy);
                 start + occupancy + self.cfg.llc_latency
             }
         }
-    }
-
-    /// (DRAM accesses, LLC accesses) serviced so far.
-    pub fn access_counts(&self) -> (u64, u64) {
-        (self.dram_accesses, self.llc_accesses)
     }
 }
 
@@ -210,6 +199,5 @@ mod tests {
         let l = ms.access(Time::ZERO, BlockAddr::from_index(0), ServiceLevel::Llc);
         let d = ms.access(Time::ZERO, BlockAddr::from_index(1), ServiceLevel::Dram);
         assert!(l < d);
-        assert_eq!(ms.access_counts(), (1, 1));
     }
 }

@@ -66,14 +66,6 @@ impl FifoServer {
     pub fn served(&self) -> u64 {
         self.served
     }
-
-    /// Utilization over `[0, horizon]`, clamped to 1.
-    pub fn utilization(&self, horizon: Time) -> f64 {
-        if horizon == Time::ZERO {
-            return 0.0;
-        }
-        (self.busy_total.as_ps() as f64 / horizon.as_ps() as f64).min(1.0)
-    }
 }
 
 /// A bandwidth-limited pipe (link or bus): occupancy per request is
@@ -141,11 +133,6 @@ impl BandwidthServer {
     pub fn bytes_total(&self) -> u64 {
         self.bytes_total
     }
-
-    /// Utilization over `[0, horizon]`.
-    pub fn utilization(&self, horizon: Time) -> f64 {
-        self.server.utilization(horizon)
-    }
 }
 
 #[cfg(test)]
@@ -163,14 +150,6 @@ mod tests {
         assert_eq!(s.admit(Time::from_ns(100), svc), Time::from_ns(100));
         assert_eq!(s.served(), 3);
         assert_eq!(s.busy_total(), Time::from_ns(30));
-    }
-
-    #[test]
-    fn fifo_utilization() {
-        let mut s = FifoServer::new();
-        s.admit(Time::ZERO, Time::from_ns(25));
-        assert!((s.utilization(Time::from_ns(100)) - 0.25).abs() < 1e-12);
-        assert_eq!(s.utilization(Time::ZERO), 0.0);
     }
 
     #[test]

@@ -190,11 +190,6 @@ impl Freq {
         Freq { period_ps }
     }
 
-    /// A frequency given in megahertz.
-    pub fn mhz(mhz: f64) -> Self {
-        Freq::ghz(mhz / 1_000.0)
-    }
-
     /// The clock period.
     pub fn period(self) -> Time {
         Time::from_ps(self.period_ps)
@@ -203,11 +198,6 @@ impl Freq {
     /// The duration of `n` cycles at this frequency.
     pub fn cycles(self, n: u64) -> Time {
         Time::from_ps(self.period_ps * n)
-    }
-
-    /// How many *whole* cycles fit in `t`.
-    pub fn cycles_in(self, t: Time) -> u64 {
-        t.as_ps() / self.period_ps
     }
 
     /// The duration of a fractional cycle count, rounded to the nearest
@@ -277,7 +267,6 @@ mod tests {
         assert_eq!(rmc.cycles(3), Time::from_ns(3));
         let cpu = Freq::ghz(2.0);
         assert_eq!(cpu.cycles(3), Time::from_ps(1_500));
-        assert_eq!(cpu.cycles_in(Time::from_ns(2)), 4);
         assert_eq!(cpu.cycles_f64(0.5), Time::from_ps(250));
     }
 

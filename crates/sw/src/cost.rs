@@ -9,7 +9,6 @@
 //! |---|---|---|
 //! | per-CL validate+strip | ≈2 B/cycle | Fig. 1: stripping 8 KB ≈ 2 µs — the paper hand-tuned this kernel for maximum MLP |
 //! | CRC64 | 12 cycles/B | §2.1: "about a dozen CPU cycles per checksummed byte" |
-//! | memcpy (cache-resident) | 8 B/cycle | typical for a 3-wide core with 16 B loads/stores |
 //! | streaming read, L1 | 16 B/cycle | two 8 B loads/cycle |
 //! | streaming read, LLC | 6 B/cycle | ≈12 GB/s single-thread |
 //! | streaming read, DRAM | 2.6 B/cycle | ≈5.2 GB/s single-thread with MLP |
@@ -42,8 +41,6 @@ pub struct CpuCostModel {
     pub strip_bytes_per_cycle: f64,
     /// CRC64 cost in cycles per byte.
     pub crc_cycles_per_byte: f64,
-    /// Cache-resident memcpy throughput in bytes per cycle.
-    pub memcpy_bytes_per_cycle: f64,
     /// Streaming-read throughput from L1, bytes per cycle.
     pub read_l1_bytes_per_cycle: f64,
     /// Streaming-read throughput from LLC, bytes per cycle.
@@ -58,7 +55,6 @@ impl Default for CpuCostModel {
             clock: Freq::ghz(2.0),
             strip_bytes_per_cycle: 2.0,
             crc_cycles_per_byte: 12.0,
-            memcpy_bytes_per_cycle: 8.0,
             read_l1_bytes_per_cycle: 16.0,
             read_llc_bytes_per_cycle: 6.0,
             read_mem_bytes_per_cycle: 2.6,
@@ -83,12 +79,6 @@ impl CpuCostModel {
     pub fn crc_time(&self, bytes: usize) -> Time {
         self.clock
             .cycles_f64(bytes as f64 * self.crc_cycles_per_byte)
-    }
-
-    /// Time to copy `bytes` between cache-resident buffers.
-    pub fn memcpy_time(&self, bytes: usize) -> Time {
-        self.clock
-            .cycles_f64(bytes as f64 / self.memcpy_bytes_per_cycle)
     }
 
     /// Time for the application to stream-read `bytes` from `src`.
@@ -133,13 +123,6 @@ mod tests {
         let llc = m.read_time(4096, DataSource::Llc);
         let mem = m.read_time(4096, DataSource::Memory);
         assert!(l1 < llc && llc < mem);
-    }
-
-    #[test]
-    fn memcpy_time_example() {
-        let m = CpuCostModel::default();
-        // 8 KB at 8 B/cycle = 1024 cycles = 512 ns.
-        assert_eq!(m.memcpy_time(8192), Time::from_ns(512));
     }
 
     #[test]

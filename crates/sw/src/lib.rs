@@ -15,7 +15,7 @@
 //! * [`checksum`] — Pilaf's approach: a CRC64 (ECMA-182) over the payload
 //!   stored in the header, recomputed by readers (≈12 cycles/byte).
 //! * [`locking`] — DrTM-style *remote* lock acquisition: an extra RDMA CAS
-//!   roundtrip before the data read (and the lease variant).
+//!   roundtrip before the data read.
 //! * [`cost`] — the calibrated CPU cost model (cycles per byte for strip /
 //!   CRC / copy / read) used by the latency breakdowns of Figs. 1 and 9a.
 //! * [`wf_register`] — the wait-free multi-version register layout

@@ -12,11 +12,9 @@
 //! The paper's two criticisms are both observable here: the extra roundtrip
 //! (vs. SABRes' zero) and the fault-tolerance coupling (a crashed reader
 //! leaves the lock held — represented by an unreleased lock in simulated
-//! memory). The lease variant bounds that exposure at the cost of
-//! clock-skew sensitivity, modeled as an expiry timestamp.
+//! memory).
 
 use sabre_mem::{Addr, NodeMemory};
-use sabre_sim::Time;
 
 use crate::version::VersionWord;
 
@@ -52,41 +50,6 @@ pub fn remote_unlock(mem: &mut NodeMemory, version_addr: Addr) {
     v.unlocked().store(mem, version_addr);
 }
 
-/// A lease lock: a lock acquisition that self-expires, the DrTM answer to
-/// the deadlock-on-failure problem. Sensitive to clock skew between the
-/// machines — [`LeaseLock::is_valid_at`] takes the *local* clock, and a
-/// skewed holder may believe the lease valid while the destination has
-/// already re-granted it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeaseLock {
-    /// When the lease was granted (destination clock).
-    pub granted_at: Time,
-    /// Lease duration.
-    pub duration: Time,
-}
-
-impl LeaseLock {
-    /// Grants a lease at `now` for `duration`.
-    pub fn grant(now: Time, duration: Time) -> Self {
-        LeaseLock {
-            granted_at: now,
-            duration,
-        }
-    }
-
-    /// Expiry instant (destination clock).
-    pub fn expires_at(&self) -> Time {
-        self.granted_at + self.duration
-    }
-
-    /// Whether the lease is still valid at `local_now + skew`: a holder
-    /// whose clock runs behind the grantor's by `skew` believes the lease
-    /// lasts longer than it does.
-    pub fn is_valid_at(&self, local_now: Time, skew: Time) -> bool {
-        local_now + skew < self.expires_at()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,20 +71,5 @@ mod tests {
     fn unlock_free_lock_panics() {
         let mut mem = NodeMemory::new(256);
         remote_unlock(&mut mem, Addr::new(0));
-    }
-
-    #[test]
-    fn lease_expiry() {
-        let lease = LeaseLock::grant(Time::from_us(10), Time::from_us(5));
-        assert!(lease.is_valid_at(Time::from_us(12), Time::ZERO));
-        assert!(!lease.is_valid_at(Time::from_us(15), Time::ZERO));
-    }
-
-    #[test]
-    fn clock_skew_shrinks_effective_lease() {
-        let lease = LeaseLock::grant(Time::ZERO, Time::from_us(10));
-        // With 4 us of skew the holder must stop 4 us early.
-        assert!(lease.is_valid_at(Time::from_us(5), Time::from_us(4)));
-        assert!(!lease.is_valid_at(Time::from_us(7), Time::from_us(4)));
     }
 }

@@ -120,11 +120,6 @@ impl ReaderLockWord {
         assert!(count > 0, "reader-lock release without acquire");
         mem.write_u64(lock_addr, count - 1);
     }
-
-    /// Whether a writer may proceed: no readers hold the lock.
-    pub fn writer_may_lock(mem: &NodeMemory, version_addr: Addr) -> bool {
-        mem.read_u64(version_addr + Self::OFFSET_FROM_VERSION) == 0
-    }
 }
 
 #[cfg(test)]
@@ -161,17 +156,22 @@ mod tests {
         assert_eq!(VersionWord::load(&mem, Addr::new(64)).raw(), 42);
     }
 
+    /// Readers holding the shared lock of the object at `va`.
+    fn holders(mem: &NodeMemory, va: Addr) -> u64 {
+        mem.read_u64(va + ReaderLockWord::OFFSET_FROM_VERSION)
+    }
+
     #[test]
     fn reader_lock_protocol() {
         let mut mem = NodeMemory::new(256);
         let va = Addr::new(0);
-        assert!(ReaderLockWord::writer_may_lock(&mem, va));
+        assert_eq!(holders(&mem, va), 0);
         assert!(ReaderLockWord::try_shared_acquire(&mut mem, va));
         assert!(ReaderLockWord::try_shared_acquire(&mut mem, va));
-        assert!(!ReaderLockWord::writer_may_lock(&mem, va));
+        assert_eq!(holders(&mem, va), 2);
         ReaderLockWord::shared_release(&mut mem, va);
         ReaderLockWord::shared_release(&mut mem, va);
-        assert!(ReaderLockWord::writer_may_lock(&mem, va));
+        assert_eq!(holders(&mem, va), 0);
     }
 
     #[test]
@@ -180,7 +180,7 @@ mod tests {
         let va = Addr::new(0);
         VersionWord::new(3).store(&mut mem, va); // odd: writer holds
         assert!(!ReaderLockWord::try_shared_acquire(&mut mem, va));
-        assert!(ReaderLockWord::writer_may_lock(&mem, va));
+        assert_eq!(holders(&mem, va), 0);
     }
 
     #[test]
