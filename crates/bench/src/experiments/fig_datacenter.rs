@@ -89,18 +89,8 @@ pub fn nodes_for(racks: u8) -> usize {
     racks as usize * (RADIX as usize) * (RADIX as usize)
 }
 
-/// Measures one `(racks, mechanism, placement)` point with explicit
-/// event-loop shard and worker-thread knobs. Public so the equivalence and
-/// invariant tests can certify that *this* construction — not a copy of it
-/// — is bit-identical at every `shards` × `threads` setting.
-pub fn measure_threaded(
-    racks: u8,
-    mech: ReadMechanism,
-    placement: PlacementPolicy,
-    iters: u64,
-    shards: usize,
-    threads: Option<usize>,
-) -> Point {
+/// Measures one `(racks, mechanism, placement)` point.
+pub fn measure(racks: u8, mech: ReadMechanism, placement: PlacementPolicy, iters: u64) -> Point {
     let nodes = nodes_for(racks);
     // One store followed by three readers per leaf: cohorts align with
     // the radix-4 leaves, so NearestShard has a rack-local (indeed
@@ -108,9 +98,7 @@ pub fn measure_threaded(
     let builder = ScenarioBuilder::new()
         .topology(Topology::skewed(nodes / 4, 3).with_placement(placement))
         .datacenter(racks, RADIX, OVERSUBSCRIPTION)
-        .shards(shards)
         .configure(|cfg| {
-            cfg.threads = threads;
             // 64 one-KB objects per shard fit comfortably in 2 MB; the
             // default 16 MB per node would cost the 128-node points two
             // gigabytes of host memory each.
@@ -154,12 +142,6 @@ pub fn measure_threaded(
         total_gbps: rack.gbps,
         spine_share: rack.hops.spine_share(),
     }
-}
-
-/// [`measure_threaded`] with the shipped configuration: one event-loop
-/// shard per node, serial worker resolution.
-pub fn measure(racks: u8, mech: ReadMechanism, placement: PlacementPolicy, iters: u64) -> Point {
-    measure_threaded(racks, mech, placement, iters, nodes_for(racks), None)
 }
 
 /// Runs the full sweep: rack count × mechanism × placement.

@@ -26,9 +26,8 @@
 //!
 //! Everything here is deterministic: drops are a pure function of the
 //! static plan, timers are per-core events, and the percentile columns
-//! come from the merged integer histogram, so the table is bit-identical
-//! at every shards × threads setting (pinned by the fault-determinism
-//! equivalence tests) and golden-diffable.
+//! come from the merged integer histogram, so the table is
+//! golden-diffable.
 
 use sabre_farm::{replica_sites, ScenarioStoreExt};
 use sabre_rack::{spec, FaultPlan, ReadMechanism, ScenarioBuilder, Topology};
@@ -95,23 +94,12 @@ pub struct Point {
     pub migrations: u64,
 }
 
-/// Measures one `(mechanism, policy)` point with explicit event-loop
-/// shard and worker-thread knobs. Public so the fault-determinism
-/// equivalence tests can certify that *this* construction — not a copy of
-/// it — is bit-identical at every `shards` × `threads` setting.
-pub fn measure_threaded(
-    mech: ReadMechanism,
-    policy: Policy,
-    iters: u64,
-    shards: usize,
-    threads: Option<usize>,
-) -> Point {
+/// Measures one `(mechanism, policy)` point.
+pub fn measure(mech: ReadMechanism, policy: Policy, iters: u64) -> Point {
     let horizon = Time::from_us(20 * iters);
     let builder = ScenarioBuilder::new()
         .topology(Topology::skewed(4, 1))
-        .fat_tree(4, 2)
-        .shards(shards)
-        .configure(|cfg| cfg.threads = threads);
+        .fat_tree(4, 2);
     let cfg = builder.config().clone();
     assert_eq!(cfg.nodes, NODES, "the sweep is pinned to the 8-node rack");
     let topo = cfg.topology.clone();
@@ -164,12 +152,6 @@ pub fn measure_threaded(
         failovers: m.failovers,
         migrations: m.migrations,
     }
-}
-
-/// One point with the shipped configuration: one shard per node, driven
-/// serially.
-pub fn measure(mech: ReadMechanism, policy: Policy, iters: u64) -> Point {
-    measure_threaded(mech, policy, iters, NODES, None)
 }
 
 /// Runs the full sweep: mechanism × policy.

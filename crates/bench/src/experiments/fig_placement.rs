@@ -103,23 +103,16 @@ pub struct Point {
     pub reader_hops: f64,
 }
 
-/// Measures one sweep point with explicit event-loop shard and
-/// worker-thread knobs. Public so the equivalence tests can certify that
-/// *this* construction — not a copy of it — is bit-identical at every
-/// `shards` × `threads` setting.
-pub fn measure_threaded(
+/// Measures one sweep point.
+pub fn measure(
     fabric: FabricKind,
     placement: PlacementPolicy,
     split: (usize, usize),
     iters: u64,
-    shards: usize,
-    threads: Option<usize>,
 ) -> Point {
     let (stores, readers_per_store) = split;
     let mut builder = ScenarioBuilder::new()
-        .topology(Topology::skewed(stores, readers_per_store).with_placement(placement))
-        .shards(shards)
-        .configure(|cfg| cfg.threads = threads);
+        .topology(Topology::skewed(stores, readers_per_store).with_placement(placement));
     if let Some(oversubscription) = fabric.oversubscription() {
         builder = builder.fat_tree(4, oversubscription);
     }
@@ -165,17 +158,6 @@ pub fn measure_threaded(
         total_gbps: report.rack().gbps,
         reader_hops: reader_hops.mean_hops(),
     }
-}
-
-/// [`measure_threaded`] with the shipped configuration: one event-loop
-/// shard per node, serial worker resolution.
-pub fn measure(
-    fabric: FabricKind,
-    placement: PlacementPolicy,
-    split: (usize, usize),
-    iters: u64,
-) -> Point {
-    measure_threaded(fabric, placement, split, iters, NODES, None)
 }
 
 /// Runs the full sweep: fabric × placement × split.

@@ -77,22 +77,9 @@ pub struct Point {
     pub retries: u64,
 }
 
-/// Measures one `(protocol, skew, load)` point with explicit event-loop
-/// shard and worker-thread knobs. Public so the equivalence tests can
-/// certify that *this* construction — not a copy of it — is bit-identical
-/// at every shards × threads setting.
-pub fn measure_threaded(
-    mech: ReadMechanism,
-    skew: Skew,
-    load: f64,
-    iters: u64,
-    shards: usize,
-    threads: Option<usize>,
-) -> Point {
-    let builder = ScenarioBuilder::new()
-        .nodes(NODES)
-        .shards(shards)
-        .configure(|cfg| cfg.threads = threads);
+/// Measures one `(protocol, skew, load)` point.
+pub fn measure(mech: ReadMechanism, skew: Skew, load: f64, iters: u64) -> Point {
+    let builder = ScenarioBuilder::new().nodes(NODES);
     let topo = builder.config().topology.clone();
     let (builder, store_shards) =
         builder.sharded_store(topo.store_nodes(), layout(mech), PAYLOAD, OBJECTS_PER_SHARD);
@@ -141,12 +128,6 @@ pub fn measure_threaded(
         hops_per_op: rack.hops.hops as f64 / m.ops as f64,
         retries: m.retries,
     }
-}
-
-/// One point with the shipped configuration: one shard per node, driven
-/// serially.
-pub fn measure(mech: ReadMechanism, skew: Skew, load: f64, iters: u64) -> Point {
-    measure_threaded(mech, skew, load, iters, NODES, None)
 }
 
 /// Runs the full sweep: protocol × skew × offered load.

@@ -28,9 +28,8 @@
 //! (refused/stale-served) and the total staleness window.
 //!
 //! Deterministic like every figure: drops are a pure function of the
-//! static [`FaultPlan`], catch-up is request/burst-reply over the ordered
-//! fabric, and the fault-determinism tests pin this very construction
-//! bit-identical across shards × threads.
+//! static [`FaultPlan`], and catch-up is request/burst-reply over the
+//! ordered fabric.
 
 use sabre_farm::{replica_sites, RecoveringWriter, ScenarioStoreExt, StoreLayout, WriteLog};
 use sabre_mem::Addr;
@@ -99,22 +98,15 @@ pub struct Point {
     pub rack: Totals,
 }
 
-/// Measures one guard-policy row with explicit event-loop shard and
-/// worker-thread knobs. Public so the fault-determinism equivalence tests
-/// can certify that *this* construction — not a copy of it — is
-/// bit-identical at every `shards` × `threads` setting.
-pub fn measure_threaded(mode: Mode, iters: u64, shards: usize, threads: Option<usize>) -> Point {
+/// Measures one guard-policy row.
+pub fn measure(mode: Mode, iters: u64) -> Point {
     let horizon = Time::from_us(40 * iters);
     let serve_stale = mode == Mode::ServeStale;
     let builder = ScenarioBuilder::new()
         .seed(7)
         .nodes(NODES)
         .fat_tree(2, 2)
-        .shards(shards)
-        .configure(move |cfg| {
-            cfg.threads = threads;
-            cfg.serve_stale = serve_stale;
-        });
+        .configure(move |cfg| cfg.serve_stale = serve_stale);
     let rack = builder.config().fabric.topology;
     let topo = builder.config().topology.clone();
     let sites = replica_sites(&topo.store_nodes(), REPLICATION, rack);
@@ -192,11 +184,6 @@ pub fn measure_threaded(mode: Mode, iters: u64, shards: usize, threads: Option<u
         p99_ns: rack.metrics.p99_ns().expect("readers completed ops"),
         rack,
     }
-}
-
-/// One row with the shipped configuration: one shard per node.
-pub fn measure(mode: Mode, iters: u64) -> Point {
-    measure_threaded(mode, iters, NODES, None)
 }
 
 /// Runs all three guard-policy rows.

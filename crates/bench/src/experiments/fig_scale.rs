@@ -4,9 +4,7 @@
 //! objects, uncontended readers) is distributed over N-node racks: half
 //! the nodes read, half host store shards, the fabric is a rack-level 2D
 //! mesh (one 35 ns hop per Manhattan step), and every reader node is
-//! paired round-robin with a store shard. The event loop runs fully
-//! sharded — one shard per node — which the equivalence tests pin
-//! bit-identical to the single-shard run.
+//! paired round-robin with a store shard.
 //!
 //! Expected shape: aggregate goodput scales with the reader count (each
 //! reader pair is an independent point-to-point stream), while per-op
@@ -60,21 +58,9 @@ pub struct Point {
     pub max_reader_gbps: f64,
 }
 
-/// Measures one `(nodes, mechanism)` point with explicit event-loop shard
-/// and worker-thread knobs. Public so the equivalence tests can certify
-/// that *this* construction — not a copy of it — is bit-identical at
-/// every shards × threads setting.
-pub fn measure_threaded(
-    nodes: usize,
-    mech: ReadMechanism,
-    iters: u64,
-    shards: usize,
-    threads: Option<usize>,
-) -> Point {
-    let builder = ScenarioBuilder::new()
-        .nodes(nodes)
-        .shards(shards)
-        .configure(|cfg| cfg.threads = threads);
+/// Measures one `(nodes, mechanism)` point.
+pub fn measure(nodes: usize, mech: ReadMechanism, iters: u64) -> Point {
+    let builder = ScenarioBuilder::new().nodes(nodes);
     let topo = builder.config().topology.clone();
     let (builder, store_shards) =
         builder.sharded_store(topo.store_nodes(), layout(mech), PAYLOAD, OBJECTS_PER_SHARD);
@@ -104,12 +90,6 @@ pub fn measure_threaded(
         min_reader_gbps: reader_gbps.iter().copied().fold(f64::INFINITY, f64::min),
         max_reader_gbps: reader_gbps.iter().copied().fold(0.0, f64::max),
     }
-}
-
-/// [`measure_threaded`] with the shipped configuration: one event-loop
-/// shard per node, driven serially.
-pub fn measure(nodes: usize, mech: ReadMechanism, iters: u64) -> Point {
-    measure_threaded(nodes, mech, iters, nodes, None)
 }
 
 /// Runs the full sweep: node count × mechanism.

@@ -94,22 +94,9 @@ pub struct Point {
     pub peak_backlog: u64,
 }
 
-/// Measures one `(mechanism, skew, load)` point with explicit event-loop
-/// shard and worker-thread knobs. Public so the equivalence tests can
-/// certify that *this* construction — not a copy of it — is bit-identical
-/// at every shards × threads setting.
-pub fn measure_threaded(
-    mech: ReadMechanism,
-    skew: Skew,
-    load: f64,
-    iters: u64,
-    shards: usize,
-    threads: Option<usize>,
-) -> Point {
-    let builder = ScenarioBuilder::new()
-        .nodes(NODES)
-        .shards(shards)
-        .configure(|cfg| cfg.threads = threads);
+/// Measures one `(mechanism, skew, load)` point.
+pub fn measure(mech: ReadMechanism, skew: Skew, load: f64, iters: u64) -> Point {
+    let builder = ScenarioBuilder::new().nodes(NODES);
     let topo = builder.config().topology.clone();
     let (builder, store_shards) =
         builder.sharded_store(topo.store_nodes(), layout(mech), PAYLOAD, OBJECTS_PER_SHARD);
@@ -147,12 +134,6 @@ fn point(mech: ReadMechanism, skew: Skew, load: f64, m: &CoreMetrics) -> Point {
     }
 }
 
-/// One point with the shipped configuration: one shard per node, driven
-/// serially.
-pub fn measure(mech: ReadMechanism, skew: Skew, load: f64, iters: u64) -> Point {
-    measure_threaded(mech, skew, load, iters, NODES, None)
-}
-
 /// Runs the full sweep: mechanism × skew × offered load.
 pub fn data(opts: RunOpts) -> Vec<Point> {
     let iters = opts.pick(15, 3);
@@ -179,9 +160,9 @@ pub const MIX_LOAD: f64 = 0.8;
 /// read fraction; the write remainder issues one-sided remote writes back
 /// to the chosen objects (see `WorkloadSpec::mix` — the software layouts
 /// embed metadata a remote writer does not maintain, so the mix sweep is
-/// a raw-layout traffic study). One shard per node, driven serially.
+/// a raw-layout traffic study).
 pub fn measure_mix(read_fraction: f64, iters: u64) -> Point {
-    let builder = ScenarioBuilder::new().nodes(NODES).shards(NODES);
+    let builder = ScenarioBuilder::new().nodes(NODES);
     let topo = builder.config().topology.clone();
     let (builder, store_shards) = builder.sharded_store(
         topo.store_nodes(),

@@ -150,6 +150,10 @@ impl RunOpts {
 
     /// A [`Sweep`] over `points` honoring this run's thread cap.
     pub fn sweep<P: Send + Sync>(&self, points: impl IntoIterator<Item = P>) -> Sweep<P> {
-        Sweep::over(points).threads_opt(self.threads)
+        let sweep = Sweep::over(points);
+        match self.threads {
+            Some(n) => sweep.threads(n),
+            None => sweep,
+        }
     }
 }

@@ -50,9 +50,11 @@
 //! parallelize across clusters, and nesting pools oversubscribes).
 //! Workers claim shards from a shared cursor, synchronize at the window
 //! barrier where the single coordinator runs the deterministic delivery,
-//! and the result stays bit-identical at **every thread count** too —
-//! the torture and equivalence tests pin `threads ∈ {1, 2, shards}`
-//! down.
+//! and the result stays bit-identical at **every thread count** too.
+//! [`ClusterConfig::shards`] and [`ClusterConfig::threads`] are the only
+//! execution settings, set on the configuration; the root test
+//! `tests/execution_invariance.rs` replays generated whole scenarios
+//! (every topology, reader, writer and fault kind) at several of them.
 //!
 //! Since the grouping is invisible, the serial loop does not keep it: a
 //! run that resolves to one thread advances **all nodes as one

@@ -245,29 +245,30 @@ pub struct ClusterConfig {
     /// Per-node roles (which nodes host store shards, which read).
     pub topology: Topology,
     /// Event-loop shards the nodes are partitioned into (contiguous
-    /// ranges) for worker threads. It matters only when [`threads`]
-    /// resolves to 2 or more: a serial run advances all nodes as one
-    /// scheduling domain whatever this says. Purely an execution knob:
-    /// results are bit-identical for every value — the loop synchronizes
-    /// shards at fabric-lookahead windows with a deterministic
-    /// cross-shard merge. Values above the node count are clamped.
+    /// ranges) for worker threads. With [`threads`], one of the only two
+    /// execution settings; both are set here on the configuration (no
+    /// builder shorthand) and no result depends on either —
+    /// `tests/execution_invariance.rs` checks generated scenarios at
+    /// several settings. It matters only when [`threads`] resolves to 2
+    /// or more: a serial run advances all nodes as one scheduling domain
+    /// whatever this says. The loop synchronizes shards at
+    /// fabric-lookahead windows with a deterministic cross-shard merge.
+    /// Values above the node count are clamped.
     ///
     /// [`threads`]: ClusterConfig::threads
     pub shards: usize,
     /// OS worker threads driving the shards inside one cluster run,
-    /// clamped to the shard count. `None` (the default) or any value
-    /// that resolves to 1 means the serial loop, which ignores
-    /// [`shards`](ClusterConfig::shards): in-cluster threading is opt-in because sweeps
-    /// already run one cluster per worker — nesting a per-cluster pool
-    /// under a sweep pool oversubscribes the host — and the window
-    /// barrier only pays off when one big sharded rack has cores to
-    /// itself. Purely an execution knob: results are bit-identical for
-    /// every value.
+    /// clamped to the shard count — the other execution setting (see
+    /// [`shards`](ClusterConfig::shards)). `None` (the default) or any
+    /// value that resolves to 1 means the serial loop, which ignores
+    /// `shards`. In-cluster threading is opt-in because sweeps already
+    /// run one cluster per worker — nesting a per-cluster pool under a
+    /// sweep pool oversubscribes the host — and the window barrier only
+    /// pays off when one big sharded rack has cores to itself.
     pub threads: Option<usize>,
     /// Scheduled node crashes and link outages (default: none). Injected
-    /// at the window barriers where cross-shard packets merge, so the
-    /// bit-identity guarantee over shards × threads is preserved — see
-    /// [`crate::fault`].
+    /// at the window barriers where cross-shard packets merge, so no
+    /// result depends on the execution settings — see [`crate::fault`].
     pub fault: FaultPlan,
     /// Serve reads from a replica that is still catching up after an
     /// outage (counted per pipeline as

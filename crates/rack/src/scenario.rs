@@ -12,10 +12,14 @@
 //! merged by one function), plus the finished [`Cluster`] for ad-hoc
 //! inspection (simulated time, functional memory, configuration).
 //!
-//! Because each simulated cluster is a self-contained single-threaded
-//! world, *independent* scenarios are embarrassingly parallel: [`Sweep`]
-//! runs one scenario per sweep point across OS threads and returns the
-//! results in input order, bit-identical to a serial run.
+//! Because each simulated cluster is a self-contained world,
+//! *independent* scenarios are embarrassingly parallel: [`Sweep`] runs
+//! one scenario per sweep point across OS threads and returns the
+//! results in input order, bit-identical to a serial run. A scenario has
+//! no execution knobs of its own: the cluster's in-run threading is
+//! [`ClusterConfig::shards`] and [`ClusterConfig::threads`], set through
+//! [`ScenarioBuilder::configure`] like any other configuration field,
+//! and no result depends on them.
 //!
 //! ```
 //! use sabre_rack::scenario::{ScenarioBuilder, Sweep};
@@ -175,8 +179,7 @@ impl ScenarioBuilder {
     /// // oversubscribed fat tree, readers pinned to their nearest shard.
     /// let builder = ScenarioBuilder::new()
     ///     .topology(Topology::skewed(2, 3).with_placement(PlacementPolicy::NearestShard))
-    ///     .fat_tree(4, 4)
-    ///     .shards(8);
+    ///     .fat_tree(4, 4);
     /// let cfg = builder.config().clone();
     /// let readers = cfg.topology.reader_nodes();
     /// let report = builder
@@ -224,25 +227,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Event-loop shard count (purely an execution knob — results are
-    /// bit-identical for every value; see [`ClusterConfig::shards`]).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.cfg.shards = shards.max(1);
-        self
-    }
-
-    /// Worker threads driving the shards inside the cluster run (purely
-    /// an execution knob — results are bit-identical for every value; see
-    /// [`ClusterConfig::threads`]). Clamped to the shard count, so it
-    /// only buys wall-clock with [`ScenarioBuilder::shards`] above one.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.cfg.threads = Some(threads.max(1));
-        self
-    }
-
     /// Schedules node crashes and link outages for the run
     /// ([`ClusterConfig::fault`]): the plan is injected at window barriers,
-    /// so every shard × thread setting still replays bit-identically. See
+    /// so it leaves the run independent of the execution settings. See
     /// [`crate::fault`] for the failure model.
     pub fn fault(mut self, plan: crate::fault::FaultPlan) -> Self {
         self.cfg.fault = plan;
@@ -536,15 +523,6 @@ impl<P: Send + Sync> Sweep<P> {
     /// Caps the worker thread count (1 forces a serial run).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n.max(1));
-        self
-    }
-
-    /// [`Sweep::threads`] from an optional cap (`None` keeps the default
-    /// resolution).
-    pub fn threads_opt(mut self, n: Option<usize>) -> Self {
-        if let Some(n) = n {
-            self = self.threads(n);
-        }
         self
     }
 

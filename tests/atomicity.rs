@@ -15,7 +15,7 @@
 //!
 //! * the paper-shaped two-node races ([`race`]), one per mechanism/mode;
 //! * the multi-node **torture sweep**: 64 seeded schedules across 2–8-node
-//!   racks (fully sharded event loop, one shard per node), rotating
+//!   racks, rotating
 //!   through every read mechanism — OCC, no-speculation, destination
 //!   locking, per-CL versions, the wait-free register, and Oh-RAM — with
 //!   seed-derived payloads, writer partitions and placements, plus a
@@ -443,17 +443,10 @@ impl TortureMech {
 /// One seed-derived adversarial schedule on an N-node rack: every store
 /// node hosts a shard with hot writers partitioned over its cores, every
 /// reader node runs two checked readers against its round-robin shard,
-/// and the event loop runs fully sharded (one shard per node). Payload
+/// Payload
 /// size and writer partitioning vary with the seed so the sweep explores
 /// genuinely different schedules, not one schedule with different RNG.
 fn torture_race(tm: TortureMech, nodes: usize, seed: u64) -> Outcome {
-    torture_race_threaded(tm, nodes, seed, 1)
-}
-
-/// [`torture_race`] with an explicit worker-thread count driving the
-/// fully sharded loop — the sweep certifying thread dispatch never
-/// perturbs an adversarial schedule.
-fn torture_race_threaded(tm: TortureMech, nodes: usize, seed: u64, threads: usize) -> Outcome {
     let payload = [208u32, 480, 1008][(seed % 3) as usize];
     let (mech, layout, cc_mode, spec_mode) = tm.setup(payload);
     let builder = ScenarioBuilder::new()
@@ -462,9 +455,7 @@ fn torture_race_threaded(tm: TortureMech, nodes: usize, seed: u64, threads: usiz
             cfg.lightsabres.spec_mode = spec_mode;
         })
         .seed(seed)
-        .nodes(nodes)
-        .shards(nodes)
-        .threads(threads);
+        .nodes(nodes);
     let topo = builder.config().topology.clone();
     let (mut scenario, shards) = builder.sharded_store(topo.store_nodes(), layout, payload, 12);
     let outcome = Arc::new(Mutex::new(Outcome::default()));
@@ -537,41 +528,11 @@ fn torture_no_sabre_mechanism_ever_tears_across_rack_sizes() {
     }
 }
 
-#[test]
-fn torture_outcomes_are_thread_invariant_on_the_eight_node_rack() {
-    // The 8-node torture schedules (fully sharded, one shard per node),
-    // replayed at worker-thread counts {1, 2, shards}: the adversarial
-    // interleavings — including every conflict and abort — must be
-    // untouched by how shards map onto OS threads. One schedule per
-    // mechanism keeps the sweep affordable.
-    for (tm, seed) in [
-        (TortureMech::Occ, 8u64),
-        (TortureMech::NoSpec, 9),
-        (TortureMech::Locking, 10),
-        (TortureMech::PerCl, 11),
-        (TortureMech::WfRegister, 16),
-        (TortureMech::OhRam, 17),
-    ] {
-        let serial = torture_race_threaded(tm, 8, seed, 1);
-        assert!(
-            serial.verified > 0,
-            "{tm:?} (seed {seed}): no progress in the serial run"
-        );
-        for threads in [2usize, 8] {
-            assert_eq!(
-                serial,
-                torture_race_threaded(tm, 8, seed, threads),
-                "{tm:?} (seed {seed}): {threads} worker threads changed the schedule"
-            );
-        }
-    }
-}
-
 /// One seed-derived adversarial schedule on the fat-tree quadrant of the
 /// torture space: an 8-node 1:3 skewed rack
 /// ([`Topology::skewed`]`(2, 3)`) on a 4:1 oversubscribed leaf/spine
-/// fabric, readers pinned to shards by [`PlacementPolicy::NearestShard`],
-/// fully sharded event loop. `mech` [`None`] runs the raw-read control.
+/// fabric, readers pinned to shards by [`PlacementPolicy::NearestShard`].
+/// `mech` [`None`] runs the raw-read control.
 fn fat_tree_nearest_race(tm: Option<TortureMech>, seed: u64) -> Outcome {
     let payload = [208u32, 480, 1008][(seed % 3) as usize];
     let (mech, layout, cc_mode, spec_mode) = match tm {
@@ -590,8 +551,7 @@ fn fat_tree_nearest_race(tm: Option<TortureMech>, seed: u64) -> Outcome {
         })
         .seed(seed)
         .topology(Topology::skewed(2, 3).with_placement(PlacementPolicy::NearestShard))
-        .fat_tree(4, 4)
-        .shards(8);
+        .fat_tree(4, 4);
     let cfg = builder.config().clone();
     let topo = cfg.topology.clone();
     let store_nodes = topo.store_nodes();
@@ -682,7 +642,7 @@ fn torture_raw_reads_still_tear_on_every_rack_size() {
         let mut torn = 0u64;
         for seed in 0..4u64 {
             let payload = [208u32, 480, 1008][(seed % 3) as usize];
-            let builder = ScenarioBuilder::new().seed(seed).nodes(nodes).shards(nodes);
+            let builder = ScenarioBuilder::new().seed(seed).nodes(nodes);
             let topo = builder.config().topology.clone();
             let (mut scenario, shards) =
                 builder.sharded_store(topo.store_nodes(), StoreLayout::Clean, payload, 8);
@@ -746,7 +706,7 @@ const CRASH_REPLICATION: usize = 3;
 /// completion from a restored site at or below that ceiling is data the
 /// outage should have invalidated. Ceiling updates are a commutative
 /// `max`, all of them separated from every check by the outage window
-/// itself, so the shared state never perturbs thread invariance.
+/// itself, so the order in which readers update it never matters.
 #[derive(Clone)]
 struct StaleGuard {
     /// Per-object highest pattern seq verified before `outage_from`.
@@ -936,12 +896,7 @@ impl Workload for CheckedFailoverReader {
 /// while the fault plan crashes the first replica site for the middle
 /// third of the run. Readers rotate replicas per operation and fail over
 /// on [`CRASH_TIMEOUT`]; `tm` [`None`] runs the raw-read control.
-fn crash_race_threaded(
-    tm: Option<TortureMech>,
-    nodes: usize,
-    seed: u64,
-    threads: usize,
-) -> Outcome {
+fn crash_race(tm: Option<TortureMech>, nodes: usize, seed: u64) -> Outcome {
     let payload = [208u32, 480, 1008][(seed % 3) as usize];
     let (mech, layout, cc_mode, spec_mode) = match tm {
         Some(tm) => tm.setup(payload),
@@ -958,9 +913,7 @@ fn crash_race_threaded(
             cfg.lightsabres.spec_mode = spec_mode;
         })
         .seed(seed)
-        .nodes(nodes)
-        .shards(nodes)
-        .threads(threads);
+        .nodes(nodes);
     let topo = builder.config().topology.clone();
     let rack = builder.config().fabric.topology;
     let store_nodes = topo.store_nodes();
@@ -1016,12 +969,7 @@ fn torture_kill_a_node_never_tears_on_surviving_replicas() {
     let results = Sweep::over(0u64..32).map(|&seed| {
         let nodes = 2 + (seed as usize % 7);
         let tm = TortureMech::ALL[(seed % 6) as usize];
-        (
-            tm,
-            nodes,
-            seed,
-            crash_race_threaded(Some(tm), nodes, seed, 1),
-        )
+        (tm, nodes, seed, crash_race(Some(tm), nodes, seed))
     });
     let mut per_mech: std::collections::HashMap<TortureMech, Outcome> =
         std::collections::HashMap::new();
@@ -1071,7 +1019,7 @@ fn torture_kill_a_node_raw_control_still_tears() {
     let mut torn = 0u64;
     let mut failovers = 0u64;
     for seed in 0..4u64 {
-        let o = crash_race_threaded(None, 8, seed, 1);
+        let o = crash_race(None, 8, seed);
         torn += o.torn;
         failovers += o.failovers;
     }
@@ -1084,35 +1032,6 @@ fn torture_kill_a_node_raw_control_still_tears() {
         failovers > 0,
         "the raw control never failed over — the crash never bit"
     );
-}
-
-#[test]
-fn torture_kill_a_node_outcomes_are_thread_invariant() {
-    // A crash-laden 8-node schedule per mechanism, replayed at worker-
-    // thread counts {1, 2, 8}: the outage, every failover, and every
-    // conflict must be untouched by how shards map onto OS threads.
-    for (tm, seed) in [
-        (TortureMech::Occ, 12u64),
-        (TortureMech::NoSpec, 13),
-        (TortureMech::Locking, 14),
-        (TortureMech::PerCl, 15),
-        (TortureMech::WfRegister, 18),
-        (TortureMech::OhRam, 19),
-    ] {
-        let serial = crash_race_threaded(Some(tm), 8, seed, 1);
-        assert!(
-            serial.verified > 0,
-            "{tm:?} (seed {seed}): no progress in the serial run"
-        );
-        for threads in [2usize, 8] {
-            assert_eq!(
-                serial,
-                crash_race_threaded(Some(tm), 8, seed, threads),
-                "{tm:?} (seed {seed}): {threads} worker threads changed the \
-                 crash schedule"
-            );
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1139,7 +1058,7 @@ const LEAF_OBJECTS: u64 = 4;
 /// guard refusals at the next replica, and hold two invariants at once:
 /// never a torn image (as everywhere), and never pre-outage data from a
 /// restored site once its guard drops ([`StaleGuard`]).
-fn leaf_race_threaded(tm: TortureMech, seed: u64, threads: usize) -> (Outcome, Totals) {
+fn leaf_race(tm: TortureMech, seed: u64) -> (Outcome, Totals) {
     let payload = [208u32, 480, 1008][(seed % 3) as usize];
     let (mech, layout, cc_mode, spec_mode) = tm.setup(payload);
     let builder = ScenarioBuilder::new()
@@ -1149,9 +1068,7 @@ fn leaf_race_threaded(tm: TortureMech, seed: u64, threads: usize) -> (Outcome, T
         })
         .seed(seed)
         .nodes(8)
-        .fat_tree(2, 2)
-        .shards(8)
-        .threads(threads);
+        .fat_tree(2, 2);
     let topo = builder.config().topology.clone();
     let rack = builder.config().fabric.topology;
     let sites = replica_sites(&topo.store_nodes(), CRASH_REPLICATION, rack);
@@ -1228,7 +1145,7 @@ fn torture_kill_a_leaf_catch_up_never_serves_stale_or_torn_reads() {
     // sibling, and replayed missed updates).
     let results = Sweep::over(0u64..32).map(|&seed| {
         let tm = TortureMech::ALL[(seed % 6) as usize];
-        (tm, seed, leaf_race_threaded(tm, seed, 1))
+        (tm, seed, leaf_race(tm, seed))
     });
     let mut per_mech: std::collections::HashMap<TortureMech, Outcome> =
         std::collections::HashMap::new();
@@ -1292,33 +1209,5 @@ fn torture_kill_a_leaf_catch_up_never_serves_stale_or_torn_reads() {
             "{tm:?}: no reader ever met a catch-up guard — the staleness \
              window went unobserved: {o:?}"
         );
-    }
-}
-
-#[test]
-fn torture_kill_a_leaf_outcomes_are_thread_invariant() {
-    // A recovery-laden schedule per engine mode (plus a wait-free one),
-    // replayed at worker-thread counts {1, 2, 8}: the outage, the sibling
-    // bounces, every replay and every refusal must be untouched by how
-    // shards map onto OS threads — including the shared freshness oracle,
-    // whose max-merge updates are commutative by construction.
-    for (tm, seed) in [
-        (TortureMech::Occ, 20u64),
-        (TortureMech::Locking, 21),
-        (TortureMech::WfRegister, 22),
-    ] {
-        let serial = leaf_race_threaded(tm, seed, 1);
-        assert!(
-            serial.0.verified > 0,
-            "{tm:?} (seed {seed}): no progress in the serial run"
-        );
-        for threads in [2usize, 8] {
-            assert_eq!(
-                serial,
-                leaf_race_threaded(tm, seed, threads),
-                "{tm:?} (seed {seed}): {threads} worker threads changed the \
-                 recovery schedule"
-            );
-        }
     }
 }

@@ -7,9 +7,10 @@
 //! experiment's numbers — an event-ordering drift in the cluster, a
 //! calibration tweak, a formatting change — surfaces as a figure diff
 //! rather than slipping through shape assertions. The output is
-//! deterministic across thread counts, optimization levels and shard
-//! counts, which is exactly what the scenario/sweep determinism tests pin
-//! down; when an intentional change shifts numbers, regenerate with:
+//! deterministic across sweep thread counts (pinned by the sweep tests in
+//! `tests/scenario_equivalence.rs`), optimization levels and the cluster's
+//! execution settings (`tests/execution_invariance.rs`); when an
+//! intentional change shifts numbers, regenerate with:
 //!
 //! ```text
 //! cargo run --release --bin all_figures -- --quick > tests/golden/figures.txt
@@ -18,36 +19,17 @@
 use sabre_bench::{render_all_figures, RunOpts};
 
 #[test]
-fn all_figures_quick_fingerprint_is_thread_invariant() {
-    // The whole harness — every experiment, every sweep, the thread-driven
-    // sharded cluster loop inside fig_scale — rendered serially and with a
-    // worker pool must produce the same bytes. This is the end-to-end
-    // parallel-vs-serial fingerprint; the golden diff below then anchors
-    // those bytes to the committed output.
-    let serial = render_all_figures(
-        RunOpts {
-            quick: true,
-            threads: Some(1),
-        },
-        |_, _| {},
-    );
-    let parallel = render_all_figures(
+fn all_figures_quick_matches_golden_output() {
+    let golden = include_str!("golden/figures.txt");
+    // Two sweep workers: the one render also exercises the parallel sweep,
+    // whose ordering the scenario tests pin against a serial run.
+    let live = render_all_figures(
         RunOpts {
             quick: true,
             threads: Some(2),
         },
         |_, _| {},
     );
-    assert!(
-        serial == parallel,
-        "figure fingerprints diverged between 1 and 2 worker threads"
-    );
-}
-
-#[test]
-fn all_figures_quick_matches_golden_output() {
-    let golden = include_str!("golden/figures.txt");
-    let live = render_all_figures(RunOpts::quick(), |_, _| {});
     if live != golden {
         // Render a readable first-divergence report instead of dumping
         // two 150-line blobs.

@@ -11,11 +11,6 @@
 //!   ledger agrees with it: the per-node counters merge exactly to the
 //!   whole-fabric totals, spine crossings and queueing never exceed the
 //!   packets that could have paid them;
-//! * **bit-identity** — the quadrant's full observable fingerprint (every
-//!   read outcome, every sequence number, every completion timestamp
-//!   folded into an order-insensitive digest, plus the packet and hop
-//!   ledgers) replays identically at shards {1, 2, 8} × threads
-//!   {1, 2, 8};
 //! * **atomicity** — a read served as atomic is never torn
 //!   ([`verify_payload`] on every completion), and a raw-read control
 //!   proves the same schedules do tear without a mechanism;
@@ -26,6 +21,10 @@
 //!   retries (raw reads here; the wait-free register is pinned in
 //!   `fig_protocols`' shape tests) keep that promise, and the harness's
 //!   own ledger agrees with the metrics layer's op/retry counters.
+//!
+//! Each quadrant runs every checker once per mechanism, on the serial
+//! loop; that the execution settings leave no trace is
+//! `tests/execution_invariance.rs`.
 //!
 //! The quadrants put the store and its racing writers at staged distances:
 //! same leaf, cross-leaf, cross-rack over the 350 ns spine — so the
@@ -56,8 +55,7 @@ const DUR_US: u64 = 400;
 // ---------------------------------------------------------------------------
 
 /// Everything the torture readers observed, merged commutatively across
-/// cores (worker threads may interleave ledger updates in any order, so
-/// every field is an order-insensitive reduction: sums, maxes).
+/// cores (every field is an order-insensitive reduction: sums, maxes).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 struct Ledger {
     /// Reads whose payload matched one committed writer snapshot.
@@ -72,21 +70,6 @@ struct Ledger {
     time_travel: u64,
     /// Highest sequence number served as atomic, per object id.
     max_seq: HashMap<u64, u64>,
-    /// Order-insensitive digest: each completion's
-    /// `mix(node, object, seq, completion_ns)` is wrapping-added, so any
-    /// behavioral divergence between two runs moves the sum while thread
-    /// scheduling cannot.
-    digest: u64,
-}
-
-/// FNV-style mix of one completion event.
-fn mix(a: u64, b: u64, c: u64, d: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in [a, b, c, d] {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A reader that cross-checks every completion against the writer
@@ -145,15 +128,12 @@ impl Workload for TortureReader {
 
     fn on_completion(&mut self, api: &mut CoreApi<'_>, cq: CqEntry) {
         let now = api.now();
-        let node = api.node() as u64;
-        let mut observed_seq = u64::MAX;
         if cq.success {
             let image = api.read_local(self.buf(api), self.store.wire_bytes() as usize);
             let payload = CleanLayout::payload_of(&image, PAYLOAD as usize);
             let mut ledger = self.ledger.lock().expect("ledger poisoned");
             match verify_payload(self.cur_obj, payload) {
                 Some(seq) => {
-                    observed_seq = seq;
                     ledger.verified += 1;
                     let ceiling = ledger.max_seq.entry(self.cur_obj).or_insert(0);
                     *ceiling = (*ceiling).max(seq);
@@ -172,10 +152,6 @@ impl Workload for TortureReader {
             self.ledger.lock().expect("ledger poisoned").aborts += 1;
             api.metrics().record_retry();
         }
-        let event = mix(node, self.cur_obj, observed_seq, now.as_ns() as u64);
-        let mut ledger = self.ledger.lock().expect("ledger poisoned");
-        ledger.digest = ledger.digest.wrapping_add(event);
-        drop(ledger);
         if self.remaining > 0 {
             self.issue(api);
         }
@@ -280,34 +256,13 @@ const QUADRANTS: [Quadrant; 4] = [
     },
 ];
 
-/// Everything observable about one quadrant run — what bit-identity
-/// compares across shard × thread settings.
-#[derive(Debug, PartialEq)]
-struct RunFingerprint {
-    ledger: Ledger,
-    sent: u64,
-    delivered: u64,
-    dropped: u64,
-    hops: HopStats,
-    ops: u64,
-    retries: u64,
-    p99_ns: Option<u64>,
-}
-
-/// Runs one quadrant under `mech` at an explicit shards × threads
-/// setting, applies every per-run checker, and returns the fingerprint.
-fn run_quadrant(
-    q: &Quadrant,
-    mech: ReadMechanism,
-    shards: usize,
-    threads: usize,
-) -> RunFingerprint {
-    let label = format!("{} [{mech:?} {shards}x{threads}]", q.name);
+/// Runs one quadrant under `mech`, applies every per-run checker, and
+/// returns the rack's hop counters.
+fn run_quadrant(q: &Quadrant, mech: ReadMechanism) -> HopStats {
+    let label = format!("{} [{mech:?}]", q.name);
     let mut builder = ScenarioBuilder::new()
         .seed(11)
         .nodes(q.nodes)
-        .shards(shards)
-        .threads(threads)
         .configure(|cfg| {
             // The store (24 × ~300 B slots) and the reader buffers fit in
             // 1 MB; the default 16 MB would cost the 256-node quadrant
@@ -359,20 +314,7 @@ fn run_quadrant(
     check_freshness_ceiling(&label, &report, &store, &ledger);
     check_abort_freedom(&label, mech, &ledger);
     check_ledger_matches_metrics(&label, &report, &ledger);
-
-    let cluster = report.cluster();
-    let rack = report.rack();
-    let m = rack.metrics;
-    RunFingerprint {
-        sent: cluster.fabric().packets_total(),
-        delivered: cluster.packets_delivered(),
-        dropped: cluster.packets_dropped(),
-        hops: rack.hops,
-        ops: m.ops,
-        retries: m.retries,
-        p99_ns: m.p99_ns(),
-        ledger,
-    }
+    report.rack().hops
 }
 
 // ---------------------------------------------------------------------------
@@ -516,32 +458,11 @@ fn check_ledger_matches_metrics(label: &str, report: &RunReport, ledger: &Ledger
     );
 }
 
-/// Bit-identity: the full fingerprint replays identically at every
-/// shards × threads setting against the serial single-shard run.
-fn check_bit_identity(label: &str, fingerprint: impl Fn(usize, usize) -> RunFingerprint) {
-    let serial = fingerprint(1, 1);
-    for shards in [1usize, 2, 8] {
-        for threads in [1usize, 2, 8] {
-            if shards == 1 && threads == 1 {
-                continue;
-            }
-            assert_eq!(
-                serial,
-                fingerprint(shards, threads),
-                "{label}: {shards} shards on {threads} threads diverged \
-                 from the serial schedule"
-            );
-        }
-    }
-}
-
 /// The full suite over one quadrant: every checker per run, both
-/// mechanisms, bit-identity across the whole shards × threads grid.
+/// mechanisms.
 fn torture(q: &Quadrant) {
     for mech in [ReadMechanism::Raw, ReadMechanism::Sabre] {
-        check_bit_identity(&format!("{} [{mech:?}]", q.name), |shards, threads| {
-            run_quadrant(q, mech, shards, threads)
-        });
+        run_quadrant(q, mech);
     }
 }
 
@@ -575,15 +496,15 @@ fn datacenter_256_node_quadrant_holds_every_invariant() {
 #[test]
 fn spine_counters_track_the_topology() {
     for q in &QUADRANTS {
-        let fp = run_quadrant(q, ReadMechanism::Sabre, 2, 2);
+        let hops = run_quadrant(q, ReadMechanism::Sabre);
         match q.fabric {
             FabricKind::Mesh | FabricKind::FatTree { .. } => assert_eq!(
-                fp.hops.spine_crossings, 0,
+                hops.spine_crossings, 0,
                 "{}: spine crossings without a spine",
                 q.name
             ),
             FabricKind::Datacenter { .. } => assert!(
-                fp.hops.spine_crossings > 0,
+                hops.spine_crossings > 0,
                 "{}: cross-rack readers never crossed the spine",
                 q.name
             ),
