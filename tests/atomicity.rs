@@ -15,8 +15,7 @@
 //!
 //! * the paper-shaped two-node races ([`race`]), one per mechanism/mode;
 //! * the multi-node **torture sweep**: 64 seeded schedules across 2–8-node
-//!   racks, rotating
-//!   through every read mechanism — OCC, no-speculation, destination
+//!   racks, rotating through every read mechanism — OCC, no-speculation, destination
 //!   locking, per-CL versions, the wait-free register, and Oh-RAM — with
 //!   seed-derived payloads, writer partitions and placements, plus a
 //!   raw-read control proving the same schedules do tear without a
@@ -31,9 +30,17 @@
 //!   and must catch up over the fabric. On top of the no-torn-read
 //!   invariant, readers prove the epoch/seq guard's *freshness* claim: a
 //!   restored replica never serves pre-outage data after the guard drops.
+//!
+//! One schedule per mechanism of the torture, kill-a-node and kill-a-leaf
+//! layers is also replayed at every cluster execution setting
+//! ([`Exec::ALL`]): how nodes map onto event-loop shards and worker
+//! threads must not move a single conflict, abort, failover or refusal.
+
+mod common;
 
 use std::sync::{Arc, Mutex};
 
+use common::{assert_execution_invariant, Exec};
 use sabres::prelude::*;
 
 /// Counts verified/torn/aborted reads, shared with the reader workload.
@@ -443,10 +450,10 @@ impl TortureMech {
 /// One seed-derived adversarial schedule on an N-node rack: every store
 /// node hosts a shard with hot writers partitioned over its cores, every
 /// reader node runs two checked readers against its round-robin shard,
-/// Payload
-/// size and writer partitioning vary with the seed so the sweep explores
-/// genuinely different schedules, not one schedule with different RNG.
-fn torture_race(tm: TortureMech, nodes: usize, seed: u64) -> Outcome {
+/// and the cluster runs at `exec`. Payload size and writer partitioning
+/// vary with the seed so the sweep explores genuinely different
+/// schedules, not one schedule with different RNG.
+fn torture_race(tm: TortureMech, nodes: usize, seed: u64, exec: Exec) -> Outcome {
     let payload = [208u32, 480, 1008][(seed % 3) as usize];
     let (mech, layout, cc_mode, spec_mode) = tm.setup(payload);
     let builder = ScenarioBuilder::new()
@@ -455,7 +462,8 @@ fn torture_race(tm: TortureMech, nodes: usize, seed: u64) -> Outcome {
             cfg.lightsabres.spec_mode = spec_mode;
         })
         .seed(seed)
-        .nodes(nodes);
+        .nodes(nodes)
+        .configure(|cfg| exec.apply(cfg));
     let topo = builder.config().topology.clone();
     let (mut scenario, shards) = builder.sharded_store(topo.store_nodes(), layout, payload, 12);
     let outcome = Arc::new(Mutex::new(Outcome::default()));
@@ -491,7 +499,7 @@ fn torture_no_sabre_mechanism_ever_tears_across_rack_sizes() {
     let results = Sweep::over(0u64..64).map(|&seed| {
         let nodes = 2 + (seed as usize % 7);
         let tm = TortureMech::ALL[(seed % 6) as usize];
-        (tm, nodes, seed, torture_race(tm, nodes, seed))
+        (tm, nodes, seed, torture_race(tm, nodes, seed, Exec::SERIAL))
     });
     let mut per_mech: std::collections::HashMap<TortureMech, Outcome> =
         std::collections::HashMap::new();
@@ -525,6 +533,30 @@ fn torture_no_sabre_mechanism_ever_tears_across_rack_sizes() {
                  harness is not racing: {o:?}"
             );
         }
+    }
+}
+
+#[test]
+fn torture_outcomes_are_thread_invariant_on_the_eight_node_rack() {
+    // One 8-node torture schedule per mechanism, replayed at every
+    // execution setting: the adversarial interleavings — every conflict
+    // and abort included — must be untouched by how nodes map onto shards
+    // and shards onto OS threads.
+    for (tm, seed) in [
+        (TortureMech::Occ, 8u64),
+        (TortureMech::NoSpec, 9),
+        (TortureMech::Locking, 10),
+        (TortureMech::PerCl, 11),
+        (TortureMech::WfRegister, 16),
+        (TortureMech::OhRam, 17),
+    ] {
+        let serial = assert_execution_invariant(&format!("{tm:?} (seed {seed})"), |exec| {
+            torture_race(tm, 8, seed, exec)
+        });
+        assert!(
+            serial.verified > 0,
+            "{tm:?} (seed {seed}): no progress in the serial run"
+        );
     }
 }
 
@@ -895,8 +927,9 @@ impl Workload for CheckedFailoverReader {
 /// writers, replayed identically per replica of a [`ReplicatedStore`],
 /// while the fault plan crashes the first replica site for the middle
 /// third of the run. Readers rotate replicas per operation and fail over
-/// on [`CRASH_TIMEOUT`]; `tm` [`None`] runs the raw-read control.
-fn crash_race(tm: Option<TortureMech>, nodes: usize, seed: u64) -> Outcome {
+/// on [`CRASH_TIMEOUT`]; `tm` [`None`] runs the raw-read control. The
+/// cluster runs at `exec`.
+fn crash_race(tm: Option<TortureMech>, nodes: usize, seed: u64, exec: Exec) -> Outcome {
     let payload = [208u32, 480, 1008][(seed % 3) as usize];
     let (mech, layout, cc_mode, spec_mode) = match tm {
         Some(tm) => tm.setup(payload),
@@ -913,7 +946,8 @@ fn crash_race(tm: Option<TortureMech>, nodes: usize, seed: u64) -> Outcome {
             cfg.lightsabres.spec_mode = spec_mode;
         })
         .seed(seed)
-        .nodes(nodes);
+        .nodes(nodes)
+        .configure(|cfg| exec.apply(cfg));
     let topo = builder.config().topology.clone();
     let rack = builder.config().fabric.topology;
     let store_nodes = topo.store_nodes();
@@ -969,7 +1003,12 @@ fn torture_kill_a_node_never_tears_on_surviving_replicas() {
     let results = Sweep::over(0u64..32).map(|&seed| {
         let nodes = 2 + (seed as usize % 7);
         let tm = TortureMech::ALL[(seed % 6) as usize];
-        (tm, nodes, seed, crash_race(Some(tm), nodes, seed))
+        (
+            tm,
+            nodes,
+            seed,
+            crash_race(Some(tm), nodes, seed, Exec::SERIAL),
+        )
     });
     let mut per_mech: std::collections::HashMap<TortureMech, Outcome> =
         std::collections::HashMap::new();
@@ -1019,7 +1058,7 @@ fn torture_kill_a_node_raw_control_still_tears() {
     let mut torn = 0u64;
     let mut failovers = 0u64;
     for seed in 0..4u64 {
-        let o = crash_race(None, 8, seed);
+        let o = crash_race(None, 8, seed, Exec::SERIAL);
         torn += o.torn;
         failovers += o.failovers;
     }
@@ -1032,6 +1071,29 @@ fn torture_kill_a_node_raw_control_still_tears() {
         failovers > 0,
         "the raw control never failed over — the crash never bit"
     );
+}
+
+#[test]
+fn torture_kill_a_node_outcomes_are_thread_invariant() {
+    // A crash-laden 8-node schedule per mechanism, replayed at every
+    // execution setting: the outage, every failover, and every conflict
+    // must be untouched by how nodes map onto shards and threads.
+    for (tm, seed) in [
+        (TortureMech::Occ, 12u64),
+        (TortureMech::NoSpec, 13),
+        (TortureMech::Locking, 14),
+        (TortureMech::PerCl, 15),
+        (TortureMech::WfRegister, 18),
+        (TortureMech::OhRam, 19),
+    ] {
+        let serial = assert_execution_invariant(&format!("{tm:?} (seed {seed})"), |exec| {
+            crash_race(Some(tm), 8, seed, exec)
+        });
+        assert!(
+            serial.verified > 0,
+            "{tm:?} (seed {seed}): no progress in the serial run"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1057,8 +1119,9 @@ const LEAF_OBJECTS: u64 = 4;
 /// range. Readers rotate replicas, fail over on [`CRASH_TIMEOUT`], retry
 /// guard refusals at the next replica, and hold two invariants at once:
 /// never a torn image (as everywhere), and never pre-outage data from a
-/// restored site once its guard drops ([`StaleGuard`]).
-fn leaf_race(tm: TortureMech, seed: u64) -> (Outcome, Totals) {
+/// restored site once its guard drops ([`StaleGuard`]). The cluster runs
+/// at `exec`.
+fn leaf_race(tm: TortureMech, seed: u64, exec: Exec) -> (Outcome, Totals) {
     let payload = [208u32, 480, 1008][(seed % 3) as usize];
     let (mech, layout, cc_mode, spec_mode) = tm.setup(payload);
     let builder = ScenarioBuilder::new()
@@ -1068,7 +1131,8 @@ fn leaf_race(tm: TortureMech, seed: u64) -> (Outcome, Totals) {
         })
         .seed(seed)
         .nodes(8)
-        .fat_tree(2, 2);
+        .fat_tree(2, 2)
+        .configure(|cfg| exec.apply(cfg));
     let topo = builder.config().topology.clone();
     let rack = builder.config().fabric.topology;
     let sites = replica_sites(&topo.store_nodes(), CRASH_REPLICATION, rack);
@@ -1145,7 +1209,7 @@ fn torture_kill_a_leaf_catch_up_never_serves_stale_or_torn_reads() {
     // sibling, and replayed missed updates).
     let results = Sweep::over(0u64..32).map(|&seed| {
         let tm = TortureMech::ALL[(seed % 6) as usize];
-        (tm, seed, leaf_race(tm, seed))
+        (tm, seed, leaf_race(tm, seed, Exec::SERIAL))
     });
     let mut per_mech: std::collections::HashMap<TortureMech, Outcome> =
         std::collections::HashMap::new();
@@ -1208,6 +1272,28 @@ fn torture_kill_a_leaf_catch_up_never_serves_stale_or_torn_reads() {
             o.refusals > 0,
             "{tm:?}: no reader ever met a catch-up guard — the staleness \
              window went unobserved: {o:?}"
+        );
+    }
+}
+
+#[test]
+fn torture_kill_a_leaf_outcomes_are_thread_invariant() {
+    // A recovery-laden schedule per engine mode (plus a wait-free one),
+    // replayed at every execution setting: the outage, the sibling
+    // bounces, every replay and every refusal must be untouched by how
+    // nodes map onto shards and threads — including the shared freshness
+    // oracle, whose max-merge updates are commutative by construction.
+    for (tm, seed) in [
+        (TortureMech::Occ, 20u64),
+        (TortureMech::Locking, 21),
+        (TortureMech::WfRegister, 22),
+    ] {
+        let serial = assert_execution_invariant(&format!("{tm:?} (seed {seed})"), |exec| {
+            leaf_race(tm, seed, exec)
+        });
+        assert!(
+            serial.0.verified > 0,
+            "{tm:?} (seed {seed}): no progress in the serial run"
         );
     }
 }

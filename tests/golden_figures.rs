@@ -6,11 +6,13 @@
 //! binary uses and diffs the result line by line, so *any* change to any
 //! experiment's numbers — an event-ordering drift in the cluster, a
 //! calibration tweak, a formatting change — surfaces as a figure diff
-//! rather than slipping through shape assertions. The output is
-//! deterministic across sweep thread counts (pinned by the sweep tests in
-//! `tests/scenario_equivalence.rs`), optimization levels and the cluster's
-//! execution settings (`tests/execution_invariance.rs`); when an
-//! intentional change shifts numbers, regenerate with:
+//! rather than slipping through shape assertions. The harness renders
+//! once serially and once with two sweep workers, and both renders must
+//! equal the golden bytes, so the output is also pinned across sweep
+//! thread counts end to end; it is deterministic across optimization
+//! levels and the cluster's execution settings
+//! (`tests/execution_invariance.rs`) too. When an intentional change
+//! shifts numbers, regenerate with:
 //!
 //! ```text
 //! cargo run --release --bin all_figures -- --quick > tests/golden/figures.txt
@@ -18,15 +20,14 @@
 
 use sabre_bench::{render_all_figures, RunOpts};
 
-#[test]
-fn all_figures_quick_matches_golden_output() {
+/// Renders every quick figure with `threads` sweep workers and diffs the
+/// output against `tests/golden/figures.txt`.
+fn assert_quick_render_matches_golden(threads: usize) {
     let golden = include_str!("golden/figures.txt");
-    // Two sweep workers: the one render also exercises the parallel sweep,
-    // whose ordering the scenario tests pin against a serial run.
     let live = render_all_figures(
         RunOpts {
             quick: true,
-            threads: Some(2),
+            threads: Some(threads),
         },
         |_, _| {},
     );
@@ -37,16 +38,30 @@ fn all_figures_quick_matches_golden_output() {
             assert_eq!(
                 g,
                 l,
-                "first figure divergence at golden line {} — if intentional, \
-                 regenerate tests/golden/figures.txt (see test docs)",
+                "first figure divergence at golden line {} with {threads} sweep \
+                 worker(s) — if intentional, regenerate tests/golden/figures.txt \
+                 (see test docs)",
                 i + 1
             );
         }
         panic!(
-            "figure output length changed: golden {} lines, live {} lines — \
-             if intentional, regenerate tests/golden/figures.txt",
+            "figure output length changed with {threads} sweep worker(s): golden {} \
+             lines, live {} lines — if intentional, regenerate tests/golden/figures.txt",
             golden.lines().count(),
             live.lines().count()
         );
     }
+}
+
+#[test]
+fn all_figures_quick_matches_golden_output() {
+    assert_quick_render_matches_golden(2);
+}
+
+#[test]
+fn all_figures_quick_fingerprint_is_thread_invariant() {
+    // The whole harness rendered serially must produce the same golden
+    // bytes as the two-worker render above: the end-to-end
+    // serial-vs-parallel fingerprint.
+    assert_quick_render_matches_golden(1);
 }
