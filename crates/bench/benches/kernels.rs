@@ -7,6 +7,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use std::hint::black_box;
 
 use sabre_core::{LightSabres, LightSabresConfig, SabreId, StreamBuffer};
+use sabre_fabric::{Fabric, FabricConfig, RackTopology};
 use sabre_mem::{Addr, BlockAddr, Llc, NodeMemory, BLOCK_BYTES};
 use sabre_rack::{
     spec, Arrivals, Cluster, ClusterConfig, ReadMechanism, ScenarioBuilder, StoreLayout, UpdatePlan,
@@ -78,6 +79,34 @@ fn bench_engine(c: &mut Criterion) {
     g.bench_function("invalidation_snoop_idle", |b| {
         let mut engine = LightSabres::new(LightSabresConfig::default());
         b.iter(|| engine.on_invalidation(black_box(BlockAddr::from_index(17))))
+    });
+    // A pump's engine pull with no SABRe in flight: every R2P2 pump of
+    // plain reads and writes asks the select-transfer stage first.
+    g.bench_function("next_issue_idle_att", |b| {
+        let mut engine = LightSabres::new(LightSabresConfig::default());
+        b.iter(|| black_box(&mut engine).next_issue())
+    });
+    g.finish();
+}
+
+fn bench_fabric(c: &mut Criterion) {
+    let mut g = c.benchmark_group("fabric");
+    // One cross-rack packet on the 256-node datacenter (4 racks of a
+    // radix-8, 2:1 fabric): route, uplink and spine windows, link
+    // serialization. Sends 100 ns apart, so the spine bundle's budget of
+    // two per 350 ns window overflows now and then.
+    g.bench_function("send_cross_rack", |b| {
+        let mut fabric = Fabric::new(FabricConfig {
+            nodes: 256,
+            topology: RackTopology::datacenter_for(4, 8, 2),
+            ..FabricConfig::default()
+        });
+        assert!(fabric.config().topology.crosses_spine(0, 130));
+        let mut now = Time::ZERO;
+        b.iter(|| {
+            now += Time::from_ns(100);
+            black_box(fabric.send(now, 0, black_box(130), 64))
+        })
     });
     g.finish();
 }
@@ -502,6 +531,7 @@ criterion_group!(
     benches,
     bench_stream_buffer,
     bench_engine,
+    bench_fabric,
     bench_writers,
     bench_software_kernels,
     bench_sim_primitives,

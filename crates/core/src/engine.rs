@@ -26,9 +26,22 @@
 //! requires exactly one reply per request, and the hardware never retries
 //! (§5.1) — failure is reported in the final validation message and the
 //! decision to retry is software's.
+//!
+//! # Occupancy masks
+//!
+//! The ATT's valid bits are kept as two bitmasks beside the entries: one
+//! bit per slot that holds an entry (`occupied`), and one per entry whose
+//! SABRe is still live on the wire (`live`: occupied and not
+//! [`SabreState::Releasing`]). The "select transfer" stage is then a
+//! priority encoder: [`LightSabres::next_issue`] finds the first occupied
+//! slot at or after the round-robin cursor with `trailing_zeros`, wrapping
+//! once, and never visits an empty slot. The occupancy count, the
+//! full check and the first free slot are mask operations, and
+//! invalidations probe only live slots' stream buffers. A SABRe's slot is
+//! found by scanning a dense array of the slots' ids for a live match;
+//! there is no id-to-slot map.
 
 use sabre_mem::{Addr, BlockAddr};
-use sabre_sim::FastMap;
 
 use crate::att::{AttEntry, SabreState};
 use crate::config::{CcMode, LightSabresConfig, SpecMode};
@@ -183,15 +196,84 @@ impl EngineStats {
     }
 }
 
+/// Words in a [`SlotMask`]: one bit per ATT slot, and `SlotId` is 8-bit,
+/// so at most 256 slots.
+const MASK_WORDS: usize = 4;
+
+/// A set of ATT slots as a bitmask, bit `i` for slot `i`.
+#[derive(Debug, Clone, Copy, Default)]
+struct SlotMask([u64; MASK_WORDS]);
+
+impl SlotMask {
+    fn insert(&mut self, idx: usize) {
+        self.0[idx / 64] |= 1 << (idx % 64);
+    }
+
+    fn remove(&mut self, idx: usize) {
+        self.0[idx / 64] &= !(1 << (idx % 64));
+    }
+
+    fn contains(&self, idx: usize) -> bool {
+        self.0[idx / 64] & (1 << (idx % 64)) != 0
+    }
+
+    fn len(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.iter().all(|&w| w == 0)
+    }
+
+    /// The lowest member in `from..end`, if any (`end ≤ 256`).
+    fn first_in(&self, from: usize, end: usize) -> Option<usize> {
+        if from >= end {
+            return None;
+        }
+        let last = (end - 1) / 64;
+        let mut w = from / 64;
+        let mut bits = self.0[w] & (!0u64 << (from % 64));
+        loop {
+            if bits != 0 {
+                let idx = w * 64 + bits.trailing_zeros() as usize;
+                return (idx < end).then_some(idx);
+            }
+            if w == last {
+                return None;
+            }
+            w += 1;
+            bits = self.0[w];
+        }
+    }
+
+    /// The lowest non-member below `end`, if any (`end ≤ 256`).
+    fn first_absent(&self, end: usize) -> Option<usize> {
+        self.0
+            .iter()
+            .enumerate()
+            .find(|(_, w)| **w != u64::MAX)
+            .map(|(w, bits)| w * 64 + bits.trailing_ones() as usize)
+            .filter(|&idx| idx < end)
+    }
+}
+
 /// The LightSABRes engine state: the ATT, one stream buffer per entry, and
-/// a round-robin transfer selector. See the [crate docs](crate) for the
-/// protocol walk-through and an example.
+/// a round-robin transfer selector over the ATT's occupancy mask (see
+/// [Occupancy masks](self#occupancy-masks)). See the [crate docs](crate)
+/// for the protocol walk-through and an example.
 #[derive(Debug)]
 pub struct LightSabres {
     cfg: LightSabresConfig,
     entries: Vec<Option<AttEntry>>,
     buffers: Vec<StreamBuffer>,
-    by_id: FastMap<SabreId, SlotId>,
+    /// Each slot's SABRe id, dense beside the masks for the id search
+    /// (stale in slots that are not live).
+    ids: Vec<SabreId>,
+    /// Slots holding an entry: the ATT's valid bits.
+    occupied: SlotMask,
+    /// Occupied slots whose SABRe is not [`SabreState::Releasing`]: the
+    /// ones invalidations probe and ids resolve to.
+    live: SlotMask,
     /// Round-robin cursor of the "select transfer" stage.
     cursor: usize,
     stats: EngineStats,
@@ -213,7 +295,16 @@ impl LightSabres {
             buffers: (0..cfg.stream_buffers)
                 .map(|_| StreamBuffer::new(cfg.depth))
                 .collect(),
-            by_id: FastMap::default(),
+            ids: vec![
+                SabreId {
+                    src_node: 0,
+                    src_pipe: 0,
+                    transfer: 0,
+                };
+                cfg.stream_buffers
+            ],
+            occupied: SlotMask::default(),
+            live: SlotMask::default(),
             cursor: 0,
             cfg,
             stats: EngineStats::default(),
@@ -237,14 +328,14 @@ impl LightSabres {
         self.stats = EngineStats::default();
     }
 
-    /// Number of currently occupied ATT entries.
+    /// Number of currently occupied ATT entries (a popcount).
     pub fn active_count(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
+        self.occupied.len()
     }
 
     /// Whether every ATT entry is busy (new registrations would fail).
     pub fn is_full(&self) -> bool {
-        self.entries.iter().all(|e| e.is_some())
+        self.occupied.len() == self.entries.len()
     }
 
     /// Read-only view of a slot's ATT entry (tests and tracing).
@@ -274,21 +365,27 @@ impl LightSabres {
         if version_offset as usize + 8 > sabre_mem::BLOCK_BYTES {
             return Err(RegisterError::VersionOutsideHeadBlock);
         }
-        if self.by_id.contains_key(&id) {
+        if self.live_slot_of(id).is_some() {
             return Err(RegisterError::DuplicateId);
         }
         let free = self
-            .entries
-            .iter()
-            .position(|e| e.is_none())
+            .occupied
+            .first_absent(self.entries.len())
             .ok_or(RegisterError::Full)?;
         let entry = AttEntry::new(id, base, size_bytes, version_offset);
         self.buffers[free].arm(entry.base_block(), entry.size_blocks);
         self.entries[free] = Some(entry);
-        let slot = SlotId(free as u8);
-        self.by_id.insert(id, slot);
+        self.ids[free] = id;
+        self.occupied.insert(free);
+        self.live.insert(free);
         self.stats.registered += 1;
-        Ok(slot)
+        Ok(SlotId(free as u8))
+    }
+
+    /// The slot of the live SABRe `id`, found by comparing the slots' ids
+    /// (a SABRe owing only its lock release is over on the wire).
+    fn live_slot_of(&self, id: SabreId) -> Option<usize> {
+        (0..self.ids.len()).find(|&idx| self.ids[idx] == id && self.live.contains(idx))
     }
 
     /// Records the arrival of one data-request packet for `id` (soNUMA
@@ -299,10 +396,8 @@ impl LightSabres {
     /// [`SabreError::UnknownId`] if the SABRe is not active,
     /// [`SabreError::TooManyRequests`] if more packets arrive than blocks.
     pub fn on_data_request(&mut self, id: SabreId) -> Result<(), SabreError> {
-        let slot = *self.by_id.get(&id).ok_or(SabreError::UnknownId)?;
-        let entry = self.entries[slot.0 as usize]
-            .as_mut()
-            .expect("by_id points at occupied slot");
+        let idx = self.live_slot_of(id).ok_or(SabreError::UnknownId)?;
+        let entry = self.entries[idx].as_mut().expect("live slot is occupied");
         if entry.request_count >= entry.size_blocks {
             return Err(SabreError::TooManyRequests);
         }
@@ -314,14 +409,23 @@ impl LightSabres {
     /// order over active SABRes (the "select transfer" + "unroll" stages of
     /// Fig. 4). The caller performs the access and feeds the reply back via
     /// the matching `on_*` method.
+    ///
+    /// Selection is a priority encoder over the occupancy mask: the
+    /// occupied slots from the cursor to the end, then from 0 up to the
+    /// cursor — the order of a cursor-relative scan of every slot, without
+    /// visiting the empty ones.
     pub fn next_issue(&mut self) -> Option<BlockIssue> {
         let n = self.entries.len();
-        for step in 0..n {
-            let idx = (self.cursor + step) % n;
-            if let Some(issue) = self.try_issue_slot(idx) {
-                // Advance past the serviced slot for fairness.
-                self.cursor = (idx + 1) % n;
-                return Some(issue);
+        let cursor = self.cursor;
+        for (from, end) in [(cursor, n), (0, cursor)] {
+            let mut next = from;
+            while let Some(idx) = self.occupied.first_in(next, end) {
+                if let Some(issue) = self.try_issue_slot(idx) {
+                    // Advance past the serviced slot for fairness.
+                    self.cursor = if idx + 1 == n { 0 } else { idx + 1 };
+                    return Some(issue);
+                }
+                next = idx + 1;
             }
         }
         None
@@ -514,77 +618,79 @@ impl LightSabres {
     /// Delivers a coherence invalidation to the engine; every armed stream
     /// buffer is probed by subtractor (§4.2).
     ///
+    /// Only live slots are probed: an entry owing just its lock release has
+    /// already completed, and an engine with no live SABRe (the common
+    /// case under local writers: most stores snoop an idle engine) returns
+    /// at once.
+    ///
     /// Invalidations never complete a SABRe by themselves (completion is
     /// always driven by a reply), so this returns no actions; it only flips
     /// abort/revalidate state.
     pub fn on_invalidation(&mut self, block: BlockAddr) {
-        // Every entry not yet `Releasing` is in `by_id`, and the scan skips
-        // `Releasing` ones, so an empty map means there is nothing to probe
-        // (the common case under local writers: most stores snoop an idle
-        // engine).
-        if self.by_id.is_empty() {
-            debug_assert!(
-                self.entries
-                    .iter()
-                    .flatten()
-                    .all(|e| e.state == SabreState::Releasing),
-                "a live SABRe is missing from by_id"
-            );
+        if self.live.is_empty() {
             return;
         }
-        for idx in 0..self.entries.len() {
-            let Some(entry) = self.entries[idx].as_mut() else {
-                continue;
-            };
-            if entry.state == SabreState::Releasing {
-                continue; // already completed; only the lock release is owed
+        for (w, word) in self.live.0.into_iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let idx = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.probe_slot(idx, block);
             }
-            match self.buffers[idx].probe(block) {
-                Probe::Miss => {}
-                Probe::Base => {
-                    match self.cfg.cc_mode {
-                        CcMode::Occ => {
-                            if entry.version.is_some() && !entry.aborted {
-                                // The one ambiguous event: writer conflict or
-                                // eviction. Never abort here — re-read the
-                                // header when data completes (§4.2).
-                                if !entry.revalidate {
-                                    entry.revalidate = true;
-                                    self.stats.revalidations += 1;
-                                }
-                                // If data had already completed and success
-                                // was not yet reported we would be in
-                                // Validating state already; reaching here
-                                // with Active state means the re-read is
-                                // still ahead of us.
+        }
+    }
+
+    /// Snoops one live slot's stream buffer for an invalidation of `block`.
+    fn probe_slot(&mut self, idx: usize, block: BlockAddr) {
+        let probe = self.buffers[idx].probe(block);
+        if probe == Probe::Miss {
+            return; // the common case: the entry itself is not touched
+        }
+        let entry = self.entries[idx].as_mut().expect("live slot is occupied");
+        match probe {
+            Probe::Miss => {}
+            Probe::Base => {
+                match self.cfg.cc_mode {
+                    CcMode::Occ => {
+                        if entry.version.is_some() && !entry.aborted {
+                            // The one ambiguous event: writer conflict or
+                            // eviction. Never abort here — re-read the
+                            // header when data completes (§4.2).
+                            if !entry.revalidate {
+                                entry.revalidate = true;
+                                self.stats.revalidations += 1;
                             }
-                            // Window still open (version not sampled): the
-                            // pending head read is ordered after this write
-                            // and will observe its effect; nothing to do.
+                            // If data had already completed and success
+                            // was not yet reported we would be in
+                            // Validating state already; reaching here
+                            // with Active state means the re-read is
+                            // still ahead of us.
                         }
-                        CcMode::Locking => {
-                            // Before the lock is held the head block is
-                            // ordinary speculative data; a hit on read data
-                            // inside the window is a conflict.
-                            if entry.speculating && self.buffers[idx].received(0) && !entry.aborted
-                            {
-                                entry.aborted = true;
-                                self.stats.aborts_window_conflict += 1;
-                            } else if !entry.speculating {
-                                self.stats.invals_ignored_after_window += 1;
-                            }
+                        // Window still open (version not sampled): the
+                        // pending head read is ordered after this write
+                        // and will observe its effect; nothing to do.
+                    }
+                    CcMode::Locking => {
+                        // Before the lock is held the head block is
+                        // ordinary speculative data; a hit on read data
+                        // inside the window is a conflict.
+                        if entry.speculating && self.buffers[idx].received(0) && !entry.aborted {
+                            entry.aborted = true;
+                            self.stats.aborts_window_conflict += 1;
+                        } else if !entry.speculating {
+                            self.stats.invals_ignored_after_window += 1;
                         }
                     }
                 }
-                Probe::Data { received, .. } => {
-                    if entry.speculating && received && !entry.aborted {
-                        // §4.1: a write raced our already-consumed data while
-                        // the version/lock outcome was still unknown.
-                        entry.aborted = true;
-                        self.stats.aborts_window_conflict += 1;
-                    } else if !entry.speculating {
-                        self.stats.invals_ignored_after_window += 1;
-                    }
+            }
+            Probe::Data { received, .. } => {
+                if entry.speculating && received && !entry.aborted {
+                    // §4.1: a write raced our already-consumed data while
+                    // the version/lock outcome was still unknown.
+                    entry.aborted = true;
+                    self.stats.aborts_window_conflict += 1;
+                } else if !entry.speculating {
+                    self.stats.invals_ignored_after_window += 1;
                 }
             }
         }
@@ -639,8 +745,9 @@ impl LightSabres {
         };
         if entry.lock_held {
             entry.state = SabreState::Releasing;
-            // `by_id` entry drops now: the SABRe is over on the wire.
-            self.by_id.remove(&id);
+            // The SABRe is over on the wire: its id no longer resolves and
+            // invalidations no longer probe it.
+            self.live.remove(idx);
             self.buffers[idx].release();
         } else {
             self.free_slot(idx);
@@ -649,9 +756,9 @@ impl LightSabres {
     }
 
     fn free_slot(&mut self, idx: usize) {
-        if let Some(entry) = self.entries[idx].take() {
-            self.by_id.remove(&entry.id);
-        }
+        self.entries[idx] = None;
+        self.occupied.remove(idx);
+        self.live.remove(idx);
         self.buffers[idx].release();
     }
 }
@@ -1112,6 +1219,33 @@ mod tests {
         // The owed release still issues and frees the slot.
         assert_eq!(eng.next_issue().unwrap().kind, IssueKind::LockRelease);
         assert!(eng.entry(slot).is_none());
+    }
+
+    #[test]
+    fn id_reregistered_while_a_release_is_owed_stays_live() {
+        let cfg = LightSabresConfig {
+            cc_mode: CcMode::Locking,
+            ..LightSabresConfig::default()
+        };
+        let mut eng = LightSabres::new(cfg);
+        let old = register_full(&mut eng, 1, 64);
+        eng.next_issue().unwrap(); // acquire
+        eng.next_issue().unwrap(); // block 0
+        eng.on_lock_reply(old, true);
+        eng.on_block_reply(old, 0, &block_with_version(2));
+        assert_eq!(eng.entry(old).unwrap().state, SabreState::Releasing);
+        // The id is over on the wire, so it may register again...
+        let new = eng.register(id(1), Addr::new(4096), 64, 0).unwrap();
+        assert_ne!(new, old);
+        // ...and freeing the old slot must not forget the new SABRe.
+        while eng.entry(old).is_some() {
+            eng.next_issue().unwrap();
+        }
+        assert_eq!(eng.on_data_request(id(1)), Ok(()));
+        assert_eq!(
+            eng.register(id(1), Addr::new(0), 64, 0),
+            Err(RegisterError::DuplicateId)
+        );
     }
 
     #[test]

@@ -112,13 +112,33 @@ pub struct FabricPort {
     spine_tail: Time,
 }
 
-/// One lazily-created directed link: its queued bandwidth server plus the
+/// One lazily-created directed link: its queued bandwidth server, the
 /// packets pushed through it (conservation accounting: every send is
-/// delivered exactly once).
+/// delivered exactly once), and its route, resolved from the topology
+/// once when the link is created.
 #[derive(Debug)]
 struct LinkState {
     server: BandwidthServer,
     sent: u64,
+    /// [`RackTopology::hops`] of the link's node pair.
+    hops: u64,
+    /// [`RackTopology::crosses_uplink`] of the link's node pair.
+    crosses_uplink: bool,
+    /// [`RackTopology::crosses_spine`] of the link's node pair.
+    crosses_spine: bool,
+}
+
+impl LinkState {
+    /// An idle link from `src` to `dst` with its route resolved.
+    fn new(cfg: &FabricConfig, src: usize, dst: usize) -> Self {
+        LinkState {
+            server: BandwidthServer::new(cfg.link_gbps, Time::ZERO),
+            sent: 0,
+            hops: cfg.topology.hops(src, dst),
+            crosses_uplink: cfg.topology.crosses_uplink(src, dst),
+            crosses_spine: cfg.topology.crosses_spine(src, dst),
+        }
+    }
 }
 
 impl FabricPort {
@@ -150,31 +170,28 @@ impl FabricPort {
             .map(|i| &self.links[i].1)
     }
 
-    /// The link state toward `dst`, created idle on first use.
-    fn link_mut(&mut self, cfg: &FabricConfig, dst: usize) -> &mut LinkState {
-        let idx = match self.links.binary_search_by_key(&(dst as u32), |(d, _)| *d) {
+    /// The index in `links` of the link toward `dst`, created idle (with
+    /// its route resolved) on first use.
+    fn link_index(&mut self, cfg: &FabricConfig, dst: usize) -> usize {
+        match self.links.binary_search_by_key(&(dst as u32), |(d, _)| *d) {
             Ok(i) => i,
             Err(i) => {
-                self.links.insert(
-                    i,
-                    (
-                        dst as u32,
-                        LinkState {
-                            server: BandwidthServer::new(cfg.link_gbps, Time::ZERO),
-                            sent: 0,
-                        },
-                    ),
-                );
+                let link = LinkState::new(cfg, self.src, dst);
+                self.links.insert(i, (dst as u32, link));
                 i
             }
-        };
-        &mut self.links[idx].1
+        }
     }
 
     /// Sends a packet with `payload_bytes` of payload from this port's
     /// source to `dst` no earlier than `now`; returns its arrival time at
     /// `dst`: serialization onto the (queued) directed link plus one
     /// [`FabricConfig::hop_latency`] per routed hop.
+    ///
+    /// The route (hop count, uplink and spine crossings) is resolved from
+    /// the topology once per link, when the link's first packet creates
+    /// it; later sends read it from the link instead of recomputing leaf
+    /// and rack indices per packet.
     ///
     /// On a [`RackTopology::FatTree`] (and within each
     /// [`RackTopology::Datacenter`] rack), cross-leaf packets contend for
@@ -207,8 +224,11 @@ impl FabricPort {
             "node index out of range: {} -> {dst}",
             self.src
         );
-        let mut hops = cfg.topology.hops(self.src, dst);
-        let crosses = cfg.topology.crosses_uplink(self.src, dst);
+        let idx = self.link_index(cfg, dst);
+        let link = &mut self.links[idx].1;
+        link.sent += 1;
+        let (mut hops, crosses, spine) = (link.hops, link.crosses_uplink, link.crosses_spine);
+        let serialized = link.server.transmit(now, payload_bytes + cfg.header_bytes);
         if crosses {
             let budget = cfg
                 .topology
@@ -226,7 +246,6 @@ impl FabricPort {
             }
         }
         let mut propagation = cfg.hop_latency * hops;
-        let spine = cfg.topology.crosses_spine(self.src, dst);
         self.stats.record(hops, spine);
         if spine {
             let spine_latency = cfg
@@ -251,9 +270,7 @@ impl FabricPort {
                 self.stats.spine_queued += 1;
             }
         }
-        let link = self.link_mut(cfg, dst);
-        link.sent += 1;
-        let mut arrival = link.server.transmit(now, payload_bytes + cfg.header_bytes) + propagation;
+        let mut arrival = serialized + propagation;
         if crosses {
             // The uplink bundle is a FIFO queue: a packet sent in a later
             // window (counter reset) never overtakes one still queued.
@@ -621,6 +638,192 @@ impl<M> ShardRouter<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One fabric of every topology kind, on node counts that fill some
+    /// leaves and racks only partly.
+    fn route_fabrics() -> Vec<FabricConfig> {
+        let datacenter = |racks, radix, oversubscription, spine_ns| RackTopology::Datacenter {
+            racks,
+            radix,
+            oversubscription,
+            spine_latency: Time::from_ns(spine_ns),
+        };
+        [
+            (2, RackTopology::Direct),
+            (5, RackTopology::Direct),
+            (9, RackTopology::mesh_for(9)),
+            (7, RackTopology::Mesh { cols: 3 }),
+            (11, RackTopology::fat_tree_for(11, 1)),
+            (
+                12,
+                RackTopology::FatTree {
+                    radix: 4,
+                    oversubscription: 2,
+                },
+            ),
+            (32, RackTopology::datacenter_for(2, 4, 2)),
+            (11, datacenter(3, 2, 1, 35)),
+            (27, datacenter(2, 4, 4, 200)),
+        ]
+        .into_iter()
+        .map(|(nodes, topology)| FabricConfig {
+            nodes,
+            topology,
+            ..FabricConfig::default()
+        })
+        .collect()
+    }
+
+    #[test]
+    fn links_cache_the_topology_route_of_every_pair() {
+        for cfg in route_fabrics() {
+            let mut fabric = Fabric::new(cfg);
+            let (cfg, ports) = fabric.split();
+            let topo = cfg.topology;
+            for (src, port) in ports.iter_mut().enumerate() {
+                for dst in (0..cfg.nodes).filter(|&d| d != src) {
+                    let idx = port.link_index(cfg, dst);
+                    let link = &port.links[idx].1;
+                    assert_eq!(
+                        (link.hops, link.crosses_uplink, link.crosses_spine),
+                        (
+                            topo.hops(src, dst),
+                            topo.crosses_uplink(src, dst),
+                            topo.crosses_spine(src, dst)
+                        ),
+                        "{topo:?}: {src} -> {dst}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `FabricPort::send` as it was with the route recomputed from the
+    /// topology on every packet: one port's window counters, tails and
+    /// hop statistics, and every directed link's server and packet count.
+    struct RouteEveryPacket {
+        cfg: FabricConfig,
+        links: std::collections::BTreeMap<(usize, usize), (BandwidthServer, u64)>,
+        stats: Vec<HopStats>,
+        /// Per source: uplink window, count, tail; spine window, count, tail.
+        windows: Vec<(u64, u64, Time, u64, u64, Time)>,
+    }
+
+    impl RouteEveryPacket {
+        fn new(cfg: FabricConfig) -> Self {
+            RouteEveryPacket {
+                links: Default::default(),
+                stats: vec![HopStats::default(); cfg.nodes],
+                windows: vec![(0, 0, Time::ZERO, 0, 0, Time::ZERO); cfg.nodes],
+                cfg,
+            }
+        }
+
+        fn send(&mut self, now: Time, src: usize, dst: usize, payload_bytes: u64) -> Time {
+            let cfg = &self.cfg;
+            let stats = &mut self.stats[src];
+            let (uplink_window, uplink_count, uplink_tail, spine_window, spine_count, spine_tail) =
+                &mut self.windows[src];
+            let mut hops = cfg.topology.hops(src, dst);
+            let crosses = cfg.topology.crosses_uplink(src, dst);
+            if crosses {
+                let budget = cfg.topology.uplink_budget().unwrap();
+                let window = now.as_ps() / cfg.hop_latency.as_ps();
+                if window != *uplink_window {
+                    *uplink_window = window;
+                    *uplink_count = 0;
+                }
+                *uplink_count += 1;
+                if *uplink_count > budget {
+                    hops += *uplink_count - budget;
+                    stats.uplink_queued += 1;
+                }
+            }
+            let mut propagation = cfg.hop_latency * hops;
+            let spine = cfg.topology.crosses_spine(src, dst);
+            stats.record(hops, spine);
+            if spine {
+                let spine_latency = cfg.topology.spine_latency().unwrap();
+                propagation = propagation - cfg.hop_latency + spine_latency;
+                let budget = cfg.topology.spine_budget().unwrap();
+                let window = now.as_ps() / spine_latency.as_ps();
+                if window != *spine_window {
+                    *spine_window = window;
+                    *spine_count = 0;
+                }
+                *spine_count += 1;
+                if *spine_count > budget {
+                    propagation += spine_latency * (*spine_count - budget);
+                    stats.spine_queued += 1;
+                }
+            }
+            let (server, sent) = self
+                .links
+                .entry((src, dst))
+                .or_insert_with(|| (BandwidthServer::new(cfg.link_gbps, Time::ZERO), 0));
+            *sent += 1;
+            let mut arrival = server.transmit(now, payload_bytes + cfg.header_bytes) + propagation;
+            if crosses {
+                arrival = arrival.max(*uplink_tail);
+                *uplink_tail = arrival;
+            }
+            if spine {
+                arrival = arrival.max(*spine_tail);
+                *spine_tail = arrival;
+            }
+            arrival
+        }
+    }
+
+    #[test]
+    fn cached_routes_send_like_routing_every_packet() {
+        for cfg in route_fabrics() {
+            let mut fabric = Fabric::new(cfg.clone());
+            let mut reference = RouteEveryPacket::new(cfg.clone());
+            // A fixed pseudo-random sequence of bursts: eight sends from one
+            // source at one instant, sub-hop gaps between bursts, so uplink
+            // and spine budgets overflow and their tails bind.
+            let mut x = 0x2545_f491_4f6c_dd1du64;
+            let mut now = Time::ZERO;
+            let mut src = 0;
+            for i in 0..4_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if i % 8 == 0 {
+                    now += Time::from_ps(x % 40_000);
+                    src = (x >> 16) as usize % cfg.nodes;
+                }
+                let dst = (src + 1 + (x >> 32) as usize % (cfg.nodes - 1)) % cfg.nodes;
+                let payload = (x >> 48) % 1_024;
+                assert_eq!(
+                    fabric.send(now, src, dst, payload),
+                    reference.send(now, src, dst, payload),
+                    "{:?}: send {i}, {src} -> {dst}",
+                    cfg.topology
+                );
+            }
+            for src in 0..cfg.nodes {
+                assert_eq!(fabric.node_hop_stats(src), reference.stats[src]);
+                for dst in (0..cfg.nodes).filter(|&d| d != src) {
+                    let (bytes, packets) = reference
+                        .links
+                        .get(&(src, dst))
+                        .map_or((0, 0), |(server, sent)| (server.bytes_total(), *sent));
+                    assert_eq!(fabric.link_bytes(src, dst), bytes, "{src} -> {dst}");
+                    assert_eq!(fabric.link_packets(src, dst), packets, "{src} -> {dst}");
+                }
+            }
+            let hop_stats = fabric.hop_stats();
+            assert!(hop_stats.packets == 4_000 && hop_stats.hops >= 4_000);
+            if cfg.topology.uplink_budget().is_some() {
+                assert!(hop_stats.uplink_queued > 0, "{:?}", cfg.topology);
+            }
+            if cfg.topology.spine_budget().is_some() && cfg.nodes > 16 {
+                assert!(hop_stats.spine_queued > 0, "{:?}", cfg.topology);
+            }
+        }
+    }
 
     #[test]
     fn unloaded_packet_latency() {

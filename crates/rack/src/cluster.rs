@@ -195,8 +195,8 @@ impl Event {
     }
 }
 
-/// Events a cluster has handled, by kind, summed over every node (see
-/// [`Cluster::events_handled`]).
+/// Events a cluster has handled, by kind, summed over every node, and the
+/// local stores its cores made (see [`Cluster::events_handled`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventCounts {
     /// Packets handed to the fabric at their source.
@@ -216,10 +216,16 @@ pub struct EventCounts {
     pub rpc_deliveries: u64,
     /// RPC replies delivered to their requesting cores.
     pub rpc_reply_deliveries: u64,
+    /// Local stores cores made ([`CoreApi::store_local`] and
+    /// [`CoreApi::store_local_u64`]): writers' lock, payload and publish
+    /// stores, each with its LLC fill and invalidation fan-out. A store is
+    /// work inside a handled event (a writer's wake-up), not an event of
+    /// its own, so [`EventCounts::total`] leaves it out.
+    pub local_stores: u64,
 }
 
 impl EventCounts {
-    fn from_kinds(k: [u64; 8]) -> Self {
+    fn from_kinds(k: [u64; 8], local_stores: u64) -> Self {
         EventCounts {
             fabric_sends: k[0],
             packet_arrivals: k[1],
@@ -229,10 +235,11 @@ impl EventCounts {
             completions: k[5],
             rpc_deliveries: k[6],
             rpc_reply_deliveries: k[7],
+            local_stores,
         }
     }
 
-    /// Events of every kind.
+    /// Events of every kind (local stores are not events).
     pub fn total(&self) -> u64 {
         self.fabric_sends
             + self.packet_arrivals
@@ -348,6 +355,8 @@ struct NodeCtx {
     sends: Vec<Packet>,
     /// Events handled, by [`Event::kind`].
     handled: [u64; 8],
+    /// Local stores made by this node's cores.
+    local_stores: u64,
     /// Monotonicity watermark of the node's local event time; during
     /// event handling this *is* the current simulated instant.
     now: Time,
@@ -414,6 +423,7 @@ impl Cluster {
                 queue: NodeQueue::new(),
                 sends: Vec::new(),
                 handled: [0; 8],
+                local_stores: 0,
                 now: Time::ZERO,
                 workloads: (0..cfg.cores_per_node).map(|_| None).collect(),
                 metrics: vec![CoreMetrics::default(); cfg.cores_per_node],
@@ -493,6 +503,7 @@ impl Cluster {
     pub fn reset_metrics(&mut self) {
         for node in &mut self.nodes {
             node.handled = [0; 8];
+            node.local_stores = 0;
             for m in &mut node.metrics {
                 m.reset();
             }
@@ -503,17 +514,20 @@ impl Cluster {
     }
 
     /// Events handled since the cluster was built or its metrics were last
-    /// reset, by kind, summed over every node. Each simulated block
-    /// transfer costs a handful of events, so these counts are what
-    /// per-event host costs multiply by.
+    /// reset, by kind, summed over every node, and the local stores cores
+    /// made in that time. Each simulated block transfer costs a handful of
+    /// events, and each object update a store per block, so these counts
+    /// are what per-event and per-store host costs multiply by.
     pub fn events_handled(&self) -> EventCounts {
         let mut kinds = [0u64; 8];
+        let mut local_stores = 0;
         for node in &self.nodes {
             for (sum, n) in kinds.iter_mut().zip(node.handled) {
                 *sum += n;
             }
+            local_stores += node.local_stores;
         }
-        EventCounts::from_kinds(kinds)
+        EventCounts::from_kinds(kinds, local_stores)
     }
 
     /// R2P2 statistics of one destination pipeline.
@@ -1528,7 +1542,9 @@ impl CoreApi<'_> {
             "store_local must stay within one cache block"
         );
         let node = self.node;
-        self.exec.node_mut(node).memory.write(addr, data);
+        let ctx = self.exec.node_mut(node);
+        ctx.local_stores += 1;
+        ctx.memory.write(addr, data);
         let block = addr.block();
         let _ = self.exec.llc_touch(node, block);
         self.exec.broadcast_inval(node, block);
