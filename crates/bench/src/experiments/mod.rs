@@ -49,6 +49,7 @@ pub fn label(mech: ReadMechanism) -> &'static str {
         ReadMechanism::ChecksumValidate { .. } => "Pilaf CRC64",
         ReadMechanism::WfRegister { .. } => "wait-free reg",
         ReadMechanism::OhRam { .. } => "Oh-RAM 1.5rt",
+        ReadMechanism::SourceLocking { .. } => "DrTM lock",
     }
 }
 

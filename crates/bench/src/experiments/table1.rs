@@ -94,7 +94,9 @@ pub fn measure(quadrant: Quadrant, iters: u64) -> f64 {
         .reader(0, 0, move |objects| -> Box<dyn sabre_rack::Workload> {
             let base = spec().store(1).payload(PAYLOAD);
             match quadrant {
-                Quadrant::SourceLocking => base.source_locking(),
+                Quadrant::SourceLocking => {
+                    base.mechanism(ReadMechanism::SourceLocking { payload: PAYLOAD })
+                }
                 Quadrant::SourceOccPerCl => {
                     base.mechanism(ReadMechanism::PerClValidate { payload: PAYLOAD })
                 }

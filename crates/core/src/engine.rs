@@ -574,11 +574,9 @@ impl LightSabres {
         );
         entry.speculating = false;
         if acquired {
+            // Aborted or not, `finish` releases the lock once the
+            // transfer drains.
             entry.lock_held = true;
-            if entry.aborted {
-                // Aborted while the acquire was in flight; undo it once the
-                // transfer drains.
-            }
         } else if !entry.aborted {
             entry.aborted = true;
             self.stats.aborts_lock_failed += 1;
@@ -703,13 +701,12 @@ impl LightSabres {
         if entry.state != SabreState::Active || !entry.data_complete() {
             return Vec::new();
         }
-        // Locking mode must not report success until the lock outcome is
-        // known (the acquire can outlast the data on a congested system).
-        if self.cfg.cc_mode == CcMode::Locking
-            && entry.lock_issued
-            && !entry.lock_held
-            && !entry.aborted
-        {
+        // Locking mode must not complete until the lock outcome is known
+        // (the acquire can outlast the data on a congested system), even
+        // once aborted: a late grant must be released, and the reply must
+        // find its slot. The acquire's reply, and nothing else in locking
+        // mode, clears `speculating`.
+        if self.cfg.cc_mode == CcMode::Locking && entry.lock_issued && entry.speculating {
             return Vec::new();
         }
         if entry.aborted {
@@ -1163,6 +1160,52 @@ mod tests {
         let rel = eng.next_issue().unwrap();
         assert_eq!(rel.kind, IssueKind::LockRelease);
         assert_eq!(eng.stats().completed_failed, 1);
+    }
+
+    /// A locking-mode SABRe aborted by a window conflict while its acquire
+    /// is in flight: the data completes first, then the acquire answers.
+    /// Returns the engine and the slot with the data complete.
+    fn aborted_before_the_acquire_answers() -> (LightSabres, SlotId) {
+        let cfg = LightSabresConfig {
+            cc_mode: CcMode::Locking,
+            ..LightSabresConfig::default()
+        };
+        let mut eng = LightSabres::new(cfg);
+        let slot = register_full(&mut eng, 1, 128);
+        assert_eq!(eng.next_issue().unwrap().kind, IssueKind::LockAcquire);
+        assert_eq!(eng.next_issue().unwrap().kind, IssueKind::Data);
+        assert_eq!(eng.next_issue().unwrap().kind, IssueKind::Data);
+        assert!(eng.on_block_reply(slot, 1, &[0u8; BLOCK_BYTES]).is_empty());
+        eng.on_invalidation(BlockAddr::from_index(1));
+        assert!(eng.entry(slot).unwrap().aborted);
+        // Every block is in, but the lock outcome is not: no completion,
+        // and the slot stays put for the acquire's reply.
+        assert!(eng
+            .on_block_reply(slot, 0, &block_with_version(2))
+            .is_empty());
+        assert_eq!(eng.active_count(), 1);
+        (eng, slot)
+    }
+
+    #[test]
+    fn aborted_locking_sabre_releases_a_late_grant() {
+        let (mut eng, slot) = aborted_before_the_acquire_answers();
+        let done = eng.on_lock_reply(slot, true);
+        assert!(matches!(done[..], [Action::Complete { atomic: false, .. }]));
+        assert_eq!(eng.next_issue().unwrap().kind, IssueKind::LockRelease);
+        assert!(eng.next_issue().is_none());
+        assert_eq!(eng.active_count(), 0);
+        assert_eq!(eng.stats().completed_failed, 1);
+    }
+
+    #[test]
+    fn aborted_locking_sabre_waits_for_a_late_denial() {
+        let (mut eng, slot) = aborted_before_the_acquire_answers();
+        let done = eng.on_lock_reply(slot, false);
+        assert!(matches!(done[..], [Action::Complete { atomic: false, .. }]));
+        // No release owed: the lock was never held.
+        assert!(eng.next_issue().is_none());
+        assert_eq!(eng.active_count(), 0);
     }
 
     /// Debug snapshot of every ATT slot (entries carry no `PartialEq`).

@@ -273,11 +273,8 @@ impl Reference {
         if entry.state != SabreState::Active || !entry.data_complete() {
             return Vec::new();
         }
-        if self.cfg.cc_mode == CcMode::Locking
-            && entry.lock_issued
-            && !entry.lock_held
-            && !entry.aborted
-        {
+        // Wait for the acquire's outcome, aborted or not.
+        if self.cfg.cc_mode == CcMode::Locking && entry.lock_issued && entry.speculating {
             return Vec::new();
         }
         if entry.aborted {

@@ -95,21 +95,46 @@ pub struct FabricPort {
     /// queueing penalties included), spine crossings, and the packets that
     /// queued at the uplink or spine bundle.
     stats: HopStats,
-    /// Hop-latency window index the uplink counter below covers.
-    uplink_window: u64,
-    /// Cross-leaf packets this port pushed within the current window.
-    uplink_in_window: u64,
-    /// Arrival time of the last packet through the uplink bundle: the
-    /// bundle is a FIFO queue, so a later packet (whose window counter may
-    /// have reset) never overtakes an earlier queued one.
-    uplink_tail: Time,
-    /// Spine-latency window index the spine counter below covers.
-    spine_window: u64,
-    /// Cross-rack packets this port pushed within the current spine window.
-    spine_in_window: u64,
-    /// Arrival time of the last packet through the rack's spine bundle
-    /// (FIFO, like the leaf uplink).
-    spine_tail: Time,
+    /// The leaf's uplink bundle, windowed by the hop latency.
+    uplink: Bundle,
+    /// The rack's spine bundle, windowed by the spine latency.
+    spine: Bundle,
+}
+
+/// One oversubscribed bundle as a port sees it: the packets it pushed
+/// within the current window, and its FIFO tail.
+#[derive(Debug, Default)]
+struct Bundle {
+    /// Window index the counter below covers.
+    window: u64,
+    /// Packets this port pushed within the current window.
+    in_window: u64,
+    /// Arrival time of the last packet through the bundle: the bundle is a
+    /// FIFO queue, so a later packet (whose window counter may have reset)
+    /// never overtakes an earlier queued one.
+    tail: Time,
+}
+
+impl Bundle {
+    /// Counts a packet pushed at `now` into its `window_len` window and
+    /// returns how many of the window's packets beyond `budget` it queues
+    /// behind (0 within the budget).
+    fn push(&mut self, now: Time, window_len: Time, budget: u64) -> u64 {
+        let window = now.as_ps() / window_len.as_ps().max(1);
+        if window != self.window {
+            self.window = window;
+            self.in_window = 0;
+        }
+        self.in_window += 1;
+        self.in_window.saturating_sub(budget)
+    }
+
+    /// Holds `arrival` behind the bundle's previous packet and makes it
+    /// the new tail.
+    fn fifo(&mut self, arrival: Time) -> Time {
+        self.tail = arrival.max(self.tail);
+        self.tail
+    }
 }
 
 /// One lazily-created directed link: its queued bandwidth server, the
@@ -148,12 +173,8 @@ impl FabricPort {
             src,
             links: Vec::new(),
             stats: HopStats::default(),
-            uplink_window: 0,
-            uplink_in_window: 0,
-            uplink_tail: Time::ZERO,
-            spine_window: 0,
-            spine_in_window: 0,
-            spine_tail: Time::ZERO,
+            uplink: Bundle::default(),
+            spine: Bundle::default(),
         }
     }
 
@@ -234,14 +255,9 @@ impl FabricPort {
                 .topology
                 .uplink_budget()
                 .expect("uplink crossings only exist on leaf/spine fabrics");
-            let window = now.as_ps() / cfg.hop_latency.as_ps().max(1);
-            if window != self.uplink_window {
-                self.uplink_window = window;
-                self.uplink_in_window = 0;
-            }
-            self.uplink_in_window += 1;
-            if self.uplink_in_window > budget {
-                hops += self.uplink_in_window - budget;
+            let queued = self.uplink.push(now, cfg.hop_latency, budget);
+            if queued > 0 {
+                hops += queued;
                 self.stats.uplink_queued += 1;
             }
         }
@@ -259,27 +275,18 @@ impl FabricPort {
                 .topology
                 .spine_budget()
                 .expect("spine crossings only exist on datacenters");
-            let window = now.as_ps() / spine_latency.as_ps().max(1);
-            if window != self.spine_window {
-                self.spine_window = window;
-                self.spine_in_window = 0;
-            }
-            self.spine_in_window += 1;
-            if self.spine_in_window > budget {
-                propagation += spine_latency * (self.spine_in_window - budget);
+            let queued = self.spine.push(now, spine_latency, budget);
+            if queued > 0 {
+                propagation += spine_latency * queued;
                 self.stats.spine_queued += 1;
             }
         }
         let mut arrival = serialized + propagation;
         if crosses {
-            // The uplink bundle is a FIFO queue: a packet sent in a later
-            // window (counter reset) never overtakes one still queued.
-            arrival = arrival.max(self.uplink_tail);
-            self.uplink_tail = arrival;
+            arrival = self.uplink.fifo(arrival);
         }
         if spine {
-            arrival = arrival.max(self.spine_tail);
-            self.spine_tail = arrival;
+            arrival = self.spine.fifo(arrival);
         }
         arrival
     }

@@ -204,15 +204,17 @@ impl StoreLayout {
     /// The layout whose whole objects a mechanism's reads transfer, with
     /// the clean payload bytes the mechanism names: its own layout for the
     /// software and captured mechanisms, [`StoreLayout::Clean`] for
-    /// Oh-RAM. `None` for raw reads and SABRes, which move exactly the
-    /// bytes they request.
+    /// Oh-RAM and source locking. `None` for raw reads and SABRes, which
+    /// move exactly the bytes they request.
     pub fn of_mechanism(mech: ReadMechanism) -> Option<(StoreLayout, u32)> {
         match mech {
             ReadMechanism::Raw | ReadMechanism::Sabre => None,
             ReadMechanism::PerClValidate { payload } => Some((StoreLayout::PerCl, payload)),
             ReadMechanism::ChecksumValidate { payload } => Some((StoreLayout::Checksum, payload)),
             ReadMechanism::WfRegister { payload } => Some((StoreLayout::WfRegister, payload)),
-            ReadMechanism::OhRam { payload } => Some((StoreLayout::Clean, payload)),
+            ReadMechanism::OhRam { payload } | ReadMechanism::SourceLocking { payload } => {
+                Some((StoreLayout::Clean, payload))
+            }
         }
     }
 }
@@ -239,7 +241,8 @@ pub struct UpdatePlan {
     next: usize,
 }
 
-/// How long a writer waits before re-checking a held reader lock.
+/// How long a writer waits before re-checking a held reader lock or a
+/// version word a remote reader has locked.
 const READER_LOCK_SPIN: Time = Time::from_ns(10);
 
 impl UpdatePlan {
@@ -250,11 +253,13 @@ impl UpdatePlan {
 
     /// Starts update `seq` of `object` (its id and base address), the
     /// steps every writer shares. With `respect_reader_locks` set and the
-    /// object's shared reader lock held (destination locking), it stores
-    /// nothing, sleeps one spin and returns `false`: the caller retries on
-    /// wake. Otherwise it reads the version word, stores it locked (if the
-    /// layout locks), rebuilds the plan and sleeps one store interval
-    /// before store 0, returning `true`.
+    /// object's shared reader lock held (destination locking), or with the
+    /// version word already locked (odd) on a layout that locks — a
+    /// source-locking reader holds it — it stores nothing, sleeps one spin
+    /// and returns `false`: the caller retries on wake. Otherwise it reads
+    /// the version word, stores it locked (if the layout locks), rebuilds
+    /// the plan and sleeps one store interval before store 0, returning
+    /// `true`.
     pub fn start(
         &mut self,
         api: &mut CoreApi<'_>,
@@ -274,6 +279,10 @@ impl UpdatePlan {
         let va = layout.version_addr(base);
         let v = VersionWord::new(api.read_local_u64(va));
         if layout.takes_lock() {
+            if v.is_locked() {
+                api.sleep(READER_LOCK_SPIN);
+                return false;
+            }
             api.store_local_u64(va, v.locked().raw());
         }
         self.rebuild(layout, base, obj_id, seq, payload_len, v.raw());

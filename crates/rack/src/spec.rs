@@ -28,13 +28,13 @@
 //! assert!(m.p99_ns().unwrap() >= m.p50_ns().unwrap());
 //! ```
 //!
-//! [`WorkloadSpec::build`] compiles a spec into one of three programs:
-//! [`window`](WorkloadSpec::window) builds a windowed reader (operations
-//! in flight), [`source_locking`](WorkloadSpec::source_locking) a
-//! source-locking reader (CAS, read, asynchronous unlock), and every
-//! other shape — closed or open loop, one store or a replica set — one
-//! synchronous reader. A field the chosen program would ignore is
-//! rejected with a panic rather than dropped.
+//! [`WorkloadSpec::build`] compiles every spec into one reader program.
+//! The mechanism — source locking's CAS, read and asynchronous unlock
+//! among them — is one of its [`ReadMechanism`]s, and
+//! [`window`](WorkloadSpec::window) is the number of operations it keeps
+//! in flight, under any pacing, popularity, mix or target. A field the
+//! program cannot honour in combination with the others is rejected with
+//! a panic rather than dropped.
 //!
 //! Scenario placement consumes specs through
 //! [`ScenarioBuilder::reader_spec`](crate::ScenarioBuilder::reader_spec),
@@ -46,7 +46,7 @@ use sabre_mem::Addr;
 use sabre_sim::Time;
 
 use crate::workload::{ReadMechanism, Workload};
-use crate::workloads::{node_id, AsyncReader, Reader, SourceLockingReader};
+use crate::workloads::{node_id, Reader};
 
 /// How long a replicated read waits before failing over, unless the spec
 /// says otherwise.
@@ -59,7 +59,8 @@ pub enum Arrivals {
     /// starts the instant the previous one completes.
     Closed,
     /// Open-loop Poisson arrivals at the given offered load. Arrivals
-    /// that fire while an operation is still in flight queue up
+    /// that fire while every operation of the
+    /// [window](WorkloadSpec::window) is in flight queue up
     /// (`CoreMetrics::queued_arrivals`), and latency is measured from the
     /// *arrival*, so queueing delay is part of the reported tail.
     Poisson {
@@ -126,8 +127,7 @@ pub struct WorkloadSpec {
     pub(crate) wire: Option<u32>,
     pub(crate) local_buf: Option<Addr>,
     pub(crate) iterations: Option<u64>,
-    pub(crate) window: Option<usize>,
-    pub(crate) source_locking: bool,
+    pub(crate) window: usize,
     pub(crate) replicas: Option<Vec<(usize, Vec<Addr>)>>,
     pub(crate) failover_timeout: Time,
     pub(crate) migrate: bool,
@@ -157,8 +157,7 @@ impl WorkloadSpec {
             wire: None,
             local_buf: None,
             iterations: None,
-            window: None,
-            source_locking: false,
+            window: 1,
             replicas: None,
             failover_timeout: DEFAULT_FAILOVER_TIMEOUT,
             migrate: true,
@@ -250,30 +249,24 @@ impl WorkloadSpec {
     }
 
     /// Stop after exactly `n` successful operations (default: endless).
+    /// Rejected beside a [`WorkloadSpec::window`] above 1.
     pub fn iterations(mut self, n: u64) -> Self {
         self.iterations = Some(n);
         self
     }
 
-    /// Keep `window` asynchronous operations in flight at all times
-    /// (Fig. 7b peak-throughput semantics) instead of the synchronous
-    /// loop. Only [`ReadMechanism::Raw`] / [`ReadMechanism::Sabre`] with
-    /// the default closed-loop uniform read-only shape support this, and
-    /// [`build`](WorkloadSpec::build) rejects `consume`, `backoff`,
-    /// `iterations`, `wire` and `local_buf` alongside it.
+    /// Operations the reader keeps in flight (default 1; Fig. 7b's
+    /// peak-throughput reader keeps several). Each operation reads into
+    /// its own slice of the local buffer; under a closed loop each starts
+    /// its successor the instant it completes, under open-loop arrivals
+    /// an arrival waits only while every one is busy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero.
     pub fn window(mut self, window: usize) -> Self {
-        self.window = Some(window);
-        self
-    }
-
-    /// DrTM-style source locking (Table 1, top-left): remote CAS lock,
-    /// data read, asynchronous unlock. Only the closed-loop uniform
-    /// read-only shape supports this; the program always reads plainly
-    /// and backs off a fixed 200 ns after a contended CAS, so
-    /// [`build`](WorkloadSpec::build) rejects `mechanism`, `backoff`,
-    /// `consume`, `wire` and `window` alongside it.
-    pub fn source_locking(mut self) -> Self {
-        self.source_locking = true;
+        assert!(window > 0, "window must be positive");
+        self.window = window;
         self
     }
 
@@ -284,7 +277,8 @@ impl WorkloadSpec {
     /// every address vector names the same logical object.
     /// Replaces [`WorkloadSpec::store`], which becomes optional, and
     /// [`WorkloadSpec::objects`], which is rejected. Only the closed-loop
-    /// uniform read-only shape supports replicas.
+    /// uniform read-only shape supports replicas, and source locking
+    /// rejects them: a failover would leave the abandoned lock held.
     pub fn replicas(mut self, replicas: Vec<(usize, Vec<Addr>)>) -> Self {
         self.replicas = Some(replicas);
         self
@@ -345,38 +339,30 @@ impl WorkloadSpec {
         (node_id(store), objects)
     }
 
-    /// Panics on a field the chosen program would silently ignore.
+    /// Panics on a field the reader cannot honour beside the others.
     fn reject_ignored_fields(&self) {
         let replicated = self.replicas.is_some();
-        let window = self.window.is_some();
-        let locking = self.source_locking;
-        let program = if replicated {
+        let locking = matches!(self.mech, ReadMechanism::SourceLocking { .. });
+        let program = if locking {
+            "source-locking readers"
+        } else if replicated {
             "replicated readers"
-        } else if locking {
-            "source locking"
-        } else if window {
-            "windowed readers"
         } else {
             "single-store readers"
         };
         assert!(
-            !(replicated || locking || window) || self.is_plain_closed_loop(),
-            "{program} support only the closed-loop uniform read-only shape"
+            !replicated || self.is_plain_closed_loop(),
+            "replicated readers support only the closed-loop uniform read-only shape"
         );
         let ignored = [
-            (replicated && window, ".window(..)"),
-            (replicated && locking, ".source_locking()"),
-            (replicated && self.objects.is_some(), ".objects(..)"),
-            (locking && window, ".window(..)"),
-            (locking && self.consume, ".consume()"),
-            (locking && self.wire.is_some(), ".wire(..)"),
+            (locking && replicated, ".replicas(..)"),
+            (locking && self.read_fraction < 1.0, ".mix(..)"),
             (locking && self.backoff != Time::ZERO, ".backoff(..)"),
-            (locking && self.mech != ReadMechanism::Raw, ".mechanism(..)"),
-            (window && self.consume, ".consume()"),
-            (window && self.backoff != Time::ZERO, ".backoff(..)"),
-            (window && self.iterations.is_some(), ".iterations(..)"),
-            (window && self.wire.is_some(), ".wire(..)"),
-            (window && self.local_buf.is_some(), ".local_buf(..)"),
+            (
+                self.window > 1 && self.iterations.is_some(),
+                ".iterations(..) beside .window(n > 1)",
+            ),
+            (replicated && self.objects.is_some(), ".objects(..)"),
             (
                 !replicated && self.failover_timeout != DEFAULT_FAILOVER_TIMEOUT,
                 ".failover_timeout(..)",
@@ -392,7 +378,7 @@ impl WorkloadSpec {
             ),
         ];
         if let Some((_, field)) = ignored.iter().find(|(hit, _)| *hit) {
-            panic!("{program} ignore {field}");
+            panic!("{program} cannot honour {field}");
         }
     }
 
@@ -403,20 +389,14 @@ impl WorkloadSpec {
     /// # Panics
     ///
     /// Panics if a mandatory field is missing, the object set is empty,
-    /// the requested combination is unsupported (window, source locking
-    /// or replicas with open-loop arrivals, skewed popularity or write
-    /// mixes), or a field was set that the chosen program would ignore
-    /// (say, `.wire(..)` on a windowed reader or `.migrate(false)`
-    /// without replicas).
+    /// or the reader cannot honour a field beside the others: replicas
+    /// with open-loop arrivals, skewed popularity or a write mix; source
+    /// locking with replicas, a write mix or a backoff; `.iterations(..)`
+    /// with a window above 1; or a replica-set field such as
+    /// `.migrate(false)` without replicas.
     pub fn build(&self, targets: &[Addr]) -> Box<dyn Workload> {
         self.reject_ignored_fields();
-        if self.source_locking {
-            Box::new(SourceLockingReader::new(self, targets))
-        } else if let Some(window) = self.window {
-            Box::new(AsyncReader::new(self, targets, window))
-        } else {
-            Box::new(Reader::new(self, targets))
-        }
+        Box::new(Reader::new(self, targets))
     }
 }
 
@@ -571,56 +551,60 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "closed-loop uniform read-only")]
-    fn window_rejects_open_loop_arrivals() {
-        let _ = spec()
-            .store(1)
-            .payload(64)
-            .window(4)
-            .arrivals(Arrivals::Poisson { ops_per_us: 1.0 })
-            .build(&[Addr::new(0)]);
+    #[should_panic(expected = "window must be positive")]
+    fn window_must_be_positive() {
+        let _ = spec().window(0);
     }
 
     #[test]
     fn build_rejects_fields_the_program_would_ignore() {
         let base = || spec().store(1).payload(64);
         let replicated = || spec().payload(64).replicas(vec![(1, vec![Addr::new(0)])]);
+        let locking = || base().mechanism(ReadMechanism::SourceLocking { payload: 64 });
         let cases = [
             (
-                base().source_locking().backoff(Time::from_ns(50)),
-                "source locking ignore .backoff(..)",
+                replicated().mechanism(ReadMechanism::SourceLocking { payload: 64 }),
+                "source-locking readers cannot honour .replicas(..)",
             ),
             (
-                base().source_locking().mechanism(ReadMechanism::Sabre),
-                "source locking ignore .mechanism(..)",
+                locking().mix(0.5),
+                "source-locking readers cannot honour .mix(..)",
             ),
             (
-                base().window(4).wire(128),
-                "windowed readers ignore .wire(..)",
+                locking().backoff(Time::from_ns(50)),
+                "source-locking readers cannot honour .backoff(..)",
             ),
             (
-                base().window(4).local_buf(Addr::new(1 << 20)),
-                "windowed readers ignore .local_buf(..)",
+                base().window(4).iterations(10),
+                "single-store readers cannot honour .iterations(..) beside .window(n > 1)",
+            ),
+            (
+                replicated().window(2).iterations(10),
+                "replicated readers cannot honour .iterations(..) beside .window(n > 1)",
+            ),
+            (
+                replicated().arrivals(Arrivals::Poisson { ops_per_us: 1.0 }),
+                "replicated readers support only the closed-loop uniform read-only shape",
             ),
             (
                 base().failover_timeout(Time::from_us(2)),
-                "single-store readers ignore .failover_timeout(..)",
+                "single-store readers cannot honour .failover_timeout(..)",
             ),
             (
                 base().migrate(false),
-                "single-store readers ignore .migrate(false)",
+                "single-store readers cannot honour .migrate(false)",
             ),
             (
                 base().replace_on_hops(2.0),
-                "single-store readers ignore .replace_on_hops(..)",
+                "single-store readers cannot honour .replace_on_hops(..)",
             ),
             (
                 replicated().migrate(false).replace_on_hops(2.0),
-                "replicated readers ignore .replace_on_hops(..) under .migrate(false)",
+                "replicated readers cannot honour .replace_on_hops(..) under .migrate(false)",
             ),
             (
                 replicated().objects(vec![Addr::new(64)]),
-                "replicated readers ignore .objects(..)",
+                "replicated readers cannot honour .objects(..)",
             ),
         ];
         for (spec, expected) in cases {

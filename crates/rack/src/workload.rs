@@ -48,10 +48,20 @@ pub enum ReadMechanism {
         /// Clean payload bytes of the object.
         payload: u32,
     },
+    /// DrTM-style source-side remote locking (Table 1, top-left): a
+    /// one-sided CAS takes the object's lock (one extra round trip), the
+    /// data read of the clean object follows, and the unlock is fired
+    /// asynchronously. A contended CAS retries after a fixed 200 ns
+    /// backoff.
+    SourceLocking {
+        /// Clean payload bytes of the object.
+        payload: u32,
+    },
 }
 
 impl ReadMechanism {
-    /// The one-sided operation type this mechanism issues.
+    /// The one-sided operation type this mechanism reads the object with
+    /// (source locking brackets its read with a lock CAS and an unlock).
     pub fn op(self) -> OpKind {
         match self {
             ReadMechanism::Sabre => OpKind::Sabre,

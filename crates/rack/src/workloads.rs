@@ -12,7 +12,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use sabre_mem::Addr;
 use sabre_sim::{SimRng, Time, Zipf};
-use sabre_sonuma::CqEntry;
+use sabre_sonuma::{CqEntry, OpKind};
 use sabre_sw::cost::DataSource;
 use sabre_sw::tag_board_addr;
 
@@ -65,24 +65,15 @@ pub fn verify_payload(obj_id: u64, data: &[u8]) -> Option<u64> {
     data[16..].iter().all(|&b| b == fill).then_some(seq)
 }
 
-/// Local buffer bytes per core for the synchronous readers: the default
-/// buffer of core `c` sits at `memory/2 + c × READER_BUF_BYTES`.
+/// Local buffer bytes per core: the default buffer of core `c` sits at
+/// `memory/2 + c × READER_BUF_BYTES`.
 const READER_BUF_BYTES: u64 = 256 * 1024;
-
-/// Local buffer bytes per core for the windowed reader, whose slots lie
-/// back to back in its region.
-const WINDOW_BUF_BYTES: u64 = 512 * 1024;
-
-/// The default local buffer of this core: its `stride`-byte region in the
-/// upper half of local memory.
-fn core_buf(api: &CoreApi<'_>, stride: u64) -> Addr {
-    let half = api.config().memory_bytes as u64 / 2;
-    Addr::new(half + api.core() as u64 * stride)
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ReaderState {
     Idle,
+    /// Source locking: the lock CAS is in flight.
+    AwaitLock,
     AwaitTransfer,
     AwaitStrip,
     AwaitConsume,
@@ -90,9 +81,9 @@ enum ReaderState {
 }
 
 /// What a pending [`Reader`] wake means. A reader can have an arrival
-/// timer, a failover timer and a service sleep outstanding at once; a
-/// local min-heap keyed by `(due, seq, kind)` disambiguates them, relying
-/// on the node event queue's FIFO-within-timestamp order.
+/// timer, failover timers and service sleeps outstanding at once; a local
+/// min-heap keyed by `(due, seq, kind)` disambiguates them, relying on the
+/// node event queue's FIFO-within-timestamp order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Wake {
     /// The open-loop arrival timer.
@@ -100,9 +91,12 @@ enum Wake {
     /// The failover timer of the attempt with this `wq_id`; stale once
     /// that attempt has completed or been abandoned.
     Timeout(u64),
-    /// A strip, consume or backoff sleep.
-    Service,
+    /// A strip, consume or backoff sleep of this lane.
+    Service(usize),
 }
+
+/// How long a source-locking read backs off after a contended CAS.
+const CAS_BACKOFF: Time = Time::from_ns(200);
 
 /// Stream ids for the forked RNGs of shaped readers. Forks are
 /// consumption-insensitive, so the arrival-time stream is identical across
@@ -286,19 +280,24 @@ impl Failover {
     }
 }
 
-/// The reader program behind every synchronous [`WorkloadSpec`] shape: a
-/// thread issuing one-sided reads in a loop, with the mechanism's
-/// post-processing and a retry on atomicity failure (§7.2: "Upon a
-/// conflict detection, readers immediately retry reading the same object
-/// again", or after the configured backoff).
+/// The reader program behind every [`WorkloadSpec`]: a thread issuing
+/// one-sided reads in a loop, with the mechanism's post-processing and a
+/// retry on atomicity failure (§7.2: "Upon a conflict detection, readers
+/// immediately retry reading the same object again", or after the
+/// configured backoff).
 ///
-/// It is made of three independent pieces, all derived from the spec:
+/// It is made of four independent pieces, all derived from the spec:
 ///
 /// * **Pacing** ([`Arrivals`]). A closed loop starts the next operation
 ///   when the previous one completes. Open-loop arrivals that fire while
-///   an operation is in flight queue up
+///   every lane is busy queue up
 ///   ([`CoreMetrics::record_queued`](crate::CoreMetrics::record_queued))
-///   and start the instant the previous one completes.
+///   and start the instant a lane completes.
+/// * **Window** ([`WorkloadSpec::window`]): the number of operations in
+///   flight at once (Fig. 7b's peak-throughput reader keeps several). Each
+///   lane holds one operation's object, direction, site, live attempt and
+///   timing, and reads into its own slice of the core's buffer; pacing,
+///   choice and failover are shared.
 /// * **Choice.** The plain shape (closed loop, uniform, read-only) draws
 ///   its object from the core's RNG. Every other shape draws object
 ///   ([`Popularity`]) and direction (the read/write mix) from a forked
@@ -327,10 +326,16 @@ impl Failover {
 ///   counts a [`stale_refusal`](crate::CoreMetrics::stale_refusals) and
 ///   moves on exactly as after a timeout, one fast round trip later.
 ///
+/// Under [`ReadMechanism::SourceLocking`] a read is a remote CAS on the
+/// object's version word, the data read once the lock is granted, and a
+/// fire-and-forget unlock; a contended CAS retries the same object after a
+/// fixed 200 ns backoff.
+///
 /// Latency runs from the operation's start — its arrival, under open loop
 /// — and so includes queueing, retries, backoff and failovers; the
-/// transfer phase is per attempt. Completions that are not the live
-/// attempt (Oh-RAM confirm acks, abandoned attempts) are discarded.
+/// transfer phase is per attempt. Completions that are not a lane's live
+/// attempt (Oh-RAM confirm acks, source-locking unlocks, abandoned
+/// attempts) are discarded.
 #[derive(Debug)]
 pub(crate) struct Reader {
     /// `(node, object addresses)` per site, in preference order; index
@@ -351,10 +356,18 @@ pub(crate) struct Reader {
     backoff: Time,
     pace: Pace,
     choice: Choice,
-    // Runtime state.
-    cur_obj: usize,
-    cur_write: bool,
-    cur_site: usize,
+    /// The operations in flight, one per lane of the window.
+    lanes: Vec<Lane>,
+    wakes: BinaryHeap<Reverse<(Time, u64, Wake)>>,
+    wake_seq: u64,
+}
+
+/// One operation a [`Reader`] keeps in flight.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    obj: usize,
+    write: bool,
+    site: usize,
     /// `wq_id` of the live attempt; `None` once completed or abandoned.
     inflight: Option<u64>,
     /// Operation start: the latency baseline.
@@ -362,8 +375,6 @@ pub(crate) struct Reader {
     /// Issue time of the current attempt: the transfer-phase baseline.
     t_issue: Time,
     state: ReaderState,
-    wakes: BinaryHeap<Reverse<(Time, u64, Wake)>>,
-    wake_seq: u64,
 }
 
 impl Reader {
@@ -445,6 +456,15 @@ impl Reader {
                 read_fraction: spec.read_fraction,
             }
         };
+        let lane = Lane {
+            obj: 0,
+            write: false,
+            site: 0,
+            inflight: None,
+            t_start: Time::ZERO,
+            t_issue: Time::ZERO,
+            state: ReaderState::Idle,
+        };
         Reader {
             sites,
             failover,
@@ -454,7 +474,10 @@ impl Reader {
             local_buf: spec.local_buf,
             remaining: spec.iterations,
             consume: spec.consume,
-            backoff: spec.backoff,
+            backoff: match spec.mech {
+                ReadMechanism::SourceLocking { .. } => CAS_BACKOFF,
+                _ => spec.backoff,
+            },
             pace: Pace {
                 arrivals: spec.arrivals,
                 rng: None,
@@ -463,21 +486,29 @@ impl Reader {
                 backlog: VecDeque::new(),
             },
             choice,
-            cur_obj: 0,
-            cur_write: false,
-            cur_site: 0,
-            inflight: None,
-            t_start: Time::ZERO,
-            t_issue: Time::ZERO,
-            state: ReaderState::Idle,
+            lanes: vec![lane; spec.window],
             wakes: BinaryHeap::new(),
             wake_seq: 0,
         }
     }
 
-    fn buf(&self, api: &CoreApi<'_>) -> Addr {
-        self.local_buf
-            .unwrap_or_else(|| core_buf(api, READER_BUF_BYTES))
+    /// The node, object address and local buffer of `lane`'s operation.
+    /// Lane `i` reads into the core's buffer plus `i` wire sizes, each
+    /// rounded up to whole blocks.
+    fn target(&self, api: &CoreApi<'_>, lane: usize) -> (u8, Addr, Addr) {
+        let Lane { obj, site, .. } = self.lanes[lane];
+        let (node, ref addrs) = self.sites[site];
+        let base = self.local_buf.unwrap_or_else(|| {
+            let half = api.config().memory_bytes as u64 / 2;
+            Addr::new(half + api.core() as u64 * READER_BUF_BYTES)
+        });
+        let slot = u64::from(self.wire).div_ceil(64) * 64;
+        (node, addrs[obj], base + lane as u64 * slot)
+    }
+
+    /// The lane whose live attempt is `wq_id`, if any.
+    fn lane_of(&self, wq_id: u64) -> Option<usize> {
+        self.lanes.iter().position(|l| l.inflight == Some(wq_id))
     }
 
     /// Sleeps for `d` and remembers what the wake will mean.
@@ -493,27 +524,28 @@ impl Reader {
         self.sleep(api, d, Wake::Arrival);
     }
 
-    /// One arrival fired: start the operation or queue it behind the one
-    /// in flight, then arm the next timer.
+    /// One arrival fired: start the operation in an idle lane or queue it
+    /// behind the ones in flight, then arm the next timer.
     fn on_arrival(&mut self, api: &mut CoreApi<'_>) {
         if self.remaining == Some(0) {
             return; // Quota met; let the arrival process wind down.
         }
         self.schedule_arrival(api);
         let now = api.now();
-        if self.state == ReaderState::Idle {
-            self.start_op(api, now);
-        } else {
-            self.pace.backlog.push_back(now);
-            let depth = self.pace.backlog.len() as u64;
-            api.metrics().record_queued(depth);
+        match self.lanes.iter().position(|l| l.state == ReaderState::Idle) {
+            Some(lane) => self.start_op(api, lane, now),
+            None => {
+                self.pace.backlog.push_back(now);
+                let depth = self.pace.backlog.len() as u64;
+                api.metrics().record_queued(depth);
+            }
         }
     }
 
-    /// The previous operation completed (or none has started yet): start
-    /// the next one if the quota and the pacing allow.
-    fn next_op(&mut self, api: &mut CoreApi<'_>) {
-        self.state = ReaderState::Idle;
+    /// `lane`'s previous operation completed (or none has started yet):
+    /// start the next one there if the quota and the pacing allow.
+    fn next_op(&mut self, api: &mut CoreApi<'_>, lane: usize) {
+        self.lanes[lane].state = ReaderState::Idle;
         if self.remaining == Some(0) {
             self.pace.backlog.clear();
             return;
@@ -523,13 +555,14 @@ impl Reader {
             _ => self.pace.backlog.pop_front(),
         };
         if let Some(t) = start {
-            self.start_op(api, t);
+            self.start_op(api, lane, t);
         }
     }
 
-    /// Picks the next object and operation type.
-    fn choose(&mut self, api: &mut CoreApi<'_>) {
+    /// Picks `lane`'s next object and operation type.
+    fn choose(&mut self, api: &mut CoreApi<'_>, lane: usize) {
         let n = self.sites[0].1.len() as u64;
+        let lane = &mut self.lanes[lane];
         let Choice::Forked {
             rng,
             popularity,
@@ -537,7 +570,7 @@ impl Reader {
             read_fraction,
         } = &mut self.choice
         else {
-            self.cur_obj = api.rng().below(n) as usize;
+            lane.obj = api.rng().below(n) as usize;
             return;
         };
         let rng = rng.as_mut().expect("on_start forked the choice stream");
@@ -559,8 +592,8 @@ impl Reader {
                 }
             }
         };
-        self.cur_obj = idx as usize;
-        self.cur_write = if read_fraction >= 1.0 {
+        lane.obj = idx as usize;
+        lane.write = if read_fraction >= 1.0 {
             false
         } else if read_fraction <= 0.0 {
             true
@@ -569,71 +602,89 @@ impl Reader {
         };
     }
 
-    fn start_op(&mut self, api: &mut CoreApi<'_>, t_start: Time) {
-        self.t_start = t_start;
-        self.choose(api);
-        self.cur_site = self.failover.as_mut().map_or(0, Failover::first_site);
-        self.issue(api);
+    fn start_op(&mut self, api: &mut CoreApi<'_>, lane: usize, t_start: Time) {
+        self.lanes[lane].t_start = t_start;
+        self.choose(api, lane);
+        self.lanes[lane].site = self.failover.as_mut().map_or(0, Failover::first_site);
+        self.issue(api, lane);
     }
 
-    /// (Re-)issues the current operation at the current site; retries keep
-    /// the same object and direction. A replicated read arms its failover
-    /// timer.
-    fn issue(&mut self, api: &mut CoreApi<'_>) {
-        let (node, ref addrs) = self.sites[self.cur_site];
-        let addr = addrs[self.cur_obj];
-        let buf = self.buf(api);
-        self.t_issue = api.now();
-        let wq_id = if self.cur_write {
+    /// (Re-)issues `lane`'s operation at its site; retries keep the same
+    /// object and direction. A source-locking read starts with its CAS.
+    fn issue(&mut self, api: &mut CoreApi<'_>, lane: usize) {
+        let (node, addr, buf) = self.target(api, lane);
+        let (wq_id, state) = if self.lanes[lane].write {
             // One-sided write of the payload image from the local buffer.
-            api.issue_write(node, addr, buf, self.payload)
+            let wq_id = api.issue_write(node, addr, buf, self.payload);
+            (wq_id, ReaderState::AwaitTransfer)
+        } else if let ReadMechanism::SourceLocking { .. } = self.mech {
+            // Round trip 1: acquire the remote lock with a one-sided CAS.
+            let wq_id = api.issue(OpKind::LockCas, node, addr, buf, 8, 0);
+            (wq_id, ReaderState::AwaitLock)
         } else {
-            api.issue(self.mech.op(), node, addr, buf, self.wire, 0)
+            let wq_id = api.issue(self.mech.op(), node, addr, buf, self.wire, 0);
+            (wq_id, ReaderState::AwaitTransfer)
         };
-        self.inflight = Some(wq_id);
+        self.track(api, lane, wq_id, state);
+    }
+
+    /// Makes `wq_id`, issued now, `lane`'s live attempt. A replicated read
+    /// arms its failover timer.
+    fn track(&mut self, api: &mut CoreApi<'_>, lane: usize, wq_id: u64, state: ReaderState) {
+        let l = &mut self.lanes[lane];
+        l.t_issue = api.now();
+        l.inflight = Some(wq_id);
+        l.state = state;
         if let Some(timeout) = self.failover.as_ref().map(|f| f.timeout) {
             self.sleep(api, timeout, Wake::Timeout(wq_id));
         }
-        self.state = ReaderState::AwaitTransfer;
     }
 
-    /// Suspects the current replica and re-issues the same object at the
-    /// next one the policy picks.
-    fn advance_site(&mut self, api: &mut CoreApi<'_>) {
+    /// Suspects `lane`'s replica and re-issues the same object at the next
+    /// one the policy picks.
+    fn advance_site(&mut self, api: &mut CoreApi<'_>, lane: usize) {
         let failover = self.failover.as_mut().expect("only replica sets fail over");
-        self.cur_site = failover.next_site(api, self.cur_site);
-        self.issue(api);
+        self.lanes[lane].site = failover.next_site(api, self.lanes[lane].site);
+        self.issue(api, lane);
     }
 
-    fn success(&mut self, api: &mut CoreApi<'_>) {
-        let latency = api.now() - self.t_start;
+    fn success(&mut self, api: &mut CoreApi<'_>, lane: usize) {
+        let Lane { t_start, site, .. } = self.lanes[lane];
+        let latency = api.now() - t_start;
         api.metrics().record_success(self.payload as u64, latency);
         if let Some(n) = &mut self.remaining {
             *n -= 1;
         }
-        let node = self.sites[self.cur_site].0;
+        let node = self.sites[site].0;
         if let Some(failover) = &mut self.failover {
             let hops = failover.replace_hops.map(|_| hops_to(api, node));
             failover.on_success(api, hops);
         }
-        self.next_op(api);
+        self.next_op(api, lane);
     }
 
-    fn retry(&mut self, api: &mut CoreApi<'_>) {
+    fn retry(&mut self, api: &mut CoreApi<'_>, lane: usize) {
         api.metrics().record_retry();
         if self.backoff == Time::ZERO {
-            self.issue(api);
+            self.issue(api, lane);
         } else {
-            self.state = ReaderState::Backoff;
-            self.sleep(api, self.backoff, Wake::Service);
+            self.lanes[lane].state = ReaderState::Backoff;
+            self.sleep(api, self.backoff, Wake::Service(lane));
         }
     }
 
-    /// Sleeps through a CPU post-processing phase, entering `state`.
-    fn process(&mut self, api: &mut CoreApi<'_>, state: ReaderState, phase: Phase, t: Time) {
-        self.state = state;
+    /// Sleeps `lane` through a CPU post-processing phase, entering `state`.
+    fn process(
+        &mut self,
+        api: &mut CoreApi<'_>,
+        lane: usize,
+        state: ReaderState,
+        phase: Phase,
+        t: Time,
+    ) {
+        self.lanes[lane].state = state;
         api.metrics().record_phase(phase, t);
-        self.sleep(api, t, Wake::Service);
+        self.sleep(api, t, Wake::Service(lane));
     }
 }
 
@@ -659,7 +710,9 @@ impl Workload for Reader {
         }
         self.pace.start = api.now();
         if self.pace.arrivals == Arrivals::Closed {
-            self.next_op(api);
+            for lane in 0..self.lanes.len() {
+                self.next_op(api, lane);
+            }
         } else {
             self.pace.rng = Some(api.rng().fork(ARRIVAL_STREAM));
             self.schedule_arrival(api);
@@ -667,61 +720,77 @@ impl Workload for Reader {
     }
 
     fn on_completion(&mut self, api: &mut CoreApi<'_>, cq: CqEntry) {
-        if self.inflight != Some(cq.wq_id) {
-            return; // An Oh-RAM confirm ack, or an abandoned attempt.
+        let Some(lane) = self.lane_of(cq.wq_id) else {
+            return; // An Oh-RAM confirm ack, an unlock, or an abandoned attempt.
+        };
+        self.lanes[lane].inflight = None;
+        if self.lanes[lane].state == ReaderState::AwaitLock {
+            if cq.success {
+                // Round trip 2: the data read, now race-free.
+                let (node, addr, buf) = self.target(api, lane);
+                let wq_id = api.issue(OpKind::Read, node, addr, buf, self.wire, 0);
+                self.track(api, lane, wq_id, ReaderState::AwaitTransfer);
+            } else {
+                self.retry(api, lane); // Contended: back off, then re-CAS.
+            }
+            return;
         }
-        self.inflight = None;
-        assert_eq!(self.state, ReaderState::AwaitTransfer);
+        assert_eq!(self.lanes[lane].state, ReaderState::AwaitTransfer);
         if cq.refused && self.failover.is_some() {
             // The replica is catching up after an outage and keeps
             // refusing until it converges: suspect it and move on.
             api.metrics().record_stale_refusal();
-            self.advance_site(api);
+            self.advance_site(api, lane);
             return;
         }
-        let transfer = api.now() - self.t_issue;
+        let transfer = api.now() - self.lanes[lane].t_issue;
         api.metrics().record_phase(Phase::Transfer, transfer);
-        if self.cur_write {
+        if self.lanes[lane].write {
             if cq.success {
-                self.success(api);
+                self.success(api, lane);
             } else {
-                self.retry(api);
+                self.retry(api, lane);
             }
             return;
         }
         match self.mech {
-            ReadMechanism::Raw => self.success(api),
+            ReadMechanism::Raw => self.success(api, lane),
             // Wait-free register: the capture always delivers a consistent
             // published version — nothing to validate, nothing to retry.
-            ReadMechanism::WfRegister { .. } => self.success(api),
+            ReadMechanism::WfRegister { .. } => self.success(api, lane),
             ReadMechanism::OhRam { .. } => {
                 // Relay Oh-RAM's confirm write — the "half round" after
                 // the query/response exchange — to the node that answered.
                 // Fire-and-forget: the read is delivered before the ack
                 // comes back, so it never adds to read latency.
-                let node = self.sites[self.cur_site].0;
-                let buf = self.buf(api);
+                let (node, _, buf) = self.target(api, lane);
                 let tag = tag_board_addr(api.config().memory_bytes as u64);
                 api.issue_write(node, tag, buf, 8);
-                self.success(api);
+                self.success(api, lane);
+            }
+            ReadMechanism::SourceLocking { .. } => {
+                // Fire the unlock without waiting for it.
+                let (node, addr, buf) = self.target(api, lane);
+                api.issue(OpKind::Unlock, node, addr, buf, 8, 0);
+                self.success(api, lane);
             }
             ReadMechanism::Sabre => {
                 if !cq.success {
-                    self.retry(api);
+                    self.retry(api, lane);
                 } else if self.consume {
                     let t = api.cpu().read_time(self.payload as usize, DataSource::Llc);
-                    self.process(api, ReaderState::AwaitConsume, Phase::App, t);
+                    self.process(api, lane, ReaderState::AwaitConsume, Phase::App, t);
                 } else {
-                    self.success(api);
+                    self.success(api, lane);
                 }
             }
             ReadMechanism::PerClValidate { .. } => {
                 let t = api.cpu().strip_time(self.wire as usize);
-                self.process(api, ReaderState::AwaitStrip, Phase::Strip, t);
+                self.process(api, lane, ReaderState::AwaitStrip, Phase::Strip, t);
             }
             ReadMechanism::ChecksumValidate { payload } => {
                 let t = api.cpu().crc_time(payload as usize);
-                self.process(api, ReaderState::AwaitStrip, Phase::Strip, t);
+                self.process(api, lane, ReaderState::AwaitStrip, Phase::Strip, t);
             }
         }
     }
@@ -736,108 +805,29 @@ impl Workload for Reader {
             Wake::Arrival => self.on_arrival(api),
             Wake::Timeout(wq_id) => {
                 // Else the attempt completed before its timer: stale.
-                if self.inflight == Some(wq_id) {
-                    self.inflight = None;
+                if let Some(lane) = self.lane_of(wq_id) {
+                    self.lanes[lane].inflight = None;
                     api.metrics().record_failover();
-                    self.advance_site(api);
+                    self.advance_site(api, lane);
                 }
             }
-            Wake::Service => match self.state {
+            Wake::Service(lane) => match self.lanes[lane].state {
                 ReaderState::AwaitStrip => {
                     let (layout, payload) = StoreLayout::of_mechanism(self.mech)
                         .expect("strip state only for software mechanisms");
-                    let buf = self.buf(api);
+                    let (_, _, buf) = self.target(api, lane);
                     let image = api.read_local(buf, self.wire as usize);
                     if layout.validate(&image, payload as usize).is_some() {
-                        self.success(api);
+                        self.success(api, lane);
                     } else {
-                        self.retry(api);
+                        self.retry(api, lane);
                     }
                 }
-                ReaderState::AwaitConsume => self.success(api),
-                ReaderState::Backoff => self.issue(api),
+                ReaderState::AwaitConsume => self.success(api, lane),
+                ReaderState::Backoff => self.issue(api, lane),
                 s => panic!("unexpected service wake in state {s:?}"),
             },
         }
-    }
-}
-
-/// A reader keeping a window of asynchronous operations in flight
-/// (Fig. 7b: peak-throughput measurement).
-#[derive(Debug)]
-pub(crate) struct AsyncReader {
-    dst_node: u8,
-    objects: Vec<Addr>,
-    payload: u32,
-    mech: ReadMechanism,
-    window: usize,
-    /// wq_id → (issue time, slot).
-    inflight: std::collections::HashMap<u64, (Time, usize)>,
-}
-
-impl AsyncReader {
-    /// Builds the windowed reader `spec` declares; see `WorkloadSpec::build`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mechanism needs CPU post-processing or the window is
-    /// zero.
-    pub(crate) fn new(spec: &WorkloadSpec, targets: &[Addr], window: usize) -> Self {
-        assert!(
-            matches!(spec.mech, ReadMechanism::Raw | ReadMechanism::Sabre),
-            "windowed readers model pure transfer throughput"
-        );
-        assert!(window > 0, "window must be positive");
-        let (dst_node, objects) = spec.single_store(targets);
-        AsyncReader {
-            dst_node,
-            objects,
-            payload: spec.payload_bytes(),
-            mech: spec.mech,
-            window,
-            inflight: std::collections::HashMap::new(),
-        }
-    }
-
-    fn slot_buf(&self, api: &CoreApi<'_>, slot: usize) -> Addr {
-        let slot_bytes = (self.mech.wire_bytes(self.payload) as u64).div_ceil(64) * 64;
-        core_buf(api, WINDOW_BUF_BYTES) + slot as u64 * slot_bytes
-    }
-
-    fn issue_slot(&mut self, api: &mut CoreApi<'_>, slot: usize) {
-        let obj = self.objects[api.rng().below(self.objects.len() as u64) as usize];
-        let buf = self.slot_buf(api, slot);
-        let wq_id = api.issue(
-            self.mech.op(),
-            self.dst_node,
-            obj,
-            buf,
-            self.mech.wire_bytes(self.payload),
-            0,
-        );
-        self.inflight.insert(wq_id, (api.now(), slot));
-    }
-}
-
-impl Workload for AsyncReader {
-    fn on_start(&mut self, api: &mut CoreApi<'_>) {
-        for slot in 0..self.window {
-            self.issue_slot(api, slot);
-        }
-    }
-
-    fn on_completion(&mut self, api: &mut CoreApi<'_>, cq: CqEntry) {
-        let (t0, slot) = self
-            .inflight
-            .remove(&cq.wq_id)
-            .expect("completion for an operation we issued");
-        if cq.success {
-            let latency = api.now() - t0;
-            api.metrics().record_success(self.payload as u64, latency);
-        } else {
-            api.metrics().record_retry();
-        }
-        self.issue_slot(api, slot);
     }
 }
 
@@ -945,140 +935,5 @@ impl Workload for Writer {
                 }
             }
         }
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LockReaderState {
-    Idle,
-    AwaitCas,
-    AwaitRead,
-    Backoff,
-}
-
-/// How long a [`SourceLockingReader`] backs off after a contended CAS.
-const CAS_BACKOFF: Time = Time::from_ns(200);
-
-/// A DrTM-style reader using *source-side remote locking* (Table 1,
-/// top-left): a remote CAS acquires the object's write lock (one extra
-/// network roundtrip), the data read follows, and the unlock is fired
-/// asynchronously. A contended CAS retries after a fixed 200 ns backoff.
-#[derive(Debug)]
-pub(crate) struct SourceLockingReader {
-    dst_node: u8,
-    objects: Vec<Addr>,
-    payload: u32,
-    local_buf: Option<Addr>,
-    remaining: Option<u64>,
-    cur_obj: usize,
-    t0: Time,
-    state: LockReaderState,
-}
-
-impl SourceLockingReader {
-    /// Builds the locking reader `spec` declares; see `WorkloadSpec::build`.
-    pub(crate) fn new(spec: &WorkloadSpec, targets: &[Addr]) -> Self {
-        let (dst_node, objects) = spec.single_store(targets);
-        SourceLockingReader {
-            dst_node,
-            objects,
-            payload: spec.payload_bytes(),
-            local_buf: spec.local_buf,
-            remaining: spec.iterations,
-            cur_obj: 0,
-            t0: Time::ZERO,
-            state: LockReaderState::Idle,
-        }
-    }
-
-    fn wire(&self) -> u32 {
-        StoreLayout::Clean.wire_bytes(self.payload as usize) as u32
-    }
-
-    fn buf(&self, api: &CoreApi<'_>) -> Addr {
-        self.local_buf
-            .unwrap_or_else(|| core_buf(api, READER_BUF_BYTES))
-    }
-
-    fn begin(&mut self, api: &mut CoreApi<'_>, new_object: bool) {
-        if self.remaining == Some(0) {
-            self.state = LockReaderState::Idle;
-            return;
-        }
-        if new_object {
-            self.cur_obj = api.rng().below(self.objects.len() as u64) as usize;
-        }
-        let buf = self.buf(api);
-        self.t0 = api.now();
-        // Roundtrip 1: acquire the remote lock with a one-sided CAS.
-        api.issue(
-            sabre_sonuma::OpKind::LockCas,
-            self.dst_node,
-            self.objects[self.cur_obj],
-            buf,
-            8,
-            0,
-        );
-        self.state = LockReaderState::AwaitCas;
-    }
-}
-
-impl Workload for SourceLockingReader {
-    fn on_start(&mut self, api: &mut CoreApi<'_>) {
-        self.begin(api, true);
-    }
-
-    fn on_completion(&mut self, api: &mut CoreApi<'_>, cq: CqEntry) {
-        // Dispatch on the operation type: the asynchronous unlock's ack can
-        // arrive at any point of the *next* read's lifecycle.
-        match cq.op {
-            sabre_sonuma::OpKind::Unlock => {}
-            sabre_sonuma::OpKind::LockCas => {
-                assert_eq!(self.state, LockReaderState::AwaitCas);
-                if !cq.success {
-                    // Contended: back off, then retry the CAS.
-                    api.metrics().record_retry();
-                    self.state = LockReaderState::Backoff;
-                    api.sleep(CAS_BACKOFF);
-                    return;
-                }
-                // Roundtrip 2: the data read, now race-free.
-                let buf = self.buf(api);
-                api.issue(
-                    sabre_sonuma::OpKind::Read,
-                    self.dst_node,
-                    self.objects[self.cur_obj],
-                    buf,
-                    self.wire(),
-                    0,
-                );
-                self.state = LockReaderState::AwaitRead;
-            }
-            sabre_sonuma::OpKind::Read => {
-                assert_eq!(self.state, LockReaderState::AwaitRead);
-                // Fire the unlock without waiting for it.
-                let buf = self.buf(api);
-                api.issue(
-                    sabre_sonuma::OpKind::Unlock,
-                    self.dst_node,
-                    self.objects[self.cur_obj],
-                    buf,
-                    8,
-                    0,
-                );
-                let latency = api.now() - self.t0;
-                api.metrics().record_success(self.payload as u64, latency);
-                if let Some(n) = &mut self.remaining {
-                    *n -= 1;
-                }
-                self.begin(api, true);
-            }
-            op => panic!("unexpected completion op {op:?}"),
-        }
-    }
-
-    fn on_wake(&mut self, api: &mut CoreApi<'_>) {
-        assert_eq!(self.state, LockReaderState::Backoff);
-        self.begin(api, false);
     }
 }

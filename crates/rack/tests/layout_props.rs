@@ -57,7 +57,9 @@ fn reference_wire_bytes(mech: ReadMechanism, payload: u32) -> u32 {
         ReadMechanism::PerClValidate { .. } => PerClLayout::wire_bytes(p) as u32,
         ReadMechanism::ChecksumValidate { .. } => ChecksumLayout::object_bytes(p) as u32,
         ReadMechanism::WfRegister { .. } => WfRegisterLayout::wire_bytes(p) as u32,
-        ReadMechanism::OhRam { .. } => CleanLayout::object_bytes(p) as u32,
+        ReadMechanism::OhRam { .. } | ReadMechanism::SourceLocking { .. } => {
+            CleanLayout::object_bytes(p) as u32
+        }
     }
 }
 

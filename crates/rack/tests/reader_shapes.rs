@@ -194,16 +194,64 @@ fn windowed_reader() {
     assert_eq!(fingerprint(r.core(0, 0)), "ops=1651 retries=0 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=193.148 p99_ns=271");
 }
 
+/// Two source-locking readers contending for two objects. Latency runs
+/// from each operation's start, so it includes the contended CASes and
+/// their 200 ns backoffs.
 #[test]
 fn source_locking_readers_contend() {
-    let reader = spec().store(1).payload(256).source_locking().iterations(25);
+    let reader = spec()
+        .store(1)
+        .payload(256)
+        .mechanism(ReadMechanism::SourceLocking { payload: 256 })
+        .iterations(25);
     let r = ScenarioBuilder::with_config(small())
         .raw_region_sized(1, 256, 2)
         .reader_spec(0, 0, reader.clone())
         .reader_spec(0, 1, reader)
         .run_for(Time::from_us(40));
-    assert_eq!(fingerprint(r.core(0, 0)), "ops=25 retries=14 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=343.182 p99_ns=495");
-    assert_eq!(fingerprint(r.core(0, 1)), "ops=25 retries=5 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=343.357 p99_ns=494");
+    assert_eq!(fingerprint(r.core(0, 0)), "ops=25 retries=14 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=548.198 p99_ns=2165");
+    assert_eq!(fingerprint(r.core(0, 1)), "ops=25 retries=5 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=416.582 p99_ns=1433");
+}
+
+/// A window of four SABRes under open-loop arrivals: an arrival queues
+/// only while all four are in flight.
+#[test]
+fn windowed_reader_under_poisson_arrivals() {
+    let reader = sabre()
+        .window(4)
+        .arrivals(Arrivals::Poisson { ops_per_us: 12.0 });
+    let r = raced(StoreLayout::Clean, reader, 40);
+    assert_eq!(fingerprint(r.core(0, 1)), "ops=509 retries=64 failovers=0 migrations=0 stale_refusals=0 queued=176 peak_backlog=5 mean_ns=229.883 p99_ns=479");
+}
+
+fn source_locking() -> WorkloadSpec {
+    spec()
+        .store(1)
+        .payload(PAYLOAD)
+        .mechanism(ReadMechanism::SourceLocking { payload: PAYLOAD })
+}
+
+/// Source locking beside a zero-think CREW writer: the reader's lock and
+/// the writer's each hold the other off (the writer spins on the odd
+/// version word the reader's CAS left).
+#[test]
+fn source_locking_under_a_writer() {
+    let r = raced(StoreLayout::Clean, source_locking(), 40);
+    assert_eq!(fingerprint(r.core(0, 1)), "ops=115 retries=3 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=347.673 p99_ns=703");
+}
+
+/// Two source-locking readers whose Zipf-skewed choice makes them contend
+/// for the hottest objects.
+#[test]
+fn source_locking_under_zipf_popularity() {
+    let reader = source_locking().popularity(Popularity::Zipf { exponent: 0.99 });
+    let b = objects(ScenarioBuilder::with_config(small()), 1, StoreLayout::Clean);
+    let r = b
+        .reader_spec(0, 0, reader.clone())
+        .reader_spec(0, 1, reader)
+        .run_for(Time::from_us(40));
+    assert_eq!(fingerprint(r.core(0, 0)), "ops=82 retries=32 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=487.760 p99_ns=2165");
+    assert_eq!(fingerprint(r.core(0, 1)), "ops=103 retries=12 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=386.188 p99_ns=703");
 }
 
 #[test]
@@ -266,10 +314,15 @@ impl Workload for CatchingUp {
 /// order) under racing writers, read from core 1 of node 0. Node 1 is down
 /// over 10-30 us and then catches up until 40 us.
 fn replicated(reader: WorkloadSpec) -> RunReport {
+    replicated_at(&[1, 3, 2], reader)
+}
+
+/// [`replicated`] with replicas on `sites` (node 1 first).
+fn replicated_at(sites: &[usize], reader: WorkloadSpec) -> RunReport {
     let mut b = ScenarioBuilder::with_config(small())
         .nodes(4)
         .fault(FaultPlan::new().crash_restore(1, Time::from_us(10), Time::from_us(30)));
-    for node in [1, 3, 2] {
+    for &node in sites {
         b = writer(
             objects(b, node, StoreLayout::Clean),
             node,
@@ -277,7 +330,7 @@ fn replicated(reader: WorkloadSpec) -> RunReport {
         );
     }
     let addrs: Vec<Addr> = entries().into_iter().map(|(_, a)| a).collect();
-    let view = [1, 3, 2].map(|node| (node, addrs.clone())).to_vec();
+    let view = sites.iter().map(|&node| (node, addrs.clone())).collect();
     b.workload(
         1,
         1,
@@ -316,4 +369,12 @@ fn adaptive_replicas_across_a_crash() {
 fn adaptive_replicas_replace_on_hops() {
     let r = replicated(spec().replace_on_hops(1.5));
     assert_eq!(fingerprint(r.core(0, 1)), "ops=217 retries=31 failovers=3 migrations=10 stale_refusals=2 queued=0 peak_backlog=0 mean_ns=275.916 p99_ns=2303");
+}
+
+/// A window of four SABRes over two replicas across node 1's crash: each
+/// lane fails over on its own, and the binding they share migrates.
+#[test]
+fn windowed_reader_over_two_replicas() {
+    let r = replicated_at(&[1, 3], spec().window(4));
+    assert_eq!(fingerprint(r.core(0, 1)), "ops=883 retries=131 failovers=15 migrations=10 stale_refusals=4 queued=0 peak_backlog=0 mean_ns=271.420 p99_ns=2303");
 }

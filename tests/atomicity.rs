@@ -88,6 +88,7 @@ fn extract_atomic(mech: ReadMechanism, payload: usize, image: &[u8]) -> Option<V
         // capture; nothing to validate client-side.
         ReadMechanism::OhRam { .. } => Some(CleanLayout::payload_of(image, payload).to_vec()),
         ReadMechanism::Raw => unreachable!("raw reads claim no atomicity"),
+        ReadMechanism::SourceLocking { .. } => unreachable!("checked readers take no locks"),
     }
 }
 

@@ -9,11 +9,12 @@
 //!
 //! * **topology** — a 2D mesh, a fat tree with oversubscribed uplinks, or
 //!   a two-rack datacenter;
-//! * **reader** — each of the six [`ReadMechanism`]s (SABRe under
-//!   speculative OCC, read-version-first OCC and destination locking), a
-//!   windowed reader and a source-locking reader;
+//! * **reader** — each of the seven [`ReadMechanism`]s (SABRe under
+//!   speculative OCC, read-version-first OCC and destination locking, and
+//!   source locking) and a windowed SABRe reader;
 //! * **traffic** — closed-loop, Poisson or on/off arrivals; uniform, Zipf
-//!   or hot-set popularity; a read/write mix;
+//!   or hot-set popularity, for every single-store reader; a read/write
+//!   mix;
 //! * **writers** — a CREW [`Writer`] per store layout (lock-respecting
 //!   under destination locking), or a [`RecoveringWriter`] with a write
 //!   log on every replica site;
@@ -82,13 +83,12 @@ enum Reader {
     OhRam,
     /// A windowed SABRe reader (`.window(n)`).
     Window,
-    /// A DrTM-style source-locking reader (`.source_locking()`).
+    /// A DrTM-style source-locking reader.
     SourceLocking,
 }
 
 impl Reader {
-    /// Every reader: the eight synchronous ones first, which alone take
-    /// replicas, open-loop arrivals, skewed popularity or a write mix.
+    /// Every reader; all but the last, source locking, take replicas.
     const ALL: [Reader; 10] = [
         Reader::Raw,
         Reader::SabreOcc,
@@ -102,11 +102,12 @@ impl Reader {
         Reader::SourceLocking,
     ];
 
-    const SYNCHRONOUS: usize = 8;
+    const REPLICABLE: usize = 9;
 
     fn mechanism(self, payload: u32) -> ReadMechanism {
         match self {
-            Reader::Raw | Reader::SourceLocking => ReadMechanism::Raw,
+            Reader::Raw => ReadMechanism::Raw,
+            Reader::SourceLocking => ReadMechanism::SourceLocking { payload },
             Reader::SabreOcc | Reader::SabreNoSpec | Reader::SabreLocking | Reader::Window => {
                 ReadMechanism::Sabre
             }
@@ -179,9 +180,11 @@ fn pick<T: Copy>(rng: &mut SimRng, options: &[T]) -> T {
 
 impl Scenario {
     /// Draws scenario `i`. Single-store and replicated scenarios
-    /// alternate, each kind cycling through its readers (replicated ones
-    /// under CREW writers first, then under recovering writers);
-    /// everything else is drawn from the scenario's own RNG.
+    /// alternate, each kind cycling through its readers (single-store ones
+    /// starting with the windowed and source-locking readers, so each
+    /// runs twice; replicated ones under CREW writers first, then under
+    /// recovering writers); everything else is drawn from the scenario's
+    /// own RNG.
     fn generate(i: u64) -> Scenario {
         let mut rng = SimRng::seed(0xE7EC ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let fabric = pick(
@@ -196,14 +199,13 @@ impl Scenario {
         let replicated = i % 2 == 1;
         let round = (i / 2) as usize;
         let reader = if replicated {
-            Reader::ALL[round % Reader::SYNCHRONOUS]
+            Reader::ALL[round % Reader::REPLICABLE]
         } else {
-            Reader::ALL[round % Reader::ALL.len()]
+            Reader::ALL[(round + Reader::REPLICABLE - 1) % Reader::ALL.len()]
         };
         let payload = pick(&mut rng, &[64u32, 208, 480]);
-        // Only the synchronous single-store reader takes open-loop
-        // arrivals, skewed popularity or a write mix.
-        let shaped = !replicated && Reader::ALL[..Reader::SYNCHRONOUS].contains(&reader);
+        // Replicated readers take only the closed-loop uniform shape.
+        let shaped = !replicated;
         let (arrivals, popularity) = if shaped {
             (
                 pick(
@@ -253,7 +255,7 @@ impl Scenario {
         if fabric == Fabric::Datacenter {
             faults.push(Fault::RackOutage);
         }
-        let recovering = replicated && round >= Reader::SYNCHRONOUS;
+        let recovering = replicated && round >= Reader::REPLICABLE;
         Scenario {
             seed: rng.below(1 << 32),
             fabric,
@@ -306,6 +308,18 @@ impl Scenario {
         };
         c.push(format!("arrivals:{arrivals}"));
         c.push(format!("popularity:{popularity}"));
+        if matches!(self.reader, Reader::Window | Reader::SourceLocking) {
+            let reader = format!("{:?}", self.reader);
+            if self.arrivals != Arrivals::Closed {
+                c.push(format!("{reader}:open_loop"));
+            }
+            if self.popularity != Popularity::Uniform {
+                c.push(format!("{reader}:skewed"));
+            }
+            if self.replicas.is_some() {
+                c.push(format!("{reader}:replicas"));
+            }
+        }
         if self.read_fraction < 1.0 {
             c.push("traffic:mix".into());
         }
@@ -387,20 +401,16 @@ impl Scenario {
                     builder.sharded_store(topo.store_nodes(), layout, payload, OBJECTS);
                 for (i, &node) in readers.iter().enumerate() {
                     let shard = &shards[i % shards.len()];
-                    let base = spec()
+                    let spec = spec()
                         .store(shard.node() as usize)
                         .payload(payload)
-                        .objects(shard.object_addrs());
-                    let spec = match self.reader {
-                        Reader::Window => base.mechanism(mech).window(4),
-                        Reader::SourceLocking => base.source_locking(),
-                        _ => base
-                            .mechanism(mech)
-                            .wire(shard.wire_bytes() as u32)
-                            .arrivals(self.arrivals)
-                            .popularity(self.popularity)
-                            .mix(self.read_fraction),
-                    };
+                        .objects(shard.object_addrs())
+                        .mechanism(mech)
+                        .wire(shard.wire_bytes() as u32)
+                        .arrivals(self.arrivals)
+                        .popularity(self.popularity)
+                        .mix(self.read_fraction)
+                        .window(self.window());
                     scenario = scenario.readers_spec(node, 0..self.reader_cores, spec);
                 }
                 for shard in shards.iter().filter(|_| self.crew_writers()) {
@@ -424,7 +434,8 @@ impl Scenario {
                         .mechanism(mech)
                         .wire(layout.wire_bytes(payload as usize) as u32)
                         .failover_timeout(self.failover_timeout())
-                        .migrate(self.migrate);
+                        .migrate(self.migrate)
+                        .window(self.window());
                     if self.migrate {
                         spec = spec.replace_on_hops(2.0);
                     }
@@ -469,11 +480,21 @@ impl Scenario {
         })
     }
 
+    /// Operations each reader keeps in flight.
+    fn window(&self) -> usize {
+        if self.reader == Reader::Window {
+            4
+        } else {
+            1
+        }
+    }
+
     /// Whether the store shards get CREW writers. A CREW writer must own
-    /// its objects exclusively, which a write mix's one-sided writes and a
-    /// source-locking reader's remote lock both break.
+    /// its objects exclusively, which a write mix's one-sided writes
+    /// break. A source-locking reader's remote lock holds the writer off
+    /// like its own.
     fn crew_writers(&self) -> bool {
-        self.read_fraction == 1.0 && self.reader != Reader::SourceLocking
+        self.read_fraction == 1.0
     }
 
     /// A CREW writer over `entries`, lock-respecting under destination
@@ -595,6 +616,11 @@ fn generated_scenarios_are_bit_identical_at_every_execution_setting() {
         "replicas:migrate=true",
         "replicas:migrate=false",
         "serve_stale",
+        "Window:open_loop",
+        "Window:skewed",
+        "Window:replicas",
+        "SourceLocking:open_loop",
+        "SourceLocking:skewed",
     ]
     .map(String::from)
     .to_vec();

@@ -227,7 +227,7 @@ fn source_locking_readers_contend_but_progress() {
             spec()
                 .store(1)
                 .payload(480)
-                .source_locking()
+                .mechanism(ReadMechanism::SourceLocking { payload: 480 })
                 .iterations(150),
         )
         .run_for(Time::from_us(500));
