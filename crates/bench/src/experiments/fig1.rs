@@ -6,11 +6,11 @@
 //! check scales linearly — from ≈10% of end-to-end latency at 128 B to
 //! ≈50% at 8 KB.
 
-use sabre_farm::{FarmCosts, FarmReader, KvStore, ScenarioStoreExt, StoreLayout};
+use sabre_farm::{ScenarioStoreExt, StoreLayout};
 use sabre_rack::{Phase, ScenarioBuilder};
 use sabre_sim::Time;
 
-use super::OBJECT_SIZES;
+use super::{kv_reader, OBJECT_SIZES};
 use crate::table::fmt_ns;
 use crate::{RunOpts, Table};
 
@@ -42,10 +42,7 @@ pub fn data(opts: RunOpts) -> Vec<Point> {
     opts.sweep(OBJECT_SIZES).map(|&size| {
         let (scenario, store) = ScenarioBuilder::new().store(1, StoreLayout::PerCl, size, None);
         let report = scenario
-            .reader(0, 0, move |_| {
-                let kv = KvStore::new(store, 100_000);
-                Box::new(FarmReader::endless(kv, FarmCosts::default()))
-            })
+            .reader_spec(0, 0, kv_reader(&store))
             .run_for(Time::from_us(12 * iters));
         let m = report.core(0, 0);
         assert!(m.ops >= iters / 2, "too few lookups: {}", m.ops);

@@ -8,11 +8,11 @@
 //! *application* component is slightly larger: the object lands in the LLC
 //! (zero-copy DMA) instead of being pulled into the L1d by the strip.
 
-use sabre_farm::{FarmCosts, FarmReader, KvStore, ScenarioStoreExt, StoreLayout};
+use sabre_farm::{ScenarioStoreExt, StoreLayout};
 use sabre_rack::{Phase, ScenarioBuilder};
 use sabre_sim::Time;
 
-use super::OBJECT_SIZES;
+use super::{kv_reader, OBJECT_SIZES};
 use crate::table::fmt_ns;
 use crate::{RunOpts, Table};
 
@@ -52,10 +52,7 @@ impl Point {
 fn measure(size: u32, layout: StoreLayout, iters: u64) -> Breakdown {
     let (scenario, store) = ScenarioBuilder::new().store(1, layout, size, None);
     let report = scenario
-        .reader(0, 0, move |_| {
-            let kv = KvStore::new(store, 100_000);
-            Box::new(FarmReader::endless(kv, FarmCosts::default()))
-        })
+        .reader_spec(0, 0, kv_reader(&store))
         .run_for(Time::from_us(12 * iters));
     let m = report.core(0, 0);
     assert!(m.ops >= iters / 2, "too few lookups: {}", m.ops);

@@ -3,11 +3,11 @@
 //!
 //! Expected shape (paper): +30–60% depending on object size.
 
-use sabre_farm::{FarmCosts, FarmReader, KvStore, ScenarioStoreExt, StoreLayout};
+use sabre_farm::{ScenarioStoreExt, StoreLayout};
 use sabre_rack::ScenarioBuilder;
 use sabre_sim::Time;
 
-use super::OBJECT_SIZES;
+use super::{kv_reader, OBJECT_SIZES};
 use crate::table::fmt_gbps;
 use crate::{RunOpts, Table};
 
@@ -35,11 +35,7 @@ pub const READERS: usize = 15;
 fn measure(size: u32, layout: StoreLayout, duration: Time) -> f64 {
     let (scenario, store) = ScenarioBuilder::new().store(1, layout, size, None);
     scenario
-        .readers(0, 0..READERS, move |_, _| {
-            let kv = KvStore::new(store.clone(), 100_000);
-            // Verification is host-side-expensive at 15 threads × long runs.
-            Box::new(FarmReader::endless(kv, FarmCosts::default()).without_verify())
-        })
+        .readers_spec(0, 0..READERS, kv_reader(&store))
         .run_for(duration)
         .node(0)
         .gbps

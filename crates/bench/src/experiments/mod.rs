@@ -12,8 +12,8 @@
 
 use std::collections::HashMap;
 
-use sabre_farm::StoreLayout;
-use sabre_rack::{PlacementPolicy, ReadMechanism, RunReport, Topology};
+use sabre_farm::{FarmCosts, KvStore, ObjectStore, StoreLayout};
+use sabre_rack::{spec, PlacementPolicy, ReadMechanism, RunReport, Topology, WorkloadSpec};
 
 pub mod ablations;
 pub mod fig1;
@@ -39,6 +39,26 @@ pub const TRANSFER_SIZES: [u32; 8] = [64, 128, 256, 512, 1024, 2048, 4096, 8192]
 
 /// The object sizes of the object-store figures (Figs. 1, 9, 10).
 pub const OBJECT_SIZES: [u32; 7] = [128, 256, 512, 1024, 2048, 4096, 8192];
+
+/// Keys of the FaRM key-value store of Figs. 1, 9a and 9b.
+pub const KV_KEYS: u64 = 100_000;
+
+/// The FaRM key-value reader of Figs. 1, 9a and 9b over `store`: uniform
+/// random keys (the objects are every key's object, in key order), each
+/// read with the layout's mechanism inside FaRM's framework and consumed
+/// by the application.
+pub fn kv_reader(store: &ObjectStore) -> WorkloadSpec {
+    let kv = KvStore::new(store.clone(), KV_KEYS);
+    let payload = store.payload();
+    spec()
+        .store(store.node() as usize)
+        .payload(payload)
+        .mechanism(store.layout().mechanism(payload))
+        .objects((0..KV_KEYS).map(|key| kv.locate(key).1).collect())
+        .wire(store.wire_bytes() as u32)
+        .framework(FarmCosts::default())
+        .consume()
+}
 
 /// A read mechanism's table label.
 pub fn label(mech: ReadMechanism) -> &'static str {

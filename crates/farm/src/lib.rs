@@ -13,13 +13,15 @@
 //!   **wait-free register**. The layout type, with every per-layout fact,
 //!   is [`sabre_rack::StoreLayout`], re-exported here;
 //! * [`kv`] — the key-value view: key → object mapping and lookup cost;
-//! * [`costs`] — the FaRM framework cost model: KV lookup, the baseline's
-//!   intermediate-buffer management, the leaner SABRe path (including the
-//!   ≈7% instruction-footprint reduction the paper measures), and the
-//!   overlap factor for local strip kernels;
-//! * [`read_path`] — the [`FarmReader`] workload of Figs. 9a/9b: lookup →
-//!   one-sided read → (baseline: validate + strip into the application
-//!   buffer | SABRe: zero-copy) → application consume;
+//! * [`FarmCosts`] — the FaRM framework cost model, re-exported from
+//!   [`sabre_sw::cost`]: KV lookup, the baseline's intermediate-buffer
+//!   management, the leaner SABRe path (including the ≈7%
+//!   instruction-footprint reduction the paper measures), and the overlap
+//!   factor for local strip kernels. The remote read path of Figs. 1, 9a
+//!   and 9b is the rack's one reader under
+//!   [`WorkloadSpec::framework`](sabre_rack::WorkloadSpec::framework):
+//!   lookup → one-sided read → (baseline: validate + strip into the
+//!   application buffer | SABRe: zero-copy) → application consume;
 //! * [`local`] — the [`FarmLocalReader`] workload of Fig. 10: local-only
 //!   key-value lookups against the two store layouts;
 //! * [`write_path`] — writes over RPC (FaRM never writes remote memory
@@ -31,22 +33,19 @@
 //! * [`scenario`] — the [`ScenarioStoreExt`] extension letting
 //!   [`sabre_rack::ScenarioBuilder`] declare object-store regions.
 
-pub mod costs;
 pub mod kv;
 pub mod local;
-pub mod read_path;
 pub mod recovery;
 pub mod replica;
 pub mod scenario;
 pub mod store;
 pub mod write_path;
 
-pub use costs::FarmCosts;
 pub use kv::KvStore;
 pub use local::FarmLocalReader;
-pub use read_path::FarmReader;
 pub use recovery::{RecoveringWriter, ReplicaState, WriteLog};
 pub use replica::{replica_sites, ReplicatedStore};
+pub use sabre_sw::cost::FarmCosts;
 pub use scenario::ScenarioStoreExt;
 pub use store::{ObjectStore, StoreLayout};
 pub use write_path::{RpcWriteServer, RpcWriter};

@@ -10,9 +10,8 @@ use sabre_mem::Addr;
 use sabre_rack::workloads::verify_payload;
 use sabre_rack::{CoreApi, Workload};
 use sabre_sim::Time;
-use sabre_sw::cost::DataSource;
+use sabre_sw::cost::{DataSource, FarmCosts};
 
-use crate::costs::FarmCosts;
 use crate::kv::KvStore;
 use crate::store::StoreLayout;
 

@@ -225,10 +225,6 @@ pub struct RecoveringWriter {
     /// Stop re-pulling once the remaining lag is at most this many
     /// updates; the tail is reproduced by resuming the own schedule.
     converged_lag: u64,
-    /// Respect the shared reader-lock word before locking (destination-
-    /// locking experiments), like
-    /// [`Writer::respecting_reader_locks`](sabre_rack::workloads::Writer::respecting_reader_locks).
-    respect_reader_locks: bool,
     // Runtime state.
     /// Completed updates — also the latest own log seq (1-based).
     applied: u64,
@@ -287,7 +283,6 @@ impl RecoveringWriter {
             peers,
             pull_buf,
             converged_lag,
-            respect_reader_locks: false,
             applied: 0,
             plan: UpdatePlan::new(),
             state: ReplicaState::Live,
@@ -298,14 +293,6 @@ impl RecoveringWriter {
             refused_peers: Vec::new(),
             catch_started: Time::ZERO,
         }
-    }
-
-    /// Makes the writer wait for the shared reader lock to drain before
-    /// each update (destination-locking mode), both live and during
-    /// replay.
-    pub fn respecting_reader_locks(mut self) -> Self {
-        self.respect_reader_locks = true;
-        self
     }
 
     /// Completed object updates (own schedule + replays).
@@ -329,12 +316,9 @@ impl RecoveringWriter {
 
     /// The outage window covering `now` on this writer's own node, if any.
     fn own_outage_end(&self, api: &CoreApi<'_>) -> Option<Option<Time>> {
-        let now = api.now();
         api.config()
             .fault
-            .outages_for(api.node())
-            .into_iter()
-            .find(|o| o.covers(now))
+            .outage_at(api.node(), api.now())
             .map(|o| o.until)
     }
 
@@ -388,7 +372,6 @@ impl RecoveringWriter {
             self.obj(),
             self.applied,
             self.payload as usize,
-            self.respect_reader_locks,
         ) {
             RwPhase::Updating
         } else {
@@ -429,7 +412,7 @@ impl RecoveringWriter {
                     self.state = ReplicaState::CatchingUp;
                     self.catch_started = api.now();
                     api.set_catching_up(true);
-                    if self.respect_reader_locks {
+                    if api.config().reader_locks() {
                         // Lease expiry: a shared reader lock still set on
                         // a restored site is dead — its fire-and-forget
                         // release was dropped with the outage. Clear
@@ -458,12 +441,7 @@ impl RecoveringWriter {
             .copied()
             .filter(|&p| {
                 !self.refused_peers.contains(&p)
-                    && !api
-                        .config()
-                        .fault
-                        .outages_for(p as usize)
-                        .iter()
-                        .any(|o| o.covers(now))
+                    && api.config().fault.outage_at(p as usize, now).is_none()
             })
             .min_by_key(|&p| (topo.hops(own, p as usize), p));
         let Some(peer) = peer else {

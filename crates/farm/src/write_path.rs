@@ -70,10 +70,10 @@ impl RpcWriteServer {
         };
         let object = (req.obj, self.kv.store().object_addr(req.obj));
         let payload_len = self.kv.store().payload() as usize;
-        // The server never waits on reader locks, so the update starts.
+        // The server never waits: it assumes no reader holds the object's
+        // lock.
         let layout = self.kv.store().layout();
-        self.plan
-            .start(api, layout, object, self.seq, payload_len, false);
+        self.plan.start(api, layout, object, self.seq, payload_len);
         self.phase = ServerPhase::Updating;
     }
 }

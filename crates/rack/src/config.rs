@@ -3,7 +3,7 @@
 //! plus the rack topology (node count and per-node roles) that opens the
 //! beyond-paper N-node scenario family.
 
-use sabre_core::LightSabresConfig;
+use sabre_core::{CcMode, LightSabresConfig};
 use sabre_fabric::{FabricConfig, RackTopology};
 use sabre_mem::MemTimingConfig;
 use sabre_sim::{Freq, Time};
@@ -343,6 +343,13 @@ impl ClusterConfig {
         if nodes > 2 && self.memory_bytes == ClusterConfig::default().memory_bytes {
             self.memory_bytes = 16 * 1024 * 1024;
         }
+    }
+
+    /// Whether the engines take the object's shared reader lock at the
+    /// destination (destination locking), so every writer waits for the
+    /// lock to drain before an update.
+    pub fn reader_locks(&self) -> bool {
+        self.lightsabres.cc_mode == CcMode::Locking
     }
 
     /// The store node the `i`-th reader node targets: the role topology's

@@ -266,15 +266,14 @@ impl FaultPlan {
         &self.rack_outages
     }
 
-    /// All outage windows scheduled for `node`, in declaration order — the
-    /// schedule a recovering workload consults to know when its own node
-    /// goes dark and when it comes back.
-    pub fn outages_for(&self, node: usize) -> Vec<Outage> {
+    /// The first outage window scheduled for `node` that covers instant
+    /// `t`, in declaration order — what a recovering workload consults to
+    /// know whether a node is dark and until when.
+    pub fn outage_at(&self, node: usize, t: Time) -> Option<Outage> {
         self.node_outages
             .iter()
-            .filter(|&&(n, _)| n == node)
+            .find(|&&(n, o)| n == node && o.covers(t))
             .map(|&(_, o)| o)
-            .collect()
     }
 
     /// Validates the plan against a rack of `nodes` nodes.
@@ -642,22 +641,26 @@ mod tests {
     }
 
     #[test]
-    fn outages_for_lists_a_nodes_windows() {
+    fn outage_at_finds_a_nodes_covering_window() {
         let plan = FaultPlan::new()
             .crash_restore(2, Time::from_us(1), Time::from_us(2))
             .crash(3, Time::from_us(4))
-            .crash_restore(2, Time::from_us(6), Time::from_us(7));
-        let windows = plan.outages_for(2);
-        assert_eq!(windows.len(), 2);
-        assert_eq!(windows[0].from, Time::from_us(1));
-        assert_eq!(windows[1].until, Some(Time::from_us(7)));
-        assert!(plan.outages_for(0).is_empty());
+            .crash_restore(2, Time::from_us(6), Time::from_us(7))
+            .crash_restore(2, Time::from_us(5), Time::from_us(8));
+        let at = |node, us| plan.outage_at(node, Time::from_us(us));
+        assert_eq!(at(2, 1).map(|o| o.until), Some(Some(Time::from_us(2))));
+        assert_eq!(at(2, 2), None, "restored at the window's end");
+        assert_eq!(at(2, 5).map(|o| o.until), Some(Some(Time::from_us(8))));
+        // Overlapping windows: the first declared one that covers wins.
+        assert_eq!(at(2, 6).map(|o| o.until), Some(Some(Time::from_us(7))));
+        assert_eq!(at(0, 1), None);
+        assert_eq!(at(3, 3), None);
         assert_eq!(
-            plan.outages_for(3),
-            vec![Outage {
+            at(3, 9),
+            Some(Outage {
                 from: Time::from_us(4),
                 until: None
-            }]
+            })
         );
     }
 
@@ -697,7 +700,14 @@ mod tests {
         };
         let w = wide.generate(9);
         let n = narrow.generate(9);
-        assert_eq!(w.outages_for(5), n.outages_for(5));
+        let windows = |plan: &FaultPlan| {
+            plan.node_outages()
+                .iter()
+                .filter(|&&(node, _)| node == 5)
+                .map(|&(_, o)| o)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(windows(&w), windows(&n));
     }
 
     #[test]

@@ -252,11 +252,13 @@ impl UpdatePlan {
     }
 
     /// Starts update `seq` of `object` (its id and base address), the
-    /// steps every writer shares. With `respect_reader_locks` set and the
-    /// object's shared reader lock held (destination locking), or with the
-    /// version word already locked (odd) on a layout that locks — a
-    /// source-locking reader holds it — it stores nothing, sleeps one spin
-    /// and returns `false`: the caller retries on wake. Otherwise it reads
+    /// steps every writer shares. With the object's shared reader lock
+    /// held under destination locking
+    /// ([`ClusterConfig::reader_locks`](crate::ClusterConfig::reader_locks)),
+    /// or with the version word already locked (odd) on a layout that
+    /// locks — a source-locking reader holds it — it stores nothing,
+    /// sleeps one spin and returns `false`: the caller retries on wake.
+    /// Otherwise it reads
     /// the version word, stores it locked (if the layout locks), rebuilds
     /// the plan and sleeps one store interval before store 0, returning
     /// `true`.
@@ -267,9 +269,8 @@ impl UpdatePlan {
         (obj_id, base): (u64, Addr),
         seq: u64,
         payload_len: usize,
-        respect_reader_locks: bool,
     ) -> bool {
-        if respect_reader_locks {
+        if api.config().reader_locks() {
             let readers = api.read_local_u64(base + ReaderLockWord::OFFSET_FROM_VERSION);
             if readers > 0 {
                 api.sleep(READER_LOCK_SPIN);

@@ -5,13 +5,20 @@ use sabre_sim::{LatencyHistogram, MeanTracker, Time};
 /// Latency components the paper's breakdowns distinguish (Figs. 1 and 9a).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// The soNUMA transfer itself (WQ entry to CQ entry).
+    /// The soNUMA transfer itself (WQ entry to CQ entry), one sample per
+    /// attempt.
     Transfer,
-    /// Framework code: lookup, buffer management, bookkeeping.
+    /// Framework code (lookup, buffer management, bookkeeping) under
+    /// [`WorkloadSpec::framework`](crate::WorkloadSpec::framework): one
+    /// sample per operation, the lookup plus every attempt's framework
+    /// work.
     Framework,
-    /// Application code consuming the (clean) object.
+    /// Application code consuming the clean object under
+    /// [`WorkloadSpec::consume`](crate::WorkloadSpec::consume), one sample
+    /// per validated read.
     App,
-    /// Software atomicity check + version stripping (baseline only).
+    /// Software atomicity check: the per-CL version strip or the CRC, one
+    /// sample per attempt.
     Strip,
 }
 
@@ -153,6 +160,11 @@ impl CoreMetrics {
     /// Mean duration of a phase in ns, if sampled.
     pub fn phase_mean_ns(&self, phase: Phase) -> Option<f64> {
         self.phases[phase.index()].mean()
+    }
+
+    /// Total duration of a phase's samples in ns.
+    pub fn phase_total_ns(&self, phase: Phase) -> f64 {
+        self.phases[phase.index()].sum()
     }
 
     /// Goodput over `[0, horizon]` in GB/s.

@@ -42,8 +42,11 @@
 //! and
 //! [`ScenarioBuilder::readers_grid_spec`](crate::ScenarioBuilder::readers_grid_spec).
 
+use std::sync::Arc;
+
 use sabre_mem::Addr;
 use sabre_sim::Time;
+use sabre_sw::cost::FarmCosts;
 
 use crate::workload::{ReadMechanism, Workload};
 use crate::workloads::{node_id, Reader};
@@ -118,11 +121,13 @@ pub struct WorkloadSpec {
     pub(crate) store: Option<usize>,
     pub(crate) payload: Option<u32>,
     pub(crate) mech: ReadMechanism,
-    pub(crate) objects: Option<Vec<Addr>>,
+    /// Shared by every reader built from the spec.
+    pub(crate) objects: Option<Arc<[Addr]>>,
     pub(crate) arrivals: Arrivals,
     pub(crate) popularity: Popularity,
     pub(crate) read_fraction: f64,
     pub(crate) consume: bool,
+    pub(crate) framework: Option<FarmCosts>,
     pub(crate) backoff: Time,
     pub(crate) wire: Option<u32>,
     pub(crate) local_buf: Option<Addr>,
@@ -153,6 +158,7 @@ impl WorkloadSpec {
             popularity: Popularity::Uniform,
             read_fraction: 1.0,
             consume: false,
+            framework: None,
             backoff: Time::ZERO,
             wire: None,
             local_buf: None,
@@ -186,7 +192,7 @@ impl WorkloadSpec {
     /// Explicit object addresses to read. Default: every target address
     /// the scenario's declared regions produced.
     pub fn objects(mut self, objects: Vec<Addr>) -> Self {
-        self.objects = Some(objects);
+        self.objects = Some(objects.into());
         self
     }
 
@@ -221,10 +227,27 @@ impl WorkloadSpec {
         self
     }
 
-    /// Model the application reading the clean object after the transfer
-    /// (the Fig. 8 microbenchmark semantics).
+    /// Model the application reading the clean payload after every read,
+    /// under every mechanism (the §7.2 microbenchmark semantics: "a remote
+    /// operation completes when the clean data is read by the core"). The
+    /// read streams from the L1 after a CPU strip or CRC, and from the LLC
+    /// otherwise, where the NI's DMA left it; it is the
+    /// [`App`](crate::Phase::App) phase. Writes consume nothing.
     pub fn consume(mut self) -> Self {
         self.consume = true;
+        self
+    }
+
+    /// Run every operation inside FaRM's framework (Figs. 1, 9a and 9b):
+    /// the key-value lookup before the issue, then, after the transfer,
+    /// the baseline's buffer management and frontend stalls beside the
+    /// strip or CRC of the software mechanisms, or the lean zero-copy
+    /// bookkeeping of every other mechanism. A retry re-issues without a
+    /// second lookup. Each operation records one
+    /// [`Framework`](crate::Phase::Framework) phase: its lookup plus every
+    /// attempt's framework work (default: no framework).
+    pub fn framework(mut self, costs: FarmCosts) -> Self {
+        self.framework = Some(costs);
         self
     }
 
@@ -327,8 +350,8 @@ impl WorkloadSpec {
 
     /// The single store node and its objects: the explicit
     /// [`WorkloadSpec::objects`], else the scenario's region `targets`.
-    pub(crate) fn single_store(&self, targets: &[Addr]) -> (u8, Vec<Addr>) {
-        let objects = self.objects.as_deref().unwrap_or(targets).to_vec();
+    pub(crate) fn single_store(&self, targets: &[Addr]) -> (u8, Arc<[Addr]>) {
+        let objects = self.objects.clone().unwrap_or_else(|| targets.into());
         assert!(
             !objects.is_empty(),
             "WorkloadSpec needs objects: declare a region or call .objects(..)"

@@ -9,11 +9,12 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::Arc;
 
 use sabre_mem::Addr;
 use sabre_sim::{SimRng, Time, Zipf};
 use sabre_sonuma::{CqEntry, OpKind};
-use sabre_sw::cost::DataSource;
+use sabre_sw::cost::{DataSource, FarmCosts};
 use sabre_sw::tag_board_addr;
 
 use crate::cluster::CoreApi;
@@ -72,6 +73,8 @@ const READER_BUF_BYTES: u64 = 256 * 1024;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ReaderState {
     Idle,
+    /// Under a framework: the key-value lookup before the issue.
+    Lookup,
     /// Source locking: the lock CAS is in flight.
     AwaitLock,
     AwaitTransfer,
@@ -91,7 +94,7 @@ enum Wake {
     /// The failover timer of the attempt with this `wq_id`; stale once
     /// that attempt has completed or been abandoned.
     Timeout(u64),
-    /// A strip, consume or backoff sleep of this lane.
+    /// A lookup, strip, consume or backoff sleep of this lane.
     Service(usize),
 }
 
@@ -331,16 +334,29 @@ impl Failover {
 /// fire-and-forget unlock; a contended CAS retries the same object after a
 /// fixed 200 ns backoff.
 ///
+/// A read's CPU work follows its transfer: the per-CL strip or CRC of the
+/// software mechanisms, then, under [`WorkloadSpec::consume`], the
+/// application reading the clean payload (from the L1 after a strip or
+/// CRC, from the LLC where the NI's DMA left it otherwise). Under
+/// [`WorkloadSpec::framework`] every operation first sleeps the FaRM
+/// lookup, and the phase after the transfer adds FaRM's buffer management
+/// and frontend stalls (software mechanisms) or its lean zero-copy
+/// bookkeeping (every other mechanism). The lanes share one core: a CPU
+/// phase starts once the core is free of the other lanes' phases.
+/// Backoff is waiting, not CPU work, and overlaps freely.
+///
 /// Latency runs from the operation's start — its arrival, under open loop
-/// — and so includes queueing, retries, backoff and failovers; the
-/// transfer phase is per attempt. Completions that are not a lane's live
-/// attempt (Oh-RAM confirm acks, source-locking unlocks, abandoned
-/// attempts) are discarded.
+/// — and so includes queueing, the lookup, retries, backoff and failovers.
+/// The transfer, strip and app phases are per attempt; the framework phase
+/// is recorded once per operation, as the lookup plus every attempt's
+/// framework work. Completions that are not a lane's live attempt (Oh-RAM
+/// confirm acks, source-locking unlocks, abandoned attempts) are
+/// discarded.
 #[derive(Debug)]
 pub(crate) struct Reader {
     /// `(node, object addresses)` per site, in preference order; index
     /// `i` of every address vector names the same logical object.
-    sites: Vec<(u8, Vec<Addr>)>,
+    sites: Vec<(u8, Arc<[Addr]>)>,
     /// The replica-set policy; `None` for a single store, which arms no
     /// timer.
     failover: Option<Failover>,
@@ -349,10 +365,14 @@ pub(crate) struct Reader {
     wire: u32,
     local_buf: Option<Addr>,
     remaining: Option<u64>,
-    /// Model the application reading the clean object after a SABRe (the
+    /// Model the application reading the clean object after a read (the
     /// §7.2 microbenchmark semantics: "a remote operation completes when
     /// the clean data is read by the core").
     consume: bool,
+    /// FaRM's framework costs around each operation, if any.
+    framework: Option<FarmCosts>,
+    /// When the core finishes the CPU phases already scheduled.
+    cpu_free: Time,
     backoff: Time,
     pace: Pace,
     choice: Choice,
@@ -374,6 +394,8 @@ struct Lane {
     t_start: Time,
     /// Issue time of the current attempt: the transfer-phase baseline.
     t_issue: Time,
+    /// Framework time the operation has spent so far.
+    framework: Time,
     state: ReaderState,
 }
 
@@ -392,9 +414,9 @@ impl Reader {
         let (sites, failover) = match &spec.replicas {
             Some(replicas) => {
                 assert!(!replicas.is_empty(), "a replicated reader needs replicas");
-                let sites: Vec<(u8, Vec<Addr>)> = replicas
+                let sites: Vec<(u8, Arc<[Addr]>)> = replicas
                     .iter()
-                    .map(|(node, addrs)| (node_id(*node), addrs.clone()))
+                    .map(|(node, addrs)| (node_id(*node), addrs.as_slice().into()))
                     .collect();
                 let n = sites[0].1.len();
                 assert!(
@@ -463,6 +485,7 @@ impl Reader {
             inflight: None,
             t_start: Time::ZERO,
             t_issue: Time::ZERO,
+            framework: Time::ZERO,
             state: ReaderState::Idle,
         };
         Reader {
@@ -474,6 +497,8 @@ impl Reader {
             local_buf: spec.local_buf,
             remaining: spec.iterations,
             consume: spec.consume,
+            framework: spec.framework,
+            cpu_free: Time::ZERO,
             backoff: match spec.mech {
                 ReadMechanism::SourceLocking { .. } => CAS_BACKOFF,
                 _ => spec.backoff,
@@ -606,7 +631,13 @@ impl Reader {
         self.lanes[lane].t_start = t_start;
         self.choose(api, lane);
         self.lanes[lane].site = self.failover.as_mut().map_or(0, Failover::first_site);
-        self.issue(api, lane);
+        match self.framework {
+            Some(FarmCosts { lookup, .. }) => {
+                self.lanes[lane].framework = lookup;
+                self.cpu(api, lane, ReaderState::Lookup, lookup);
+            }
+            None => self.issue(api, lane),
+        }
     }
 
     /// (Re-)issues `lane`'s operation at its site; retries keep the same
@@ -652,6 +683,10 @@ impl Reader {
         let Lane { t_start, site, .. } = self.lanes[lane];
         let latency = api.now() - t_start;
         api.metrics().record_success(self.payload as u64, latency);
+        if self.framework.is_some() {
+            let t = self.lanes[lane].framework;
+            api.metrics().record_phase(Phase::Framework, t);
+        }
         if let Some(n) = &mut self.remaining {
             *n -= 1;
         }
@@ -673,18 +708,31 @@ impl Reader {
         }
     }
 
-    /// Sleeps `lane` through a CPU post-processing phase, entering `state`.
-    fn process(
-        &mut self,
-        api: &mut CoreApi<'_>,
-        lane: usize,
-        state: ReaderState,
-        phase: Phase,
-        t: Time,
-    ) {
+    /// Sleeps `lane` through `t` of CPU work, entering `state`. The work
+    /// starts once the core is free of the other lanes' CPU phases.
+    fn cpu(&mut self, api: &mut CoreApi<'_>, lane: usize, state: ReaderState, t: Time) {
+        let now = api.now();
+        self.cpu_free = self.cpu_free.max(now) + t;
         self.lanes[lane].state = state;
-        api.metrics().record_phase(phase, t);
-        self.sleep(api, t, Wake::Service(lane));
+        self.sleep(api, self.cpu_free - now, Wake::Service(lane));
+    }
+
+    /// The CPU phase that ends a valid read: `framework` time, plus the
+    /// application reading the clean payload from `src` under consume.
+    /// With neither, the read succeeds at once.
+    fn consume(&mut self, api: &mut CoreApi<'_>, lane: usize, src: DataSource, framework: Time) {
+        if !self.consume && framework == Time::ZERO {
+            return self.success(api, lane);
+        }
+        let app = if self.consume {
+            let t = api.cpu().read_time(self.payload as usize, src);
+            api.metrics().record_phase(Phase::App, t);
+            t
+        } else {
+            Time::ZERO
+        };
+        self.lanes[lane].framework += framework;
+        self.cpu(api, lane, ReaderState::AwaitConsume, framework + app);
     }
 }
 
@@ -753,11 +801,12 @@ impl Workload for Reader {
             }
             return;
         }
-        match self.mech {
-            ReadMechanism::Raw => self.success(api, lane),
-            // Wait-free register: the capture always delivers a consistent
-            // published version — nothing to validate, nothing to retry.
-            ReadMechanism::WfRegister { .. } => self.success(api, lane),
+        let check = match self.mech {
+            // Raw reads, and the wait-free register, whose capture always
+            // delivers a consistent published version: nothing to check.
+            ReadMechanism::Raw | ReadMechanism::WfRegister { .. } => None,
+            ReadMechanism::Sabre if !cq.success => return self.retry(api, lane),
+            ReadMechanism::Sabre => None,
             ReadMechanism::OhRam { .. } => {
                 // Relay Oh-RAM's confirm write — the "half round" after
                 // the query/response exchange — to the node that answered.
@@ -766,31 +815,34 @@ impl Workload for Reader {
                 let (node, _, buf) = self.target(api, lane);
                 let tag = tag_board_addr(api.config().memory_bytes as u64);
                 api.issue_write(node, tag, buf, 8);
-                self.success(api, lane);
+                None
             }
             ReadMechanism::SourceLocking { .. } => {
                 // Fire the unlock without waiting for it.
                 let (node, addr, buf) = self.target(api, lane);
                 api.issue(OpKind::Unlock, node, addr, buf, 8, 0);
-                self.success(api, lane);
+                None
             }
-            ReadMechanism::Sabre => {
-                if !cq.success {
-                    self.retry(api, lane);
-                } else if self.consume {
-                    let t = api.cpu().read_time(self.payload as usize, DataSource::Llc);
-                    self.process(api, lane, ReaderState::AwaitConsume, Phase::App, t);
-                } else {
-                    self.success(api, lane);
-                }
-            }
-            ReadMechanism::PerClValidate { .. } => {
-                let t = api.cpu().strip_time(self.wire as usize);
-                self.process(api, lane, ReaderState::AwaitStrip, Phase::Strip, t);
-            }
+            ReadMechanism::PerClValidate { .. } => Some(api.cpu().strip_time(self.wire as usize)),
             ReadMechanism::ChecksumValidate { payload } => {
-                let t = api.cpu().crc_time(payload as usize);
-                self.process(api, lane, ReaderState::AwaitStrip, Phase::Strip, t);
+                Some(api.cpu().crc_time(payload as usize))
+            }
+        };
+        match check {
+            // The software check; FaRM runs it beside its management of
+            // the system buffer the image landed in.
+            Some(t) => {
+                api.metrics().record_phase(Phase::Strip, t);
+                let framework = self
+                    .framework
+                    .map_or(Time::ZERO, |c| c.framework_baseline());
+                self.lanes[lane].framework += framework;
+                self.cpu(api, lane, ReaderState::AwaitStrip, framework + t);
+            }
+            // Zero-copy: the object is already in the application buffer.
+            None => {
+                let framework = self.framework.map_or(Time::ZERO, |c| c.framework_sabre);
+                self.consume(api, lane, DataSource::Llc, framework);
             }
         }
     }
@@ -818,11 +870,13 @@ impl Workload for Reader {
                     let (_, _, buf) = self.target(api, lane);
                     let image = api.read_local(buf, self.wire as usize);
                     if layout.validate(&image, payload as usize).is_some() {
-                        self.success(api, lane);
+                        // The strip left the clean object in the L1d.
+                        self.consume(api, lane, DataSource::L1, Time::ZERO);
                     } else {
                         self.retry(api, lane);
                     }
                 }
+                ReaderState::Lookup => self.issue(api, lane),
                 ReaderState::AwaitConsume => self.success(api, lane),
                 ReaderState::Backoff => self.issue(api, lane),
                 s => panic!("unexpected service wake in state {s:?}"),
@@ -846,16 +900,15 @@ enum WriterPhase {
 /// One store (one cache block or less) is applied per
 /// [`ClusterConfig::writer_store_interval`](crate::ClusterConfig), so a
 /// racing remote reader observes genuinely torn intermediate states unless
-/// an atomicity mechanism intervenes.
+/// an atomicity mechanism intervenes. Under destination locking
+/// ([`ClusterConfig::reader_locks`](crate::ClusterConfig::reader_locks)) it
+/// waits for an object's shared reader lock to drain before updating it.
 #[derive(Debug)]
 pub struct Writer {
     objects: Vec<(u64, Addr)>,
     payload: u32,
     layout: StoreLayout,
     think: Time,
-    /// Respect the shared reader-lock word before locking (destination-
-    /// locking experiments).
-    respect_reader_locks: bool,
     seq: u64,
     cur: usize,
     phase: WriterPhase,
@@ -879,20 +932,12 @@ impl Writer {
             payload,
             layout,
             think,
-            respect_reader_locks: false,
             seq: 0,
             cur: 0,
             phase: WriterPhase::Idle,
             plan: UpdatePlan::new(),
             updates: 0,
         }
-    }
-
-    /// Makes the writer wait for the shared reader lock to drain before
-    /// each update (destination-locking mode).
-    pub fn respecting_reader_locks(mut self) -> Self {
-        self.respect_reader_locks = true;
-        self
     }
 
     /// Completed object updates.
@@ -907,7 +952,6 @@ impl Writer {
             self.objects[self.cur],
             self.seq,
             self.payload as usize,
-            self.respect_reader_locks,
         ) {
             WriterPhase::Updating
         } else {

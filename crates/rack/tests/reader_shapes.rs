@@ -11,10 +11,11 @@ use sabre_core::CcMode;
 use sabre_mem::Addr;
 use sabre_rack::workloads::Writer;
 use sabre_rack::{
-    spec, Arrivals, ClusterConfig, CoreApi, CoreMetrics, FaultPlan, Popularity, ReadMechanism,
-    RunReport, ScenarioBuilder, StoreLayout, UpdatePlan, Workload, WorkloadSpec,
+    spec, Arrivals, ClusterConfig, CoreApi, CoreMetrics, FaultPlan, Phase, Popularity,
+    ReadMechanism, RunReport, ScenarioBuilder, StoreLayout, UpdatePlan, Workload, WorkloadSpec,
 };
 use sabre_sim::Time;
+use sabre_sw::cost::FarmCosts;
 use sabre_sw::layout::CleanLayout;
 
 const PAYLOAD: u32 = 256;
@@ -87,6 +88,18 @@ fn fingerprint(m: &CoreMetrics) -> String {
     )
 }
 
+/// The mean of every latency phase, 0 when unsampled.
+fn phases(m: &CoreMetrics) -> String {
+    let mean = |p| m.phase_mean_ns(p).unwrap_or(0.0);
+    format!(
+        "transfer={:.3} framework={:.3} app={:.3} strip={:.3}",
+        mean(Phase::Transfer),
+        mean(Phase::Framework),
+        mean(Phase::App),
+        mean(Phase::Strip),
+    )
+}
+
 fn sabre() -> WorkloadSpec {
     spec()
         .store(1)
@@ -120,6 +133,72 @@ fn per_cl_validate_under_a_writer() {
         .mechanism(ReadMechanism::PerClValidate { payload: PAYLOAD });
     let r = raced(StoreLayout::PerCl, reader, 40);
     assert_eq!(fingerprint(r.core(0, 1)), "ops=147 retries=12 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=270.985 p99_ns=500");
+}
+
+fn per_cl() -> WorkloadSpec {
+    spec()
+        .store(1)
+        .payload(PAYLOAD)
+        .mechanism(ReadMechanism::PerClValidate { payload: PAYLOAD })
+}
+
+/// The application reads each validated object from the L1, where the
+/// strip left it.
+#[test]
+fn per_cl_validate_consumes_under_a_writer() {
+    let r = raced(StoreLayout::PerCl, per_cl().consume(), 40);
+    let m = r.core(0, 1);
+    assert_eq!(fingerprint(m), "ops=146 retries=8 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=272.278 p99_ns=508");
+    assert_eq!(
+        phases(m),
+        "transfer=170.546 framework=0.000 app=8.000 strip=80.000"
+    );
+}
+
+/// FaRM's baseline (Figs. 1, 9a, 9b): lookup, per-CL read, buffer
+/// management and strip, application read. A failed validation re-issues
+/// without a second lookup, and the framework phase is one sample per
+/// operation.
+#[test]
+fn farm_per_cl_under_a_writer() {
+    let reader = per_cl().framework(FarmCosts::default()).consume();
+    let r = raced(StoreLayout::PerCl, reader, 40);
+    let m = r.core(0, 1);
+    assert_eq!(fingerprint(m), "ops=50 retries=5 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=791.044 p99_ns=1798");
+    assert_eq!(
+        phases(m),
+        "transfer=170.040 framework=508.000 app=8.000 strip=80.000"
+    );
+}
+
+/// FaRM over SABRes: lookup, zero-copy SABRe, lean bookkeeping and the
+/// application read from the LLC.
+#[test]
+fn farm_sabre_under_a_writer() {
+    let reader = sabre().framework(FarmCosts::default()).consume();
+    let r = raced(StoreLayout::Clean, reader, 40);
+    let m = r.core(0, 1);
+    assert_eq!(fingerprint(m), "ops=81 retries=10 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=493.763 p99_ns=664");
+    assert_eq!(
+        phases(m),
+        "transfer=180.185 framework=270.000 app=21.333 strip=0.000"
+    );
+}
+
+/// Four per-CL reads in flight share one core: their strips run one at a
+/// time, so the strip time they sum to fits in the run.
+#[test]
+fn windowed_per_cl_strips_share_one_core() {
+    let run = Time::from_us(40);
+    let r = raced(StoreLayout::PerCl, per_cl().window(4), 40);
+    let m = r.core(0, 1);
+    assert_eq!(fingerprint(m), "ops=461 retries=36 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=345.423 p99_ns=640");
+    let strips = m.phase_total_ns(Phase::Strip);
+    assert!(
+        strips <= run.as_ns(),
+        "{strips} ns of strips in a {} ns run",
+        run.as_ns()
+    );
 }
 
 #[test]
@@ -163,8 +242,7 @@ fn destination_locking_sabre_under_a_lock_respecting_writer() {
     let mut cfg = small();
     cfg.lightsabres.cc_mode = CcMode::Locking;
     let b = objects(ScenarioBuilder::with_config(cfg), 1, StoreLayout::Clean);
-    let writer =
-        Writer::new(entries(), PAYLOAD, StoreLayout::Clean, Time::ZERO).respecting_reader_locks();
+    let writer = Writer::new(entries(), PAYLOAD, StoreLayout::Clean, Time::ZERO);
     let r = b
         .workload(1, 0, Box::new(writer))
         .reader_spec(0, 1, sabre())

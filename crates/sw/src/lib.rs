@@ -17,7 +17,8 @@
 //! * [`locking`] — DrTM-style *remote* lock acquisition: an extra RDMA CAS
 //!   roundtrip before the data read.
 //! * [`cost`] — the calibrated CPU cost model (cycles per byte for strip /
-//!   CRC / copy / read) used by the latency breakdowns of Figs. 1 and 9a.
+//!   CRC / copy / read) and FaRM's framework costs ([`FarmCosts`]), used by
+//!   the latency breakdowns of Figs. 1 and 9a.
 //! * [`wf_register`] — the wait-free multi-version register layout
 //!   (Ianni et al.): readers never abort, writers rotate version slots.
 //! * [`capture`] — the server-side [`ObjectCapture`] state machine the
@@ -34,7 +35,7 @@ pub mod wf_register;
 
 pub use capture::{tag_board_addr, CaptureKind, CaptureStep, ObjectCapture};
 pub use checksum::{crc64_ecma, crc64_ecma_scalar, ChecksumLayout};
-pub use cost::CpuCostModel;
+pub use cost::{CpuCostModel, FarmCosts};
 pub use layout::{AtomicityViolation, CleanLayout, PerClLayout};
 pub use version::{ReaderLockWord, VersionWord};
 pub use wf_register::WfRegisterLayout;

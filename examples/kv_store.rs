@@ -16,15 +16,21 @@ fn deploy(layout: StoreLayout) -> (f64, f64, u64) {
     // Node 1 owns a 4 KB-object store; node 0 runs the client threads.
     let (scenario, store) = ScenarioBuilder::new().store(1, layout, 4096, Some(2048));
 
-    let reader_store = store.clone();
     let server_store = store.clone();
     let report = scenario
-        // 8 reader threads doing random key lookups over one-sided
-        // operations.
-        .readers(0, 0..8, move |_, _| {
-            let kv = KvStore::new(reader_store.clone(), 1_000_000);
-            Box::new(FarmReader::endless(kv, FarmCosts::default()))
-        })
+        // 8 reader threads doing random lookups over one-sided operations
+        // inside FaRM's framework: the store's objects, chosen uniformly.
+        .readers_spec(
+            0,
+            0..8,
+            spec()
+                .store(1)
+                .payload(4096)
+                .mechanism(layout.mechanism(4096))
+                .wire(store.wire_bytes() as u32)
+                .framework(FarmCosts::default())
+                .consume(),
+        )
         // One client thread sends write RPCs; core 15 of node 1 applies
         // them at the owner (FaRM never writes remote memory one-sidedly).
         .reader(1, 15, move |_| {

@@ -229,10 +229,7 @@ fn race(
     // Aggressive writers over small CREW subsets maximize conflicts.
     let entries = store.object_entries();
     for (w, chunk) in entries.chunks(6).enumerate() {
-        let mut writer = Writer::new(chunk.to_vec(), payload, layout, Time::ZERO);
-        if cc_mode == CcMode::Locking {
-            writer = writer.respecting_reader_locks();
-        }
+        let writer = Writer::new(chunk.to_vec(), payload, layout, Time::ZERO);
         scenario = scenario.workload(1, w, Box::new(writer));
     }
     scenario.run_for(Time::from_us(120));
@@ -481,10 +478,7 @@ fn torture_race(tm: TortureMech, nodes: usize, seed: u64, exec: Exec) -> Outcome
     let chunk = [3usize, 4, 6][((seed / 3) % 3) as usize];
     for shard in &shards {
         for (w, entries) in shard.object_entries().chunks(chunk).enumerate() {
-            let mut writer = Writer::new(entries.to_vec(), payload, layout, Time::ZERO);
-            if cc_mode == CcMode::Locking {
-                writer = writer.respecting_reader_locks();
-            }
+            let writer = Writer::new(entries.to_vec(), payload, layout, Time::ZERO);
             scenario = scenario.workload(shard.node() as usize, w, Box::new(writer));
         }
     }
@@ -612,10 +606,7 @@ fn fat_tree_nearest_race(tm: Option<TortureMech>, seed: u64) -> Outcome {
     let chunk = [3usize, 4, 6][((seed / 3) % 3) as usize];
     for shard in &shards {
         for (w, entries) in shard.object_entries().chunks(chunk).enumerate() {
-            let mut writer = Writer::new(entries.to_vec(), payload, layout, Time::ZERO);
-            if cc_mode == CcMode::Locking {
-                writer = writer.respecting_reader_locks();
-            }
+            let writer = Writer::new(entries.to_vec(), payload, layout, Time::ZERO);
             scenario = scenario.workload(shard.node() as usize, w, Box::new(writer));
         }
     }
@@ -983,10 +974,7 @@ fn crash_race(tm: Option<TortureMech>, nodes: usize, seed: u64, exec: Exec) -> O
     let chunk = [3usize, 4, 6][((seed / 3) % 3) as usize];
     for replica in store.replicas() {
         for (w, entries) in replica.object_entries().chunks(chunk).enumerate() {
-            let mut writer = Writer::new(entries.to_vec(), payload, layout, Time::ZERO);
-            if cc_mode == CcMode::Locking {
-                writer = writer.respecting_reader_locks();
-            }
+            let writer = Writer::new(entries.to_vec(), payload, layout, Time::ZERO);
             scenario = scenario.workload(replica.node() as usize, w, Box::new(writer));
         }
     }
@@ -1175,7 +1163,7 @@ fn leaf_race(tm: TortureMech, seed: u64, exec: Exec) -> (Outcome, Totals) {
             .filter(|&&p| p != site)
             .map(|&p| p as u8)
             .collect();
-        let mut writer = RecoveringWriter::new(
+        let writer = RecoveringWriter::new(
             store.object_entries(),
             payload,
             layout,
@@ -1190,9 +1178,6 @@ fn leaf_race(tm: TortureMech, seed: u64, exec: Exec) -> (Outcome, Totals) {
             // the freshness check needs post-catch-up completions.
             16,
         );
-        if cc_mode == CcMode::Locking {
-            writer = writer.respecting_reader_locks();
-        }
         scenario = scenario.workload(site, 0, Box::new(writer));
     }
     let report = scenario.run_for(Time::from_us(55));

@@ -445,7 +445,7 @@ impl Scenario {
                     let site = replica.node() as usize;
                     if self.recovering {
                         let peers = sites.iter().filter(|&&p| p != site).map(|&p| p as u8);
-                        let mut writer = RecoveringWriter::new(
+                        let writer = RecoveringWriter::new(
                             replica.object_entries(),
                             payload,
                             layout,
@@ -455,9 +455,6 @@ impl Scenario {
                             Addr::new(PULL_BUF),
                             8,
                         );
-                        if self.reader.cc_mode() == CcMode::Locking {
-                            writer = writer.respecting_reader_locks();
-                        }
                         scenario = scenario.workload(site, 0, Box::new(writer));
                     } else {
                         for (w, entries) in replica.object_entries().chunks(4).enumerate() {
@@ -497,16 +494,12 @@ impl Scenario {
         self.read_fraction == 1.0
     }
 
-    /// A CREW writer over `entries`, lock-respecting under destination
-    /// locking.
+    /// A CREW writer over `entries` (lock-respecting under destination
+    /// locking, as every writer is).
     fn writer(&self, entries: &[(u64, Addr)]) -> Box<dyn Workload> {
         let layout = self.reader.layout(self.payload);
         let writer = Writer::new(entries.to_vec(), self.payload, layout, self.writer_think);
-        if self.reader.cc_mode() == CcMode::Locking {
-            Box::new(writer.respecting_reader_locks())
-        } else {
-            Box::new(writer)
-        }
+        Box::new(writer)
     }
 }
 

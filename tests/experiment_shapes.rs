@@ -109,6 +109,36 @@ fn fig8_gap_grows_with_size_and_throughput_declines_with_writers() {
     assert!(g8k > g128, "8KB gap {g8k:.2} <= 128B gap {g128:.2}");
 }
 
+/// Whether a breakdown's phases sum to its end-to-end mean, up to the
+/// samples of the operation the run cut short.
+fn sums_to(parts: f64, e2e: f64) -> bool {
+    (parts - e2e).abs() <= 0.005 * e2e
+}
+
+#[test]
+fn fig1_and_fig9a_breakdowns_sum_to_e2e() {
+    for p in ex::fig1::data(Q) {
+        let parts = p.transfer_ns + p.framework_app_ns + p.strip_ns;
+        assert!(
+            sums_to(parts, p.e2e_ns),
+            "Fig. 1 {}B: {parts:.1} ns of phases, {:.1} ns E2E",
+            p.size,
+            p.e2e_ns
+        );
+    }
+    for p in ex::fig9a::data(Q) {
+        for (variant, b) in [("perCL", p.baseline), ("SABRe", p.sabre)] {
+            let parts = b.transfer_ns + b.framework_ns + b.app_ns + b.strip_ns;
+            assert!(
+                sums_to(parts, b.e2e_ns),
+                "Fig. 9a {}B {variant}: {parts:.1} ns of phases, {:.1} ns E2E",
+                p.size,
+                b.e2e_ns
+            );
+        }
+    }
+}
+
 #[test]
 fn fig9a_improvement_grows_with_object_size() {
     let points = ex::fig9a::data(Q);
