@@ -8,7 +8,8 @@
 //! This experiment kills a whole fat-tree leaf — two of the three replica
 //! sites at once, writers and all — so the restored images genuinely miss
 //! every update of the outage window. Each site runs a
-//! [`RecoveringWriter`] maintaining a per-site [`WriteLog`]; on
+//! [recovering](Writer::recovering) writer maintaining a per-site
+//! [`WriteLog`]; on
 //! restoration the stale sites pull the log over the real fabric
 //! ([`sabre_sonuma::OpKind::CatchUpPull`]), bounce off each other's
 //! equally-stale guards onto the surviving cross-leaf replica, and replay
@@ -31,8 +32,9 @@
 //! static [`FaultPlan`], and catch-up is request/burst-reply over the
 //! ordered fabric.
 
-use sabre_farm::{replica_sites, RecoveringWriter, ScenarioStoreExt, StoreLayout, WriteLog};
+use sabre_farm::{replica_sites, ScenarioStoreExt, StoreLayout, WriteLog};
 use sabre_mem::Addr;
+use sabre_rack::workloads::Writer;
 use sabre_rack::{spec, FaultPlan, ReadMechanism, ScenarioBuilder, Totals};
 use sabre_sim::Time;
 
@@ -166,16 +168,15 @@ pub fn measure(mode: Mode, iters: u64) -> Point {
         scenario = scenario.workload(
             site,
             0,
-            Box::new(RecoveringWriter::new(
-                store.object_entries(),
-                PAYLOAD,
-                StoreLayout::Clean,
-                Time::from_ns(500),
-                log,
-                peers,
-                Addr::new(PULL_BUF),
-                8,
-            )),
+            Box::new(
+                Writer::new(
+                    store.object_entries(),
+                    PAYLOAD,
+                    StoreLayout::Clean,
+                    Time::from_ns(500),
+                )
+                .recovering(log, peers, Addr::new(PULL_BUF), 8),
+            ),
         );
     }
     let rack = scenario.run_for(horizon).rack();

@@ -25,8 +25,13 @@
 //! * [`local`] — the [`FarmLocalReader`] workload of Fig. 10: local-only
 //!   key-value lookups against the two store layouts;
 //! * [`write_path`] — writes over RPC (FaRM never writes remote memory
-//!   one-sidedly): the [`RpcWriteServer`] applying updates at the owner and
-//!   the [`RpcWriter`] client;
+//!   one-sidedly): the [`RpcWriter`] client; the owner applies them with
+//!   the rack's one writer,
+//!   [`Writer::serving_rpcs`](sabre_rack::workloads::Writer::serving_rpcs);
+//! * [`recovery`] — replica catch-up after whole-machine outages, run by
+//!   [`Writer::recovering`](sabre_rack::workloads::Writer::recovering)
+//!   over a per-site [`WriteLog`]; [`RecoveringWriter`] is its former
+//!   eight-argument constructor;
 //! * [`replica`] — the [`ReplicatedStore`]: k identical copies of one
 //!   object set across store nodes, leaf-aware site selection and the
 //!   nearest-first replica views the rack's failover readers consume;
@@ -43,9 +48,9 @@ pub mod write_path;
 
 pub use kv::KvStore;
 pub use local::FarmLocalReader;
-pub use recovery::{RecoveringWriter, ReplicaState, WriteLog};
+pub use recovery::{RecoveringWriter, WriteLog};
 pub use replica::{replica_sites, ReplicatedStore};
 pub use sabre_sw::cost::FarmCosts;
 pub use scenario::ScenarioStoreExt;
 pub use store::{ObjectStore, StoreLayout};
-pub use write_path::{RpcWriteServer, RpcWriter};
+pub use write_path::RpcWriter;

@@ -14,7 +14,7 @@
 //! needs no catch-up. Whole-machine outages (a dead fat-tree leaf, a
 //! power-cycled chassis) are different: the site's writer genuinely
 //! freezes and the restored image is stale. For those, place a
-//! [`RecoveringWriter`](crate::recovery::RecoveringWriter) per site
+//! [recovering](sabre_rack::workloads::Writer::recovering) writer per site
 //! instead — it logs every update in a per-site
 //! [`WriteLog`](crate::recovery::WriteLog) and, on restoration, pulls a
 //! live peer's log over the fabric and replays the missed range before

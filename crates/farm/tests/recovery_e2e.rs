@@ -5,8 +5,9 @@
 //! stale-marking) reads for exactly the catch-up window.
 
 use sabre_farm::scenario::ScenarioStoreExt;
-use sabre_farm::{replica_sites, RecoveringWriter, StoreLayout, WriteLog};
+use sabre_farm::{replica_sites, StoreLayout, WriteLog};
 use sabre_mem::Addr;
+use sabre_rack::workloads::Writer;
 use sabre_rack::{spec, FaultPlan, ReadMechanism, ScenarioBuilder, Totals};
 use sabre_sim::Time;
 
@@ -74,19 +75,18 @@ fn leaf_outage_run(serve_stale: bool) -> Totals {
         scenario = scenario.workload(
             site,
             0,
-            Box::new(RecoveringWriter::new(
-                store.object_entries(),
-                PAYLOAD,
-                StoreLayout::Clean,
-                // Replay runs think-free, so the convergence margin is the
-                // think pause: 500 ns makes the lag floor (pull + replay
-                // overhead, ~2 updates) sit well under converged_lag.
-                Time::from_ns(500),
-                log,
-                peers,
-                Addr::new(PULL_BUF),
-                8,
-            )),
+            Box::new(
+                Writer::new(
+                    store.object_entries(),
+                    PAYLOAD,
+                    StoreLayout::Clean,
+                    // Replay runs think-free, so the convergence margin is the
+                    // think pause: 500 ns makes the lag floor (pull + replay
+                    // overhead, ~2 updates) sit well under converged_lag.
+                    Time::from_ns(500),
+                )
+                .recovering(log, peers, Addr::new(PULL_BUF), 8),
+            ),
         );
     }
     let rack = scenario.run_for(Time::from_us(200)).rack();

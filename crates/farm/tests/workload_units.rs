@@ -199,12 +199,12 @@ fn store_local_rejects_straddling_writes() {
         .run_for(Time::from_ns(10));
 }
 
-/// Cadence pins for the three writer programs, taken at a fixed window.
+/// Cadence pins for the three writer shapes, taken at a fixed window.
 /// Each pin sums the final version (or publish) words of the store's
 /// objects, so an update that gains or loses one store interval moves it.
 mod cadence {
     use super::*;
-    use sabre_farm::{KvStore, ObjectStore, RecoveringWriter, RpcWriteServer, RpcWriter, WriteLog};
+    use sabre_farm::{KvStore, ObjectStore, RpcWriter, WriteLog};
     use sabre_rack::RunReport;
 
     const PAYLOAD: u32 = 200;
@@ -242,16 +242,13 @@ mod cadence {
         let (scenario, store) =
             small_scenario().store(1, StoreLayout::Clean, PAYLOAD, Some(OBJECTS));
         let log = WriteLog::new(Addr::new(1 << 20), 64);
-        let writer = RecoveringWriter::new(
+        let writer = Writer::new(
             store.object_entries(),
             PAYLOAD,
             StoreLayout::Clean,
             Time::from_ns(50),
-            log,
-            vec![0],
-            Addr::new(2 << 20),
-            8,
-        );
+        )
+        .recovering(log, vec![0], Addr::new(2 << 20), 8);
         let report = scenario.workload(1, 0, Box::new(writer)).run_for(WINDOW);
         let head = report.cluster().node_memory(1).read_u64(log.head_addr());
         assert_eq!(
@@ -266,7 +263,19 @@ mod cadence {
             small_scenario().store(1, StoreLayout::PerCl, PAYLOAD, Some(OBJECTS));
         let kv = KvStore::new(store.clone(), 64);
         let report = scenario
-            .workload(1, 0, Box::new(RpcWriteServer::new(kv.clone())))
+            .workload(
+                1,
+                0,
+                Box::new(
+                    Writer::new(
+                        store.object_entries(),
+                        PAYLOAD,
+                        StoreLayout::PerCl,
+                        Time::ZERO,
+                    )
+                    .serving_rpcs(),
+                ),
+            )
             .workload(0, 0, Box::new(RpcWriter::endless(kv, 0, Time::ZERO)))
             .run_for(WINDOW);
         assert_eq!(

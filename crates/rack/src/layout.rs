@@ -221,8 +221,8 @@ impl StoreLayout {
 
 /// The sequence of single-block stores one object update performs under a
 /// [`StoreLayout`], in protocol order, and the version word stores around
-/// them. Shared by local [`Writer`](crate::workloads::Writer)s and the
-/// FaRM writers.
+/// them. Walked by every shape of the one
+/// [`Writer`](crate::workloads::Writer).
 ///
 /// A writer [`start`](UpdatePlan::start)s an update (lock, then rebuild the
 /// plan once) and [`step`](UpdatePlan::step)s it once per wake: each step

@@ -309,7 +309,9 @@ impl WorkloadSpec {
 
     /// How long a replicated read waits before abandoning the attempt and
     /// failing over to the next replica (default 10 µs). Rejected without
-    /// [`WorkloadSpec::replicas`].
+    /// [`WorkloadSpec::replicas`]. A timeout below one unloaded read's
+    /// latency abandons every attempt, so the reader completes 0
+    /// operations; nothing rejects such a value.
     pub fn failover_timeout(mut self, timeout: Time) -> Self {
         self.failover_timeout = timeout;
         self

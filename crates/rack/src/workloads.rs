@@ -3,19 +3,19 @@
 //! memory, or reader threads that access objects in remote memory using
 //! one-sided soNUMA operations in a tight loop").
 //!
-//! The writers here and in `sabre_farm` keep their objects in a
-//! [`StoreLayout`] and walk each update through an [`UpdatePlan`], both
-//! from [`crate::layout`]; [`WriterLayout`] names the same type.
+//! The one [`Writer`] keeps its objects in a [`StoreLayout`] and walks each
+//! update through an [`UpdatePlan`], both from [`crate::layout`];
+//! [`WriterLayout`] names the same type.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
-use sabre_mem::Addr;
+use sabre_mem::{Addr, BLOCK_BYTES};
 use sabre_sim::{SimRng, Time, Zipf};
 use sabre_sonuma::{CqEntry, OpKind};
 use sabre_sw::cost::{DataSource, FarmCosts};
-use sabre_sw::tag_board_addr;
+use sabre_sw::{tag_board_addr, ReaderLockWord};
 
 use crate::cluster::CoreApi;
 /// The object layout under its writer-side name: the same type as
@@ -885,40 +885,207 @@ impl Workload for Reader {
     }
 }
 
+/// Geometry of a per-site write log: one head block publishing the latest
+/// sequence number, followed by a bounded ring of
+/// [`RECORD_BYTES`](WriteLog::RECORD_BYTES)-byte `(object id, seq)`
+/// records. Purely descriptive — the log lives in simulated node memory
+/// and a [recovering](Writer::recovering) writer maintains it through
+/// [`CoreApi::store_local`] like any other data, so log maintenance pays
+/// real store pacing and coherence traffic.
+///
+/// The record for seq `s` is stored *before* the head bumps to `s`, and
+/// stores execute in issue order, so any image of the region whose head
+/// reads `s` holds every record `≤ s` intact, even if pulled while the
+/// owner keeps appending.
+///
+/// Identical geometry on every replica site (same base, same capacity),
+/// mirroring how the object stores replicate; a catch-up pull can
+/// therefore read a peer's region at its own local addresses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WriteLog {
+    base: Addr,
+    cap: u64,
+}
+
+impl WriteLog {
+    /// Bytes per `(object id u64, seq u64)` record.
+    pub const RECORD_BYTES: u64 = 16;
+
+    /// Bytes of the head block (only the leading u64 — the latest
+    /// published seq — is meaningful; the rest pads to a cache block so
+    /// head stores never share a block with records).
+    pub const HEADER_BYTES: u64 = BLOCK_BYTES as u64;
+
+    /// A log at `base` holding the most recent `cap` records.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` is not block-aligned or `cap` is zero.
+    pub fn new(base: Addr, cap: u64) -> Self {
+        assert_eq!(base.block_offset(), 0, "write log must be block-aligned");
+        assert!(cap > 0, "write log needs capacity");
+        WriteLog { base, cap }
+    }
+
+    /// Ring capacity in records: a peer more than this many updates
+    /// behind cannot catch up from the log (its record slots were
+    /// overwritten by newer seqs).
+    pub fn capacity(&self) -> u64 {
+        self.cap
+    }
+
+    /// Address of the head word (latest published seq), the region's
+    /// base.
+    pub fn head_addr(&self) -> Addr {
+        self.base
+    }
+
+    /// Address of the record slot for 1-based update seq `s` — records
+    /// never straddle block boundaries (4 per block, exactly). The
+    /// record's object id is the word at this address and its seq the
+    /// word after it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the reserved seq 0.
+    pub fn record_addr(&self, seq: u64) -> Addr {
+        assert!(seq > 0, "log seqs are 1-based");
+        self.base + Self::HEADER_BYTES + ((seq - 1) % self.cap) * Self::RECORD_BYTES
+    }
+
+    /// Total bytes of the region (head block + ring, rounded up to whole
+    /// blocks) — what a catch-up pull transfers.
+    pub fn region_bytes(&self) -> u32 {
+        let ring =
+            (self.cap * Self::RECORD_BYTES).div_ceil(BLOCK_BYTES as u64) * BLOCK_BYTES as u64;
+        u32::try_from(Self::HEADER_BYTES + ring).expect("write log region exceeds u32 bytes")
+    }
+
+    /// The wire encoding of one record.
+    pub fn encode_record(obj_id: u64, seq: u64) -> [u8; 16] {
+        let mut rec = [0u8; 16];
+        rec[..8].copy_from_slice(&obj_id.to_le_bytes());
+        rec[8..].copy_from_slice(&seq.to_le_bytes());
+        rec
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WriterPhase {
+    /// Resting between updates, or serving RPCs with an empty queue.
     Idle,
     /// An update is in progress; each wake is one [`UpdatePlan::step`].
     Updating,
     /// Waiting for readers to drain (locking-mode experiments).
     SpinningOnReaders,
+    /// Recovering: published; the log record store is next.
+    LogRecord,
+    /// Recovering: record stored; the log head store is next.
+    LogHead,
+    /// Recovering: sleeping out an own-node outage, or waiting to retry
+    /// a pull when no peer was live.
+    Frozen,
+    /// Recovering: a catch-up pull is in flight.
+    AwaitPull,
 }
 
-/// A local writer thread repeatedly updating its subset of objects
-/// (Concurrent-Read-Exclusive-Write: each object has one writer).
+/// A write RPC queued at an [RPC-serving](Writer::serving_rpcs) writer:
+/// the client's node and core, and the object id it names (also the
+/// reply's tag).
+#[derive(Debug, Clone, Copy)]
+struct PendingRpc {
+    src_node: u8,
+    src_core: u8,
+    obj: u64,
+}
+
+/// The replica-site state of a [recovering](Writer::recovering) writer.
+#[derive(Debug)]
+struct Recovery {
+    log: WriteLog,
+    /// The same geometry at the local scratch region a pulled log image
+    /// lands in.
+    image: WriteLog,
+    /// Fellow replica sites (own node excluded), catch-up sources.
+    peers: Vec<u8>,
+    /// Stop re-pulling once the remaining lag is at most this many
+    /// updates; the tail is reproduced by resuming the own schedule.
+    converged_lag: u64,
+    /// `Some(target)`: replaying pulled updates up to log seq `target`.
+    replay_until: Option<u64>,
+    /// The in-flight pull's work-queue id and the peer it targets.
+    pull: Option<(u64, u8)>,
+    /// Peers that refused this pull round (themselves catching up).
+    refused_peers: Vec<u8>,
+    /// `Some(start)` from the first pull after an outage until
+    /// convergence: the site holds the epoch/seq guard.
+    catching_up_since: Option<Time>,
+}
+
+/// The one writer program: an object's owner core applying updates one
+/// store at a time (§7's CREW writer threads, §2.1/§6's FaRM data owner).
 ///
 /// One store (one cache block or less) is applied per
 /// [`ClusterConfig::writer_store_interval`](crate::ClusterConfig), so a
 /// racing remote reader observes genuinely torn intermediate states unless
 /// an atomicity mechanism intervenes. Under destination locking
 /// ([`ClusterConfig::reader_locks`](crate::ClusterConfig::reader_locks)) it
-/// waits for an object's shared reader lock to drain before updating it.
+/// waits for an object's shared reader lock to drain before updating it,
+/// and it spins on a version word a source-locking reader holds.
+///
+/// Update `n` (0-based) of the own schedule touches `objects[n % k]`
+/// with pattern seq `n`. Three shapes share that schedule's counter and
+/// the update loop:
+///
+/// * [`Writer::new`]: a local CREW thread (Concurrent-Read-Exclusive-Write:
+///   each object has one writer) resting `max(think, store interval)`
+///   after each publish;
+/// * [`.serving_rpcs()`](Writer::serving_rpcs): FaRM's owner-side write
+///   server, updating the object each write RPC names and replying at
+///   publish;
+/// * [`.recovering(..)`](Writer::recovering): a replica site maintaining a
+///   [`WriteLog`] that catches up from a live peer after an outage.
 #[derive(Debug)]
 pub struct Writer {
     objects: Vec<(u64, Addr)>,
     payload: u32,
     layout: StoreLayout,
     think: Time,
+    /// Completed updates: the pattern seq of the next one, and (when
+    /// recovering) the latest own log seq, 1-based.
     seq: u64,
-    cur: usize,
     phase: WriterPhase,
-    /// The stores of the update in progress, built when it starts.
+    /// The stores of the update in progress, built when it starts (so a
+    /// plan never outlives an outage).
     plan: UpdatePlan,
-    updates: u64,
+    /// `Some(queue)`: serving write RPCs, oldest first.
+    rpcs: Option<VecDeque<PendingRpc>>,
+    recovery: Option<Recovery>,
+}
+
+/// Delay before a recovering writer re-checks for a live peer when every
+/// peer was down at pull time.
+const PEER_RETRY: Time = Time::from_us(1);
+
+/// Why `.serving_rpcs()` and `.recovering(..)` exclude each other.
+const RECOVERING_RPCS: &str =
+    "a recovering writer cannot serve RPCs: a replay assumes the own schedule";
+
+/// Whether the core's own node is down: if so, sleeps until the outage
+/// ends (forever, for a permanent crash).
+fn sleep_out_outage(api: &mut CoreApi<'_>) -> bool {
+    let Some(outage) = api.config().fault.outage_at(api.node(), api.now()) else {
+        return false;
+    };
+    if let Some(until) = outage.until {
+        let now = api.now();
+        api.sleep(until - now);
+    }
+    true
 }
 
 impl Writer {
-    /// Creates a writer owning `objects` (pairs of object id and base
+    /// Creates a CREW writer owning `objects` (pairs of object id and base
     /// address, all local), updating them round-robin with `think` pause
     /// between updates.
     ///
@@ -933,51 +1100,418 @@ impl Writer {
             layout,
             think,
             seq: 0,
-            cur: 0,
             phase: WriterPhase::Idle,
             plan: UpdatePlan::new(),
-            updates: 0,
+            rpcs: None,
+            recovery: None,
         }
     }
 
-    /// Completed object updates.
-    pub fn updates(&self) -> u64 {
-        self.updates
+    /// FaRM's owner-side write server (§2.1: "writes are sent to the data
+    /// owner over an RPC"): instead of its own schedule, it updates the
+    /// object whose id each write RPC carries as its tag, replies at
+    /// publish and starts the next queued update at once; with the queue
+    /// empty it idles without sleeping. The objects must be indexed by id,
+    /// as `sabre_farm::ObjectStore::object_entries` yields them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `think` is not zero, the writer is
+    /// [recovering](Writer::recovering), or an object's id is not its
+    /// index.
+    pub fn serving_rpcs(mut self) -> Self {
+        assert!(
+            self.think == Time::ZERO,
+            "an RPC-serving writer cannot honour a think pause"
+        );
+        assert!(self.recovery.is_none(), "{RECOVERING_RPCS}");
+        assert!(
+            (0..).zip(&self.objects).all(|(i, &(id, _))| id == i),
+            "an RPC-serving writer's objects must be indexed by id"
+        );
+        self.rpcs = Some(VecDeque::new());
+        self
     }
 
-    fn begin_update(&mut self, api: &mut CoreApi<'_>) {
-        self.phase = if self.plan.start(
-            api,
-            self.layout,
-            self.objects[self.cur],
-            self.seq,
-            self.payload as usize,
-        ) {
+    /// Makes the writer one replica site with crash/recovery semantics.
+    ///
+    /// After each publish it stores the update's [`WriteLog`] record and
+    /// then the log head, one store interval apart. It freezes at update
+    /// boundaries while its own node is down; once restored it takes the
+    /// node's epoch/seq guard ([`CoreApi::set_catching_up`]: reads are
+    /// refused, or served stale under
+    /// [`serve_stale`](crate::ClusterConfig::serve_stale)), pulls the
+    /// nearest live peer's log region (`log`'s geometry) into `pull_buf`
+    /// over the fabric ([`OpKind::CatchUpPull`]), replays the missed
+    /// updates through the same update loop, and re-pulls until the
+    /// remaining lag is at most `converged_lag`; the tail is reproduced by
+    /// resuming the own schedule. Every site runs the same schedule, so a
+    /// replay reproduces the site's own missed updates bit-identically.
+    ///
+    /// A peer that refuses the pull (it is itself catching up) is struck
+    /// off for the round and the next-nearest one is tried; with no
+    /// candidate left the writer retries the full list 1 µs later. Under
+    /// destination locking, entering catch-up clears the objects' reader
+    /// lock words: a lock still set on a restored site is dead (its
+    /// release was dropped with the outage). A permanent crash freezes the
+    /// writer forever, and a pull whose peer dies mid-transfer stalls it
+    /// until the horizon.
+    ///
+    /// Convergence needs a positive `think`: replay runs think-free, so it
+    /// outpaces live peers and the lag shrinks every round.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the writer serves RPCs (a replay assumes the own
+    /// schedule), `peers` is empty, or `converged_lag` is not below the
+    /// log capacity (the writer could then "converge" onto a wrapped —
+    /// unrecoverable — range).
+    pub fn recovering(
+        mut self,
+        log: WriteLog,
+        peers: Vec<u8>,
+        pull_buf: Addr,
+        converged_lag: u64,
+    ) -> Self {
+        assert!(self.rpcs.is_none(), "{RECOVERING_RPCS}");
+        assert!(!peers.is_empty(), "a recovering writer needs peers");
+        assert!(
+            converged_lag < log.capacity(),
+            "converged lag must fit the log ring"
+        );
+        self.recovery = Some(Recovery {
+            log,
+            image: WriteLog::new(pull_buf, log.capacity()),
+            peers,
+            converged_lag,
+            replay_until: None,
+            pull: None,
+            refused_peers: Vec::new(),
+            catching_up_since: None,
+        });
+        self
+    }
+
+    /// The object of the own schedule's next update.
+    fn object(&self) -> (u64, Addr) {
+        self.objects[(self.seq % self.objects.len() as u64) as usize]
+    }
+
+    /// Update boundary: a recovering writer freezes while its own node is
+    /// down; otherwise the next update starts.
+    fn begin(&mut self, api: &mut CoreApi<'_>) {
+        if self.recovery.is_some() && sleep_out_outage(api) {
+            // Local state survives a service outage, so freeze until
+            // restoration, then catch up.
+            self.recovery().catching_up_since = None;
+            self.phase = WriterPhase::Frozen;
+        } else {
+            self.start_update(api);
+        }
+    }
+
+    /// Starts the next update through [`UpdatePlan::start`] — the queue's
+    /// head request when serving RPCs, else the own schedule's next
+    /// object — or spins on a held lock. A replayed update first proves
+    /// the pulled image recorded it.
+    fn start_update(&mut self, api: &mut CoreApi<'_>) {
+        let object = match &self.rpcs {
+            Some(queue) => match queue.front() {
+                Some(req) => self.objects[req.obj as usize],
+                None => {
+                    self.phase = WriterPhase::Idle;
+                    return;
+                }
+            },
+            None => self.object(),
+        };
+        if let Some(Recovery {
+            image,
+            log,
+            replay_until: Some(target),
+            ..
+        }) = &self.recovery
+        {
+            let seq = self.seq + 1;
+            let record = image.record_addr(seq);
+            assert_eq!(
+                api.read_local_u64(record + 8),
+                seq,
+                "write log wrapped under a catch-up (lag {} > capacity {})",
+                target - self.seq,
+                log.capacity()
+            );
+            assert_eq!(
+                api.read_local_u64(record),
+                object.0,
+                "pulled record disagrees with schedule"
+            );
+        }
+        self.phase = if self
+            .plan
+            .start(api, self.layout, object, self.seq, self.payload as usize)
+        {
             WriterPhase::Updating
         } else {
             WriterPhase::SpinningOnReaders
         };
     }
+
+    /// The update published: reply and start the next queued one, store
+    /// the log record next, or rest.
+    fn published(&mut self, api: &mut CoreApi<'_>) {
+        if let Some(queue) = &mut self.rpcs {
+            let req = queue.pop_front().expect("an update serves a request");
+            self.seq += 1;
+            api.reply_rpc(req.src_node, req.src_core, req.obj, 16);
+            self.start_update(api);
+        } else if self.recovery.is_some() {
+            self.phase = WriterPhase::LogRecord;
+            api.sleep(api.config().writer_store_interval);
+        } else {
+            self.seq += 1;
+            self.rest(api);
+        }
+    }
+
+    /// Sleeps out the pause between own updates.
+    fn rest(&mut self, api: &mut CoreApi<'_>) {
+        self.phase = WriterPhase::Idle;
+        api.sleep(self.think.max(api.config().writer_store_interval));
+    }
+
+    fn recovery(&mut self) -> &mut Recovery {
+        self.recovery.as_mut().expect("only a recovering writer")
+    }
+
+    /// A frozen wake: stay frozen through back-to-back outage windows, or
+    /// enter (or continue) catch-up.
+    fn resume(&mut self, api: &mut CoreApi<'_>) {
+        if sleep_out_outage(api) {
+            return;
+        }
+        if self.recovery().catching_up_since.is_none() {
+            self.recovery().catching_up_since = Some(api.now());
+            api.set_catching_up(true);
+            if api.config().reader_locks() {
+                // Lease expiry: a shared reader lock still set on a
+                // restored site is dead — its fire-and-forget release was
+                // dropped with the outage. Clear them, or the writer spins
+                // forever on a lock nobody holds and the site never
+                // catches up.
+                for &(_, base) in &self.objects {
+                    api.store_local_u64(base + ReaderLockWord::OFFSET_FROM_VERSION, 0);
+                }
+            }
+        }
+        self.issue_pull(api);
+    }
+
+    /// Pulls the nearest live peer's write-log region, skipping peers that
+    /// refused this round; retries later if no candidate is left.
+    fn issue_pull(&mut self, api: &mut CoreApi<'_>) {
+        let now = api.now();
+        let topo = api.config().fabric.topology;
+        let own = api.node();
+        let rec = self.recovery.as_mut().expect("only a recovering writer");
+        let peer = rec
+            .peers
+            .iter()
+            .copied()
+            .filter(|&p| {
+                !rec.refused_peers.contains(&p)
+                    && api.config().fault.outage_at(p as usize, now).is_none()
+            })
+            .min_by_key(|&p| (topo.hops(own, p as usize), p));
+        let Some(peer) = peer else {
+            // Every peer is down or itself catching up: sleep and retry
+            // the full list (a sibling may have converged meanwhile).
+            rec.refused_peers.clear();
+            self.phase = WriterPhase::Frozen;
+            api.sleep(PEER_RETRY);
+            return;
+        };
+        let wq_id = api.issue(
+            OpKind::CatchUpPull,
+            peer,
+            rec.log.head_addr(),
+            rec.image.head_addr(),
+            rec.log.region_bytes(),
+            0,
+        );
+        rec.pull = Some((wq_id, peer));
+        self.phase = WriterPhase::AwaitPull;
+    }
+
+    /// A pull completed: replay the missed range, or declare convergence
+    /// and drop the guard.
+    fn on_pull(&mut self, api: &mut CoreApi<'_>) {
+        api.metrics().record_catch_up();
+        let seq = self.seq;
+        let rec = self.recovery();
+        let latest = api.read_local_u64(rec.image.head_addr());
+        if latest.saturating_sub(seq) <= rec.converged_lag {
+            // Converged: the ≤ lag trailing updates are reproduced by
+            // resuming the own (identical) schedule.
+            let since = rec.catching_up_since.take().expect("pulls catch up");
+            rec.replay_until = None;
+            let window = api.now() - since;
+            api.metrics().record_catch_up_window(window);
+            api.set_catching_up(false);
+            self.rest(api);
+        } else {
+            rec.replay_until = Some(latest);
+            self.start_update(api);
+        }
+    }
 }
 
 impl Workload for Writer {
     fn on_start(&mut self, api: &mut CoreApi<'_>) {
-        self.begin_update(api);
+        self.begin(api);
     }
 
     fn on_wake(&mut self, api: &mut CoreApi<'_>) {
         match self.phase {
-            WriterPhase::Idle => self.begin_update(api),
-            WriterPhase::SpinningOnReaders => self.begin_update(api),
             WriterPhase::Updating => {
                 if self.plan.step(api) {
-                    self.updates += 1;
-                    self.seq += 1;
-                    self.cur = (self.cur + 1) % self.objects.len();
-                    self.phase = WriterPhase::Idle;
-                    api.sleep(self.think.max(api.config().writer_store_interval));
+                    self.published(api);
                 }
             }
+            // A spin re-enters through the outage check: it can straddle
+            // an outage start, and a recovering writer must freeze at the
+            // boundary rather than keep polling a lock word no reader can
+            // touch while the node is down.
+            WriterPhase::Idle | WriterPhase::SpinningOnReaders => self.begin(api),
+            WriterPhase::LogRecord => {
+                // Record first, head second: a concurrent pull seeing
+                // head = s is guaranteed the record for s is complete.
+                let seq = self.seq + 1;
+                let (obj_id, _) = self.object();
+                let addr = self.recovery().log.record_addr(seq);
+                api.store_local(addr, &WriteLog::encode_record(obj_id, seq));
+                self.phase = WriterPhase::LogHead;
+                api.sleep(api.config().writer_store_interval);
+            }
+            WriterPhase::LogHead => {
+                // The update is logged: rest, continue replaying, or end
+                // the round and re-pull to measure the fresh lag (peers
+                // kept writing meanwhile).
+                self.seq += 1;
+                let rec = self.recovery();
+                let (head, replay_until) = (rec.log.head_addr(), rec.replay_until);
+                api.store_local_u64(head, self.seq);
+                match replay_until {
+                    None => self.rest(api),
+                    Some(target) => {
+                        api.metrics().record_replay();
+                        if self.seq >= target {
+                            self.issue_pull(api);
+                        } else {
+                            self.start_update(api);
+                        }
+                    }
+                }
+            }
+            WriterPhase::Frozen => self.resume(api),
+            WriterPhase::AwaitPull => unreachable!("no sleeps while a pull is in flight"),
         }
+    }
+
+    fn on_completion(&mut self, api: &mut CoreApi<'_>, cq: CqEntry) {
+        assert_eq!(self.phase, WriterPhase::AwaitPull, "only pulls are issued");
+        let rec = self.recovery();
+        let (wq_id, peer) = rec.pull.take().expect("a pull is in flight");
+        assert_eq!(wq_id, cq.wq_id, "unexpected completion");
+        if cq.refused {
+            // That peer is itself catching up; strike it for this round
+            // and try the next-nearest one.
+            rec.refused_peers.push(peer);
+            self.issue_pull(api);
+            return;
+        }
+        assert!(cq.success, "catch-up pulls cannot abort");
+        rec.refused_peers.clear();
+        self.on_pull(api);
+    }
+
+    fn on_rpc(&mut self, api: &mut CoreApi<'_>, src_node: u8, src_core: u8, tag: u64, _bytes: u32) {
+        let queue = self.rpcs.as_mut().expect("only an RPC-serving writer");
+        queue.push_back(PendingRpc {
+            src_node,
+            src_core,
+            obj: tag,
+        });
+        if self.phase == WriterPhase::Idle {
+            self.start_update(api);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn crew(think: Time) -> Writer {
+        let objects = vec![(0, Addr::new(0)), (1, Addr::new(192))];
+        Writer::new(objects, 64, StoreLayout::Clean, think)
+    }
+
+    fn recovering(think: Time, peers: Vec<u8>, converged_lag: u64) -> Writer {
+        let log = WriteLog::new(Addr::new(1 << 20), 8);
+        crew(think).recovering(log, peers, Addr::new(2 << 20), converged_lag)
+    }
+
+    #[test]
+    fn writer_rejects_shapes_it_cannot_run() {
+        type Build = fn() -> Writer;
+        let cases: [(Build, &str); 6] = [
+            (
+                || crew(Time::from_ns(50)).serving_rpcs(),
+                "an RPC-serving writer cannot honour a think pause",
+            ),
+            (
+                || {
+                    let log = WriteLog::new(Addr::new(1 << 20), 8);
+                    crew(Time::ZERO)
+                        .serving_rpcs()
+                        .recovering(log, vec![1], Addr::new(2 << 20), 4)
+                },
+                RECOVERING_RPCS,
+            ),
+            (
+                || recovering(Time::ZERO, vec![1], 4).serving_rpcs(),
+                RECOVERING_RPCS,
+            ),
+            (
+                || recovering(Time::from_ns(50), Vec::new(), 4),
+                "a recovering writer needs peers",
+            ),
+            (
+                || recovering(Time::from_ns(50), vec![1], 8),
+                "converged lag must fit the log ring",
+            ),
+            (
+                || {
+                    Writer::new(vec![(1, Addr::new(0))], 64, StoreLayout::Clean, Time::ZERO)
+                        .serving_rpcs()
+                },
+                "an RPC-serving writer's objects must be indexed by id",
+            ),
+        ];
+        for (build, expected) in cases {
+            let Err(panic) = std::panic::catch_unwind(build) else {
+                panic!("built despite: {expected}");
+            };
+            let message = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert_eq!(message, expected);
+        }
+        // The shapes each accept on their own.
+        let _ = crew(Time::ZERO).serving_rpcs();
+        let _ = recovering(Time::from_ns(50), vec![1], 7);
     }
 }

@@ -11,6 +11,12 @@
 //!    zero-think CREW writers, beside readers issuing plain remote reads,
 //!    allocates at most once per 10,000 handled events: a writer reads its
 //!    version and reader-lock words without touching the heap.
+//! 3. Three replica sites run recovering writers while one site crashes
+//!    and restores twice. Over the second outage and its catch-up (a warm
+//!    window: the first outage already ran one) the rack allocates at
+//!    most once per 10,000 handled events: a replay reads the pulled
+//!    record's words and a pull reads the head word, with no copy of the
+//!    log region.
 //!
 //! This binary holds a single test so no other test allocates while the
 //! footprints are measured.
@@ -19,8 +25,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use sabre_mem::{Addr, BLOCK_BYTES};
-use sabre_rack::workloads::Writer;
-use sabre_rack::{spec, Arrivals, Cluster, ReadMechanism, ScenarioBuilder, StoreLayout};
+use sabre_rack::workloads::{WriteLog, Writer};
+use sabre_rack::{spec, Arrivals, Cluster, FaultPlan, ReadMechanism, ScenarioBuilder, StoreLayout};
 use sabre_sim::Time;
 
 /// Counts every allocation and reallocation, and the bytes each one
@@ -129,6 +135,50 @@ fn writer_rack() -> (Cluster, Vec<(usize, Vec<Addr>)>) {
     (cluster, stored)
 }
 
+/// Replica sites of the recovering rack and the `[from, until)` windows
+/// (µs) over which the first one is down.
+const SITES: [usize; 3] = [4, 5, 6];
+const OUTAGES: [(u64, u64); 2] = [(20, 60), (100, 140)];
+
+/// The 8-node rack with four recovering writers per replica site, each
+/// over its own four clean objects with its own write log and pull
+/// buffer; site [`SITES`]`[0]` crashes and restores at [`OUTAGES`].
+fn recovering_rack() -> Cluster {
+    let mut cfg = ScenarioBuilder::new().seed(1).nodes(8).config().clone();
+    cfg.memory_bytes = 4 * 1024 * 1024;
+    cfg.fault = OUTAGES
+        .iter()
+        .fold(FaultPlan::new(), |plan, &(from, until)| {
+            plan.crash_restore(SITES[0], Time::from_us(from), Time::from_us(until))
+        });
+    let slot = StoreLayout::Clean.object_bytes(PAYLOAD as usize) as u64;
+    let entries: Vec<(u64, Addr)> = (0..16).map(|i| (i, Addr::new(i * slot))).collect();
+    let mut cluster = Cluster::new(cfg);
+    for &site in &SITES {
+        let peers: Vec<u8> = SITES
+            .iter()
+            .filter(|&&p| p != site)
+            .map(|&p| p as u8)
+            .collect();
+        for (core, mine) in entries.chunks(4).enumerate() {
+            let region = (1 << 20) + core as u64 * (64 << 10);
+            let log = WriteLog::new(Addr::new(region), 256);
+            let pull_buf = Addr::new(region + (32 << 10));
+            // Replay runs think-free, so the think pause is the margin
+            // by which a restored site gains on its peers.
+            let writer = Writer::new(
+                mine.to_vec(),
+                PAYLOAD,
+                StoreLayout::Clean,
+                Time::from_ns(300),
+            )
+            .recovering(log, peers.clone(), pull_buf, 8);
+            cluster.add_workload(site, core, Box::new(writer));
+        }
+    }
+    cluster
+}
+
 /// The sum of every object's version word on every store node.
 fn version_sum(cluster: &Cluster, stores: &[(usize, Vec<Addr>)]) -> u64 {
     stores
@@ -173,5 +223,28 @@ fn the_host_pays_only_for_simulated_state() {
     assert!(
         allocations * 10_000 <= events,
         "{allocations} allocations in {events} handled events"
+    );
+
+    let mut cluster = recovering_rack();
+    let (second_from, second_until) = OUTAGES[1];
+    cluster.run_for(Time::from_us(second_from - 10));
+    cluster.reset_metrics();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    cluster.run_for(Time::from_us(second_until - second_from + 60));
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    let events = cluster.events_handled().total();
+    let (pulls, replays) = (0..4)
+        .map(|core| cluster.metrics(SITES[0], core))
+        .fold((0, 0), |(p, r), m| {
+            (p + m.catch_up_ops, r + m.replays_applied)
+        });
+    assert!(
+        pulls >= 8 && replays > 200,
+        "the crashed site must catch up: {pulls} pulls, {replays} replays"
+    );
+    assert!(
+        allocations * 10_000 <= events,
+        "{allocations} allocations in {events} handled events of a catch-up"
     );
 }

@@ -34,7 +34,9 @@ fn deploy(layout: StoreLayout) -> (f64, f64, u64) {
         // One client thread sends write RPCs; core 15 of node 1 applies
         // them at the owner (FaRM never writes remote memory one-sidedly).
         .reader(1, 15, move |_| {
-            Box::new(RpcWriteServer::new(KvStore::new(server_store, 1_000_000)))
+            Box::new(
+                Writer::new(server_store.object_entries(), 4096, layout, Time::ZERO).serving_rpcs(),
+            )
         })
         .reader(0, 15, move |_| {
             let kv = KvStore::new(store, 1_000_000);

@@ -85,9 +85,8 @@ pub mod prelude {
     pub use sabre_core::{CcMode, LightSabres, LightSabresConfig, SpecMode};
     pub use sabre_fabric::RackTopology;
     pub use sabre_farm::{
-        replica_sites, FarmCosts, FarmLocalReader, KvStore, ObjectStore, RecoveringWriter,
-        ReplicaState, ReplicatedStore, RpcWriteServer, RpcWriter, ScenarioStoreExt, StoreLayout,
-        WriteLog,
+        replica_sites, FarmCosts, FarmLocalReader, KvStore, ObjectStore, ReplicatedStore,
+        RpcWriter, ScenarioStoreExt, StoreLayout, WriteLog,
     };
     pub use sabre_mem::{Addr, BlockAddr, NodeMemory, BLOCK_BYTES};
     pub use sabre_rack::workloads::{pattern_payload, verify_payload, Writer};

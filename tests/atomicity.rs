@@ -25,7 +25,7 @@
 //!   replica site mid-run — readers fail over on a timeout and the
 //!   invariant must hold on every image any surviving replica serves;
 //! * the **kill-a-leaf quadrant**: a whole fat-tree leaf — two of the
-//!   three replica sites, [`RecoveringWriter`]s and all — dies mid-run,
+//!   three replica sites, recovering writers and all — dies mid-run,
 //!   so the restored images genuinely miss the outage window's updates
 //!   and must catch up over the fabric. On top of the no-torn-read
 //!   invariant, readers prove the epoch/seq guard's *freshness* claim: a
@@ -1102,7 +1102,7 @@ const LEAF_OBJECTS: u64 = 4;
 /// One seed-derived kill-a-leaf schedule on the 8-node radix-2 fat tree:
 /// replica sites `[4, 6, 5]`, so the leaf-2 outage takes down two of the
 /// three *together* — writers and all. Each site runs a
-/// [`RecoveringWriter`] maintaining a [`WriteLog`]; on restoration the
+/// recovering [`Writer`] maintaining a [`WriteLog`]; on restoration the
 /// stale siblings bounce off each other's catch-up guards onto the
 /// surviving site 6, pull its log over the fabric, and replay the missed
 /// range. Readers rotate replicas, fail over on [`CRASH_TIMEOUT`], retry
@@ -1163,13 +1163,15 @@ fn leaf_race(tm: TortureMech, seed: u64, exec: Exec) -> (Outcome, Totals) {
             .filter(|&&p| p != site)
             .map(|&p| p as u8)
             .collect();
-        let writer = RecoveringWriter::new(
+        let writer = Writer::new(
             store.object_entries(),
             payload,
             layout,
             // Replay runs think-free, so a positive think pause is the
             // convergence margin (see the recovery module docs).
             Time::from_ns(500),
+        )
+        .recovering(
             log,
             peers,
             Addr::new(2 << 20),

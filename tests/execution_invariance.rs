@@ -16,7 +16,7 @@
 //!   or hot-set popularity, for every single-store reader; a read/write
 //!   mix;
 //! * **writers** — a CREW [`Writer`] per store layout (lock-respecting
-//!   under destination locking), or a [`RecoveringWriter`] with a write
+//!   under destination locking), or a recovering [`Writer`] with a write
 //!   log on every replica site;
 //! * **replicas** — replica sets read with failover, static or adaptive,
 //!   with `replace_on_hops`;
@@ -167,7 +167,7 @@ struct Scenario {
     replicas: Option<usize>,
     /// Adaptive failover (with `replace_on_hops`) instead of static.
     migrate: bool,
-    /// A [`RecoveringWriter`] per replica site instead of CREW writers.
+    /// A recovering [`Writer`] per replica site instead of CREW writers.
     recovering: bool,
     serve_stale: bool,
     writer_think: Time,
@@ -445,11 +445,13 @@ impl Scenario {
                     let site = replica.node() as usize;
                     if self.recovering {
                         let peers = sites.iter().filter(|&&p| p != site).map(|&p| p as u8);
-                        let writer = RecoveringWriter::new(
+                        let writer = Writer::new(
                             replica.object_entries(),
                             payload,
                             layout,
                             self.writer_think.max(Time::from_ns(500)),
+                        )
+                        .recovering(
                             WriteLog::new(Addr::new(LOG_BASE), LOG_CAP),
                             peers.collect(),
                             Addr::new(PULL_BUF),

@@ -149,16 +149,13 @@ fn fig_recovery_rack(mode: fig_recovery::Mode, iters: u64, exec: Exec) -> Totals
     let log = WriteLog::new(Addr::new(1 << 20), LOG_CAP);
     for &site in &sites {
         let peers = sites.iter().filter(|&&p| p != site).map(|&p| p as u8);
-        let writer = RecoveringWriter::new(
+        let writer = Writer::new(
             store.object_entries(),
             PAYLOAD,
             StoreLayout::Clean,
             Time::from_ns(500),
-            log,
-            peers.collect(),
-            Addr::new(2 << 20),
-            8,
-        );
+        )
+        .recovering(log, peers.collect(), Addr::new(2 << 20), 8);
         scenario = scenario.workload(site, 0, Box::new(writer));
     }
     scenario.run_for(horizon).rack()
@@ -235,16 +232,15 @@ fn catch_up_traffic_extends_the_conservation_invariant() {
         scenario = scenario.workload(
             site,
             0,
-            Box::new(RecoveringWriter::new(
-                store.object_entries(),
-                208,
-                StoreLayout::Clean,
-                Time::from_ns(500),
-                log,
-                peers,
-                Addr::new(2 << 20),
-                8,
-            )),
+            Box::new(
+                Writer::new(
+                    store.object_entries(),
+                    208,
+                    StoreLayout::Clean,
+                    Time::from_ns(500),
+                )
+                .recovering(log, peers, Addr::new(2 << 20), 8),
+            ),
         );
     }
     let report = scenario.run_for(Time::from_us(300));

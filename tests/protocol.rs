@@ -141,7 +141,8 @@ fn rpc_write_path_applies_updates_at_the_owner() {
     let writer_store = store.clone();
     let report = scenario
         .reader(1, 0, move |_| {
-            Box::new(RpcWriteServer::new(KvStore::new(server_store, 1000)))
+            let entries = server_store.object_entries();
+            Box::new(Writer::new(entries, 480, StoreLayout::Clean, Time::ZERO).serving_rpcs())
         })
         .reader(0, 0, move |_| {
             let kv = KvStore::new(writer_store, 1000);
@@ -169,6 +170,38 @@ fn rpc_write_path_applies_updates_at_the_owner() {
         }
     }
     assert!(advanced > 0, "some objects must have been updated");
+}
+
+/// Source-locking readers lock an object's version word for the whole
+/// read, so the RPC-serving writer must spin on a locked word like a CREW
+/// writer does rather than publish over the reader's lock.
+#[test]
+fn rpc_writer_waits_for_source_locking_readers() {
+    const PAYLOAD: u32 = 64;
+    let (scenario, store) = ScenarioBuilder::new().store(1, StoreLayout::Clean, PAYLOAD, Some(4));
+    let server_store = store.clone();
+    let report = scenario
+        .readers_spec(
+            0,
+            0..4,
+            spec()
+                .store(1)
+                .payload(PAYLOAD)
+                .mechanism(ReadMechanism::SourceLocking { payload: PAYLOAD }),
+        )
+        .reader(1, 0, move |_| {
+            let entries = server_store.object_entries();
+            Box::new(Writer::new(entries, PAYLOAD, StoreLayout::Clean, Time::ZERO).serving_rpcs())
+        })
+        .reader(0, 15, move |_| {
+            let kv = KvStore::new(store, 1000);
+            Box::new(RpcWriter::endless(kv, 0, Time::ZERO))
+        })
+        .run_for(Time::from_us(100));
+    assert!(report.core(0, 15).ops > 0, "no RPC write acknowledged");
+    for core in 0..4 {
+        assert!(report.core(0, core).ops > 0, "reader {core} starved");
+    }
 }
 
 #[test]
