@@ -9,11 +9,9 @@
 use std::sync::{Arc, Mutex};
 
 use sabre_farm::{ScenarioStoreExt, StoreLayout};
-use sabre_mem::Addr;
 use sabre_rack::workloads::{verify_payload, Writer};
-use sabre_rack::{CoreApi, ReadMechanism, ScenarioBuilder, Workload};
+use sabre_rack::{spec, ReadMechanism, ScenarioBuilder};
 use sabre_sim::Time;
-use sabre_sonuma::CqEntry;
 use sabre_sw::layout::CleanLayout;
 
 use crate::{RunOpts, Table};
@@ -33,106 +31,43 @@ pub struct RaceOutcome {
     pub sabre_torn: u64,
 }
 
-/// Counters shared between the experiment and its reader (workloads are
-/// `Send` — shards may run on worker threads — so shared state is
-/// `Arc<Mutex<…>>`; the mutex is uncontended within one cluster run).
-#[derive(Debug, Default)]
-struct Counters {
-    ok: u64,
-    torn: u64,
-    aborts: u64,
-}
-
-/// A reader that checks every returned object against the writer pattern.
-struct VerifyingReader {
-    mech: ReadMechanism,
-    object: Addr,
-    obj_id: u64,
-    payload: u32,
-    counters: Arc<Mutex<Counters>>,
-    t0: Time,
-}
-
-impl VerifyingReader {
-    fn new(
-        mech: ReadMechanism,
-        object: Addr,
-        obj_id: u64,
-        payload: u32,
-        counters: Arc<Mutex<Counters>>,
-    ) -> Self {
-        VerifyingReader {
-            mech,
-            object,
-            obj_id,
-            payload,
-            counters,
-            t0: Time::ZERO,
-        }
-    }
-
-    fn buf(&self, api: &CoreApi<'_>) -> Addr {
-        Addr::new(api.config().memory_bytes as u64 / 2)
-    }
-
-    fn wire(&self) -> u32 {
-        CleanLayout::object_bytes(self.payload as usize) as u32
-    }
-
-    fn issue(&mut self, api: &mut CoreApi<'_>) {
-        let buf = self.buf(api);
-        self.t0 = api.now();
-        let wire = self.wire();
-        api.issue(self.mech.op(), 1, self.object, buf, wire, 0);
-    }
-}
-
-impl Workload for VerifyingReader {
-    fn on_start(&mut self, api: &mut CoreApi<'_>) {
-        self.issue(api);
-    }
-
-    fn on_completion(&mut self, api: &mut CoreApi<'_>, cq: CqEntry) {
-        let mut c = self.counters.lock().expect("counters poisoned");
-        if cq.success {
-            let image = api.read_local(self.buf(api), self.wire() as usize);
-            let payload = CleanLayout::payload_of(&image, self.payload as usize);
-            if verify_payload(self.obj_id, payload).is_some() {
-                c.ok += 1;
-            } else {
-                c.torn += 1;
-            }
-        } else {
-            c.aborts += 1;
-        }
-        drop(c);
-        let latency = api.now() - self.t0;
-        api.metrics().record_success(self.payload as u64, latency);
-        self.issue(api);
-    }
-}
-
+/// One side of the race: the reads its reader reported successful, the
+/// torn ones among them, and the failed SABRes it retried.
 fn run_side(mech: ReadMechanism, duration: Time) -> (u64, u64, u64) {
     // One clean-layout object of 112 B payload = 2 cache blocks, matching
     // the figure's two-block example.
     let (scenario, store) =
         ScenarioBuilder::new().warmed_store(1, StoreLayout::Clean, 112, Some(1));
-    let counters = Arc::new(Mutex::new(Counters::default()));
-    let reader_counters = Arc::clone(&counters);
-    let object = store.object_addr(0);
+    // `(ok, torn)`; workloads are `Send` (shards may run on worker
+    // threads), so the observer's counters sit behind a mutex, uncontended
+    // within one cluster run.
+    let counts = Arc::new(Mutex::new((0u64, 0u64)));
+    let sink = Arc::clone(&counts);
+    let reader = spec()
+        .store(1)
+        .payload(112)
+        .mechanism(mech)
+        .objects(store.object_addrs())
+        .wire(CleanLayout::object_bytes(112) as u32)
+        .observe(move |read| {
+            let payload = CleanLayout::payload_of(read.image, 112);
+            let mut c = sink.lock().expect("counters poisoned");
+            match verify_payload(0, payload) {
+                Some(_) => c.0 += 1,
+                None => c.1 += 1,
+            }
+        });
     let entries = store.object_entries();
-    scenario
-        .reader(0, 0, move |_| {
-            Box::new(VerifyingReader::new(mech, object, 0, 112, reader_counters))
-        })
+    let report = scenario
+        .reader_spec(0, 0, reader)
         .workload(
             1,
             0,
             Box::new(Writer::new(entries, 112, StoreLayout::Clean, Time::ZERO)),
         )
         .run_for(duration);
-    let c = counters.lock().expect("counters poisoned");
-    (c.ok, c.torn, c.aborts)
+    let (ok, torn) = *counts.lock().expect("counters poisoned");
+    (ok, torn, report.core(0, 0).retries)
 }
 
 /// Runs both sides of the demonstration.

@@ -115,7 +115,7 @@ impl Workload for FarmLocalReader {
         assert!(self.busy, "unexpected wake");
         let slot = self.kv.store().slot_bytes() as usize;
         let image = api.read_local(self.cur_addr, slot);
-        match self.kv.store().layout().validate(&image, self.payload()) {
+        let consistent = match self.kv.store().layout().validate(image, self.payload()) {
             Some(payload) => {
                 if self.verify {
                     assert!(
@@ -124,17 +124,20 @@ impl Workload for FarmLocalReader {
                         self.cur_obj
                     );
                 }
-                let latency = api.now() - self.t0;
-                api.metrics().record_success(self.payload() as u64, latency);
-                if let Some(n) = &mut self.remaining {
-                    *n -= 1;
-                }
-                self.begin(api, true);
+                true
             }
-            None => {
-                api.metrics().record_retry();
-                self.begin(api, false);
+            None => false,
+        };
+        if consistent {
+            let latency = api.now() - self.t0;
+            api.metrics().record_success(self.payload() as u64, latency);
+            if let Some(n) = &mut self.remaining {
+                *n -= 1;
             }
+            self.begin(api, true);
+        } else {
+            api.metrics().record_retry();
+            self.begin(api, false);
         }
     }
 }

@@ -132,7 +132,6 @@ fn sync_reader_phases_are_recorded() {
                 .store(1)
                 .payload(480)
                 .mechanism(ReadMechanism::PerClValidate { payload: 480 })
-                .local_buf(Addr::new(4 * 1024 * 1024))
                 .iterations(20),
         )
         .run_for(Time::from_us(100));
@@ -155,7 +154,6 @@ fn checksum_reader_works_end_to_end() {
                 .store(1)
                 .payload(480)
                 .mechanism(ReadMechanism::ChecksumValidate { payload: 480 })
-                .local_buf(Addr::new(4 * 1024 * 1024))
                 .iterations(5)
                 .wire(store.slot_bytes() as u32),
         )
@@ -171,13 +169,8 @@ fn checksum_reader_works_end_to_end() {
 fn node_metrics_aggregate_cores() {
     let report = small_scenario()
         .raw_region_sized(1, 64, 1)
-        .readers(0, 0..3, |core, targets| {
-            spec()
-                .store(1)
-                .payload(64)
-                .local_buf(Addr::new((4 + core as u64) * 1024 * 1024))
-                .iterations(10)
-                .build(targets)
+        .readers(0, 0..3, |_, targets| {
+            spec().store(1).payload(64).iterations(10).build(targets)
         })
         .run_for(Time::from_us(50));
     let agg = report.node(0).metrics;

@@ -1517,10 +1517,10 @@ impl CoreApi<'_> {
         );
     }
 
-    /// Reads `len` bytes from this node's memory (functional, instant —
-    /// charge time separately via [`CoreApi::sleep`]).
-    pub fn read_local(&self, addr: Addr, len: usize) -> Vec<u8> {
-        self.exec.node_ref(self.node).memory.read_vec(addr, len)
+    /// Borrows `len` bytes of this node's memory (functional, instant,
+    /// allocation-free — charge time separately via [`CoreApi::sleep`]).
+    pub fn read_local(&self, addr: Addr, len: usize) -> &[u8] {
+        self.exec.node_ref(self.node).memory.slice(addr, len)
     }
 
     /// Reads the 64-bit little-endian word at `addr` in this node's memory
@@ -1573,12 +1573,13 @@ impl CoreApi<'_> {
 mod tests {
     use super::*;
     use crate::layout::{StoreLayout, UpdatePlan};
-    use crate::spec::spec;
+    use crate::spec::{spec, ObservedRead};
     use crate::workload::ReadMechanism;
     use crate::workloads::Writer;
     use proptest::prelude::*;
     use sabre_sim::EventQueue;
     use sabre_sw::layout::CleanLayout;
+    use std::sync::Arc;
 
     fn small_cfg() -> ClusterConfig {
         ClusterConfig {
@@ -1766,27 +1767,39 @@ mod tests {
         }
     }
 
+    /// An observer that keeps the last read image it was handed, and the
+    /// image.
+    fn last_image() -> (
+        impl Fn(&ObservedRead<'_>) + Send + Sync + 'static,
+        Arc<Mutex<Vec<u8>>>,
+    ) {
+        let image = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&image);
+        let observe = move |read: &ObservedRead<'_>| *sink.lock().unwrap() = read.image.to_vec();
+        (observe, image)
+    }
+
     #[test]
     fn single_remote_read_completes_with_data() {
         let mut cluster = Cluster::new(small_cfg());
         // Put a recognizable pattern at node 1.
         let pattern: Vec<u8> = (0..128u32).map(|i| (i * 7) as u8).collect();
         cluster.node_memory_mut(1).write(Addr::new(0), &pattern);
-        let buf = Addr::new(1 << 20);
+        let (observe, image) = last_image();
         cluster.add_workload(
             0,
             0,
             spec()
                 .store(1)
                 .payload(128)
-                .local_buf(buf)
                 .iterations(1)
+                .observe(observe)
                 .build(&[Addr::new(0)]),
         );
         cluster.run_for(Time::from_us(5));
         assert_eq!(cluster.metrics(0, 0).ops, 1);
         // The payload landed in the local buffer.
-        assert_eq!(cluster.node_memory(0).read_vec(buf, 128), pattern);
+        assert_eq!(*image.lock().unwrap(), pattern);
         // Latency is in the paper's ballpark: ~3-4× local memory access.
         let lat = cluster.metrics(0, 0).latency.mean().unwrap();
         assert!((150.0..500.0).contains(&lat), "64B-ish read at {lat} ns");
@@ -1800,7 +1813,7 @@ mod tests {
             let mem = cluster.node_memory_mut(1);
             CleanLayout::init(mem, Addr::new(0), &payload);
         }
-        let buf = Addr::new(1 << 20);
+        let (observe, image) = last_image();
         cluster.add_workload(
             0,
             0,
@@ -1808,17 +1821,17 @@ mod tests {
                 .store(1)
                 .payload(112)
                 .mechanism(ReadMechanism::Sabre)
-                .local_buf(buf)
+                .wire(CleanLayout::object_bytes(112) as u32)
                 .iterations(1)
+                .observe(observe)
                 .build(&[Addr::new(0)]),
         );
         cluster.run_for(Time::from_us(5));
         let m = cluster.metrics(0, 0);
         assert_eq!(m.ops, 1);
         assert_eq!(m.retries, 0);
-        let image = cluster
-            .node_memory(0)
-            .read_vec(buf, CleanLayout::object_bytes(112));
+        let image = image.lock().unwrap();
+        assert_eq!(image.len(), CleanLayout::object_bytes(112));
         assert_eq!(CleanLayout::payload_of(&image, 112), &payload[..]);
         let stats = (0..4)
             .map(|p| cluster.engine_stats(1, p))
@@ -2113,7 +2126,6 @@ mod tests {
                 .store(1)
                 .payload(256)
                 .mechanism(ReadMechanism::Sabre)
-                .local_buf(Addr::new(1 << 20))
                 .iterations(5)
                 .build(&[Addr::new(0)]),
         );
@@ -2142,7 +2154,6 @@ mod tests {
                     .store(1)
                     .payload(1024)
                     .mechanism(mech)
-                    .local_buf(Addr::new(1 << 20))
                     .iterations(20)
                     .build(&[Addr::new(0)]),
             );

@@ -76,11 +76,6 @@ impl Outage {
 pub struct FaultPlan {
     node_outages: Vec<(usize, Outage)>,
     link_outages: Vec<(usize, usize, Outage)>,
-    /// Correlated whole-leaf outages, as declared (the member-node windows
-    /// they expand into live in `node_outages`).
-    leaf_outages: Vec<(usize, Outage)>,
-    /// Correlated whole-rack outages, as declared (expanded the same way).
-    rack_outages: Vec<(usize, Outage)>,
 }
 
 impl FaultPlan {
@@ -159,9 +154,9 @@ impl FaultPlan {
     /// Takes a whole fat-tree leaf down over `[from, until)`: every node
     /// attached to `leaf` crashes for the window, which also severs the
     /// leaf's uplink bundle (no member can send or receive, so no traffic
-    /// crosses the uplinks either way). The correlated outage is recorded
-    /// as such ([`FaultPlan::leaf_outages`]) and *expanded* into per-member
-    /// node windows, so the drop decision at the merge point is unchanged.
+    /// crosses the uplinks either way). The plan is exactly the members'
+    /// [`FaultPlan::crash_restore`] windows, so the drop decision at the
+    /// merge point is the per-node one.
     ///
     /// # Panics
     ///
@@ -174,13 +169,6 @@ impl FaultPlan {
         };
         assert!(from < until, "empty leaf outage: {from:?} >= {until:?}");
         let radix = radix.max(1) as usize;
-        self.leaf_outages.push((
-            leaf,
-            Outage {
-                from,
-                until: Some(until),
-            },
-        ));
         for node in leaf * radix..(leaf + 1) * radix {
             self = self.crash_restore(node, from, until);
         }
@@ -191,10 +179,8 @@ impl FaultPlan {
     /// [`FaultPlan::leaf_outage`] generalized one level up the tree. Every
     /// node of rack `rack_index` crashes for the window, which also severs
     /// the rack's spine uplinks — no member can send or receive, so no
-    /// traffic crosses the spine either way. The correlated outage is
-    /// recorded as such ([`FaultPlan::rack_outages`]) and *expanded* into
-    /// per-member node windows, so the drop decision at the merge point —
-    /// and with it the shard × thread bit-identity — is unchanged.
+    /// traffic crosses the spine either way. Like a leaf outage, the plan
+    /// is exactly the members' [`FaultPlan::crash_restore`] windows.
     ///
     /// # Panics
     ///
@@ -212,13 +198,6 @@ impl FaultPlan {
         };
         assert!(from < until, "empty rack outage: {from:?} >= {until:?}");
         let per_rack = (radix as usize) * (radix as usize);
-        self.rack_outages.push((
-            rack_index,
-            Outage {
-                from,
-                until: Some(until),
-            },
-        ));
         for node in rack_index * per_rack..(rack_index + 1) * per_rack {
             self = self.crash_restore(node, from, until);
         }
@@ -254,16 +233,6 @@ impl FaultPlan {
     /// expanded into their member nodes' windows).
     pub fn node_outages(&self) -> &[(usize, Outage)] {
         &self.node_outages
-    }
-
-    /// The correlated whole-leaf outages, as declared.
-    pub fn leaf_outages(&self) -> &[(usize, Outage)] {
-        &self.leaf_outages
-    }
-
-    /// The correlated whole-rack outages, as declared.
-    pub fn rack_outages(&self) -> &[(usize, Outage)] {
-        &self.rack_outages
     }
 
     /// The first outage window scheduled for `node` that covers instant
@@ -557,16 +526,13 @@ mod tests {
 
     #[test]
     fn leaf_outage_downs_every_member() {
-        let plan = FaultPlan::new().leaf_outage(FT, 1, Time::from_us(5), Time::from_us(9));
+        let (from, until) = (Time::from_us(5), Time::from_us(9));
+        let plan = FaultPlan::new().leaf_outage(FT, 1, from, until);
         assert_eq!(
-            plan.leaf_outages(),
-            &[(
-                1,
-                Outage {
-                    from: Time::from_us(5),
-                    until: Some(Time::from_us(9)),
-                }
-            )]
+            plan,
+            FaultPlan::new()
+                .crash_restore(2, from, until)
+                .crash_restore(3, from, until)
         );
         for node in [2, 3] {
             assert!(plan.node_down_at(node, Time::from_us(5)));
@@ -595,17 +561,12 @@ mod tests {
     #[test]
     fn rack_outage_downs_every_member() {
         let dc = RackTopology::datacenter_for(2, 2, 1);
-        let plan = FaultPlan::new().rack_outage(dc, 1, Time::from_us(5), Time::from_us(9));
-        assert_eq!(
-            plan.rack_outages(),
-            &[(
-                1,
-                Outage {
-                    from: Time::from_us(5),
-                    until: Some(Time::from_us(9)),
-                }
-            )]
-        );
+        let (from, until) = (Time::from_us(5), Time::from_us(9));
+        let plan = FaultPlan::new().rack_outage(dc, 1, from, until);
+        let members = (4..8).fold(FaultPlan::new(), |p, node| {
+            p.crash_restore(node, from, until)
+        });
+        assert_eq!(plan, members);
         // Rack 1 of a radix-2 datacenter is nodes 4..8.
         for node in 4..8 {
             assert!(plan.node_down_at(node, Time::from_us(5)));

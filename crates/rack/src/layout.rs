@@ -189,6 +189,16 @@ impl StoreLayout {
         }
     }
 
+    /// Whether `image` holds one consistent version of the object:
+    /// [`StoreLayout::validate`] without the per-CL strip's payload copy,
+    /// so it never allocates.
+    pub fn is_consistent(self, image: &[u8], payload: usize) -> bool {
+        match self {
+            StoreLayout::PerCl => PerClLayout::validate(image, payload).is_ok(),
+            _ => self.validate(image, payload).is_some(),
+        }
+    }
+
     /// The reader mechanism FaRM uses over this layout: SABRes over clean
     /// objects, software validation over the baselines, the capture over
     /// the wait-free register.

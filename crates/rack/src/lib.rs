@@ -59,5 +59,5 @@ pub use fault::{FaultPlan, FaultProfile};
 pub use layout::{StoreLayout, UpdatePlan};
 pub use metrics::{CoreMetrics, Phase};
 pub use scenario::{RunReport, ScenarioBuilder, Sweep, Totals};
-pub use spec::{spec, Arrivals, Popularity, WorkloadSpec};
+pub use spec::{spec, Arrivals, ObservedRead, Popularity, WorkloadSpec};
 pub use workload::{CoreApi, ReadMechanism, Workload};

@@ -615,12 +615,7 @@ mod tests {
             .reader(0, 0, |targets| {
                 assert_eq!(targets.len(), 8);
                 assert_eq!(targets[1], Addr::new(128));
-                spec()
-                    .store(1)
-                    .payload(128)
-                    .local_buf(Addr::new(1 << 20))
-                    .iterations(3)
-                    .build(targets)
+                spec().store(1).payload(128).iterations(3).build(targets)
             })
             .run_for(Time::from_us(20));
         assert_eq!(report.core(0, 0).ops, 3);

@@ -36,12 +36,17 @@
 //! program cannot honour in combination with the others is rejected with
 //! a panic rather than dropped.
 //!
+//! [`WorkloadSpec::observe`] hands every successful read's image to a
+//! caller-supplied function, which is how the atomicity suites check the
+//! reads this program returns.
+//!
 //! Scenario placement consumes specs through
 //! [`ScenarioBuilder::reader_spec`](crate::ScenarioBuilder::reader_spec),
 //! [`ScenarioBuilder::readers_spec`](crate::ScenarioBuilder::readers_spec)
 //! and
 //! [`ScenarioBuilder::readers_grid_spec`](crate::ScenarioBuilder::readers_grid_spec).
 
+use std::fmt;
 use std::sync::Arc;
 
 use sabre_mem::Addr;
@@ -104,6 +109,43 @@ pub enum Popularity {
     },
 }
 
+/// One successful read, as a [`WorkloadSpec::observe`] function sees it.
+#[derive(Debug, Clone, Copy)]
+pub struct ObservedRead<'a> {
+    /// The reader's node.
+    pub node: usize,
+    /// The reader's core on that node.
+    pub core: usize,
+    /// The object's index in the reader's object list (the same index
+    /// in every replica's list).
+    pub obj: usize,
+    /// The node that served the read: the store, or the replica site the
+    /// successful attempt went to.
+    pub served_by: usize,
+    /// The instant the operation completed, after any strip, CRC,
+    /// consume or framework phase.
+    pub at: Time,
+    /// The wire image the read delivered into its lane's buffer, headers,
+    /// versions and checksums included.
+    pub image: &'a [u8],
+}
+
+/// The function behind [`WorkloadSpec::observe`].
+#[derive(Clone)]
+pub(crate) struct Observer(Arc<dyn Fn(&ObservedRead<'_>) + Send + Sync>);
+
+impl Observer {
+    pub(crate) fn call(&self, read: &ObservedRead<'_>) {
+        (self.0)(read)
+    }
+}
+
+impl fmt::Debug for Observer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Observer")
+    }
+}
+
 /// Starts an empty [`WorkloadSpec`] (the conventional spelling:
 /// `spec().store(1).payload(1024).mechanism(..)`).
 pub fn spec() -> WorkloadSpec {
@@ -130,7 +172,7 @@ pub struct WorkloadSpec {
     pub(crate) framework: Option<FarmCosts>,
     pub(crate) backoff: Time,
     pub(crate) wire: Option<u32>,
-    pub(crate) local_buf: Option<Addr>,
+    pub(crate) observer: Option<Observer>,
     pub(crate) iterations: Option<u64>,
     pub(crate) window: usize,
     pub(crate) replicas: Option<Vec<(usize, Vec<Addr>)>>,
@@ -161,7 +203,7 @@ impl WorkloadSpec {
             framework: None,
             backoff: Time::ZERO,
             wire: None,
-            local_buf: None,
+            observer: None,
             iterations: None,
             window: 1,
             replicas: None,
@@ -264,10 +306,16 @@ impl WorkloadSpec {
         self
     }
 
-    /// Explicit local buffer address (default: a per-core slot in the
-    /// upper half of local memory).
-    pub fn local_buf(mut self, buf: Addr) -> Self {
-        self.local_buf = Some(buf);
+    /// Calls `observe` once per successful read operation, with the image
+    /// the read delivered (default: no observer). Writes of a mix, failed
+    /// attempts that are retried and attempts abandoned to a failover are
+    /// not reported. The observer only reads, so a run is bit-identical
+    /// with or without it. Every reader built from the spec shares it, and
+    /// under [`ClusterConfig::threads`](crate::ClusterConfig::threads)
+    /// readers on different shards call it from different OS threads in
+    /// no fixed order.
+    pub fn observe(mut self, observe: impl Fn(&ObservedRead<'_>) + Send + Sync + 'static) -> Self {
+        self.observer = Some(Observer(Arc::new(observe)));
         self
     }
 
@@ -427,6 +475,8 @@ impl WorkloadSpec {
 
 #[cfg(test)]
 mod tests {
+    use std::panic::AssertUnwindSafe;
+
     use super::*;
     use crate::config::ClusterConfig;
     use crate::scenario::{RunReport, ScenarioBuilder};
@@ -633,7 +683,9 @@ mod tests {
             ),
         ];
         for (spec, expected) in cases {
-            let Err(panic) = std::panic::catch_unwind(|| spec.build(&[Addr::new(0)])) else {
+            let Err(panic) =
+                std::panic::catch_unwind(AssertUnwindSafe(|| spec.build(&[Addr::new(0)])))
+            else {
                 panic!("built despite: {expected}");
             };
             let message = panic

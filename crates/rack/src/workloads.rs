@@ -23,7 +23,7 @@ use crate::cluster::CoreApi;
 pub use crate::layout::StoreLayout as WriterLayout;
 use crate::layout::{StoreLayout, UpdatePlan};
 use crate::metrics::Phase;
-use crate::spec::{Arrivals, Popularity, WorkloadSpec};
+use crate::spec::{Arrivals, ObservedRead, Observer, Popularity, WorkloadSpec};
 use crate::workload::{ReadMechanism, Workload};
 
 /// Generates the recognizable payload a writer stores: `[obj_id u64 | seq
@@ -66,7 +66,7 @@ pub fn verify_payload(obj_id: u64, data: &[u8]) -> Option<u64> {
     data[16..].iter().all(|&b| b == fill).then_some(seq)
 }
 
-/// Local buffer bytes per core: the default buffer of core `c` sits at
+/// Local buffer bytes per core: the buffer of core `c` sits at
 /// `memory/2 + c × READER_BUF_BYTES`.
 const READER_BUF_BYTES: u64 = 256 * 1024;
 
@@ -351,7 +351,8 @@ impl Failover {
 /// is recorded once per operation, as the lookup plus every attempt's
 /// framework work. Completions that are not a lane's live attempt (Oh-RAM
 /// confirm acks, source-locking unlocks, abandoned attempts) are
-/// discarded.
+/// discarded. A successful read hands its image to the spec's
+/// [`observe`](WorkloadSpec::observe) function, if any, as it completes.
 #[derive(Debug)]
 pub(crate) struct Reader {
     /// `(node, object addresses)` per site, in preference order; index
@@ -363,7 +364,8 @@ pub(crate) struct Reader {
     payload: u32,
     mech: ReadMechanism,
     wire: u32,
-    local_buf: Option<Addr>,
+    /// Called with every successful read's image.
+    observer: Option<Observer>,
     remaining: Option<u64>,
     /// Model the application reading the clean object after a read (the
     /// §7.2 microbenchmark semantics: "a remote operation completes when
@@ -494,7 +496,7 @@ impl Reader {
             payload,
             mech: spec.mech,
             wire: spec.wire.unwrap_or_else(|| spec.mech.wire_bytes(payload)),
-            local_buf: spec.local_buf,
+            observer: spec.observer.clone(),
             remaining: spec.iterations,
             consume: spec.consume,
             framework: spec.framework,
@@ -523,10 +525,8 @@ impl Reader {
     fn target(&self, api: &CoreApi<'_>, lane: usize) -> (u8, Addr, Addr) {
         let Lane { obj, site, .. } = self.lanes[lane];
         let (node, ref addrs) = self.sites[site];
-        let base = self.local_buf.unwrap_or_else(|| {
-            let half = api.config().memory_bytes as u64 / 2;
-            Addr::new(half + api.core() as u64 * READER_BUF_BYTES)
-        });
+        let half = api.config().memory_bytes as u64 / 2;
+        let base = Addr::new(half + api.core() as u64 * READER_BUF_BYTES);
         let slot = u64::from(self.wire).div_ceil(64) * 64;
         (node, addrs[obj], base + lane as u64 * slot)
     }
@@ -680,7 +680,24 @@ impl Reader {
     }
 
     fn success(&mut self, api: &mut CoreApi<'_>, lane: usize) {
-        let Lane { t_start, site, .. } = self.lanes[lane];
+        let Lane {
+            obj,
+            write,
+            site,
+            t_start,
+            ..
+        } = self.lanes[lane];
+        if let (Some(observer), false) = (&self.observer, write) {
+            let (served_by, _, buf) = self.target(api, lane);
+            observer.call(&ObservedRead {
+                node: api.node(),
+                core: api.core(),
+                obj,
+                served_by: served_by as usize,
+                at: api.now(),
+                image: api.read_local(buf, self.wire as usize),
+            });
+        }
         let latency = api.now() - t_start;
         api.metrics().record_success(self.payload as u64, latency);
         if self.framework.is_some() {
@@ -869,7 +886,7 @@ impl Workload for Reader {
                         .expect("strip state only for software mechanisms");
                     let (_, _, buf) = self.target(api, lane);
                     let image = api.read_local(buf, self.wire as usize);
-                    if layout.validate(&image, payload as usize).is_some() {
+                    if layout.is_consistent(image, payload as usize) {
                         // The strip left the clean object in the L1d.
                         self.consume(api, lane, DataSource::L1, Time::ZERO);
                     } else {

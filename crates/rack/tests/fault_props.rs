@@ -122,7 +122,8 @@ proptest! {
     }
 
     /// A leaf outage downs *every* member node of the leaf for the whole
-    /// window — the correlated-failure guarantee — and records itself.
+    /// window — the correlated-failure guarantee — and is exactly the
+    /// members' crash/restore windows.
     #[test]
     fn leaf_outage_downs_all_members_for_the_window(
         radix in 1u8..6,
@@ -134,9 +135,12 @@ proptest! {
         let rack = RackTopology::FatTree { radix, oversubscription: 2 };
         let plan =
             FaultPlan::new().leaf_outage(rack, leaf, Time::from_ns(from), Time::from_ns(until));
-        prop_assert_eq!(plan.leaf_outages().len(), 1);
-        let inside = from + ((until - from - 1) as f64 * frac) as u64;
         let members = leaf * radix as usize..(leaf + 1) * radix as usize;
+        let expanded = members.clone().fold(FaultPlan::new(), |p, node| {
+            p.crash_restore(node, Time::from_ns(from), Time::from_ns(until))
+        });
+        prop_assert_eq!(&plan, &expanded);
+        let inside = from + ((until - from - 1) as f64 * frac) as u64;
         for node in members.clone() {
             prop_assert_eq!(rack.leaf_of(node), Some(leaf));
             for t in [from, inside, until - 1] {

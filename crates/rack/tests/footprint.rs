@@ -10,13 +10,20 @@
 //! 2. A warm window of an 8-node rack whose store nodes each run four
 //!    zero-think CREW writers, beside readers issuing plain remote reads,
 //!    allocates at most once per 10,000 handled events: a writer reads its
-//!    version and reader-lock words without touching the heap.
+//!    version and reader-lock words without touching the heap. The same
+//!    holds with per-CL objects read by per-CL validating readers: the
+//!    strip checks the image where it landed, without copying it.
 //! 3. Three replica sites run recovering writers while one site crashes
 //!    and restores twice. Over the second outage and its catch-up (a warm
 //!    window: the first outage already ran one) the rack allocates at
 //!    most once per 10,000 handled events: a replay reads the pulled
 //!    record's words and a pull reads the head word, with no copy of the
 //!    log region.
+//! 4. The site then crashes a third time while the peer that served both
+//!    catch-ups is down too, so this catch-up pulls from the third site,
+//!    whose request pipelines have served plain reads but no pull. It
+//!    allocates nothing beyond `run_for`'s own task list: a pulled region
+//!    waits in a pipeline's work queue as one entry, not one per block.
 //!
 //! This binary holds a single test so no other test allocates while the
 //! footprints are measured.
@@ -94,13 +101,13 @@ fn datacenter_bytes_per_node() -> (u64, u64) {
 }
 
 /// The 8-node rack: four zero-think writers updating each store node's
-/// clean objects round-robin, and two Poisson reader cores per reader
-/// node issuing plain reads of those objects.
-fn writer_rack() -> (Cluster, Vec<(usize, Vec<Addr>)>) {
+/// `layout` objects round-robin, and two Poisson reader cores per reader
+/// node reading those objects under `mech`.
+fn writer_rack(layout: StoreLayout, mech: ReadMechanism) -> (Cluster, Vec<(usize, Vec<Addr>)>) {
     let cfg = ScenarioBuilder::new().seed(1).nodes(8).config().clone();
     let readers = cfg.topology.reader_nodes();
     let stores = cfg.topology.store_nodes();
-    let slot = StoreLayout::Clean.object_bytes(PAYLOAD as usize) as u64;
+    let slot = layout.object_bytes(PAYLOAD as usize) as u64;
     let objects: Vec<Addr> = (0..OBJECTS).map(|i| Addr::new(i * slot)).collect();
     let entries: Vec<(u64, Addr)> = objects
         .iter()
@@ -114,7 +121,7 @@ fn writer_rack() -> (Cluster, Vec<(usize, Vec<Addr>)>) {
             .chunks(entries.len() / WRITERS_PER_STORE)
             .enumerate()
         {
-            let writer = Writer::new(mine.to_vec(), PAYLOAD, StoreLayout::Clean, Time::ZERO);
+            let writer = Writer::new(mine.to_vec(), PAYLOAD, layout, Time::ZERO);
             cluster.add_workload(store, core, Box::new(writer));
         }
     }
@@ -123,8 +130,8 @@ fn writer_rack() -> (Cluster, Vec<(usize, Vec<Addr>)>) {
             let program = spec()
                 .store(store)
                 .payload(PAYLOAD)
-                .mechanism(ReadMechanism::Raw)
-                .wire(slot as u32)
+                .mechanism(mech)
+                .wire(layout.wire_bytes(PAYLOAD as usize) as u32)
                 .objects(objects.clone())
                 .arrivals(Arrivals::Poisson { ops_per_us: 0.8 })
                 .build(&objects);
@@ -138,22 +145,37 @@ fn writer_rack() -> (Cluster, Vec<(usize, Vec<Addr>)>) {
 /// Replica sites of the recovering rack and the `[from, until)` windows
 /// (µs) over which the first one is down.
 const SITES: [usize; 3] = [4, 5, 6];
-const OUTAGES: [(u64, u64); 2] = [(20, 60), (100, 140)];
+const OUTAGES: [(u64, u64); 3] = [(20, 60), (100, 140), (220, 260)];
+
+/// When (µs) the second site, the first site's nearest peer, is down: over
+/// the whole third outage and its catch-up.
+const PEER_OUTAGE: (u64, u64) = (210, 400);
 
 /// The 8-node rack with four recovering writers per replica site, each
 /// over its own four clean objects with its own write log and pull
-/// buffer; site [`SITES`]`[0]` crashes and restores at [`OUTAGES`].
+/// buffer; site [`SITES`]`[0]` crashes and restores at [`OUTAGES`], and
+/// [`SITES`]`[1]` at [`PEER_OUTAGE`]. A reader on node 0 makes 100 plain
+/// reads of [`SITES`]`[2]`'s objects early in the run.
 fn recovering_rack() -> Cluster {
     let mut cfg = ScenarioBuilder::new().seed(1).nodes(8).config().clone();
     cfg.memory_bytes = 4 * 1024 * 1024;
-    cfg.fault = OUTAGES
-        .iter()
-        .fold(FaultPlan::new(), |plan, &(from, until)| {
-            plan.crash_restore(SITES[0], Time::from_us(from), Time::from_us(until))
-        });
+    let us = Time::from_us;
+    cfg.fault = OUTAGES.iter().fold(
+        FaultPlan::new().crash_restore(SITES[1], us(PEER_OUTAGE.0), us(PEER_OUTAGE.1)),
+        |plan, &(from, until)| plan.crash_restore(SITES[0], us(from), us(until)),
+    );
     let slot = StoreLayout::Clean.object_bytes(PAYLOAD as usize) as u64;
     let entries: Vec<(u64, Addr)> = (0..16).map(|i| (i, Addr::new(i * slot))).collect();
     let mut cluster = Cluster::new(cfg);
+    let objects: Vec<Addr> = entries.iter().map(|&(_, a)| a).collect();
+    let reader = spec()
+        .store(SITES[2])
+        .payload(PAYLOAD)
+        .mechanism(ReadMechanism::Raw)
+        .wire(slot as u32)
+        .iterations(100)
+        .build(&objects);
+    cluster.add_workload(0, 0, reader);
     for &site in &SITES {
         let peers: Vec<u8> = SITES
             .iter()
@@ -179,24 +201,10 @@ fn recovering_rack() -> Cluster {
     cluster
 }
 
-/// The sum of every object's version word on every store node.
-fn version_sum(cluster: &Cluster, stores: &[(usize, Vec<Addr>)]) -> u64 {
-    stores
-        .iter()
-        .flat_map(|(node, objects)| objects.iter().map(move |&a| (*node, a)))
-        .map(|(node, a)| cluster.node_memory(node).read_u64(a))
-        .sum()
-}
-
-#[test]
-fn the_host_pays_only_for_simulated_state() {
-    let (per_node, budget) = datacenter_bytes_per_node();
-    assert!(
-        per_node <= budget,
-        "building and resetting a node requests {per_node} bytes, budget {budget}"
-    );
-
-    let (mut cluster, stores) = writer_rack();
+/// Asserts that a warm window of [`writer_rack`] allocates at most once
+/// per 10,000 handled events while its writers and readers keep working.
+fn assert_warm_window_allocation_free(layout: StoreLayout, mech: ReadMechanism) {
+    let (mut cluster, stores) = writer_rack(layout, mech);
     cluster.run_for(Time::from_us(50));
     cluster.reset_metrics();
     let versions = version_sum(&cluster, &stores);
@@ -214,31 +222,68 @@ fn the_host_pays_only_for_simulated_state() {
         .sum();
     assert!(
         updates > 1_000,
-        "the writers must keep updating: {updates} updates"
+        "{layout:?}: the writers must keep updating: {updates} updates"
     );
     assert!(
         reads > 1_000,
-        "the readers must keep reading: {reads} reads"
+        "{mech:?}: the readers must keep reading: {reads} reads"
     );
     assert!(
         allocations * 10_000 <= events,
-        "{allocations} allocations in {events} handled events"
+        "{mech:?}: {allocations} allocations in {events} handled events"
+    );
+}
+
+/// Catch-up pulls the first site's writers made and replays they applied.
+fn catch_up(cluster: &Cluster) -> (u64, u64) {
+    (0..4)
+        .map(|core| cluster.metrics(SITES[0], core))
+        .fold((0, 0), |(p, r), m| {
+            (p + m.catch_up_ops, r + m.replays_applied)
+        })
+}
+
+/// Catch-up pulls `node`'s request pipelines served.
+fn pulls_served(cluster: &Cluster, node: usize) -> u64 {
+    (0..cluster.config().rmc_backends)
+        .map(|pipe| cluster.r2p2_stats(node, pipe).catch_up_pulls)
+        .sum()
+}
+
+/// The sum of every object's version word on every store node.
+fn version_sum(cluster: &Cluster, stores: &[(usize, Vec<Addr>)]) -> u64 {
+    stores
+        .iter()
+        .flat_map(|(node, objects)| objects.iter().map(move |&a| (*node, a)))
+        .map(|(node, a)| cluster.node_memory(node).read_u64(a))
+        .sum()
+}
+
+#[test]
+fn the_host_pays_only_for_simulated_state() {
+    let (per_node, budget) = datacenter_bytes_per_node();
+    assert!(
+        per_node <= budget,
+        "building and resetting a node requests {per_node} bytes, budget {budget}"
+    );
+
+    assert_warm_window_allocation_free(StoreLayout::Clean, ReadMechanism::Raw);
+    assert_warm_window_allocation_free(
+        StoreLayout::PerCl,
+        ReadMechanism::PerClValidate { payload: PAYLOAD },
     );
 
     let mut cluster = recovering_rack();
     let (second_from, second_until) = OUTAGES[1];
     cluster.run_for(Time::from_us(second_from - 10));
+    assert_eq!(cluster.metrics(0, 0).ops, 100, "the reader finished early");
     cluster.reset_metrics();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     cluster.run_for(Time::from_us(second_until - second_from + 60));
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
     let events = cluster.events_handled().total();
-    let (pulls, replays) = (0..4)
-        .map(|core| cluster.metrics(SITES[0], core))
-        .fold((0, 0), |(p, r), m| {
-            (p + m.catch_up_ops, r + m.replays_applied)
-        });
+    let (pulls, replays) = catch_up(&cluster);
     assert!(
         pulls >= 8 && replays > 200,
         "the crashed site must catch up: {pulls} pulls, {replays} replays"
@@ -246,5 +291,32 @@ fn the_host_pays_only_for_simulated_state() {
     assert!(
         allocations * 10_000 <= events,
         "{allocations} allocations in {events} handled events of a catch-up"
+    );
+    assert_eq!(
+        pulls_served(&cluster, SITES[2]),
+        0,
+        "the nearest peer serves"
+    );
+
+    let (third_from, third_until) = OUTAGES[2];
+    cluster.run_for(Time::from_us(third_from - 10) - cluster.now());
+    cluster.reset_metrics();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    cluster.run_for(Time::from_us(third_until - third_from + 60));
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    let (pulls, replays) = catch_up(&cluster);
+    assert!(
+        pulls >= 4 && replays > 200,
+        "the crashed site must catch up again: {pulls} pulls, {replays} replays"
+    );
+    assert_eq!(
+        pulls_served(&cluster, SITES[2]),
+        pulls,
+        "the third site serves every pull of this catch-up"
+    );
+    assert_eq!(
+        allocations, 1,
+        "a catch-up against fresh pipelines allocated beyond run_for's task list"
     );
 }

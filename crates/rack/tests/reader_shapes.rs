@@ -116,11 +116,7 @@ fn plain_closed_sabre_under_a_writer() {
 
 #[test]
 fn plain_closed_sabre_with_every_closed_loop_knob() {
-    let reader = sabre()
-        .consume()
-        .backoff(Time::from_ns(100))
-        .iterations(60)
-        .local_buf(Addr::new(3 << 20));
+    let reader = sabre().consume().backoff(Time::from_ns(100)).iterations(60);
     let r = raced(StoreLayout::Clean, reader, 40);
     assert_eq!(fingerprint(r.core(0, 1)), "ops=60 retries=6 failovers=0 migrations=0 stale_refusals=0 queued=0 peak_backlog=0 mean_ns=230.905 p99_ns=494");
 }

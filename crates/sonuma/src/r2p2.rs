@@ -127,6 +127,20 @@ enum Pending {
     CaptureRead { capture: u32, block: BlockAddr },
 }
 
+/// An entry of the plain-service FIFO.
+#[derive(Debug, Clone, Copy)]
+enum Ready {
+    /// One action.
+    Action(R2p2Action),
+    /// A catch-up pull's region: one read per block, in address order;
+    /// the first `issued` have been handed out.
+    CatchUp {
+        route: Route,
+        blocks: BlockRange,
+        issued: u32,
+    },
+}
+
 /// Where a reply goes: the requester's node and pipeline, and the
 /// transfer it belongs to. A SABRe's id names exactly these, so it is its
 /// own route.
@@ -218,7 +232,7 @@ pub struct R2p2 {
     pipe: PipeId,
     engine: LightSabres,
     /// Plain-service work awaiting an issue slot (FIFO).
-    ready: VecDeque<R2p2Action>,
+    ready: VecDeque<Ready>,
     /// SABRes waiting for a free ATT entry (in arrival order).
     parked: VecDeque<ParkedSabre>,
     /// Live object captures (WfRegister / Oh-RAM), keyed by capture id.
@@ -385,13 +399,13 @@ impl R2p2 {
                 block_index,
             } => {
                 self.stats.plain_reads += 1;
-                self.ready.push_back(R2p2Action::MemRead {
+                self.ready.push_back(Ready::Action(R2p2Action::MemRead {
                     token: MemToken(Pending::PlainRead {
                         route: requester(pkt, transfer),
                         block_index,
                     }),
                     block: addr.block(),
-                });
+                }));
                 true
             }
             PacketKind::WriteReq {
@@ -401,28 +415,29 @@ impl R2p2 {
                 data,
             } => {
                 self.stats.writes += 1;
-                self.ready.push_back(R2p2Action::MemWrite {
+                self.ready.push_back(Ready::Action(R2p2Action::MemWrite {
                     token: MemToken(Pending::Write {
                         route: requester(pkt, transfer),
                         block_index,
                     }),
                     block: addr.block(),
                     data,
-                });
+                }));
                 true
             }
             PacketKind::CasReq { addr, transfer } => {
-                self.ready.push_back(R2p2Action::WriterCas {
+                self.ready.push_back(Ready::Action(R2p2Action::WriterCas {
                     token: MemToken(Pending::Cas(requester(pkt, transfer))),
                     version_addr: addr,
-                });
+                }));
                 true
             }
             PacketKind::UnlockReq { addr, transfer } => {
-                self.ready.push_back(R2p2Action::WriterUnlock {
-                    token: MemToken(Pending::Unlock(requester(pkt, transfer))),
-                    version_addr: addr,
-                });
+                self.ready
+                    .push_back(Ready::Action(R2p2Action::WriterUnlock {
+                        token: MemToken(Pending::Unlock(requester(pkt, transfer))),
+                        version_addr: addr,
+                    }));
                 true
             }
             PacketKind::WfReadReq {
@@ -459,20 +474,14 @@ impl R2p2 {
                 // Stream the peer's write-log region back, one block per
                 // reply. Blocks are issued in address order, header block
                 // first — the puller relies on the log head being read no
-                // later than any record it then applies.
+                // later than any record it then applies. The region waits
+                // as one entry that yields a read per issue slot.
                 self.stats.catch_up_pulls += 1;
-                for (i, block) in BlockRange::covering(base, size_bytes as u64)
-                    .iter()
-                    .enumerate()
-                {
-                    self.ready.push_back(R2p2Action::MemRead {
-                        token: MemToken(Pending::CatchUpRead {
-                            route: requester(pkt, transfer),
-                            block_index: i as u32,
-                        }),
-                        block,
-                    });
-                }
+                self.ready.push_back(Ready::CatchUp {
+                    route: requester(pkt, transfer),
+                    blocks: BlockRange::covering(base, size_bytes as u64),
+                    issued: 0,
+                });
                 true
             }
             PacketKind::SabreReadReq { transfer, .. } => {
@@ -507,7 +516,8 @@ impl R2p2 {
             requester(pkt, transfer),
             PacketKind::ReadRefused { transfer },
         );
-        self.ready.push_back(R2p2Action::Send(refusal));
+        self.ready
+            .push_back(Ready::Action(R2p2Action::Send(refusal)));
     }
 
     /// Starts a server-side object capture for a WfRegister / Oh-RAM read
@@ -541,10 +551,10 @@ impl R2p2 {
             unreachable!("delivery steps are converted to replies inline");
         };
         for block in blocks {
-            self.ready.push_back(R2p2Action::MemRead {
+            self.ready.push_back(Ready::Action(R2p2Action::MemRead {
                 token: MemToken(Pending::CaptureRead { capture: id, block }),
                 block,
-            });
+            }));
         }
     }
 
@@ -584,11 +594,40 @@ impl R2p2 {
         }
     }
 
+    /// The next queued plain-service action: the front entry, or the next
+    /// block read of a catch-up region at the front.
+    fn pop_ready(&mut self) -> Option<R2p2Action> {
+        let action = match self.ready.front_mut()? {
+            Ready::Action(action) => *action,
+            Ready::CatchUp {
+                route,
+                blocks,
+                issued,
+            } => {
+                let block_index = *issued;
+                *issued += 1;
+                let read = R2p2Action::MemRead {
+                    token: MemToken(Pending::CatchUpRead {
+                        route: *route,
+                        block_index,
+                    }),
+                    block: blocks.first().offset(u64::from(block_index)),
+                };
+                if u64::from(*issued) < blocks.block_count() {
+                    return Some(read);
+                }
+                read
+            }
+        };
+        self.ready.pop_front();
+        Some(action)
+    }
+
     /// Pulls the next memory operation to issue, if any: queued plain
     /// service first (FIFO arrival order), then the engine's round-robin
     /// pick. The caller paces calls at the R2P2's issue bandwidth.
     pub fn next_issue(&mut self) -> Option<R2p2Action> {
-        if let Some(a) = self.ready.pop_front() {
+        if let Some(a) = self.pop_ready() {
             return Some(a);
         }
         let issue = self.engine.next_issue()?;

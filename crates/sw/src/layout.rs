@@ -171,9 +171,38 @@ impl PerClLayout {
         mem.write(base, &Self::encode(VersionWord::new(0), payload));
     }
 
-    /// The post-transfer software atomicity check + strip (the cost the
-    /// paper's hardware removes): verifies the header version is even and
-    /// every line stamp matches it, then extracts the clean payload.
+    /// The post-transfer software atomicity check (the cost the paper's
+    /// hardware removes): verifies the header version is even and every
+    /// line stamp matches it. Copies nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violation the caller must retry on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `image` is not the exact footprint for `payload_len`.
+    pub fn validate(image: &[u8], payload_len: usize) -> Result<(), AtomicityViolation> {
+        let lines = Self::lines_needed(payload_len);
+        assert_eq!(
+            image.len(),
+            lines * BLOCK_BYTES,
+            "image size does not match payload length"
+        );
+        let header = VersionWord::new(u64::from_le_bytes(image[..8].try_into().expect("8 bytes")));
+        if header.is_locked() {
+            return Err(AtomicityViolation::WriterInProgress);
+        }
+        for (line, block) in image.chunks_exact(BLOCK_BYTES).enumerate() {
+            let stamp = u64::from_le_bytes(block[..8].try_into().expect("8 bytes"));
+            if stamp != header.raw() {
+                return Err(AtomicityViolation::StampMismatch { line });
+            }
+        }
+        Ok(())
+    }
+
+    /// [`PerClLayout::validate`], then extracts the clean payload.
     ///
     /// # Errors
     ///
@@ -186,26 +215,11 @@ impl PerClLayout {
         image: &[u8],
         payload_len: usize,
     ) -> Result<Vec<u8>, AtomicityViolation> {
-        let lines = Self::lines_needed(payload_len);
-        assert_eq!(
-            image.len(),
-            lines * BLOCK_BYTES,
-            "image size does not match payload length"
-        );
-        let header = VersionWord::new(u64::from_le_bytes(image[..8].try_into().expect("8 bytes")));
-        if header.is_locked() {
-            return Err(AtomicityViolation::WriterInProgress);
-        }
+        Self::validate(image, payload_len)?;
         let mut payload = Vec::with_capacity(payload_len);
-        for line in 0..lines {
-            let off = line * BLOCK_BYTES;
-            let stamp = u64::from_le_bytes(image[off..off + 8].try_into().expect("8 bytes"));
-            if stamp != header.raw() {
-                return Err(AtomicityViolation::StampMismatch { line });
-            }
+        for block in image.chunks_exact(BLOCK_BYTES) {
             let take = (payload_len - payload.len()).min(Self::DATA_PER_LINE);
-            payload
-                .extend_from_slice(&image[off + Self::STAMP_BYTES..off + Self::STAMP_BYTES + take]);
+            payload.extend_from_slice(&block[Self::STAMP_BYTES..Self::STAMP_BYTES + take]);
         }
         Ok(payload)
     }

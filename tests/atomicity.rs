@@ -7,9 +7,13 @@
 //! to a single committed snapshot of the object, under racing writers.
 //!
 //! Writers store recognizable patterns ([`pattern_payload`]); a read is a
-//! consistent snapshot iff [`verify_payload`] accepts it. The verifying
-//! reader asserts this on *every* successful completion, so any torn read
-//! that slips past an atomicity mechanism fails the test immediately.
+//! consistent snapshot iff [`verify_payload`] accepts it. The readers are
+//! the shipped `Reader` every figure builds through [`spec`], and a
+//! [`ReadChecker`] observes every read it reports successful
+//! ([`WorkloadSpec::observe`]), so a torn read that slips past an
+//! atomicity mechanism, or past the reader's handling of it, is counted
+//! in the [`Ledger`]. Aborts, failovers and refusals are the reader's own
+//! [`CoreMetrics`](sabres::rack::CoreMetrics) counts.
 //!
 //! Four layers of adversity:
 //!
@@ -28,8 +32,8 @@
 //!   three replica sites, recovering writers and all — dies mid-run,
 //!   so the restored images genuinely miss the outage window's updates
 //!   and must catch up over the fabric. On top of the no-torn-read
-//!   invariant, readers prove the epoch/seq guard's *freshness* claim: a
-//!   restored replica never serves pre-outage data after the guard drops.
+//!   invariant, the ledger checks the epoch/seq guard's *freshness* claim:
+//!   a restored replica never serves pre-outage data after the guard drops.
 //!
 //! One schedule per mechanism of the torture, kill-a-node and kill-a-leaf
 //! layers is also replayed at every cluster execution setting
@@ -38,170 +42,29 @@
 
 mod common;
 
-use std::sync::{Arc, Mutex};
+use std::collections::HashMap;
 
-use common::{assert_execution_invariant, Exec};
+use common::{assert_execution_invariant, Exec, Freshness, Ledger, ReadChecker};
 use sabres::prelude::*;
+use sabres::rack::CoreMetrics;
 
-/// Counts verified/torn/aborted reads, shared with the reader workload.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-struct Outcome {
-    verified: u64,
-    torn: u64,
-    aborts: u64,
-    /// Attempts abandoned to a failover timer (kill-a-node quadrant only).
-    failovers: u64,
-    /// Attempts bounced by a catching-up replica's epoch/seq guard and
-    /// retried elsewhere (kill-a-leaf quadrant only).
-    refusals: u64,
-    /// Verified reads that a restored replica served with **pre-outage**
-    /// data after its catch-up guard dropped — the recovery protocol's
-    /// freshness violation, asserted zero (kill-a-leaf quadrant only).
-    stale_post: u64,
+/// A reader of `store`'s objects under `mech`, reporting to `checker`.
+fn checked_reader(checker: &ReadChecker, mech: ReadMechanism, store: &ObjectStore) -> WorkloadSpec {
+    checker.attach(
+        spec()
+            .store(store.node() as usize)
+            .payload(store.payload())
+            .mechanism(mech)
+            .objects(store.object_addrs())
+            // The transfer footprint, not the in-memory spacing: the
+            // wait-free register stores four version slots but ships only
+            // the published one.
+            .wire(store.wire_bytes() as u32),
+    )
 }
 
-/// Validates an image under `mech`; `Some(payload)` when the mechanism
-/// declares the read atomic.
-fn extract_atomic(mech: ReadMechanism, payload: usize, image: &[u8]) -> Option<Vec<u8>> {
-    match mech {
-        ReadMechanism::Sabre => Some(CleanLayout::payload_of(image, payload).to_vec()),
-        ReadMechanism::PerClValidate { .. } => PerClLayout::validate_and_strip(image, payload).ok(),
-        ReadMechanism::ChecksumValidate { .. } => {
-            sabres::sw::ChecksumLayout::validate(image, payload)
-                .ok()
-                .map(<[u8]>::to_vec)
-        }
-        // The wait-free register ships `[header | one slot]`; the capture
-        // guarantees the slot is the published version, whole. The slot's
-        // own seq word must agree with the publish word it was read under.
-        ReadMechanism::WfRegister { .. } => {
-            use sabres::sw::WfRegisterLayout;
-            let (pub_seq, _) = WfRegisterLayout::published_of(image);
-            assert_eq!(
-                WfRegisterLayout::slot_seq_of(image),
-                pub_seq,
-                "wait-free capture delivered a slot from another version"
-            );
-            Some(WfRegisterLayout::payload_of(image, payload).to_vec())
-        }
-        // Oh-RAM ships the clean object under a server-side consistent
-        // capture; nothing to validate client-side.
-        ReadMechanism::OhRam { .. } => Some(CleanLayout::payload_of(image, payload).to_vec()),
-        ReadMechanism::Raw => unreachable!("raw reads claim no atomicity"),
-        ReadMechanism::SourceLocking { .. } => unreachable!("checked readers take no locks"),
-    }
-}
-
-/// A reader that cross-checks every "atomic" completion against the
-/// writer pattern.
-struct CheckedReader {
-    mech: ReadMechanism,
-    store: ObjectStore,
-    outcome: Arc<Mutex<Outcome>>,
-    cur_obj: u64,
-    /// Outstanding Oh-RAM confirm writes, discarded by `wq_id`.
-    confirm_inflight: std::collections::HashSet<u64>,
-}
-
-impl CheckedReader {
-    fn new(mech: ReadMechanism, store: ObjectStore, outcome: Arc<Mutex<Outcome>>) -> Self {
-        CheckedReader {
-            mech,
-            store,
-            outcome,
-            cur_obj: 0,
-            confirm_inflight: std::collections::HashSet::new(),
-        }
-    }
-
-    fn wire(&self) -> u32 {
-        // The transfer footprint, not the in-memory spacing: the wait-free
-        // register stores four version slots but ships only the published
-        // one.
-        self.store.wire_bytes() as u32
-    }
-
-    fn buf(&self, api: &CoreApi<'_>) -> Addr {
-        Addr::new(api.config().memory_bytes as u64 / 2 + api.core() as u64 * 64 * 1024)
-    }
-
-    fn issue(&mut self, api: &mut CoreApi<'_>) {
-        self.cur_obj = api.rng().below(self.store.n_objects());
-        let addr = self.store.object_addr(self.cur_obj);
-        let buf = self.buf(api);
-        let wire = self.wire();
-        api.issue(self.mech.op(), self.store.node(), addr, buf, wire, 0);
-    }
-
-    /// Validates the image under the mechanism; `Some(payload)` when the
-    /// mechanism declares the read atomic.
-    fn extract(&self, image: &[u8]) -> Option<Vec<u8>> {
-        extract_atomic(self.mech, self.store.payload() as usize, image)
-    }
-}
-
-impl Workload for CheckedReader {
-    fn on_start(&mut self, api: &mut CoreApi<'_>) {
-        self.issue(api);
-    }
-
-    fn on_completion(&mut self, api: &mut CoreApi<'_>, cq: CqEntry) {
-        if self.confirm_inflight.remove(&cq.wq_id) {
-            return; // Oh-RAM confirm ack; the read already completed.
-        }
-        let mut o = self.outcome.lock().expect("outcome poisoned");
-        if cq.success {
-            let image = api.read_local(self.buf(api), self.wire() as usize);
-            match self.extract(&image) {
-                Some(payload) => {
-                    if verify_payload(self.cur_obj, &payload).is_some() {
-                        o.verified += 1;
-                    } else {
-                        o.torn += 1;
-                    }
-                }
-                // The software check itself rejected the image.
-                None => o.aborts += 1,
-            }
-        } else {
-            o.aborts += 1;
-        }
-        drop(o);
-        if matches!(self.mech, ReadMechanism::OhRam { .. }) {
-            // Relay Oh-RAM's fire-and-forget confirm (the half round).
-            let buf = self.buf(api);
-            let tag = tag_board_addr(api.config().memory_bytes as u64);
-            let wq = api.issue_write(self.store.node(), tag, buf, 8);
-            self.confirm_inflight.insert(wq);
-        }
-        self.issue(api);
-    }
-}
-
-/// Raw variant of the checked reader: counts torn images instead of
-/// asserting (the control proving the harness generates real races).
-struct RawReader(CheckedReader);
-
-impl Workload for RawReader {
-    fn on_start(&mut self, api: &mut CoreApi<'_>) {
-        self.0.issue(api);
-    }
-    fn on_completion(&mut self, api: &mut CoreApi<'_>, _cq: CqEntry) {
-        let image = api.read_local(self.0.buf(api), self.0.wire() as usize);
-        let payload = CleanLayout::payload_of(&image, self.0.store.payload() as usize);
-        let mut o = self.0.outcome.lock().expect("outcome poisoned");
-        if verify_payload(self.0.cur_obj, payload).is_some() {
-            o.verified += 1;
-        } else {
-            o.torn += 1;
-        }
-        drop(o);
-        self.0.issue(api);
-    }
-}
-
-/// Runs `readers` checked readers against continuous writers for `dur_us`
-/// of simulated time and returns the outcome.
+/// Runs four checked readers against continuous writers for 120 us of
+/// simulated time and returns what they read and the rack's metrics.
 fn race(
     mech: ReadMechanism,
     layout: StoreLayout,
@@ -209,7 +72,7 @@ fn race(
     spec_mode: SpecMode,
     payload: u32,
     seed: u64,
-) -> Outcome {
+) -> (Ledger, CoreMetrics) {
     let (scenario, store) = ScenarioBuilder::new()
         .configure(|cfg| {
             cfg.lightsabres.cc_mode = cc_mode;
@@ -217,35 +80,27 @@ fn race(
         })
         .seed(seed)
         .warmed_store(1, layout, payload, Some(24));
-
-    let outcome = Arc::new(Mutex::new(Outcome::default()));
-    let mut scenario = scenario;
-    for core in 0..4 {
-        let (store, outcome) = (store.clone(), Arc::clone(&outcome));
-        scenario = scenario.reader(0, core, move |_| {
-            Box::new(CheckedReader::new(mech, store, outcome))
-        });
-    }
+    let checker = ReadChecker::new(mech, payload);
+    let mut scenario = scenario.readers_spec(0, 0..4, checked_reader(&checker, mech, &store));
     // Aggressive writers over small CREW subsets maximize conflicts.
     let entries = store.object_entries();
     for (w, chunk) in entries.chunks(6).enumerate() {
         let writer = Writer::new(chunk.to_vec(), payload, layout, Time::ZERO);
         scenario = scenario.workload(1, w, Box::new(writer));
     }
-    scenario.run_for(Time::from_us(120));
-    let o = outcome.lock().expect("outcome poisoned");
-    o.clone()
+    let report = scenario.run_for(Time::from_us(120));
+    (checker.ledger(), report.rack().metrics)
 }
 
-fn assert_sound(mech: ReadMechanism, o: &Outcome) {
+fn assert_sound(mech: ReadMechanism, (o, m): &(Ledger, CoreMetrics)) {
     assert_eq!(
         o.torn, 0,
         "{mech:?}: {} torn objects delivered as atomic (of {} verified, {} aborts)",
-        o.torn, o.verified, o.aborts
+        o.torn, o.verified, m.retries
     );
     assert!(o.verified > 50, "{mech:?}: too few successes: {o:?}");
     assert!(
-        o.aborts > 0,
+        m.retries > 0,
         "{mech:?}: no conflicts at all — the race harness is not racing: {o:?}"
     );
 }
@@ -280,7 +135,7 @@ fn sabre_occ_no_speculation_reads_are_never_torn() {
 
 #[test]
 fn sabre_destination_locking_reads_are_never_torn() {
-    let o = race(
+    let (o, _) = race(
         ReadMechanism::Sabre,
         StoreLayout::Clean,
         CcMode::Locking,
@@ -329,19 +184,9 @@ fn raw_reads_do_tear_under_conflict() {
         ScenarioBuilder::new()
             .seed(99)
             .warmed_store(1, StoreLayout::Clean, 480, Some(8));
-    let outcome = Arc::new(Mutex::new(Outcome::default()));
-
-    let mut scenario = scenario;
-    for core in 0..4 {
-        let (store, outcome) = (store.clone(), Arc::clone(&outcome));
-        scenario = scenario.reader(0, core, move |_| {
-            Box::new(RawReader(CheckedReader::new(
-                ReadMechanism::Raw,
-                store,
-                outcome,
-            )))
-        });
-    }
+    let checker = ReadChecker::new(ReadMechanism::Raw, 480);
+    let reader = checked_reader(&checker, ReadMechanism::Raw, &store);
+    let mut scenario = scenario.readers_spec(0, 0..4, reader);
     for (w, chunk) in store.object_entries().chunks(2).enumerate() {
         scenario = scenario.workload(
             1,
@@ -355,9 +200,8 @@ fn raw_reads_do_tear_under_conflict() {
         );
     }
     scenario.run_for(Time::from_us(120));
-    let o = outcome.lock().expect("outcome poisoned");
     assert!(
-        o.torn > 0,
+        checker.ledger().torn > 0,
         "raw reads never tore — the harness is not generating real races"
     );
 }
@@ -451,7 +295,7 @@ impl TortureMech {
 /// and the cluster runs at `exec`. Payload size and writer partitioning
 /// vary with the seed so the sweep explores genuinely different
 /// schedules, not one schedule with different RNG.
-fn torture_race(tm: TortureMech, nodes: usize, seed: u64, exec: Exec) -> Outcome {
+fn torture_race(tm: TortureMech, nodes: usize, seed: u64, exec: Exec) -> (Ledger, CoreMetrics) {
     let payload = [208u32, 480, 1008][(seed % 3) as usize];
     let (mech, layout, cc_mode, spec_mode) = tm.setup(payload);
     let builder = ScenarioBuilder::new()
@@ -464,14 +308,10 @@ fn torture_race(tm: TortureMech, nodes: usize, seed: u64, exec: Exec) -> Outcome
         .configure(|cfg| exec.apply(cfg));
     let topo = builder.config().topology.clone();
     let (mut scenario, shards) = builder.sharded_store(topo.store_nodes(), layout, payload, 12);
-    let outcome = Arc::new(Mutex::new(Outcome::default()));
+    let checker = ReadChecker::new(mech, payload);
     for (i, &rnode) in topo.reader_nodes().iter().enumerate() {
-        for core in 0..2 {
-            let (store, outcome) = (shards[i % shards.len()].clone(), Arc::clone(&outcome));
-            scenario = scenario.reader(rnode, core, move |_| {
-                Box::new(CheckedReader::new(mech, store, outcome))
-            });
-        }
+        let reader = checked_reader(&checker, mech, &shards[i % shards.len()]);
+        scenario = scenario.readers_spec(rnode, 0..2, reader);
     }
     // Seed-derived writer partitioning: smaller chunks = more writers =
     // more simultaneous in-flight updates per shard.
@@ -482,9 +322,18 @@ fn torture_race(tm: TortureMech, nodes: usize, seed: u64, exec: Exec) -> Outcome
             scenario = scenario.workload(shard.node() as usize, w, Box::new(writer));
         }
     }
-    scenario.run_for(Time::from_us(30));
-    let o = outcome.lock().expect("outcome poisoned");
-    o.clone()
+    let report = scenario.run_for(Time::from_us(30));
+    (checker.ledger(), report.rack().metrics)
+}
+
+/// Per mechanism: the reads verified and the merged metrics over its
+/// schedules.
+type PerMech = HashMap<TortureMech, (u64, CoreMetrics)>;
+
+fn tally(per_mech: &mut PerMech, tm: TortureMech, o: &Ledger, m: &CoreMetrics) {
+    let (verified, metrics) = per_mech.entry(tm).or_default();
+    *verified += o.verified;
+    metrics.merge(m);
 }
 
 #[test]
@@ -496,36 +345,32 @@ fn torture_no_sabre_mechanism_ever_tears_across_rack_sizes() {
         let tm = TortureMech::ALL[(seed % 6) as usize];
         (tm, nodes, seed, torture_race(tm, nodes, seed, Exec::SERIAL))
     });
-    let mut per_mech: std::collections::HashMap<TortureMech, Outcome> =
-        std::collections::HashMap::new();
-    for (tm, nodes, seed, o) in &results {
+    let mut per_mech = PerMech::new();
+    for (tm, nodes, seed, (o, m)) in &results {
         assert_eq!(
             o.torn, 0,
             "{tm:?} on {nodes} nodes (seed {seed}): {} torn objects delivered as atomic \
              (of {} verified, {} aborts)",
-            o.torn, o.verified, o.aborts
+            o.torn, o.verified, m.retries
         );
         assert!(
             o.verified > 20,
             "{tm:?} on {nodes} nodes (seed {seed}): too few successes: {o:?}"
         );
-        let e = per_mech.entry(*tm).or_default();
-        e.verified += o.verified;
-        e.torn += o.torn;
-        e.aborts += o.aborts;
+        tally(&mut per_mech, *tm, o, m);
     }
     for tm in TortureMech::ALL {
-        let o = &per_mech[&tm];
+        let (verified, m) = &per_mech[&tm];
         if tm.is_abort_free() {
             assert_eq!(
-                o.aborts, 0,
-                "{tm:?}: aborted despite being wait-free by construction: {o:?}"
+                m.retries, 0,
+                "{tm:?}: aborted despite being wait-free by construction ({verified} verified)"
             );
         } else {
             assert!(
-                o.aborts > 0,
+                m.retries > 0,
                 "{tm:?}: no conflicts in any of its schedules — the torture \
-                 harness is not racing: {o:?}"
+                 harness is not racing ({verified} verified)"
             );
         }
     }
@@ -549,7 +394,7 @@ fn torture_outcomes_are_thread_invariant_on_the_eight_node_rack() {
             torture_race(tm, 8, seed, exec)
         });
         assert!(
-            serial.verified > 0,
+            serial.0.verified > 0,
             "{tm:?} (seed {seed}): no progress in the serial run"
         );
     }
@@ -560,7 +405,7 @@ fn torture_outcomes_are_thread_invariant_on_the_eight_node_rack() {
 /// ([`Topology::skewed`]`(2, 3)`) on a 4:1 oversubscribed leaf/spine
 /// fabric, readers pinned to shards by [`PlacementPolicy::NearestShard`].
 /// `mech` [`None`] runs the raw-read control.
-fn fat_tree_nearest_race(tm: Option<TortureMech>, seed: u64) -> Outcome {
+fn fat_tree_nearest_race(tm: Option<TortureMech>, seed: u64) -> (Ledger, CoreMetrics) {
     let payload = [208u32, 480, 1008][(seed % 3) as usize];
     let (mech, layout, cc_mode, spec_mode) = match tm {
         Some(tm) => tm.setup(payload),
@@ -583,7 +428,7 @@ fn fat_tree_nearest_race(tm: Option<TortureMech>, seed: u64) -> Outcome {
     let topo = cfg.topology.clone();
     let store_nodes = topo.store_nodes();
     let (mut scenario, shards) = builder.sharded_store(store_nodes.clone(), layout, payload, 12);
-    let outcome = Arc::new(Mutex::new(Outcome::default()));
+    let checker = ReadChecker::new(mech, payload);
     for (i, &rnode) in topo.reader_nodes().iter().enumerate() {
         // NearestShard keeps each reader cohort on its own leaf's shard.
         let store = cfg.store_for_reader(i);
@@ -591,17 +436,8 @@ fn fat_tree_nearest_race(tm: Option<TortureMech>, seed: u64) -> Outcome {
             .iter()
             .position(|&s| s == store)
             .expect("placement returns a store node");
-        for core in 0..2 {
-            let (store, outcome) = (shards[shard_pos].clone(), Arc::clone(&outcome));
-            scenario = scenario.reader(rnode, core, move |_| {
-                let checked = CheckedReader::new(mech, store, outcome);
-                if mech == ReadMechanism::Raw {
-                    Box::new(RawReader(checked)) as Box<dyn Workload>
-                } else {
-                    Box::new(checked)
-                }
-            });
-        }
+        let reader = checked_reader(&checker, mech, &shards[shard_pos]);
+        scenario = scenario.readers_spec(rnode, 0..2, reader);
     }
     let chunk = [3usize, 4, 6][((seed / 3) % 3) as usize];
     for shard in &shards {
@@ -610,9 +446,8 @@ fn fat_tree_nearest_race(tm: Option<TortureMech>, seed: u64) -> Outcome {
             scenario = scenario.workload(shard.node() as usize, w, Box::new(writer));
         }
     }
-    scenario.run_for(Time::from_us(30));
-    let o = outcome.lock().expect("outcome poisoned");
-    o.clone()
+    let report = scenario.run_for(Time::from_us(30));
+    (checker.ledger(), report.rack().metrics)
 }
 
 #[test]
@@ -623,18 +458,18 @@ fn torture_fat_tree_nearest_shard_mechanisms_never_tear() {
     let mut aborts = 0u64;
     for (i, tm) in TortureMech::ALL.iter().enumerate() {
         for seed in [i as u64, i as u64 + 4] {
-            let o = fat_tree_nearest_race(Some(*tm), seed);
+            let (o, m) = fat_tree_nearest_race(Some(*tm), seed);
             assert_eq!(
                 o.torn, 0,
                 "{tm:?} on the 4:1 fat tree (seed {seed}): {} torn objects delivered \
                  as atomic (of {} verified, {} aborts)",
-                o.torn, o.verified, o.aborts
+                o.torn, o.verified, m.retries
             );
             assert!(
                 o.verified > 20,
                 "{tm:?} on the 4:1 fat tree (seed {seed}): too few successes: {o:?}"
             );
-            aborts += o.aborts;
+            aborts += m.retries;
         }
     }
     assert!(
@@ -649,7 +484,7 @@ fn torture_fat_tree_nearest_shard_raw_control_tears() {
     // mechanism stripped out must produce torn reads, or the quadrant
     // above proves nothing.
     let torn: u64 = (0..4u64)
-        .map(|seed| fat_tree_nearest_race(None, seed).torn)
+        .map(|seed| fat_tree_nearest_race(None, seed).0.torn)
         .sum();
     assert!(
         torn > 0,
@@ -670,18 +505,11 @@ fn torture_raw_reads_still_tear_on_every_rack_size() {
             let topo = builder.config().topology.clone();
             let (mut scenario, shards) =
                 builder.sharded_store(topo.store_nodes(), StoreLayout::Clean, payload, 8);
-            let outcome = Arc::new(Mutex::new(Outcome::default()));
+            let checker = ReadChecker::new(ReadMechanism::Raw, payload);
             for (i, &rnode) in topo.reader_nodes().iter().enumerate() {
-                for core in 0..2 {
-                    let (store, outcome) = (shards[i % shards.len()].clone(), Arc::clone(&outcome));
-                    scenario = scenario.reader(rnode, core, move |_| {
-                        Box::new(RawReader(CheckedReader::new(
-                            ReadMechanism::Raw,
-                            store,
-                            outcome,
-                        )))
-                    });
-                }
+                let store = &shards[i % shards.len()];
+                let reader = checked_reader(&checker, ReadMechanism::Raw, store);
+                scenario = scenario.readers_spec(rnode, 0..2, reader);
             }
             for shard in &shards {
                 for (w, entries) in shard.object_entries().chunks(2).enumerate() {
@@ -698,7 +526,7 @@ fn torture_raw_reads_still_tear_on_every_rack_size() {
                 }
             }
             scenario.run_for(Time::from_us(30));
-            torn += outcome.lock().expect("outcome poisoned").torn;
+            torn += checker.ledger().torn;
         }
         assert!(
             torn > 0,
@@ -721,198 +549,33 @@ const CRASH_TIMEOUT: Time = Time::from_us(10);
 /// no survivor to fail over to, but still never a torn read).
 const CRASH_REPLICATION: usize = 3;
 
-/// The kill-a-leaf quadrant's freshness oracle, shared by every reader.
-///
-/// Pattern seqs are monotone per object and every replica runs the same
-/// deterministic update schedule, so the highest seq any reader verified
-/// for an object *before* the outage began is a floor the restored
-/// replicas must clear once their catch-up guard drops: a post-outage
-/// completion from a restored site at or below that ceiling is data the
-/// outage should have invalidated. Ceiling updates are a commutative
-/// `max`, all of them separated from every check by the outage window
-/// itself, so the order in which readers update it never matters.
-#[derive(Clone)]
-struct StaleGuard {
-    /// Per-object highest pattern seq verified before `outage_from`.
-    ceilings: Arc<Mutex<Vec<u64>>>,
-    /// The replica sites the leaf outage takes down and restores.
-    restored: Vec<u8>,
-    outage_from: Time,
-    outage_until: Time,
-}
-
-/// A checked reader over a replicated placement: rotates the starting
-/// replica per operation, fails over (round-robin) when the failover
-/// timer fires before the transfer completes, and cross-checks every
-/// "atomic" completion against the writer pattern — [`CheckedReader`]'s
-/// invariant, now required to hold on whatever image whatever surviving
-/// replica serves across a mid-run crash. `raw` strips the mechanism and
-/// counts torn images instead (the control).
-struct CheckedFailoverReader {
+/// A checked reader of `store`'s replicas under `mech`: the shipped
+/// reader's static round-robin failover, starting its rotation at replica
+/// `start`. Each operation goes to the next replica; an attempt still
+/// unanswered after [`CRASH_TIMEOUT`], or refused by a catching-up
+/// replica's epoch/seq guard, is re-issued at the next one.
+fn replicated_reader(
+    checker: &ReadChecker,
     mech: ReadMechanism,
-    replicas: Vec<ObjectStore>,
-    outcome: Arc<Mutex<Outcome>>,
-    raw: bool,
-    ops: u64,
+    store: &ReplicatedStore,
     start: usize,
-    cur_obj: u64,
-    cur_replica: usize,
-    inflight: Option<u64>,
-    /// Armed timeout wq-ids in firing order (every timer shares one
-    /// duration, so wakes fire in arming order).
-    pending: std::collections::VecDeque<u64>,
-    /// Post-outage freshness oracle (kill-a-leaf quadrant only).
-    stale_guard: Option<StaleGuard>,
-}
-
-impl CheckedFailoverReader {
-    fn new(
-        mech: ReadMechanism,
-        replicas: Vec<ObjectStore>,
-        start: usize,
-        outcome: Arc<Mutex<Outcome>>,
-        raw: bool,
-    ) -> Self {
-        assert!(!replicas.is_empty(), "a replicated placement needs sites");
-        CheckedFailoverReader {
-            mech,
-            replicas,
-            outcome,
-            raw,
-            ops: 0,
-            start,
-            cur_obj: 0,
-            cur_replica: start,
-            inflight: None,
-            pending: std::collections::VecDeque::new(),
-            stale_guard: None,
-        }
-    }
-
-    /// Arms the post-outage freshness check (kill-a-leaf quadrant).
-    fn with_stale_guard(mut self, guard: StaleGuard) -> Self {
-        self.stale_guard = Some(guard);
-        self
-    }
-
-    fn wire(&self) -> u32 {
-        self.replicas[0].wire_bytes() as u32
-    }
-
-    fn buf(&self, api: &CoreApi<'_>) -> Addr {
-        Addr::new(api.config().memory_bytes as u64 / 2 + api.core() as u64 * 64 * 1024)
-    }
-
-    /// Starts the next operation: fresh object, next round-robin replica.
-    fn issue_next(&mut self, api: &mut CoreApi<'_>) {
-        self.ops += 1;
-        self.cur_replica = (self.start + self.ops as usize) % self.replicas.len();
-        self.cur_obj = api.rng().below(self.replicas[0].n_objects());
-        self.issue_attempt(api);
-    }
-
-    /// Issues the current object at the current replica and arms the
-    /// failover timer.
-    fn issue_attempt(&mut self, api: &mut CoreApi<'_>) {
-        let store = &self.replicas[self.cur_replica];
-        let addr = store.object_addr(self.cur_obj);
-        let (buf, wire) = (self.buf(api), self.wire());
-        let wq = api.issue(self.mech.op(), store.node(), addr, buf, wire, 0);
-        self.inflight = Some(wq);
-        self.pending.push_back(wq);
-        api.sleep(CRASH_TIMEOUT);
-    }
-}
-
-impl Workload for CheckedFailoverReader {
-    fn on_start(&mut self, api: &mut CoreApi<'_>) {
-        self.issue_next(api);
-    }
-
-    fn on_completion(&mut self, api: &mut CoreApi<'_>, cq: CqEntry) {
-        if self.inflight != Some(cq.wq_id) {
-            // A late completion of an attempt already abandoned to its
-            // failover timer.
-            return;
-        }
-        self.inflight = None;
-        if cq.refused {
-            // The replica's epoch/seq guard is up (the site is catching
-            // up after an outage). A refusal is an answer, not a
-            // conflict: retry the same object at the next replica so the
-            // wait-free mechanisms' zero-abort guarantee stays intact.
-            self.outcome.lock().expect("outcome poisoned").refusals += 1;
-            self.cur_replica = (self.cur_replica + 1) % self.replicas.len();
-            self.issue_attempt(api);
-            return;
-        }
-        let image = api.read_local(self.buf(api), self.wire() as usize);
-        let payload = self.replicas[0].payload() as usize;
-        let mut o = self.outcome.lock().expect("outcome poisoned");
-        if self.raw {
-            if verify_payload(self.cur_obj, CleanLayout::payload_of(&image, payload)).is_some() {
-                o.verified += 1;
-            } else {
-                o.torn += 1;
-            }
-        } else if cq.success {
-            match extract_atomic(self.mech, payload, &image) {
-                Some(payload) => match verify_payload(self.cur_obj, &payload) {
-                    Some(seq) => {
-                        o.verified += 1;
-                        if let Some(g) = &self.stale_guard {
-                            let node = self.replicas[self.cur_replica].node();
-                            let now = api.now();
-                            let mut ceil = g.ceilings.lock().expect("ceilings poisoned");
-                            let c = &mut ceil[self.cur_obj as usize];
-                            if now < g.outage_from {
-                                *c = (*c).max(seq);
-                            } else if now > g.outage_until
-                                && g.restored.contains(&node)
-                                && seq <= *c
-                            {
-                                // A restored replica answered with data
-                                // from before its outage: the catch-up
-                                // guard dropped on a stale image.
-                                o.stale_post += 1;
-                            }
-                        }
-                    }
-                    None => o.torn += 1,
-                },
-                None => o.aborts += 1,
-            }
-        } else {
-            o.aborts += 1;
-        }
-        drop(o);
-        if matches!(self.mech, ReadMechanism::OhRam { .. }) {
-            // Relay the confirm to whichever replica answered; its ack is
-            // discarded by the `inflight` filter (fire-and-forget, and the
-            // replica may well crash before acking).
-            let node = self.replicas[self.cur_replica].node();
-            let buf = self.buf(api);
-            let tag = tag_board_addr(api.config().memory_bytes as u64);
-            api.issue_write(node, tag, buf, 8);
-        }
-        self.issue_next(api);
-    }
-
-    fn on_wake(&mut self, api: &mut CoreApi<'_>) {
-        let wq = self
-            .pending
-            .pop_front()
-            .expect("wake without an armed timer");
-        if self.inflight == Some(wq) {
-            // The live attempt's timer fired: its replica is (or was)
-            // down. Re-issue the same object at the next replica.
-            self.inflight = None;
-            self.outcome.lock().expect("outcome poisoned").failovers += 1;
-            self.cur_replica = (self.cur_replica + 1) % self.replicas.len();
-            self.issue_attempt(api);
-        }
-        // Anything else is a stale timer of an attempt that completed.
-    }
+) -> WorkloadSpec {
+    let mut replicas: Vec<(usize, Vec<Addr>)> = store
+        .replicas()
+        .iter()
+        .map(|r| (r.node() as usize, r.object_addrs()))
+        .collect();
+    replicas.rotate_left(start);
+    let wire = store.replicas()[0].wire_bytes() as u32;
+    checker.attach(
+        spec()
+            .replicas(replicas)
+            .payload(store.payload())
+            .mechanism(mech)
+            .wire(wire)
+            .failover_timeout(CRASH_TIMEOUT)
+            .migrate(false),
+    )
 }
 
 /// One seed-derived kill-a-node schedule: the torture harness's racing
@@ -921,7 +584,12 @@ impl Workload for CheckedFailoverReader {
 /// third of the run. Readers rotate replicas per operation and fail over
 /// on [`CRASH_TIMEOUT`]; `tm` [`None`] runs the raw-read control. The
 /// cluster runs at `exec`.
-fn crash_race(tm: Option<TortureMech>, nodes: usize, seed: u64, exec: Exec) -> Outcome {
+fn crash_race(
+    tm: Option<TortureMech>,
+    nodes: usize,
+    seed: u64,
+    exec: Exec,
+) -> (Ledger, CoreMetrics) {
     let payload = [208u32, 480, 1008][(seed % 3) as usize];
     let (mech, layout, cc_mode, spec_mode) = match tm {
         Some(tm) => tm.setup(payload),
@@ -951,21 +619,11 @@ fn crash_race(tm: Option<TortureMech>, nodes: usize, seed: u64, exec: Exec) -> O
         Time::from_us(20),
     ));
     let (mut scenario, store) = builder.replicated_store(&sites, layout, payload, 12);
-    let outcome = Arc::new(Mutex::new(Outcome::default()));
+    let checker = ReadChecker::new(mech, payload);
     for (i, &rnode) in topo.reader_nodes().iter().enumerate() {
         for core in 0..2 {
-            let replicas = store.replicas().to_vec();
-            let outcome = Arc::clone(&outcome);
-            let start = (2 * i + core) % k;
-            scenario = scenario.reader(rnode, core, move |_| {
-                Box::new(CheckedFailoverReader::new(
-                    mech,
-                    replicas,
-                    start,
-                    outcome,
-                    tm.is_none(),
-                ))
-            });
+            let reader = replicated_reader(&checker, mech, &store, (2 * i + core) % k);
+            scenario = scenario.reader_spec(rnode, core, reader);
         }
     }
     // Identical writer partitions per site: each replica replays the same
@@ -978,9 +636,8 @@ fn crash_race(tm: Option<TortureMech>, nodes: usize, seed: u64, exec: Exec) -> O
             scenario = scenario.workload(replica.node() as usize, w, Box::new(writer));
         }
     }
-    scenario.run_for(Time::from_us(30));
-    let o = outcome.lock().expect("outcome poisoned");
-    o.clone()
+    let report = scenario.run_for(Time::from_us(30));
+    (checker.ledger(), report.rack().metrics)
 }
 
 #[test]
@@ -999,43 +656,38 @@ fn torture_kill_a_node_never_tears_on_surviving_replicas() {
             crash_race(Some(tm), nodes, seed, Exec::SERIAL),
         )
     });
-    let mut per_mech: std::collections::HashMap<TortureMech, Outcome> =
-        std::collections::HashMap::new();
-    for (tm, nodes, seed, o) in &results {
+    let mut per_mech = PerMech::new();
+    for (tm, nodes, seed, (o, m)) in &results {
         assert_eq!(
             o.torn, 0,
             "{tm:?} on {nodes} nodes with a crash (seed {seed}): {} torn objects \
              delivered as atomic (of {} verified, {} aborts, {} failovers)",
-            o.torn, o.verified, o.aborts, o.failovers
+            o.torn, o.verified, m.retries, m.failovers
         );
         assert!(
             o.verified > 10,
             "{tm:?} on {nodes} nodes with a crash (seed {seed}): too few successes: {o:?}"
         );
-        let e = per_mech.entry(*tm).or_default();
-        e.verified += o.verified;
-        e.torn += o.torn;
-        e.aborts += o.aborts;
-        e.failovers += o.failovers;
+        tally(&mut per_mech, *tm, o, m);
     }
     for tm in TortureMech::ALL {
-        let o = &per_mech[&tm];
+        let (verified, m) = &per_mech[&tm];
         if tm.is_abort_free() {
             assert_eq!(
-                o.aborts, 0,
-                "{tm:?}: aborted despite being wait-free by construction: {o:?}"
+                m.retries, 0,
+                "{tm:?}: aborted despite being wait-free by construction ({verified} verified)"
             );
         } else {
             assert!(
-                o.aborts > 0,
+                m.retries > 0,
                 "{tm:?}: no conflicts in any of its crash schedules — the \
-                 quadrant is not racing: {o:?}"
+                 quadrant is not racing ({verified} verified)"
             );
         }
         assert!(
-            o.failovers > 0,
+            m.failovers > 0,
             "{tm:?}: no failovers in any of its crash schedules — the crash \
-             never bit: {o:?}"
+             never bit ({verified} verified)"
         );
     }
 }
@@ -1047,9 +699,9 @@ fn torture_kill_a_node_raw_control_still_tears() {
     let mut torn = 0u64;
     let mut failovers = 0u64;
     for seed in 0..4u64 {
-        let o = crash_race(None, 8, seed, Exec::SERIAL);
+        let (o, m) = crash_race(None, 8, seed, Exec::SERIAL);
         torn += o.torn;
-        failovers += o.failovers;
+        failovers += m.failovers;
     }
     assert!(
         torn > 0,
@@ -1079,7 +731,7 @@ fn torture_kill_a_node_outcomes_are_thread_invariant() {
             crash_race(Some(tm), 8, seed, exec)
         });
         assert!(
-            serial.verified > 0,
+            serial.0.verified > 0,
             "{tm:?} (seed {seed}): no progress in the serial run"
         );
     }
@@ -1108,9 +760,9 @@ const LEAF_OBJECTS: u64 = 4;
 /// range. Readers rotate replicas, fail over on [`CRASH_TIMEOUT`], retry
 /// guard refusals at the next replica, and hold two invariants at once:
 /// never a torn image (as everywhere), and never pre-outage data from a
-/// restored site once its guard drops ([`StaleGuard`]). The cluster runs
+/// restored site once its guard drops ([`Freshness`]). The cluster runs
 /// at `exec`.
-fn leaf_race(tm: TortureMech, seed: u64, exec: Exec) -> (Outcome, Totals) {
+fn leaf_race(tm: TortureMech, seed: u64, exec: Exec) -> (Ledger, Totals) {
     let payload = [208u32, 480, 1008][(seed % 3) as usize];
     let (mech, layout, cc_mode, spec_mode) = tm.setup(payload);
     let builder = ScenarioBuilder::new()
@@ -1129,31 +781,17 @@ fn leaf_race(tm: TortureMech, seed: u64, exec: Exec) -> (Outcome, Totals) {
     let builder = builder.fault(FaultPlan::new().leaf_outage(rack, 2, LEAF_FROM, LEAF_UNTIL));
     let (mut scenario, store) = builder.replicated_store(&sites, layout, payload, LEAF_OBJECTS);
     // Radix-2 leaves cover node pairs: leaf 2 = {4, 5}.
-    let restored: Vec<u8> = sites
-        .iter()
-        .filter(|&&s| s / 2 == 2)
-        .map(|&s| s as u8)
-        .collect();
+    let restored: Vec<usize> = sites.iter().copied().filter(|&s| s / 2 == 2).collect();
     assert_eq!(restored.len(), 2, "the outage must hit two replica sites");
-    let ceilings = Arc::new(Mutex::new(vec![0u64; LEAF_OBJECTS as usize]));
-    let outcome = Arc::new(Mutex::new(Outcome::default()));
+    let checker = ReadChecker::new(mech, payload).with_freshness(Freshness {
+        restored,
+        from: LEAF_FROM,
+        until: LEAF_UNTIL,
+    });
     for (i, &rnode) in topo.reader_nodes().iter().enumerate() {
         for core in 0..2 {
-            let replicas = store.replicas().to_vec();
-            let outcome = Arc::clone(&outcome);
-            let guard = StaleGuard {
-                ceilings: Arc::clone(&ceilings),
-                restored: restored.clone(),
-                outage_from: LEAF_FROM,
-                outage_until: LEAF_UNTIL,
-            };
-            let start = (2 * i + core) % sites.len();
-            scenario = scenario.reader(rnode, core, move |_| {
-                Box::new(
-                    CheckedFailoverReader::new(mech, replicas, start, outcome, false)
-                        .with_stale_guard(guard),
-                )
-            });
+            let reader = replicated_reader(&checker, mech, &store, (2 * i + core) % sites.len());
+            scenario = scenario.reader_spec(rnode, core, reader);
         }
     }
     let log = WriteLog::new(Addr::new(1 << 20), 2048);
@@ -1183,8 +821,7 @@ fn leaf_race(tm: TortureMech, seed: u64, exec: Exec) -> (Outcome, Totals) {
         scenario = scenario.workload(site, 0, Box::new(writer));
     }
     let report = scenario.run_for(Time::from_us(55));
-    let o = outcome.lock().expect("outcome poisoned").clone();
-    (o, report.rack())
+    (checker.ledger(), report.rack())
 }
 
 #[test]
@@ -1199,15 +836,14 @@ fn torture_kill_a_leaf_catch_up_never_serves_stale_or_torn_reads() {
         let tm = TortureMech::ALL[(seed % 6) as usize];
         (tm, seed, leaf_race(tm, seed, Exec::SERIAL))
     });
-    let mut per_mech: std::collections::HashMap<TortureMech, Outcome> =
-        std::collections::HashMap::new();
+    let mut per_mech = PerMech::new();
     for (tm, seed, (o, rack)) in &results {
         let (m, r) = (&rack.metrics, &rack.r2p2);
         assert_eq!(
             o.torn, 0,
             "{tm:?} under a leaf outage (seed {seed}): {} torn objects delivered \
              as atomic (of {} verified, {} aborts, {} failovers, {} refusals)",
-            o.torn, o.verified, o.aborts, o.failovers, o.refusals
+            o.torn, o.verified, m.retries, m.failovers, m.stale_refusals
         );
         assert_eq!(
             o.stale_post, 0,
@@ -1235,31 +871,26 @@ fn torture_kill_a_leaf_catch_up_never_serves_stale_or_torn_reads() {
             "{tm:?} (seed {seed}): no staleness window ever closed — the \
              guard never dropped, so the freshness check saw nothing: {m:?}"
         );
-        let e = per_mech.entry(*tm).or_default();
-        e.verified += o.verified;
-        e.torn += o.torn;
-        e.aborts += o.aborts;
-        e.failovers += o.failovers;
-        e.refusals += o.refusals;
+        tally(&mut per_mech, *tm, o, m);
     }
     for tm in TortureMech::ALL {
-        let o = &per_mech[&tm];
+        let (verified, m) = &per_mech[&tm];
         if tm.is_abort_free() {
             assert_eq!(
-                o.aborts, 0,
+                m.retries, 0,
                 "{tm:?}: aborted despite being wait-free by construction \
-                 (guard refusals must not count as aborts): {o:?}"
+                 (guard refusals must not count as aborts; {verified} verified)"
             );
         }
         assert!(
-            o.failovers > 0,
+            m.failovers > 0,
             "{tm:?}: no failovers in any of its leaf schedules — the outage \
-             never bit: {o:?}"
+             never bit ({verified} verified)"
         );
         assert!(
-            o.refusals > 0,
+            m.stale_refusals > 0,
             "{tm:?}: no reader ever met a catch-up guard — the staleness \
-             window went unobserved: {o:?}"
+             window went unobserved ({verified} verified)"
         );
     }
 }

@@ -27,10 +27,16 @@
 //! each run must equal the serial one in every core's metrics, every
 //! node's [`Totals`], the handled-event counts, the delivered and dropped
 //! packet counts, the fabric's hop counters and every node's memory.
+//! Where the reader promises atomic reads and only the CREW or recovering
+//! writers touch its objects, a [`ReadChecker`] also observes every read,
+//! and no run may return a torn one.
+
+mod common;
 
 use std::collections::BTreeSet;
 use std::hash::{DefaultHasher, Hasher};
 
+use common::{Ledger, ReadChecker};
 use sabres::prelude::*;
 use sabres::rack::{CoreMetrics, EventCounts, FaultProfile};
 use sabres::sim::HopStats;
@@ -336,6 +342,12 @@ impl Scenario {
         if self.serve_stale {
             c.push("serve_stale".into());
         }
+        if self.checked() {
+            c.push(format!("checked:{:?}", self.reader));
+            if self.recovering {
+                c.push("checked:recovering".into());
+            }
+        }
         c
     }
 
@@ -383,8 +395,9 @@ impl Scenario {
         }
     }
 
-    /// Builds and runs the scenario at one execution setting.
-    fn run(&self, shards: Option<usize>, threads: Option<usize>) -> RunReport {
+    /// Builds and runs the scenario at one execution setting, with the
+    /// ledger of its checked reads when [`Scenario::checked`].
+    fn run(&self, shards: Option<usize>, threads: Option<usize>) -> (RunReport, Option<Ledger>) {
         let builder = self.builder().configure(|cfg| {
             cfg.shards = shards.unwrap_or(cfg.nodes);
             cfg.threads = threads;
@@ -395,7 +408,12 @@ impl Scenario {
         let readers = topo.reader_nodes();
         let (payload, layout) = (self.payload, self.reader.layout(self.payload));
         let mech = self.reader.mechanism(payload);
-        match self.replicas {
+        let checker = self.checked().then(|| ReadChecker::new(mech, payload));
+        let observed = |spec: WorkloadSpec| match &checker {
+            Some(checker) => checker.attach(spec),
+            None => spec,
+        };
+        let report = match self.replicas {
             None => {
                 let (mut scenario, shards) =
                     builder.sharded_store(topo.store_nodes(), layout, payload, OBJECTS);
@@ -411,7 +429,7 @@ impl Scenario {
                         .popularity(self.popularity)
                         .mix(self.read_fraction)
                         .window(self.window());
-                    scenario = scenario.readers_spec(node, 0..self.reader_cores, spec);
+                    scenario = scenario.readers_spec(node, 0..self.reader_cores, observed(spec));
                 }
                 for shard in shards.iter().filter(|_| self.crew_writers()) {
                     for (w, entries) in shard.object_entries().chunks(4).enumerate() {
@@ -439,7 +457,7 @@ impl Scenario {
                     if self.migrate {
                         spec = spec.replace_on_hops(2.0);
                     }
-                    scenario = scenario.readers_spec(node, 0..self.reader_cores, spec);
+                    scenario = scenario.readers_spec(node, 0..self.reader_cores, observed(spec));
                 }
                 for replica in store.replicas() {
                     let site = replica.node() as usize;
@@ -466,7 +484,15 @@ impl Scenario {
                 }
                 scenario.run_for(RUN)
             }
-        }
+        };
+        (report, checker.map(|c| c.ledger()))
+    }
+
+    /// Whether every read is checked for tearing: the reader promises
+    /// atomic reads, and no write mix stores over its objects (a mix's
+    /// one-sided write lands on the object's header, not behind it).
+    fn checked(&self) -> bool {
+        self.reader != Reader::Raw && self.crew_writers()
     }
 
     /// How long a replicated read waits before failing over: well past a
@@ -581,17 +607,29 @@ fn generated_scenarios_are_bit_identical_at_every_execution_setting() {
     for i in 0..SCENARIOS {
         let scenario = Scenario::generate(i);
         covered.extend(scenario.covers());
-        let serial = Fingerprint::of(&scenario.run(SETTINGS[0].0, SETTINGS[0].1));
-        assert!(
-            serial.nodes.iter().any(|n| n.metrics.ops > 0),
-            "scenario {i} completed no reads: {scenario:?}"
-        );
-        for &(shards, threads) in &SETTINGS[1..] {
+        let mut serial = None;
+        for &(shards, threads) in &SETTINGS {
             let label =
                 format!("scenario {i} at shards {shards:?}, threads {threads:?}: {scenario:?}");
-            Fingerprint::of(&scenario.run(shards, threads)).assert_matches(&serial, &label);
+            let (report, ledger) = scenario.run(shards, threads);
+            if let Some(ledger) = ledger {
+                assert_eq!(ledger.torn, 0, "{label}: torn reads returned: {ledger:?}");
+                assert!(ledger.verified > 0, "{label}: no read was checked");
+            }
+            let run = Fingerprint::of(&report);
+            match &serial {
+                None => {
+                    assert!(
+                        run.nodes.iter().any(|n| n.metrics.ops > 0),
+                        "{label}: no reads completed"
+                    );
+                    serial = Some(run);
+                }
+                Some(serial) => run.assert_matches(serial, &label),
+            }
         }
     }
+
     let mut required: Vec<String> = [
         "fabric:mesh",
         "fabric:fat_tree",
@@ -621,7 +659,11 @@ fn generated_scenarios_are_bit_identical_at_every_execution_setting() {
     .to_vec();
     for reader in Reader::ALL {
         required.push(format!("reader:{reader:?}"));
+        if reader != Reader::Raw {
+            required.push(format!("checked:{reader:?}"));
+        }
     }
+    required.push("checked:recovering".into());
     for fault in [
         Fault::None,
         Fault::CrashRestore,

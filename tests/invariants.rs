@@ -12,15 +12,17 @@
 //!   whole-fabric totals, spine crossings and queueing never exceed the
 //!   packets that could have paid them;
 //! * **atomicity** — a read served as atomic is never torn
-//!   ([`verify_payload`] on every completion), and a raw-read control
-//!   proves the same schedules do tear without a mechanism;
+//!   ([`verify_payload`] on every read the shipped reader reports
+//!   successful, through [`WorkloadSpec::observe`] into the shared
+//!   [`Ledger`]), and a raw-read control proves the same schedules do
+//!   tear without a mechanism;
 //! * **freshness** — versions never run backwards under re-read, and no
 //!   reader ever observes a sequence number newer than what the writer
 //!   actually published (the final store image is the ceiling);
 //! * **abort-freedom** — mechanisms that promise completion without
 //!   retries (raw reads here; the wait-free register is pinned in
-//!   `fig_protocols`' shape tests) keep that promise, and the harness's
-//!   own ledger agrees with the metrics layer's op/retry counters.
+//!   `fig_protocols`' shape tests) keep that promise, and the ledger saw
+//!   exactly the operations the metrics layer counted.
 //!
 //! Each quadrant runs every checker once per mechanism, on the serial
 //! loop; that the execution settings leave no trace is
@@ -32,10 +34,11 @@
 //! topology has, while the 256-node quadrant leaves 250 nodes idle and
 //! thereby also tortures the O(active-nodes) window scheduler.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+mod common;
 
+use common::{Ledger, ReadChecker};
 use sabres::prelude::*;
+use sabres::rack::CoreMetrics;
 use sabres::sim::HopStats;
 
 /// Object payload: four cache blocks, so an unprotected racing read has
@@ -49,114 +52,6 @@ const OBJECTS: u64 = 24;
 /// finite reader to drain (conservation is a quiescence invariant), with
 /// the O(active-nodes) scheduler keeping the post-drain tail cheap.
 const DUR_US: u64 = 400;
-
-// ---------------------------------------------------------------------------
-// The observation ledger
-// ---------------------------------------------------------------------------
-
-/// Everything the torture readers observed, merged commutatively across
-/// cores (every field is an order-insensitive reduction: sums, maxes).
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-struct Ledger {
-    /// Reads whose payload matched one committed writer snapshot.
-    verified: u64,
-    /// Reads delivered whole-but-inconsistent (only the raw control may
-    /// count these).
-    torn: u64,
-    /// Completions the mechanism rejected (SABRe version aborts).
-    aborts: u64,
-    /// Re-reads of an object that observed an *older* sequence number
-    /// than the same reader saw before — freshness running backwards.
-    time_travel: u64,
-    /// Highest sequence number served as atomic, per object id.
-    max_seq: HashMap<u64, u64>,
-}
-
-/// A reader that cross-checks every completion against the writer
-/// pattern and folds the observation into the shared [`Ledger`].
-struct TortureReader {
-    mech: ReadMechanism,
-    store: ObjectStore,
-    ledger: Arc<Mutex<Ledger>>,
-    /// This reader's last verified sequence number per object (the
-    /// monotonicity baseline — synchronous reads complete in issue
-    /// order, so a decrease is genuine time travel).
-    last_seq: HashMap<u64, u64>,
-    /// Successful reads left before the reader falls silent — finite so
-    /// the run reaches quiescence and the conservation ledger balances.
-    remaining: u64,
-    cur_obj: u64,
-    t0: Time,
-}
-
-impl TortureReader {
-    fn new(
-        mech: ReadMechanism,
-        store: ObjectStore,
-        ledger: Arc<Mutex<Ledger>>,
-        reads: u64,
-    ) -> Self {
-        TortureReader {
-            mech,
-            store,
-            ledger,
-            last_seq: HashMap::new(),
-            remaining: reads,
-            cur_obj: 0,
-            t0: Time::ZERO,
-        }
-    }
-
-    fn buf(&self, api: &CoreApi<'_>) -> Addr {
-        Addr::new(api.config().memory_bytes as u64 / 2 + api.core() as u64 * 64 * 1024)
-    }
-
-    fn issue(&mut self, api: &mut CoreApi<'_>) {
-        self.cur_obj = api.rng().below(self.store.n_objects());
-        let addr = self.store.object_addr(self.cur_obj);
-        let buf = self.buf(api);
-        let wire = self.store.wire_bytes() as u32;
-        self.t0 = api.now();
-        api.issue(self.mech.op(), self.store.node(), addr, buf, wire, 0);
-    }
-}
-
-impl Workload for TortureReader {
-    fn on_start(&mut self, api: &mut CoreApi<'_>) {
-        self.issue(api);
-    }
-
-    fn on_completion(&mut self, api: &mut CoreApi<'_>, cq: CqEntry) {
-        let now = api.now();
-        if cq.success {
-            let image = api.read_local(self.buf(api), self.store.wire_bytes() as usize);
-            let payload = CleanLayout::payload_of(&image, PAYLOAD as usize);
-            let mut ledger = self.ledger.lock().expect("ledger poisoned");
-            match verify_payload(self.cur_obj, payload) {
-                Some(seq) => {
-                    ledger.verified += 1;
-                    let ceiling = ledger.max_seq.entry(self.cur_obj).or_insert(0);
-                    *ceiling = (*ceiling).max(seq);
-                    let last = self.last_seq.entry(self.cur_obj).or_insert(0);
-                    if seq < *last {
-                        ledger.time_travel += 1;
-                    }
-                    *last = seq;
-                    drop(ledger);
-                    api.metrics().record_success(PAYLOAD as u64, now - self.t0);
-                }
-                None => ledger.torn += 1,
-            }
-            self.remaining -= 1;
-        } else {
-            self.ledger.lock().expect("ledger poisoned").aborts += 1;
-            api.metrics().record_retry();
-        }
-        if self.remaining > 0 {
-            self.issue(api);
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Quadrants
@@ -280,13 +175,20 @@ fn run_quadrant(q: &Quadrant, mech: ReadMechanism) -> HopStats {
     };
     let (mut scenario, store) =
         builder.warmed_store(q.store, StoreLayout::Clean, PAYLOAD, Some(OBJECTS));
-    let ledger = Arc::new(Mutex::new(Ledger::default()));
-    let reads = q.reads;
+    // Finite readers, so the run reaches quiescence and the conservation
+    // ledger balances.
+    let checker = ReadChecker::new(mech, PAYLOAD);
+    let reader = checker.attach(
+        spec()
+            .store(q.store as usize)
+            .payload(PAYLOAD)
+            .mechanism(mech)
+            .objects(store.object_addrs())
+            .wire(store.wire_bytes() as u32)
+            .iterations(q.reads),
+    );
     for &rnode in q.readers {
-        let (store, ledger) = (store.clone(), Arc::clone(&ledger));
-        scenario = scenario.reader(rnode, 0, move |_| {
-            Box::new(TortureReader::new(mech, store, ledger, reads))
-        });
+        scenario = scenario.reader_spec(rnode, 0, reader.clone());
     }
     // Racing CREW writers on the store node, paced by the quadrant's
     // think knob so version bumps are frequent enough that the raw
@@ -307,13 +209,14 @@ fn run_quadrant(q: &Quadrant, mech: ReadMechanism) -> HopStats {
         );
     }
     let report = scenario.run_for(Time::from_us(DUR_US));
-    let ledger = ledger.lock().expect("ledger poisoned").clone();
+    let ledger = checker.ledger();
+    let metrics = report.rack().metrics;
 
     check_conservation(&label, &report);
     check_atomicity(&label, mech, &ledger);
     check_freshness_ceiling(&label, &report, &store, &ledger);
-    check_abort_freedom(&label, mech, &ledger);
-    check_ledger_matches_metrics(&label, &report, &ledger);
+    check_abort_freedom(&label, mech, &metrics);
+    check_ledger_matches_metrics(&label, q, &metrics, &ledger);
     report.rack().hops
 }
 
@@ -431,30 +334,31 @@ fn check_freshness_ceiling(label: &str, report: &RunReport, store: &ObjectStore,
 
 /// Abort-freedom: mechanisms that promise completion without retries
 /// keep the promise on every quadrant.
-fn check_abort_freedom(label: &str, mech: ReadMechanism, ledger: &Ledger) {
+fn check_abort_freedom(label: &str, mech: ReadMechanism, metrics: &CoreMetrics) {
     let promises_no_aborts = matches!(
         mech,
         ReadMechanism::Raw | ReadMechanism::WfRegister { .. } | ReadMechanism::OhRam { .. }
     );
     if promises_no_aborts {
         assert_eq!(
-            ledger.aborts, 0,
-            "{label}: an abort-free mechanism aborted: {ledger:?}"
+            metrics.retries, 0,
+            "{label}: an abort-free mechanism aborted: {metrics:?}"
         );
     }
 }
 
-/// Cross-layer agreement: the harness's own ledger and the metrics
-/// layer's counters describe the same run.
-fn check_ledger_matches_metrics(label: &str, report: &RunReport, ledger: &Ledger) {
-    let m = report.rack().metrics;
+/// Cross-layer agreement: the observer saw exactly the operations the
+/// metrics layer counted, and every finite reader drained.
+fn check_ledger_matches_metrics(label: &str, q: &Quadrant, m: &CoreMetrics, ledger: &Ledger) {
     assert_eq!(
-        m.ops, ledger.verified,
-        "{label}: metrics ops disagree with verified reads"
+        m.ops,
+        ledger.verified + ledger.torn,
+        "{label}: metrics ops disagree with observed reads"
     );
     assert_eq!(
-        m.retries, ledger.aborts,
-        "{label}: metrics retries disagree with observed aborts"
+        m.ops,
+        q.reads * q.readers.len() as u64,
+        "{label}: a reader did not drain"
     );
 }
 
